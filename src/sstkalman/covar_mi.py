@@ -197,11 +197,20 @@ def coupled_provider(code, mode="general"):
 # ------------------------------------------------------------------ MI bounds
 
 def mi_gauss_bound(sigma_x, rho):
-    """(1/2) log det(I + rho Sigma_x), nats per branch (Gaussian input)."""
-    sign, logdet = np.linalg.slogdet(sigma_r(sigma_x, rho))
-    if sign <= 0:
+    """(1/2) log det(I + rho Sigma_x), nats per branch (Gaussian input).
+
+    For 2x2 Sigma_x, det(I + rho Sigma_x) = 1 + rho (s1 + s2 + rho det Sigma_x);
+    taking log1p of the part past 1 keeps full precision at tiny rho, where
+    a log-determinant rounds to 0.
+    """
+    sigma_x = _check_square(sigma_x)
+    if sigma_x.shape != (2, 2):
+        raise ValueError("Sigma_x must be 2x2")
+    delta_x = sigma_x[0, 0] * sigma_x[1, 1] - sigma_x[0, 1] * sigma_x[1, 0]
+    excess = rho * (sigma_x[0, 0] + sigma_x[1, 1] + rho * delta_x)
+    if excess <= -1.0:
         raise ValueError("I + rho Sigma_x must be positive definite")
-    return 0.5 * float(logdet)
+    return 0.5 * math.log1p(excess)
 
 
 def mi_gauss_bound_per_rho(sigma_x, rho):

@@ -9,7 +9,7 @@ the whole point of the construction.  The final output is the
 pre-decoder stream corrected by the main decoder's estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
-2^nu-state trellis with per-step truncated traceback.
+2^nu-state trellis with deferred truncated traceback.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ import numpy as np
 
 from . import channel, convcode, parity_prob
 from .convcode import as_conv, as_qli
-
-
-@dataclass(frozen=True)
-class SoftInputBlock:
-    """Main-decoder input for one branch: soft pair and its hard decisions."""
-
-    r: tuple
-    r_hard: tuple
 
 
 class SoftInput:
@@ -50,10 +42,6 @@ class SoftInput:
 
     def __len__(self):
         return self.r.shape[0]
-
-    def block(self, k):
-        return SoftInputBlock(r=(float(self.r[k, 0]), float(self.r[k, 1])),
-                              r_hard=(int(self.r_hard[k, 0]), int(self.r_hard[k, 1])))
 
 
 def predecode(z_hard, code, mode="general"):
@@ -102,46 +90,26 @@ def main_input_qli(z, code):
 
 # -------------------------------------------------------------------- trellis
 
-@dataclass(frozen=True)
-class TrellisState:
-    """Snapshot of one state: register value, path metric, survivor back-pointer."""
-
-    register: int
-    metric: float
-    survivor: object
-
-
 class Trellis:
-    """Tabulated 2^nu-state trellis of a rate-1/2 code.
+    """Tabulated 2^nu-state trellis of a rate-1/2 code, in butterfly order.
 
     State bit j holds the input from j+1 steps ago; the branch register
     for (state, input u) is (state << 1) | u, so output l is the parity
-    of g_l AND register.
+    of g_l AND register.  State 2j+u is entered on input u from j and
+    from j + 2^(nu-1): branch_sign[l, b, j, u] is the BPSK sign of
+    output l on the branch from state b 2^(nu-1) + j on input u.
     """
 
     def __init__(self, code):
         conv = as_conv(code)
         nu = conv.nu
         nstates = 1 << nu
-        regs = ((np.arange(nstates, dtype=np.uint64)[:, None] << np.uint64(1))
-                | np.arange(2, dtype=np.uint64)[None, :])
+        states = np.arange(nstates, dtype=np.uint64).reshape(2, nstates >> 1, 1)
+        regs = (states << np.uint64(1)) | np.arange(2, dtype=np.uint64)
         self.nu = nu
         self.nstates = nstates
-        self.next_state = ((regs & np.uint64(nstates - 1))).astype(np.int64)
-        self.out_bits = np.empty((nstates, 2, 2), dtype=np.uint8)
-        for l in (0, 1):
-            mask = np.uint64(conv.g[l].mask)
-            self.out_bits[:, :, l] = (np.bitwise_count(regs & mask) & 1).astype(np.uint8)
-        self.branch_sign = 1.0 - 2.0 * self.out_bits.astype(np.float64)
-        # predecessor indexing for the add-compare-select step
-        ns = np.arange(nstates, dtype=np.int64)
-        self.pred0 = ns >> 1
-        self.pred1 = (ns >> 1) | (1 << (nu - 1))
-        self.in_bit = (ns & 1).astype(np.int64)
-
-    def initial_states(self):
-        return [TrellisState(register=s, metric=0.0 if s == 0 else -np.inf, survivor=None)
-                for s in range(self.nstates)]
+        self.branch_sign = np.stack(
+            [1.0 - 2.0 * (np.bitwise_count(regs & np.uint64(g.mask)) & 1) for g in conv.g])
 
 
 def default_truncation(code):
@@ -153,13 +121,20 @@ def default_truncation(code):
     return 5 * conv.nu + ell
 
 
+# steps of the add-compare-select loop per block of precomputed branch terms
+CHUNK = 128
+
+
 def viterbi_main(r, code, truncation=None):
     """Max-correlation Viterbi; decodes the information sequence of the code.
 
-    The encoder is assumed to start in the zero state.  Decisions are
-    emitted per step from the best-metric survivor at depth `truncation`
-    (default 5 nu + L); ties prefer the input-0 branch and the
-    lowest-index state.
+    The encoder is assumed to start in the zero state.  The bit of step
+    t is read from the survivor of the best-metric state at step
+    t + truncation (default 5 nu + L); the last `truncation` bits come
+    from the final best state.  Ties prefer the input-0 branch and the
+    lowest-index state.  The traceback is deferred: the add-compare-select
+    loop only stores decisions and each step's best state, and all
+    survivors walk back together afterwards.
     """
     conv = as_conv(code)
     if isinstance(r, SoftInput):
@@ -176,37 +151,41 @@ def viterbi_main(r, code, truncation=None):
     if n == 0:
         return out
     nstates = trellis.nstates
+    half = nstates >> 1
     top = trellis.nu - 1
-    metrics = np.full(nstates, -1e30)
-    metrics[0] = 0.0
-    choices = np.zeros((n, nstates), dtype=np.uint8)
-    pred0, pred1, in_bit = trellis.pred0, trellis.pred1, trellis.in_bit
-    sign0 = trellis.branch_sign[pred0, in_bit, 0]
-    sign1 = trellis.branch_sign[pred0, in_bit, 1]
-    sign0b = trellis.branch_sign[pred1, in_bit, 0]
-    sign1b = trellis.branch_sign[pred1, in_bit, 1]
-    r0 = np.ascontiguousarray(soft.r[:, 0])
-    r1 = np.ascontiguousarray(soft.r[:, 1])
-
-    def walk_back(state, level, stop_level):
-        # choices[t] maps a level-(t+1) state to its level-t predecessor
-        for t in range(level - 1, stop_level - 1, -1):
-            state = (state >> 1) | (int(choices[t, state]) << top)
-        return state
-
-    for k in range(n):
-        cand0 = metrics[pred0] + r0[k] * sign0 + r1[k] * sign1
-        cand1 = metrics[pred1] + r0[k] * sign0b + r1[k] * sign1b
-        take1 = cand1 > cand0
-        metrics = np.where(take1, cand1, cand0)
-        choices[k] = take1
-        if k >= truncation:
-            tau = k - truncation
-            state = walk_back(int(np.argmax(metrics)), k + 1, tau + 1)
-            out[tau] = state & 1
-    state = int(np.argmax(metrics))
-    first_unstreamed = max(n - truncation, 0)
-    for t in range(n - 1, first_unstreamed - 1, -1):
+    sign0, sign1 = trellis.branch_sign
+    # choices[k, s] is set when state s after step k came from s//2 + half
+    choices = np.zeros((n, nstates), dtype=np.bool_)
+    best = np.empty(n, dtype=np.int64)
+    # cands[i, b, j, u]: metric into state 2j+u from state b*half + j;
+    # each row's views: the winners (row i's metrics), the rivals, and the
+    # winners as (b, j, 1) for the next step.  Step i reads row i - 1 (the
+    # last row at a block start), so it never overwrites what it reads.
+    cands = np.empty((min(CHUNK, n), 2, half, 2))
+    rows = [(cand, cand[0], cand[1], cand[0].reshape(2, half, 1)) for cand in cands]
+    metrics = np.full((2, half, 1), -1e30)
+    metrics[0, 0] = 0.0
+    for k0 in range(0, n, CHUNK):
+        k1 = min(k0 + CHUNK, n)
+        terms0 = soft.r[k0:k1, 0, None, None, None] * sign0
+        terms1 = soft.r[k0:k1, 1, None, None, None] * sign1
+        for t0, t1, (cand, win, rival, next_metrics), take1 in zip(
+                terms0, terms1, rows, choices[k0:k1].reshape(-1, half, 2)):
+            np.add(metrics, t0, out=cand)
+            cand += t1
+            np.greater(rival, win, out=take1)
+            np.copyto(win, rival, where=take1)
+            metrics = next_metrics
+        best[k0:k1] = np.argmax(cands[:k1 - k0, 0].reshape(k1 - k0, nstates), axis=1)
+    # bit tau comes from best[tau + T] walked back T steps, all tau at once
+    if n > truncation:
+        steps = np.arange(truncation, n)
+        state = best[truncation:]
+        for d in range(truncation):
+            state = (state >> 1) | (choices[steps - d, state].astype(np.int64) << top)
+        out[:n - truncation] = state & 1
+    state = int(best[-1])
+    for t in range(n - 1, max(n - truncation, 0) - 1, -1):
         out[t] = state & 1
         state = (state >> 1) | (int(choices[t, state]) << top)
     return out
@@ -217,24 +196,32 @@ def classical_viterbi(z, code, truncation=None):
     return viterbi_main(SoftInput(z.z), code, truncation)
 
 
+def _sst_streams(z, code, mode, truncation):
+    """Pre-decoder stream, main-decoder input and SST output of one block.
+
+    Both bit streams estimate the information bits they line up with:
+    i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
+    """
+    if mode == "general":
+        code = as_conv(code)
+        pre = predecode(z.z_hard, code, "general")
+        soft = main_input_general(z, code)
+    elif mode == "qli":
+        code = as_qli(code)
+        pre = predecode(z.z_hard, code, "qli")[code.L:]
+        soft = main_input_qli(z, code)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return pre, soft, pre ^ viterbi_main(soft, code, truncation)
+
+
 def sst_decode(z, code, mode="general", truncation=None):
     """Full SST decode: pre-decode, main decode, recombine.
 
     general mode returns n bits; qli mode returns n - L bits (estimates
     of i_0 .. i_{n-L-1}).
     """
-    if mode == "general":
-        conv = as_conv(code)
-        ihat = predecode(z.z_hard, conv, "general")
-        soft = main_input_general(z, conv)
-        return ihat ^ viterbi_main(soft, conv, truncation)
-    if mode == "qli":
-        qli = as_qli(code)
-        itilde = predecode(z.z_hard, qli, "qli")
-        soft = main_input_qli(z, qli)
-        what = viterbi_main(soft, qli, truncation)
-        return itilde[qli.L:] ^ what
-    raise ValueError(f"unknown mode {mode!r}")
+    return _sst_streams(z, code, mode, truncation)[2]
 
 
 # ----------------------------------------------------------------- simulation
@@ -276,22 +263,10 @@ def simulate(code, point, branches, seed, mode="general", truncation=None):
               for col in (0, 1))
     stride = max(s1.max_delay, s2.max_delay) + 1
 
-    if mode == "general":
-        ihat = predecode(z.z_hard, conv, "general")
-        soft = main_input_general(z, conv)
-        decoded = ihat ^ viterbi_main(soft, conv, truncation)
-        pre_stream, post_stream, truth = ihat, decoded, info
-        v = soft.r_hard ^ e
-    elif mode == "qli":
-        qli = as_qli(code)
-        L = qli.L
-        itilde = predecode(z.z_hard, qli, "qli")
-        soft = main_input_qli(z, qli)
-        decoded = itilde[L:] ^ viterbi_main(soft, qli, truncation)
-        pre_stream, post_stream, truth = itilde[L:], decoded, info[:branches - L]
-        v = soft.r_hard ^ e[: branches - L, :]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    pre_stream, soft, post_stream = _sst_streams(z, code, mode, truncation)
+    m = len(post_stream)
+    truth = info[:m]
+    v = soft.r_hard ^ e[:m]
 
     # drop the warmup window where v's support sticks out of the block
     vs = v[stride::stride]

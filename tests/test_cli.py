@@ -93,6 +93,13 @@ def test_curves_empty_grid_is_header_only(capsys):
     assert out == CURVE_HEADER + "\n"
 
 
+def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
+    rc, out, err = run(["curves", "--code", "c1", "--ebn0-db=-300", "--quiet"], capsys)
+    assert rc == 0, err
+    row = dict(zip(CURVE_HEADER.split(","), out.strip().split("\n")[1].split(",")))
+    assert float(row["gauss_bound"]) == pytest.approx(float(row["half_tr_sigma_x"]))
+
+
 def test_quiet_suppresses_write_note(capsys, tmp_path):
     target = tmp_path / "t.csv"
     rc, out, _ = run(["curves", "--code", "c1", "--ebn0", "1",

@@ -142,6 +142,18 @@ def test_mi_gauss_bound_forms():
     assert_allclose(mi_gauss_bound_per_rho(sx, rho), direct / rho, atol=1e-13)
 
 
+def test_mi_gauss_bound_keeps_precision_at_tiny_rho():
+    # (1/2) log det(I + rho Sigma_x) = (rho/2) tr Sigma_x + O(rho^2)
+    sx = random_psd(np.random.default_rng(4), 2)
+    rho = 1e-30
+    assert_allclose(mi_gauss_bound(sx, rho) / rho, 0.5 * np.trace(sx), rtol=1e-14)
+
+
+def test_mi_gauss_bound_rejects_non_2x2():
+    with pytest.raises(ValueError):
+        mi_gauss_bound(np.eye(3), 1.0)
+
+
 def test_bound_chain_zero_matrix():
     chain = bound_chain(np.zeros((2, 2)), 2.0)
     assert_allclose(chain.half_tr_sigma_c, 0.0)

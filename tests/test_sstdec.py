@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sstkalman import channel, parity_prob, sstdec
@@ -16,6 +17,100 @@ def poly_from_stream(bits):
     for j, bit in enumerate(bits):
         mask |= int(bit) << j
     return BinaryPoly(mask)
+
+
+def per_step_viterbi(r, code, truncation):
+    """Oracle: the decoder with a survivor walk-back after every step.
+
+    Each step emits the bit T = truncation steps behind it from the
+    best-metric state (lowest index on ties), following decisions that
+    prefer the input-0 branch on ties; the last T bits come from the
+    final best state.
+    """
+    nu = code.nu
+    nstates = 1 << nu
+    top = nu - 1
+    ns = np.arange(nstates)
+    pred0 = ns >> 1
+    pred1 = pred0 | (1 << top)
+    in_bit = ns & 1
+
+    def signs(pred, l):
+        regs = (pred << 1) | in_bit
+        return np.array([1.0 - 2.0 * (bin(int(x) & code.g[l].mask).count("1") & 1)
+                         for x in regs])
+
+    sign0, sign1, sign0b, sign1b = (signs(pred0, 0), signs(pred0, 1),
+                                    signs(pred1, 0), signs(pred1, 1))
+    n = len(r)
+    out = np.zeros(n, dtype=np.uint8)
+    if n == 0:
+        return out
+    metrics = np.full(nstates, -1e30)
+    metrics[0] = 0.0
+    choices = np.zeros((n, nstates), dtype=np.uint8)
+
+    def walk_back(state, level, stop_level):
+        # choices[t] maps a level-(t+1) state to its level-t predecessor
+        for t in range(level - 1, stop_level - 1, -1):
+            state = (state >> 1) | (int(choices[t, state]) << top)
+        return state
+
+    for k in range(n):
+        cand0 = metrics[pred0] + r[k, 0] * sign0 + r[k, 1] * sign1
+        cand1 = metrics[pred1] + r[k, 0] * sign0b + r[k, 1] * sign1b
+        take1 = cand1 > cand0
+        metrics = np.where(take1, cand1, cand0)
+        choices[k] = take1
+        if k >= truncation:
+            tau = k - truncation
+            out[tau] = walk_back(int(np.argmax(metrics)), k + 1, tau + 1) & 1
+    state = int(np.argmax(metrics))
+    for t in range(n - 1, max(n - truncation, 0) - 1, -1):
+        out[t] = state & 1
+        state = (state >> 1) | (int(choices[t, state]) << top)
+    return out
+
+
+def soft_values(seed, n, on_grid):
+    """Gaussian soft pairs; on a 0.5 grid many path metrics tie exactly."""
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        return rng.integers(-3, 4, size=(n, 2)) / 2.0
+    return rng.normal(0.5, 1.0, size=(n, 2))
+
+
+# n: empty, within one truncation window, and up to past two ACS blocks
+block_lengths = st.one_of(
+    st.integers(0, 75),
+    st.integers(sstdec.CHUNK - 75, sstdec.CHUNK + 75),
+    st.integers(2 * sstdec.CHUNK - 10, 2 * sstdec.CHUNK + 80),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["c1", "c2"]), truncation=st.sampled_from([None, 70]),
+       n=block_lengths, on_grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(name="c1", truncation=None, n=1, on_grid=True, seed=0)
+@example(name="c1", truncation=None, n=11, on_grid=True, seed=1)
+@example(name="c2", truncation=None, n=32, on_grid=True, seed=2)
+@example(name="c2", truncation=None, n=sstdec.CHUNK, on_grid=False, seed=3)
+@example(name="c1", truncation=70, n=sstdec.CHUNK + 1, on_grid=True, seed=4)
+@example(name="c2", truncation=None, n=2 * sstdec.CHUNK + 1, on_grid=True, seed=5)
+def test_viterbi_main_matches_per_step_traceback(name, truncation, n, on_grid, seed):
+    code = get_code(name)
+    r = soft_values(seed, n, on_grid)
+    t = sstdec.default_truncation(code) if truncation is None else truncation
+    assert np.array_equal(sstdec.viterbi_main(r, code, truncation),
+                          per_step_viterbi(r, code, t))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_viterbi_main_rejects_short_truncation(name):
+    code = get_code(name)
+    with pytest.raises(ValueError):
+        sstdec.viterbi_main(np.zeros((10, 2)), code, 5 * code.nu - 1)
+    sstdec.viterbi_main(np.zeros((10, 2)), code, 5 * code.nu)
 
 
 def test_default_truncation_is_five_nu_plus_l():
