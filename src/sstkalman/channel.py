@@ -68,14 +68,6 @@ def standard_normals(gen, size):
     return ndtri(u)
 
 
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Matched-filter pair for one trellis branch."""
-
-    z: tuple
-    z_hard: tuple
-
-
 class ReceivedSequence:
     """Received soft values z (n, 2) and their hard decisions z_hard (n, 2)."""
 
@@ -90,10 +82,6 @@ class ReceivedSequence:
 
     def __len__(self):
         return self.z.shape[0]
-
-    def block(self, k):
-        return ReceivedBlock(z=(float(self.z[k, 0]), float(self.z[k, 1])),
-                             z_hard=(int(self.z_hard[k, 0]), int(self.z_hard[k, 1])))
 
 
 def transmit(code_bits, point, seed):

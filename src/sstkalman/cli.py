@@ -166,7 +166,7 @@ def run_tables(table):
         columns = ["ebn0_db", "alpha1", "sigma1_sq", "alpha2", "sigma2_sq",
                    "theta12", "half_tr_sigma_x"]
         rows = [{c: getattr(r, c) for c in columns} for r in _sweep_rows(code, channel.DB_GRID)]
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)]
+        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
 
     if table in (3, 4):
         code = convcode.get_code("c1" if table == 3 else "c2")
@@ -179,7 +179,7 @@ def run_tables(table):
                          "rho_lambda_t1": r.rho_lambda_tilde_1,
                          "rho_lambda_max": r.rho_lambda_tilde_max})
         return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws),
-                               lambda cols, rws, txt: validate_lambda(rws)]
+                               lambda cols, rws, txt: validate_lambda(rws)], None
 
     if table in (5, 6):
         code = convcode.get_code("c1" if table == 5 else "c2")
@@ -196,7 +196,7 @@ def run_tables(table):
                          "log1p_rho_over_rho": r.log1p_rho_over_rho,
                          "half_tr_sigma_x": r.half_tr_sigma_x})
         return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws),
-                               lambda cols, rws, txt: validate_bound_chain(rws)]
+                               lambda cols, rws, txt: validate_bound_chain(rws)], None
 
     if table in (7, 8):
         code = convcode.get_code("c1" if table == 7 else "c2")
@@ -204,7 +204,7 @@ def run_tables(table):
                    "sigma2_sq_prime", "half_tr_sigma_x_prime"]
         rows = [{c: getattr(r, c) for c in columns}
                 for r in _sweep_rows(code, channel.DB_GRID, mode="qli")]
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)]
+        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
 
     nu = 5 if table == 9 else 6
     c_cols = [f"c{j}" for j in range(1, nu - 1)]
@@ -215,7 +215,7 @@ def run_tables(table):
         row.update(m1_alpha=entry.m1_alpha, m2_alpha=entry.m2_alpha,
                    m1_beta=entry.m1_beta, m2_beta=entry.m2_beta)
         rows.append(row)
-    return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)]
+    return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
 
 
 # ------------------------------------------------------------------- subcommands
@@ -271,12 +271,8 @@ def run_alpha(args):
     rows = []
     for db in db_values:
         point = channel.snr_point(db)
-        eps = point.epsilon
-        a1 = parity_prob.parity_one_prob(s1, eps)
-        a2 = parity_prob.parity_one_prob(s2, eps)
-        a11 = parity_prob.joint_parity_prob(s1, s2, eps)
-        row = dict(zip(columns, (point.ebn0_db, eps, a1, a2, a11, a11 - a1 * a2)))
-        rows.append(row)
+        stats = parity_prob.branch_stats(s1, s2, point.epsilon)
+        rows.append(dict(zip(columns, (point.ebn0_db, point.epsilon) + stats)))
 
     def probs_in_range(cols, rws, txt):
         errors = []
@@ -295,21 +291,18 @@ def run_simulate(args):
     db_values = parse_db_values(args.ebn0_db)
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
+    s1, s2 = covar_mi.code_supports(code, args.mode)
     rows = []
     checks = []
     for j, db in enumerate(db_values):
         point = channel.snr_point(db)
         res = sstdec.simulate(code, point, args.branches, args.seed, mode=args.mode)
-        s1, s2 = covar_mi.code_supports(code, args.mode)
         eps = point.epsilon
-        a1 = parity_prob.parity_one_prob(s1, eps)
-        a2 = parity_prob.parity_one_prob(s2, eps)
-        a11 = parity_prob.joint_parity_prob(s1, s2, eps)
+        a1, a2, a11, th = parity_prob.branch_stats(s1, s2, eps)
         sig_hat, sig_se = covar_mi.monte_carlo_sigma_r(
             code, point, min(args.branches, 200_000), args.seed + 7919 * j,
             mode=args.mode)
-        sig_ref = covar_mi.sigma_r(covar_mi.code_sigma_x(code, eps, args.mode),
-                                   point.rho)
+        sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
         row = {"ebn0_db": res.ebn0_db, "branches": res.branches,
                "pre_ber": res.pre_ber, "post_ber": res.post_ber,
                "emp_alpha1": res.emp_alpha1, "emp_alpha2": res.emp_alpha2,
@@ -365,8 +358,8 @@ def run_search(args):
                "heuristic_counterexample", "exact_counterexample_snrs"]
     rows = []
     for entry in entries:
-        code = convcode.make_qli(entry.gprime)
-        snrs = qli_search.exact_counterexample_snrs(code)
+        snrs = [p.ebn0_db for p in qli_search.trace_compare(entry.counts)
+                if p.reversed_order]
         rows.append({"c_bits": "".join(str(b) for b in entry.c_bits),
                      "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
                      "m1b": entry.m1_beta, "m2b": entry.m2_beta,
@@ -476,8 +469,7 @@ def main(argv=None):
 
     try:
         if args.command == "tables":
-            columns, rows, validators = run_tables(args.table)
-            meta = None
+            columns, rows, validators, meta = run_tables(args.table)
         elif args.command == "curves":
             columns, rows, validators, meta = run_curves(args)
         elif args.command == "alpha":

@@ -192,12 +192,19 @@ def code_to_json(code):
 
 
 def code_from_json(obj):
-    g = tuple(BinaryPoly.from_string(s) for s in obj["g"])
-    ginv = tuple(BinaryPoly.from_string(s) for s in obj["ginv"])
-    if "h" in obj:
-        h = tuple(BinaryPoly.from_string(s) for s in obj["h"])
-    else:
-        h = (g[1], g[0])
+    """Code from a parsed code file; ValueError on any malformed field."""
+    if not isinstance(obj, dict):
+        raise ValueError("a code file must hold a JSON object")
+
+    def polys(key):
+        value = obj.get(key)
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ValueError(f"code field {key!r} must be a list of polynomial strings")
+        return tuple(BinaryPoly.from_string(s) for s in value)
+
+    g = polys("g")
+    ginv = polys("ginv")
+    h = polys("h") if "h" in obj else g[::-1]
     code = ConvCode(name=obj.get("name", "custom"), g=g, ginv=ginv, h=h)
     if obj.get("qli", False):
         return as_qli(code)

@@ -18,13 +18,14 @@ information quantities are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from . import channel, convcode, parity_prob
+from . import channel, parity_prob
+from .parity_prob import code_supports
 
 
 # ---------------------------------------------------------------- covariances
@@ -37,17 +38,8 @@ def sigma_x_from_probs(alpha1, alpha2, theta12):
     ])
 
 
-def code_supports(code, mode="general"):
-    """Error supports of the two main-encoded components."""
-    m = convcode.main_encoded_block_map(code, mode)
-    return parity_prob.support_of(m, 0), parity_prob.support_of(m, 1)
-
-
 def code_sigma_x(code, eps, mode="general"):
-    s1, s2 = code_supports(code, mode)
-    a1 = parity_prob.parity_one_prob(s1, eps)
-    a2 = parity_prob.parity_one_prob(s2, eps)
-    th = parity_prob.theta(s1, s2, eps)
+    a1, a2, _, th = parity_prob.branch_stats(*code_supports(code, mode), eps)
     return sigma_x_from_probs(a1, a2, th)
 
 
@@ -141,6 +133,12 @@ class EigenTrack:
     d_rho_lambda: tuple
 
 
+def _lambda_tilde(sigma_c):
+    """Trace-form eigenvalue approximations of a 2x2 Sigma_c: half trace -/+ off-diagonal."""
+    half_tr = 0.5 * (sigma_c[0, 0] + sigma_c[1, 1])
+    return float(half_tr - sigma_c[0, 1]), float(half_tr + sigma_c[0, 1])
+
+
 def _as_provider(provider):
     if callable(provider):
         return provider
@@ -167,11 +165,8 @@ def eigen_track(provider, rho, h=1e-4):
 
     sig_x = prov(rho)
     lam = tuple(float(v) for v in np.linalg.eigvalsh(sigma_c_general(sig_x, rho)))
-    mat, _, dr = sigma_c_closed_2x2(sig_x, rho) if sig_x.shape == (2, 2) else (None, None, None)
-    if mat is not None:
-        half_tr = 0.5 * (mat[0, 0] + mat[1, 1])
-        off = sig_x[0, 1] / dr
-        lt1, lt2 = half_tr - off, half_tr + off
+    if sig_x.shape == (2, 2):
+        lt1, lt2 = _lambda_tilde(sigma_c_closed_2x2(sig_x, rho)[0])
     else:
         lt1 = lt2 = float("nan")
     delta = h * rho
@@ -219,26 +214,22 @@ def mi_gauss_bound_per_rho(sigma_x, rho):
     return mi_gauss_bound(sigma_x, rho) / rho
 
 
-class BoundChain(tuple):
+@dataclass(frozen=True)
+class BoundChain:
     """Ordered per-branch bound chain (all in nats per unit rho):
 
     half_tr_sigma_c <= gauss_per_rho <= half_tr_sigma_x, with the
     channel-side ceilings inv_one_plus_rho (on half_tr_sigma_c) and
-    log1p_rho_over_rho (on gauss_per_rho).
+    log1p_rho_over_rho (on gauss_per_rho).  sigma_c is the filtering
+    covariance whose half trace opens the chain.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, half_tr_sigma_c, gauss_per_rho, half_tr_sigma_x,
-                inv_one_plus_rho, log1p_rho_over_rho):
-        return super().__new__(cls, (half_tr_sigma_c, gauss_per_rho, half_tr_sigma_x,
-                                     inv_one_plus_rho, log1p_rho_over_rho))
-
-    half_tr_sigma_c = property(lambda self: self[0])
-    gauss_per_rho = property(lambda self: self[1])
-    half_tr_sigma_x = property(lambda self: self[2])
-    inv_one_plus_rho = property(lambda self: self[3])
-    log1p_rho_over_rho = property(lambda self: self[4])
+    half_tr_sigma_c: float
+    gauss_per_rho: float
+    half_tr_sigma_x: float
+    inv_one_plus_rho: float
+    log1p_rho_over_rho: float
+    sigma_c: np.ndarray = field(compare=False)
 
 
 def bound_chain(sigma_x, rho):
@@ -249,6 +240,7 @@ def bound_chain(sigma_x, rho):
         half_tr_sigma_x=0.5 * float(np.trace(pair.sigma_x)),
         inv_one_plus_rho=1.0 / (1.0 + rho),
         log1p_rho_over_rho=math.log1p(rho) / rho,
+        sigma_c=pair.sigma_c,
     )
 
 
@@ -259,8 +251,14 @@ def _gh_nodes(nodes):
 
 
 def _log_cosh(x):
+    # |x| + log1p(e^-2|x|) - log 2 cancels to x^2/2 with an absolute error
+    # near 1e-16, so below |x| = 1e-3 (relative error past 1e-10) use the
+    # exact identity cosh x = 1 + 2 sinh^2(x/2) instead
     ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+    out = ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+    small = ax < 1e-3
+    out[small] = np.log1p(2.0 * np.sinh(0.5 * ax[small]) ** 2)
+    return out
 
 
 def binary_input_mi(rho, nodes=128):
@@ -297,14 +295,9 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
     honest empirical standard errors; returns (Sigma_r_hat, se)."""
     if trials < 2:
         raise ValueError("need at least two trials")
-    s1, s2 = code_supports(code, mode)
-    depth = max(s1.max_delay, s2.max_delay) + 1
     gen = channel.make_rng(seed)
-    errors = (gen.random((trials, depth, 2)) < point.epsilon).astype(np.uint8)
-    v = np.zeros((trials, 2), dtype=np.uint8)
-    for col, support in enumerate((s1, s2)):
-        for comp, delay in support.vars:
-            v[:, col] ^= errors[:, delay, comp - 1]
+    v = parity_prob.error_window_parities(*code_supports(code, mode), point.epsilon,
+                                          trials, gen)
     r = point.c * (1.0 - 2.0 * v.astype(np.float64))
     r += channel.standard_normals(gen, r.shape)
     centered = r - r.mean(axis=0)
@@ -351,52 +344,31 @@ class SweepRow:
     inv_one_plus_rho: float
     log1p_rho_over_rho: float
     two_i_over_rho: float
-    lambda1: float
-    lambda2: float
     lambda_tilde_1: float
     lambda_tilde_2: float
     rho_lambda_tilde_1: float
     rho_lambda_tilde_max: float
 
 
-def sweep_row(code, point, mode="general"):
-    if mode not in ("general", "qli"):
-        raise ValueError(f"unknown mode {mode!r}")
+def _sweep_row(point, general, qli, mode):
+    """One SweepRow from the general supports and the QLI ones (None if not QLI)."""
     eps = point.epsilon
     rho = point.rho
-    s1, s2 = code_supports(code, "general")
-    a1 = parity_prob.parity_one_prob(s1, eps)
-    a2 = parity_prob.parity_one_prob(s2, eps)
-    a11 = parity_prob.joint_parity_prob(s1, s2, eps)
-    th = a11 - a1 * a2
+    a1, a2, a11, th = parity_prob.branch_stats(*general, eps)
     sig_x = sigma_x_from_probs(a1, a2, th)
 
     beta1 = beta2 = beta11 = th_p = None
     s1p_sq = s2p_sq = half_tr_xp = None
     sig_xp = None
-    try:
-        qli = convcode.as_qli(code)
-    except ValueError:
-        qli = None
     if qli is not None:
-        t1, t2 = code_supports(code, "qli")
-        beta1 = parity_prob.parity_one_prob(t1, eps)
-        beta2 = parity_prob.parity_one_prob(t2, eps)
-        beta11 = parity_prob.joint_parity_prob(t1, t2, eps)
-        th_p = beta11 - beta1 * beta2
+        beta1, beta2, beta11, th_p = parity_prob.branch_stats(*qli, eps)
         sig_xp = sigma_x_from_probs(beta1, beta2, th_p)
         s1p_sq = sig_xp[0, 0]
         s2p_sq = sig_xp[1, 1]
         half_tr_xp = 0.5 * (s1p_sq + s2p_sq)
 
-    if mode == "qli":
-        if sig_xp is None:
-            raise ValueError(f"{code.name!r} is not quick-look-in; qli mode unavailable")
-        sig_main = sig_xp
-    else:
-        sig_main = sig_x
-    chain = bound_chain(sig_main, rho)
-    track = eigen_track(lambda _r: sig_main, rho)
+    chain = bound_chain(sig_xp if mode == "qli" else sig_x, rho)
+    lt1, lt2 = _lambda_tilde(chain.sigma_c)
     return SweepRow(
         ebn0_db=point.ebn0_db,
         rho=rho,
@@ -421,14 +393,26 @@ def sweep_row(code, point, mode="general"):
         inv_one_plus_rho=chain.inv_one_plus_rho,
         log1p_rho_over_rho=chain.log1p_rho_over_rho,
         two_i_over_rho=2.0 * binary_input_mi(rho) / rho,
-        lambda1=track.lambdas[0],
-        lambda2=track.lambdas[1],
-        lambda_tilde_1=track.lambda_tilde_1,
-        lambda_tilde_2=track.lambda_tilde_2,
-        rho_lambda_tilde_1=rho * track.lambda_tilde_1,
-        rho_lambda_tilde_max=rho * track.lambda_tilde_2,
+        lambda_tilde_1=lt1,
+        lambda_tilde_2=lt2,
+        rho_lambda_tilde_1=rho * lt1,
+        rho_lambda_tilde_max=rho * lt2,
     )
 
 
 def sweep(code, db_values=channel.DB_GRID, rate=0.5, mode="general"):
-    return [sweep_row(code, channel.snr_point(db, rate), mode) for db in db_values]
+    """SweepRows over an Eb/N0 grid; the code's supports are built once."""
+    if mode not in ("general", "qli"):
+        raise ValueError(f"unknown mode {mode!r}")
+    general = code_supports(code, "general")
+    try:
+        qli = code_supports(code, "qli")
+    except ValueError:
+        qli = None
+    if mode == "qli" and qli is None:
+        raise ValueError(f"{code.name!r} is not quick-look-in; qli mode unavailable")
+    return [_sweep_row(channel.snr_point(db, rate), general, qli, mode) for db in db_values]
+
+
+def sweep_row(code, point, mode="general"):
+    return sweep(code, (point.ebn0_db,), point.rate, mode)[0]

@@ -272,8 +272,9 @@ def _joint_moments(model, k, b):
     means = [model.x0_mean.copy()]
     covs = [model.X0.copy()]
     top = max(k, b)
-    for j in range(top):
-        f = model.F(j)
+    fs = [model.F(j) for j in range(top)]
+    hs = [model.H(j) for j in range(steps)]
+    for j, f in enumerate(fs):
         means.append(f @ means[j])
         covs.append(f @ covs[j] @ f.T + model.U(j))
     # cross[i][j] = Cov(x_i, x_j) for j <= i, built row by row
@@ -282,22 +283,21 @@ def _joint_moments(model, k, b):
         cross[(i, i)] = covs[i]
         for j in range(i):
             prev = cross[(i - 1, j)] if i - 1 >= j else covs[j]
-            cross[(i, j)] = model.F(i - 1) @ prev
+            cross[(i, j)] = fs[i - 1] @ prev
     def cov_x(i, j):
         if j <= i:
             return cross[(i, j)]
         return cross[(j, i)].T
     m = model.m
-    z_mean = np.concatenate([model.H(j) @ means[j] for j in range(steps)])
+    z_mean = np.concatenate([hs[j] @ means[j] for j in range(steps)])
     z_cov = np.zeros((steps * m, steps * m))
     for i in range(steps):
-        hi = model.H(i)
         for j in range(steps):
-            block = hi @ cov_x(i, j) @ model.H(j).T
+            block = hs[i] @ cov_x(i, j) @ hs[j].T
             if i == j:
                 block = block + model.W(i)
             z_cov[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    xz = np.hstack([cov_x(k, j) @ model.H(j).T for j in range(steps)])
+    xz = np.hstack([cov_x(k, j) @ hs[j].T for j in range(steps)])
     return means[k], covs[k], z_mean, z_cov, xz
 
 

@@ -66,6 +66,12 @@ def support_of(m, col):
     return ErrorSupport.from_pairs(pairs)
 
 
+def code_supports(code, mode="general"):
+    """Error supports of the two main-encoded components."""
+    m = convcode.main_encoded_block_map(code, mode)
+    return support_of(m, 0), support_of(m, 1)
+
+
 def _check_eps(eps):
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
@@ -246,9 +252,20 @@ def joint_polynomial(s1, s2):
     return EpsPolynomial(tuple(coeffs))
 
 
+def branch_stats(s1, s2, eps):
+    """(alpha1, alpha2, alpha11, theta) of one main-encoded pair.
+
+    Every branch covariance of the analysis is built from these four.
+    """
+    a1 = parity_one_prob(s1, eps)
+    a2 = parity_one_prob(s2, eps)
+    a11 = joint_parity_prob(s1, s2, eps)
+    return a1, a2, a11, a11 - a1 * a2
+
+
 def theta(s1, s2, eps):
     """Covariance-style term: P(v1=1, v2=1) - P(v1=1) P(v2=1)."""
-    return joint_parity_prob(s1, s2, eps) - parity_one_prob(s1, eps) * parity_one_prob(s2, eps)
+    return branch_stats(s1, s2, eps)[3]
 
 
 def theta_four_ways(s1, s2, eps):
@@ -297,6 +314,17 @@ class MonteCarloProbs:
     trials: int
 
 
+def error_window_parities(s1, s2, eps, trials, gen):
+    """(trials, 2) uint8 parities of both supports, one fresh error window per trial."""
+    depth = max(s1.max_delay, s2.max_delay) + 1
+    errors = (gen.random((trials, depth, 2)) < eps).astype(np.uint8)
+    v = np.zeros((trials, 2), dtype=np.uint8)
+    for col, support in enumerate((s1, s2)):
+        for comp, delay in support.vars:
+            v[:, col] ^= errors[:, delay, comp - 1]
+    return v
+
+
 def monte_carlo_probs(code, eps, trials, seed, mode="general"):
     """Estimate alpha1, alpha2, alpha11 by pushing i.i.d. errors through the block map.
 
@@ -306,18 +334,10 @@ def monte_carlo_probs(code, eps, trials, seed, mode="general"):
     eps = _check_eps(eps)
     if trials < 1:
         raise ValueError("trials must be positive")
-    m = convcode.main_encoded_block_map(code, mode)
-    s1 = support_of(m, 0)
-    s2 = support_of(m, 1)
-    depth = max(s1.max_delay, s2.max_delay) + 1
-    gen = channel.make_rng(seed)
-    errors = (gen.random((trials, depth, 2)) < eps).astype(np.uint8)
-    v = [np.zeros(trials, dtype=np.uint8), np.zeros(trials, dtype=np.uint8)]
-    for out, support in ((v[0], s1), (v[1], s2)):
-        for comp, delay in support.vars:
-            out ^= errors[:, delay, comp - 1]
-    both = v[0] & v[1]
-    est = [float(np.mean(x)) for x in (v[0], v[1], both)]
+    s1, s2 = code_supports(code, mode)
+    v = error_window_parities(s1, s2, eps, trials, channel.make_rng(seed))
+    both = v[:, 0] & v[:, 1]
+    est = [float(np.mean(x)) for x in (v[:, 0], v[:, 1], both)]
     ses = [float(np.sqrt(p * (1.0 - p) / trials)) for p in est]
     return MonteCarloProbs(alpha1=est[0], alpha2=est[1], alpha11=est[2],
                            se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],

@@ -31,6 +31,11 @@ class QliSearchRow:
     indeterminate: bool
     gprime: BinaryPoly
 
+    @property
+    def counts(self):
+        """(m1_alpha, m2_alpha, m1_beta, m2_beta), as trace_compare takes them."""
+        return self.m1_alpha, self.m2_alpha, self.m1_beta, self.m2_beta
+
 
 def _pairing_le(small, big, strict):
     for perm in ((0, 1), (1, 0)):
@@ -52,8 +57,8 @@ def family_counts(code):
     m = convcode.main_encoded_block_map(code, "general")
     m1a = column_term_count(m, 0)
     m2a = column_term_count(m, 1)
-    conv = convcode.as_conv(code)
-    return m1a, m2a, 2 * conv.g[0].term_count, 2 * conv.g[1].term_count
+    g = convcode.as_qli(code).g
+    return m1a, m2a, 2 * g[0].term_count, 2 * g[1].term_count
 
 
 def enumerate_qli(nu):
@@ -86,27 +91,25 @@ class TracePoint:
     reversed_order: bool
 
 
-def trace_compare(code, db_values=channel.DB_GRID, rate=0.5):
+def trace_compare(counts, db_values=channel.DB_GRID, rate=0.5):
     """Exact (1/2) tr Sigma_x versus (1/2) tr Sigma_x' over an SNR grid.
 
-    reversed_order marks points where the general arrangement is strictly
-    better (tr Sigma_x < tr Sigma_x')."""
-    sa1, sa2 = (parity_prob.support_of(convcode.main_encoded_block_map(code, "general"), c)
-                for c in (0, 1))
-    sb1, sb2 = (parity_prob.support_of(convcode.main_encoded_block_map(code, "qli"), c)
-                for c in (0, 1))
+    counts (family_counts) are the four support sizes, which fix both
+    traces.  reversed_order marks points where the general arrangement is
+    strictly better (tr Sigma_x < tr Sigma_x')."""
+    m1a, m2a, m1b, m2b = counts
     out = []
     for db in db_values:
         point = channel.snr_point(db, rate)
         eps = point.epsilon
 
-        def half_tr(s1, s2):
-            a1 = parity_prob.parity_one_prob(s1, eps)
-            a2 = parity_prob.parity_one_prob(s2, eps)
+        def half_tr(n1, n2):
+            a1 = parity_prob.parity_one_prob(n1, eps)
+            a2 = parity_prob.parity_one_prob(n2, eps)
             return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
 
-        tx = half_tr(sa1, sa2)
-        txp = half_tr(sb1, sb2)
+        tx = half_tr(m1a, m2a)
+        txp = half_tr(m1b, m2b)
         out.append(TracePoint(ebn0_db=float(db), epsilon=eps,
                               half_tr_sigma_x=tx, half_tr_sigma_x_prime=txp,
                               reversed_order=bool(tx < txp)))
@@ -115,4 +118,5 @@ def trace_compare(code, db_values=channel.DB_GRID, rate=0.5):
 
 def exact_counterexample_snrs(code, db_values=channel.DB_GRID, rate=0.5):
     """Grid points (dB) where tr Sigma_x < tr Sigma_x' exactly."""
-    return [p.ebn0_db for p in trace_compare(code, db_values, rate) if p.reversed_order]
+    return [p.ebn0_db for p in trace_compare(family_counts(code), db_values, rate)
+            if p.reversed_order]

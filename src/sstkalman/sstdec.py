@@ -259,8 +259,7 @@ def simulate(code, point, branches, seed, mode="general", truncation=None):
     z = channel.transmit(y, point, seed)
     e = z.z_hard ^ y
 
-    s1, s2 = (parity_prob.support_of(convcode.main_encoded_block_map(code, mode), col)
-              for col in (0, 1))
+    s1, s2 = parity_prob.code_supports(code, mode)
     stride = max(s1.max_delay, s2.max_delay) + 1
 
     pre_stream, soft, post_stream = _sst_streams(z, code, mode, truncation)

@@ -59,8 +59,6 @@ def test_received_sequence_hard_decisions():
     rs = ReceivedSequence(z)
     assert rs.z_hard.tolist() == [[0, 1], [1, 0]]
     assert len(rs) == 2
-    blk = rs.block(0)
-    assert blk.z == (0.3, -0.2) and blk.z_hard == (0, 1)
 
 
 def test_transmit_deterministic_per_seed():

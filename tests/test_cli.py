@@ -1,6 +1,10 @@
 """Command line interface: output contracts, validators, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,26 @@ def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
     assert rc == 0, err
     row = dict(zip(CURVE_HEADER.split(","), out.strip().split("\n")[1].split(",")))
     assert float(row["gauss_bound"]) == pytest.approx(float(row["half_tr_sigma_x"]))
+
+
+@pytest.mark.parametrize("content", [
+    {"name": "x"},
+    [1, 2],
+    {"g": "111", "ginv": ["01", "11"]},
+    {"g": ["111", 5], "ginv": ["01", "11"]},
+    {"g": ["111"], "ginv": ["01", "11"]},
+    {"g": ["111", "101"], "ginv": ["01", "11"], "h": None},
+])
+def test_malformed_code_file_exits_2(tmp_path, content):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(content))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sstkalman.cli", "curves",
+                           "--code", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_quiet_suppresses_write_note(capsys, tmp_path):

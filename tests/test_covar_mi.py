@@ -207,6 +207,12 @@ def test_binary_input_mi_small_rho_expansion():
     assert_allclose(binary_input_mi(rho), rho / 2 - rho ** 2 / 4, atol=2e-6)
 
 
+@pytest.mark.parametrize("rho", [1e-6, 1e-10, 1e-12, 1e-30])
+def test_binary_input_mi_keeps_precision_at_tiny_rho(rho):
+    # 2 I(rho) / rho = 1 - rho/2 + O(rho^2) must not round away with rho
+    assert abs(2.0 * binary_input_mi(rho) / rho - (1.0 - rho / 2.0)) <= 1e-9
+
+
 def test_mi_per_branch_bound_picks_the_min():
     code = get_code("c1")
     pt = channel.snr_point(10.0)

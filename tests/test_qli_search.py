@@ -2,7 +2,7 @@
 
 import pytest
 
-from sstkalman import qli_search
+from sstkalman import channel, parity_prob, qli_search
 from sstkalman.convcode import get_code, make_qli
 
 from reference_tables import SEARCH_ROWS_NU5, SEARCH_ROWS_NU6
@@ -59,7 +59,7 @@ def test_classify_counts():
 def test_trace_compare_orders_counterexample_code():
     bad = [r for r in qli_search.enumerate_qli(5) if r.heuristic_counterexample][0]
     code = make_qli(bad.gprime)
-    points = qli_search.trace_compare(code)
+    points = qli_search.trace_compare(qli_search.family_counts(code))
     assert len(points) == 21
     assert all(p.reversed_order for p in points)
     assert all(p.half_tr_sigma_x_prime > p.half_tr_sigma_x for p in points)
@@ -69,10 +69,35 @@ def test_trace_compare_orders_counterexample_code():
 def test_trace_compare_keeps_order_for_plain_code():
     plain = qli_search.enumerate_qli(5)[0]
     code = make_qli(plain.gprime)
-    points = qli_search.trace_compare(code)
+    points = qli_search.trace_compare(qli_search.family_counts(code))
     assert not any(p.reversed_order for p in points)
     assert qli_search.exact_counterexample_snrs(code) == []
 
 
 def test_builtin_c2_never_reverses():
     assert qli_search.exact_counterexample_snrs(get_code("c2")) == []
+
+
+@pytest.mark.parametrize("nu", range(3, 9))
+def test_family_counts_are_support_sizes(nu):
+    for row in qli_search.enumerate_qli(nu):
+        code = make_qli(row.gprime)
+        sizes = tuple(len(s) for mode in ("general", "qli")
+                      for s in parity_prob.code_supports(code, mode))
+        assert qli_search.family_counts(code) == sizes == row.counts
+
+
+def test_trace_compare_from_counts_matches_supports():
+    def half_tr(s1, s2, eps):
+        a1, a2, _, _ = parity_prob.branch_stats(s1, s2, eps)
+        return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
+
+    for row in qli_search.enumerate_qli(8):
+        code = make_qli(row.gprime)
+        general = parity_prob.code_supports(code, "general")
+        qli = parity_prob.code_supports(code, "qli")
+        points = qli_search.trace_compare(row.counts)
+        assert [p.ebn0_db for p in points] == [float(db) for db in channel.DB_GRID]
+        for p in points:
+            assert p.half_tr_sigma_x == half_tr(*general, p.epsilon)
+            assert p.half_tr_sigma_x_prime == half_tr(*qli, p.epsilon)
