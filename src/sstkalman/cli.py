@@ -90,17 +90,27 @@ def json_text(columns, rows, meta=None):
 # -------------------------------------------------------------- db list parsing
 
 def parse_db_values(text):
-    """'-10..10' (unit steps), 'a,b,c', single value, or '' for an empty grid."""
+    """'-10..10' (unit steps), 'a,b,c', single value, or '' for an empty grid.
+
+    Anything else, an empty range and a value that is not finite raise a
+    ValueError that names --ebn0-db.
+    """
     text = text.strip()
     if not text:
         return []
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return [float(v) for v in range(lo, hi + 1)]
-    return [float(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            values = [float(v) for v in range(int(lo_s), int(hi_s) + 1)]
+        else:
+            values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--ebn0-db: cannot read {text!r} as dB values") from None
+    if not values:
+        raise ValueError(f"--ebn0-db: empty range {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"--ebn0-db: values must be finite, got {text!r}")
+    return values
 
 
 # ------------------------------------------------------------------- validators
@@ -463,11 +473,27 @@ def build_parser():
     return parser
 
 
+# the range of each integer option; seeds key a Philox generator through a C long
+ARG_RANGES = {"branches": (1000, None), "seed": (0, 2**62), "states": (1, None),
+              "steps": (4, None)}
+
+
+def check_ranges(args):
+    """Reject an integer option outside its range, naming the option."""
+    for name, (low, high) in ARG_RANGES.items():
+        value = getattr(args, name, low)
+        if value < low:
+            raise ValueError(f"--{name} must be at least {low}")
+        if high is not None and value > high:
+            raise ValueError(f"--{name} must be at most {high}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
+        check_ranges(args)
         if args.command == "tables":
             columns, rows, validators, meta = run_tables(args.table)
         elif args.command == "curves":
@@ -475,8 +501,6 @@ def main(argv=None):
         elif args.command == "alpha":
             columns, rows, validators, meta = run_alpha(args)
         elif args.command == "simulate":
-            if args.branches < 1000:
-                raise ValueError("need at least 1000 branches")
             columns, rows, validators, meta = run_simulate(args)
         elif args.command == "kalman-check":
             columns, rows, validators, meta = run_kalman_check(args)
@@ -486,7 +510,7 @@ def main(argv=None):
             columns, rows, validators, meta = run_search(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

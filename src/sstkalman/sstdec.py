@@ -9,12 +9,18 @@ the whole point of the construction.  The final output is the
 pre-decoder stream corrected by the main decoder's estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
-2^nu-state trellis with deferred truncated traceback.
+2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
+on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +37,8 @@ class SoftInput:
         r = np.asarray(r, dtype=np.float64)
         if r.ndim != 2 or r.shape[1] != 2:
             raise ValueError("r must have shape (n, 2)")
+        if not np.isfinite(r).all():
+            raise ValueError("r must be finite")
         self.r = r
         if r_hard is None:
             r_hard = (r < 0.0).astype(np.uint8)
@@ -88,29 +96,7 @@ def main_input_qli(z, code):
     return SoftInput(r=r, r_hard=r_hard)
 
 
-# -------------------------------------------------------------------- trellis
-
-class Trellis:
-    """Tabulated 2^nu-state trellis of a rate-1/2 code, in butterfly order.
-
-    State bit j holds the input from j+1 steps ago; the branch register
-    for (state, input u) is (state << 1) | u, so output l is the parity
-    of g_l AND register.  State 2j+u is entered on input u from j and
-    from j + 2^(nu-1): branch_sign[l, b, j, u] is the BPSK sign of
-    output l on the branch from state b 2^(nu-1) + j on input u.
-    """
-
-    def __init__(self, code):
-        conv = as_conv(code)
-        nu = conv.nu
-        nstates = 1 << nu
-        states = np.arange(nstates, dtype=np.uint64).reshape(2, nstates >> 1, 1)
-        regs = (states << np.uint64(1)) | np.arange(2, dtype=np.uint64)
-        self.nu = nu
-        self.nstates = nstates
-        self.branch_sign = np.stack(
-            [1.0 - 2.0 * (np.bitwise_count(regs & np.uint64(g.mask)) & 1) for g in conv.g])
-
+# ------------------------------------------------------------- main decoder
 
 def default_truncation(code):
     conv = as_conv(code)
@@ -121,8 +107,35 @@ def default_truncation(code):
     return 5 * conv.nu + ell
 
 
-# steps of the add-compare-select loop per block of precomputed branch terms
-CHUNK = 128
+_KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
+# no FMA contraction and no fast-math: every path metric is one fixed float
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_kernel = None
+
+
+def _build_kernel():
+    """Compile _viterbi.c into __pycache__ (once per source and flags) and load it."""
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{key}.so"
+    if not lib.exists():
+        lib.parent.mkdir(exist_ok=True)
+        partial = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        try:
+            proc = subprocess.run(["cc", *_KERNEL_FLAGS, "-o", str(partial),
+                                   str(_KERNEL_SOURCE)], capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot build the Viterbi kernel: {exc}") from None
+        if proc.returncode != 0:
+            partial.unlink(missing_ok=True)
+            raise OSError(f"cannot build the Viterbi kernel: {proc.stderr.strip()}")
+        os.replace(partial, lib)
+    fn = ctypes.CDLL(str(lib)).viterbi
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
+                   ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_int64, ctypes.c_void_p]
+    return fn
 
 
 def viterbi_main(r, code, truncation=None):
@@ -132,62 +145,32 @@ def viterbi_main(r, code, truncation=None):
     t is read from the survivor of the best-metric state at step
     t + truncation (default 5 nu + L); the last `truncation` bits come
     from the final best state.  Ties prefer the input-0 branch and the
-    lowest-index state.  The traceback is deferred: the add-compare-select
-    loop only stores decisions and each step's best state, and all
-    survivors walk back together afterwards.
+    lowest-index state.  The trellis runs in the C kernel `_viterbi.c`,
+    built on the first call.
     """
+    global _kernel
     conv = as_conv(code)
-    if isinstance(r, SoftInput):
-        soft = r
-    else:
-        soft = SoftInput(np.asarray(r, dtype=np.float64))
+    soft = r if isinstance(r, SoftInput) else SoftInput(r)
     if truncation is None:
         truncation = default_truncation(code)
+    if conv.nu < 1:
+        raise ValueError("the main decoder needs a code of memory nu >= 1")
     if truncation < 5 * conv.nu:
         raise ValueError(f"truncation must be at least 5*nu = {5 * conv.nu}")
-    trellis = Trellis(conv)
     n = len(soft)
     out = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return out
-    nstates = trellis.nstates
-    half = nstates >> 1
-    top = trellis.nu - 1
-    sign0, sign1 = trellis.branch_sign
-    # choices[k, s] is set when state s after step k came from s//2 + half
-    choices = np.zeros((n, nstates), dtype=np.bool_)
-    best = np.empty(n, dtype=np.int64)
-    # cands[i, b, j, u]: metric into state 2j+u from state b*half + j;
-    # each row's views: the winners (row i's metrics), the rivals, and the
-    # winners as (b, j, 1) for the next step.  Step i reads row i - 1 (the
-    # last row at a block start), so it never overwrites what it reads.
-    cands = np.empty((min(CHUNK, n), 2, half, 2))
-    rows = [(cand, cand[0], cand[1], cand[0].reshape(2, half, 1)) for cand in cands]
-    metrics = np.full((2, half, 1), -1e30)
-    metrics[0, 0] = 0.0
-    for k0 in range(0, n, CHUNK):
-        k1 = min(k0 + CHUNK, n)
-        terms0 = soft.r[k0:k1, 0, None, None, None] * sign0
-        terms1 = soft.r[k0:k1, 1, None, None, None] * sign1
-        for t0, t1, (cand, win, rival, next_metrics), take1 in zip(
-                terms0, terms1, rows, choices[k0:k1].reshape(-1, half, 2)):
-            np.add(metrics, t0, out=cand)
-            cand += t1
-            np.greater(rival, win, out=take1)
-            np.copyto(win, rival, where=take1)
-            metrics = next_metrics
-        best[k0:k1] = np.argmax(cands[:k1 - k0, 0].reshape(k1 - k0, nstates), axis=1)
-    # bit tau comes from best[tau + T] walked back T steps, all tau at once
-    if n > truncation:
-        steps = np.arange(truncation, n)
-        state = best[truncation:]
-        for d in range(truncation):
-            state = (state >> 1) | (choices[steps - d, state].astype(np.int64) << top)
-        out[:n - truncation] = state & 1
-    state = int(best[-1])
-    for t in range(n - 1, max(n - truncation, 0) - 1, -1):
-        out[t] = state & 1
-        state = (state >> 1) | (int(choices[t, state]) << top)
+    if _kernel is None:
+        _kernel = _build_kernel()
+    nstates = 1 << conv.nu
+    # the survivor decisions of the last min(truncation, n) steps, in a ring
+    rows = 1 << (min(truncation, n) - 1).bit_length()
+    r = np.ascontiguousarray(soft.r)
+    work = np.empty(6 * nstates)
+    choices = np.empty(rows * nstates, dtype=np.uint8)
+    _kernel(r.ctypes.data, n, conv.nu, conv.g[0].mask, conv.g[1].mask, truncation,
+            work.ctypes.data, choices.ctypes.data, rows, out.ctypes.data)
     return out
 
 

@@ -124,6 +124,33 @@ def test_malformed_code_file_exits_2(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["kalman-check", "--states", "0"], "--states"),
+    (["kalman-check", "--steps", "3"], "--steps"),
+    (["kalman-check", "--seed", "-1"], "--seed"),
+    (["simulate", "--seed", "-1", "--branches", "1000"], "--seed"),
+    (["simulate", "--seed", str(2**64), "--branches", "1000"], "--seed"),
+    (["simulate", "--branches", "999"], "--branches"),
+    (["simulate", "--ebn0-db=inf", "--branches", "1000"], "--ebn0-db"),
+    (["simulate", "--ebn0-db=nan", "--branches", "1000"], "--ebn0-db"),
+    (["simulate", "--ebn0-db=2,-inf", "--branches", "1000"], "--ebn0-db"),
+    (["curves", "--ebn0-db=inf"], "--ebn0-db"),
+    (["curves", "--ebn0-db=nan"], "--ebn0-db"),
+    (["curves", "--ebn0-db=1e400"], "--ebn0-db"),
+    (["alpha", "--ebn0-db=-inf"], "--ebn0-db"),
+    (["curves", "--ebn0-db=1,,2"], "--ebn0-db"),
+])
+def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sstkalman.cli", *argv, "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_quiet_suppresses_write_note(capsys, tmp_path):
     target = tmp_path / "t.csv"
     rc, out, _ = run(["curves", "--code", "c1", "--ebn0", "1",
@@ -243,8 +270,10 @@ def test_parse_db_values():
     assert parse_db_values("3") == [3.0]
     with pytest.raises(ValueError):
         parse_db_values("5..1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="--ebn0-db"):
         parse_db_values("a,b")
+    with pytest.raises(ValueError, match="--ebn0-db.*finite"):
+        parse_db_values("0,inf")
 
 
 def test_validate_bound_chain_flags_violations():

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sstkalman import channel, parity_prob, sstdec
-from sstkalman.convcode import encode, get_code, main_encoded_block_map
+from sstkalman.cli import main
+from sstkalman.convcode import ConvCode, encode, get_code, main_encoded_block_map, make_qli
 from sstkalman.gf2 import BinaryPoly
 
 
@@ -72,37 +73,104 @@ def per_step_viterbi(r, code, truncation):
     return out
 
 
-def soft_values(seed, n, on_grid):
-    """Gaussian soft pairs; on a 0.5 grid many path metrics tie exactly."""
+KINDS = ("normal", "grid", "near_grid")
+
+
+def soft_values(seed, n, kind):
+    """Gaussian soft pairs; on a 0.5 grid many path metrics tie exactly.
+
+    near_grid moves the grid values by multiples of 2^-45: path metrics of a
+    few hundred up to tens of thousands then round, so the order of the
+    additions in a path metric decides some of the near ties.
+    """
     rng = np.random.default_rng(seed)
-    if on_grid:
-        return rng.integers(-3, 4, size=(n, 2)) / 2.0
-    return rng.normal(0.5, 1.0, size=(n, 2))
+    if kind == "normal":
+        return rng.normal(0.5, 1.0, size=(n, 2))
+    r = rng.integers(-3, 4, size=(n, 2)) / 2.0
+    if kind == "near_grid":
+        r += rng.integers(-2, 3, size=(n, 2)) * 2.0**-45
+    return r
 
 
-# n: empty, within one truncation window, and up to past two ACS blocks
+# n: empty, within one truncation window, and a few hundred steps
 block_lengths = st.one_of(
     st.integers(0, 75),
-    st.integers(sstdec.CHUNK - 75, sstdec.CHUNK + 75),
-    st.integers(2 * sstdec.CHUNK - 10, 2 * sstdec.CHUNK + 80),
+    st.integers(53, 203),
+    st.integers(246, 336),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["c1", "c2"]), truncation=st.sampled_from([None, 70]),
-       n=block_lengths, on_grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(name="c1", truncation=None, n=1, on_grid=True, seed=0)
-@example(name="c1", truncation=None, n=11, on_grid=True, seed=1)
-@example(name="c2", truncation=None, n=32, on_grid=True, seed=2)
-@example(name="c2", truncation=None, n=sstdec.CHUNK, on_grid=False, seed=3)
-@example(name="c1", truncation=70, n=sstdec.CHUNK + 1, on_grid=True, seed=4)
-@example(name="c2", truncation=None, n=2 * sstdec.CHUNK + 1, on_grid=True, seed=5)
-def test_viterbi_main_matches_per_step_traceback(name, truncation, n, on_grid, seed):
+       n=block_lengths, kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@example(name="c1", truncation=None, n=1, kind="grid", seed=0)
+@example(name="c1", truncation=None, n=11, kind="grid", seed=1)
+@example(name="c2", truncation=None, n=32, kind="grid", seed=2)
+@example(name="c2", truncation=None, n=128, kind="normal", seed=3)
+@example(name="c1", truncation=70, n=129, kind="grid", seed=4)
+@example(name="c2", truncation=None, n=257, kind="grid", seed=5)
+@example(name="c1", truncation=None, n=200, kind="near_grid", seed=6)
+def test_viterbi_main_matches_per_step_traceback(name, truncation, n, kind, seed):
     code = get_code(name)
-    r = soft_values(seed, n, on_grid)
+    r = soft_values(seed, n, kind)
     t = sstdec.default_truncation(code) if truncation is None else truncation
     assert np.array_equal(sstdec.viterbi_main(r, code, truncation),
                           per_step_viterbi(r, code, t))
+
+
+@pytest.mark.parametrize("kind, seed", [("normal", 6), ("grid", 7), ("near_grid", 8)])
+def test_viterbi_main_matches_per_step_traceback_on_long_blocks(kind, seed):
+    code = get_code("c2")
+    r = soft_values(seed, 20_000, kind)
+    assert np.array_equal(sstdec.viterbi_main(r, code),
+                          per_step_viterbi(r, code, sstdec.default_truncation(code)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.integers(2, 9), taps=st.integers(0, 2**7 - 1), n=st.integers(0, 160),
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+@example(nu=9, taps=2**7 - 1, n=160, kind="grid", seed=8)
+def test_viterbi_main_matches_per_step_traceback_across_memories(nu, taps, n, kind, seed):
+    # g' = D^(nu-1) + (taps on D .. D^(nu-2)) gives a QLI code of memory nu
+    code = make_qli((1 << (nu - 1)) | (taps << 1) & ((1 << (nu - 1)) - 2))
+    assert code.nu == nu
+    r = soft_values(seed, n, kind)
+    t = sstdec.default_truncation(code)
+    assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_viterbi_main_matches_per_step_traceback_at_memory_one(kind):
+    code = ConvCode(name="nu1", g=(1, 3), ginv=(1, 0), h=(3, 1))
+    r = soft_values(9, 300, kind)
+    assert np.array_equal(sstdec.viterbi_main(r, code, 5), per_step_viterbi(r, code, 5))
+
+
+def test_viterbi_main_rejects_memory_zero():
+    code = ConvCode(name="nu0", g=(1, 1), ginv=(1, 0), h=(1, 1))
+    with pytest.raises(ValueError, match="nu >= 1"):
+        sstdec.viterbi_main(np.zeros((10, 2)), code)
+
+
+def test_kernel_build_failure_is_an_os_error(monkeypatch, capsys):
+    # an unknown flag is a fresh cache key that the compiler rejects
+    monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", sstdec._KERNEL_FLAGS + ("-fno-such-flag",))
+    monkeypatch.setattr(sstdec, "_kernel", None)
+    with pytest.raises(OSError, match="cannot build the Viterbi kernel: .*no-such-flag"):
+        sstdec.viterbi_main(np.zeros((10, 2)), get_code("c1"))
+    assert main(["simulate", "--branches", "1000", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot build the Viterbi kernel")
+
+
+def test_missing_compiler_is_an_os_error(monkeypatch):
+    def no_compiler(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", "cc")
+
+    monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", sstdec._KERNEL_FLAGS + ("-DNO_COMPILER",))
+    monkeypatch.setattr(sstdec, "_kernel", None)
+    monkeypatch.setattr(sstdec.subprocess, "run", no_compiler)
+    with pytest.raises(OSError, match="cannot build the Viterbi kernel: .*'cc'"):
+        sstdec.viterbi_main(np.zeros((10, 2)), get_code("c1"))
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
@@ -241,3 +309,13 @@ def test_soft_input_validates_shape():
         sstdec.SoftInput(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         sstdec.SoftInput(np.zeros((4, 2)), r_hard=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_input_rejects_non_finite_values(bad):
+    r = np.zeros((4, 2))
+    r[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sstdec.SoftInput(r)
+    with pytest.raises(ValueError, match="finite"):
+        sstdec.viterbi_main(r, get_code("c1"))
