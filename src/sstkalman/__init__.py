@@ -8,7 +8,7 @@ an exhaustive quick-look-in family search.
 """
 
 from .gf2 import BinaryPoly, BinaryPolyMatrix, ZERO, ONE, D
-from .convcode import ConvCode, QliCode, make_qli, get_code, load_code
+from .convcode import ConvCode, make_qli, get_code, load_code
 from .channel import DB_GRID, SnrPoint, snr_point, grid_points, transmit, make_rng
 from .parity_prob import (
     ErrorSupport,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryPoly", "BinaryPolyMatrix", "ZERO", "ONE", "D",
-    "ConvCode", "QliCode", "make_qli", "get_code", "load_code",
+    "ConvCode", "make_qli", "get_code", "load_code",
     "DB_GRID", "SnrPoint", "snr_point", "grid_points", "transmit", "make_rng",
     "ErrorSupport", "EpsPolynomial", "parity_one_prob", "joint_parity_prob",
     "marginal_polynomial", "joint_polynomial", "theta", "theta_four_ways",

@@ -115,7 +115,9 @@ def parse_db_values(text):
 
 # ------------------------------------------------------------------- validators
 
-def validate_finite(columns, rows, skip=()):
+# Each validator takes (columns, rows) and returns a list of error strings.
+
+def validate_finite(columns, rows):
     errors = []
     for i, row in enumerate(rows):
         for c in columns:
@@ -123,31 +125,29 @@ def validate_finite(columns, rows, skip=()):
             if isinstance(v, (int, float, np.integer, np.floating)):
                 if not np.isfinite(float(v)):
                     errors.append(f"row {i}: column {c} is not finite")
-            elif v is None and c not in skip:
+            elif v is None:
                 errors.append(f"row {i}: column {c} is missing")
     return errors
 
 
-def validate_bound_chain(rows, c="half_tr_sigma_c", g="gauss_bound",
-                         x="half_tr_sigma_x", inv="inv_1p_rho",
-                         log="log1p_rho_over_rho"):
+def validate_bound_chain(columns, rows):
     errors = []
     for i, row in enumerate(rows):
-        lo, mid, hi = row[c], row[g], row[x]
+        lo, mid, hi = row["half_tr_sigma_c"], row["gauss_bound"], row["half_tr_sigma_x"]
         if not (lo < mid + CHAIN_SLACK and mid < hi + CHAIN_SLACK):
             errors.append(f"row {i}: bound chain violated ({lo} < {mid} < {hi})")
-        if row[c] > row[inv] + CHAIN_SLACK:
-            errors.append(f"row {i}: {c} exceeds {inv}")
-        if row[g] > row[log] + CHAIN_SLACK:
-            errors.append(f"row {i}: {g} exceeds {log}")
+        if lo > row["inv_1p_rho"] + CHAIN_SLACK:
+            errors.append(f"row {i}: half_tr_sigma_c exceeds inv_1p_rho")
+        if mid > row["log1p_rho_over_rho"] + CHAIN_SLACK:
+            errors.append(f"row {i}: gauss_bound exceeds log1p_rho_over_rho")
     return errors
 
 
-def validate_lambda(rows, max_col="rho_lambda_max"):
+def validate_lambda(columns, rows):
     errors = []
     for i, row in enumerate(rows):
-        if not row[max_col] < 1.0:
-            errors.append(f"row {i}: {max_col} not below one")
+        if not row["rho_lambda_max"] < 1.0:
+            errors.append(f"row {i}: rho_lambda_max not below one")
         if row.get("lambda_t1") is not None and row["lambda_t1"] > row["lambda_t2"] + CHAIN_SLACK:
             errors.append(f"row {i}: lambda_t1 above lambda_t2")
     return errors
@@ -176,7 +176,7 @@ def run_tables(table):
         columns = ["ebn0_db", "alpha1", "sigma1_sq", "alpha2", "sigma2_sq",
                    "theta12", "half_tr_sigma_x"]
         rows = [{c: getattr(r, c) for c in columns} for r in _sweep_rows(code, channel.DB_GRID)]
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
+        return columns, rows, [validate_finite], None
 
     if table in (3, 4):
         code = convcode.get_code("c1" if table == 3 else "c2")
@@ -188,8 +188,7 @@ def run_tables(table):
                          "lambda_t1": r.lambda_tilde_1, "lambda_t2": r.lambda_tilde_2,
                          "rho_lambda_t1": r.rho_lambda_tilde_1,
                          "rho_lambda_max": r.rho_lambda_tilde_max})
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws),
-                               lambda cols, rws, txt: validate_lambda(rws)], None
+        return columns, rows, [validate_finite, validate_lambda], None
 
     if table in (5, 6):
         code = convcode.get_code("c1" if table == 5 else "c2")
@@ -205,8 +204,7 @@ def run_tables(table):
                          "gauss_bound": r.gauss_per_rho,
                          "log1p_rho_over_rho": r.log1p_rho_over_rho,
                          "half_tr_sigma_x": r.half_tr_sigma_x})
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws),
-                               lambda cols, rws, txt: validate_bound_chain(rws)], None
+        return columns, rows, [validate_finite, validate_bound_chain], None
 
     if table in (7, 8):
         code = convcode.get_code("c1" if table == 7 else "c2")
@@ -214,7 +212,7 @@ def run_tables(table):
                    "sigma2_sq_prime", "half_tr_sigma_x_prime"]
         rows = [{c: getattr(r, c) for c in columns}
                 for r in _sweep_rows(code, channel.DB_GRID, mode="qli")]
-        return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
+        return columns, rows, [validate_finite], None
 
     nu = 5 if table == 9 else 6
     c_cols = [f"c{j}" for j in range(1, nu - 1)]
@@ -225,7 +223,7 @@ def run_tables(table):
         row.update(m1_alpha=entry.m1_alpha, m2_alpha=entry.m2_alpha,
                    m1_beta=entry.m1_beta, m2_beta=entry.m2_beta)
         rows.append(row)
-    return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws)], None
+    return columns, rows, [validate_finite], None
 
 
 # ------------------------------------------------------------------- subcommands
@@ -249,10 +247,7 @@ def run_curves(args):
                      "lambda_t1": r.lambda_tilde_1,
                      "lambda_t2": r.lambda_tilde_2,
                      "rho_lambda_max": r.rho_lambda_tilde_max})
-    validators = [lambda cols, rws, txt: validate_finite(cols, rws),
-                  lambda cols, rws, txt: validate_bound_chain(rws),
-                  lambda cols, rws, txt: validate_lambda(rws)]
-    return columns, rows, validators, None
+    return columns, rows, [validate_finite, validate_bound_chain, validate_lambda], None
 
 
 def run_alpha(args):
@@ -284,7 +279,7 @@ def run_alpha(args):
         stats = parity_prob.branch_stats(s1, s2, point.epsilon)
         rows.append(dict(zip(columns, (point.ebn0_db, point.epsilon) + stats)))
 
-    def probs_in_range(cols, rws, txt):
+    def probs_in_range(cols, rws):
         errors = []
         for i, row in enumerate(rws):
             for c in cols[1:5]:
@@ -292,8 +287,7 @@ def run_alpha(args):
                     errors.append(f"row {i}: {c} outside [0, 1]")
         return errors
 
-    return columns, rows, [lambda cols, rws, txt: validate_finite(cols, rws),
-                           probs_in_range], None
+    return columns, rows, [validate_finite, probs_in_range], None
 
 
 def run_simulate(args):
@@ -327,7 +321,7 @@ def run_simulate(args):
         rows.append(row)
         checks.append((row, sig_hat, sig_se, sig_ref))
 
-    def mc_consistency(cols, rws, txt):
+    def mc_consistency(cols, rws):
         errors = []
         for i, (row, sig_hat, sig_se, sig_ref) in enumerate(checks):
             n = row["n_eff"]
@@ -344,8 +338,7 @@ def run_simulate(args):
                 errors.append(f"row {i}: bit error rate outside [0, 1]")
         return errors
 
-    return columns, rows, [lambda cols, rws, txt: validate_finite(
-        cols, rws), mc_consistency], None
+    return columns, rows, [validate_finite, mc_consistency], None
 
 
 def run_kalman_check(args):
@@ -355,7 +348,7 @@ def run_kalman_check(args):
     rows = [{"check": c.name, "max_dev": c.max_dev, "tol": c.tol,
              "passed": c.passed} for c in checks]
 
-    def all_passed(cols, rws, txt):
+    def all_passed(cols, rws):
         return [f"identity failed: {r['check']} (max dev {r['max_dev']:.3e})"
                 for r in rws if not r["passed"]]
 
@@ -378,7 +371,7 @@ def run_search(args):
                      "exact_counterexample_snrs": ";".join(
                          format_cell(v) for v in snrs)})
 
-    def heuristic_vs_exact(cols, rws, txt):
+    def heuristic_vs_exact(cols, rws):
         errors = []
         for i, row in enumerate(rws):
             has_exact = bool(row["exact_counterexample_snrs"])
@@ -417,7 +410,7 @@ def _emit_and_validate(args, columns, rows, validators, meta=None):
 
     if columns is not None:
         for validator in validators:
-            errors.extend(validator(columns, rows, text))
+            errors.extend(validator(columns, rows))
     return errors
 
 

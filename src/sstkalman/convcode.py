@@ -4,7 +4,8 @@ A code is a generator pair (g1, g2), a polynomial right inverse with
 G * Ginv = [1] exactly (no decoding delay), and a parity-check pair h
 orthogonal to G.  Quick-look-in (QLI) codes satisfy g1 + g2 = D^L, so
 the information sequence is recovered from hard decisions by adding the
-two received streams.
+two received streams.  QLI-ness is read from g alone: ConvCode.L gives
+the look-in delay and raises ValueError for any other code.
 
 Encoded streams are numpy bit arrays; polynomials only describe codes.
 """
@@ -59,81 +60,20 @@ class ConvCode:
         return self.k0 / self.n0
 
     @property
+    def L(self):
+        """Look-in delay of a QLI code (g1 + g2 = D^L); ValueError for any other code."""
+        s = self.g[0] + self.g[1]
+        if s.term_count != 1:
+            raise ValueError(f"{self.name!r} is not quick-look-in")
+        return s.degree
+
+    @property
     def generator_matrix(self):
         return BinaryPolyMatrix([self.g])
 
     @property
     def inverse_matrix(self):
         return BinaryPolyMatrix([[self.ginv[0]], [self.ginv[1]]])
-
-
-@dataclass(frozen=True)
-class QliCode:
-    """A quick-look-in code: base code plus the look-in delay L (g1 + g2 = D^L).
-
-    gprime records the family parameter when the generators have the form
-    g1 = 1 + D*g', g2 = 1 + D + D*g'; it is None for QLI codes given in
-    another ordering.
-    """
-
-    base: ConvCode
-    L: int
-    gprime: object
-
-    def __post_init__(self):
-        s = self.base.g[0] + self.base.g[1]
-        if s.term_count != 1 or s.degree != self.L:
-            raise ValueError("base code is not QLI with the stated L")
-
-    @property
-    def name(self):
-        return self.base.name
-
-    @property
-    def g(self):
-        return self.base.g
-
-    @property
-    def ginv(self):
-        return self.base.ginv
-
-    @property
-    def h(self):
-        return self.base.h
-
-    @property
-    def nu(self):
-        return self.base.nu
-
-    @property
-    def rate(self):
-        return self.base.rate
-
-
-def as_conv(code):
-    """The underlying ConvCode of either code type."""
-    return code.base if isinstance(code, QliCode) else code
-
-
-def as_qli(code):
-    """View a code as QLI, deriving L; raises when g1 + g2 is not a monomial."""
-    if isinstance(code, QliCode):
-        return code
-    s = code.g[0] + code.g[1]
-    if s.is_zero or s.term_count != 1:
-        raise ValueError(f"{code.name!r} is not quick-look-in")
-    return QliCode(base=code, L=s.degree, gprime=_recover_gprime(code.g))
-
-
-def _recover_gprime(g):
-    # family form: g1 = 1 + D g', g2 = 1 + D + D g', with g'(0) = 0
-    g1, g2 = g
-    if g1.coeff(0) != 1 or (g1.mask ^ g2.mask) != 2:
-        return None
-    gp = BinaryPoly((g1.mask ^ 1) >> 1)
-    if gp.is_zero or gp.coeff(0) != 0:
-        return None
-    return gp
 
 
 def make_qli(gprime, name=None):
@@ -153,19 +93,14 @@ def make_qli(gprime, name=None):
     if name is None:
         nu = gprime.degree + 1
         name = f"qli-nu{nu}-{gprime.to_string()[1:]}"
-    base = ConvCode(name=name, g=(g1, g2), ginv=ginv, h=(g2, g1))
-    return QliCode(base=base, L=1, gprime=gprime)
+    return ConvCode(name=name, g=(g1, g2), ginv=ginv, h=(g2, g1))
 
 
-C1 = QliCode(
-    base=ConvCode(
-        name="c1",
-        g=(BinaryPoly.from_string("111"), BinaryPoly.from_string("101")),
-        ginv=(BinaryPoly.from_string("01"), BinaryPoly.from_string("11")),
-        h=(BinaryPoly.from_string("101"), BinaryPoly.from_string("111")),
-    ),
-    L=1,
-    gprime=None,
+C1 = ConvCode(
+    name="c1",
+    g=(BinaryPoly.from_string("111"), BinaryPoly.from_string("101")),
+    ginv=(BinaryPoly.from_string("01"), BinaryPoly.from_string("11")),
+    h=(BinaryPoly.from_string("101"), BinaryPoly.from_string("111")),
 )
 
 C2 = make_qli(BinaryPoly.from_string("001011"), name="c2")
@@ -181,13 +116,12 @@ def get_code(name):
 
 
 def code_to_json(code):
-    conv = as_conv(code)
     return {
-        "name": conv.name,
-        "g": [p.to_string() for p in conv.g],
-        "ginv": [p.to_string() for p in conv.ginv],
-        "h": [p.to_string() for p in conv.h],
-        "qli": isinstance(code, QliCode) or (conv.g[0] + conv.g[1]).term_count == 1,
+        "name": code.name,
+        "g": [p.to_string() for p in code.g],
+        "ginv": [p.to_string() for p in code.ginv],
+        "h": [p.to_string() for p in code.h],
+        "qli": (code.g[0] + code.g[1]).term_count == 1,
     }
 
 
@@ -207,7 +141,7 @@ def code_from_json(obj):
     h = polys("h") if "h" in obj else g[::-1]
     code = ConvCode(name=obj.get("name", "custom"), g=g, ginv=ginv, h=h)
     if obj.get("qli", False):
-        return as_qli(code)
+        code.L  # a code file that claims QLI must have g1 + g2 = D^L
     return code
 
 
@@ -241,22 +175,20 @@ def _tap_xor(bits, poly, out=None):
 
 def encode(code, info):
     """Encode an information bit sequence; returns an (n, 2) array of code bits."""
-    conv = as_conv(code)
     info = _check_bits(info)
     out = np.empty((info.shape[0], 2), dtype=np.uint8)
     for l in (0, 1):
-        out[:, l] = _tap_xor(info, conv.g[l])
+        out[:, l] = _tap_xor(info, code.g[l])
     return out
 
 
 def syndrome(code, z_hard):
     """Parity-check stream of a hard-decision block; zero on error-free codewords."""
-    conv = as_conv(code)
     z_hard = np.asarray(z_hard, dtype=np.uint8)
     if z_hard.ndim != 2 or z_hard.shape[1] != 2:
         raise ValueError("z_hard must have shape (n, 2)")
-    zeta = _tap_xor(z_hard[:, 0], conv.h[0])
-    _tap_xor(z_hard[:, 1], conv.h[1], out=zeta)
+    zeta = _tap_xor(z_hard[:, 0], code.h[0])
+    _tap_xor(z_hard[:, 1], code.h[1], out=zeta)
     return zeta
 
 
@@ -268,10 +200,9 @@ def main_encoded_block_map(code, mode="general"):
     the pre-decoder adds the two streams, so both error components feed
     through (g1, g2) and the map rows are identical.
     """
-    conv = as_conv(code)
     if mode == "general":
-        return polymat_mul(conv.inverse_matrix, conv.generator_matrix)
+        return polymat_mul(code.inverse_matrix, code.generator_matrix)
     if mode == "qli":
-        as_qli(code)
-        return BinaryPolyMatrix([conv.g, conv.g])
+        code.L  # the QLI pre-decoder needs g1 + g2 = D^L
+        return BinaryPolyMatrix([code.g, code.g])
     raise ValueError(f"unknown mode {mode!r}")

@@ -108,13 +108,9 @@ class CovPair:
 
 
 def cov_pair(sigma_x, rho):
+    """Sigma_r, Sigma_c and both determinants of a 2x2 Sigma_x, in closed form."""
     sigma_x = _check_square(sigma_x)
-    if sigma_x.shape == (2, 2):
-        sig_c, dx, dr = sigma_c_closed_2x2(sigma_x, rho)
-    else:
-        sig_c = sigma_c_general(sigma_x, rho)
-        dx = float(np.linalg.det(sigma_x))
-        dr = float(np.linalg.det(sigma_r(sigma_x, rho)))
+    sig_c, dx, dr = sigma_c_closed_2x2(sigma_x, rho)
     return CovPair(rho=float(rho), sigma_x=sigma_x, sigma_r=sigma_r(sigma_x, rho),
                    sigma_c=sig_c, delta_x=float(dx), delta_r=float(dr))
 
@@ -298,9 +294,12 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
     gen = channel.make_rng(seed)
     v = parity_prob.error_window_parities(*code_supports(code, mode), point.epsilon,
                                           trials, gen)
-    r = point.c * (1.0 - 2.0 * v.astype(np.float64))
-    r += channel.standard_normals(gen, r.shape)
-    centered = r - r.mean(axis=0)
+    xt = 1.0 - 2.0 * v.astype(np.float64)
+    w = channel.standard_normals(gen, xt.shape)
+    # centred apart: at large c the spacing of c*xt + w would swallow w
+    xt -= xt.mean(axis=0)
+    w -= w.mean(axis=0)
+    centered = point.c * xt + w
     sigma_hat = (centered.T @ centered) / (trials - 1)
     se = np.empty((2, 2))
     for i in range(2):

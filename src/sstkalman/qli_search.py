@@ -57,8 +57,8 @@ def family_counts(code):
     m = convcode.main_encoded_block_map(code, "general")
     m1a = column_term_count(m, 0)
     m2a = column_term_count(m, 1)
-    g = convcode.as_qli(code).g
-    return m1a, m2a, 2 * g[0].term_count, 2 * g[1].term_count
+    code.L  # the beta counts hold only for QLI codes
+    return m1a, m2a, 2 * code.g[0].term_count, 2 * code.g[1].term_count
 
 
 def enumerate_qli(nu):

@@ -25,31 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, convcode, parity_prob
-from .convcode import as_conv, as_qli
-
-
-class SoftInput:
-    """Main-decoder input sequence: soft values (n, 2) and hard parts (n, 2)."""
-
-    __slots__ = ("r", "r_hard")
-
-    def __init__(self, r, r_hard=None):
-        r = np.asarray(r, dtype=np.float64)
-        if r.ndim != 2 or r.shape[1] != 2:
-            raise ValueError("r must have shape (n, 2)")
-        if not np.isfinite(r).all():
-            raise ValueError("r must be finite")
-        self.r = r
-        if r_hard is None:
-            r_hard = (r < 0.0).astype(np.uint8)
-        else:
-            r_hard = np.asarray(r_hard, dtype=np.uint8)
-            if r_hard.shape != r.shape:
-                raise ValueError("r_hard shape must match r")
-        self.r_hard = r_hard
-
-    def __len__(self):
-        return self.r.shape[0]
 
 
 def predecode(z_hard, code, mode="general"):
@@ -62,49 +37,44 @@ def predecode(z_hard, code, mode="general"):
     if z_hard.ndim != 2 or z_hard.shape[1] != 2:
         raise ValueError("z_hard must have shape (n, 2)")
     if mode == "general":
-        conv = as_conv(code)
-        out = convcode._tap_xor(z_hard[:, 0], conv.ginv[0])
-        convcode._tap_xor(z_hard[:, 1], conv.ginv[1], out=out)
+        out = convcode._tap_xor(z_hard[:, 0], code.ginv[0])
+        convcode._tap_xor(z_hard[:, 1], code.ginv[1], out=out)
         return out
     if mode == "qli":
-        as_qli(code)
+        code.L  # adding the streams recovers i only when g1 + g2 = D^L
         return z_hard[:, 0] ^ z_hard[:, 1]
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def main_input_general(z, code):
-    """Re-signed main-decoder input: hard part = re-encoded pre-decode XOR z_hard."""
-    conv = as_conv(code)
-    ihat = predecode(z.z_hard, conv, "general")
-    reenc = convcode.encode(conv, ihat)
-    r_hard = reenc ^ z.z_hard
-    r = np.abs(z.z) * (1.0 - 2.0 * r_hard)
-    return SoftInput(r=r, r_hard=r_hard)
+    """Re-signed main-decoder input (r, r_hard), each (n, 2).
+
+    The hard part r_hard is the re-encoded pre-decode XOR z_hard.
+    """
+    ihat = predecode(z.z_hard, code, "general")
+    r_hard = convcode.encode(code, ihat) ^ z.z_hard
+    return np.abs(z.z) * (1.0 - 2.0 * r_hard), r_hard
 
 
 def main_input_qli(z, code):
-    """QLI main-decoder input, length n - L (the look-in delay is consumed)."""
-    qli = as_qli(code)
+    """QLI main-decoder input (r, r_hard), length n - L (the look-in delay is consumed)."""
     n = len(z)
-    L = qli.L
+    L = code.L
     if n <= L:
         raise ValueError("block shorter than the look-in delay")
-    itilde = predecode(z.z_hard, qli, "qli")
-    reenc = convcode.encode(qli, itilde)
-    r_hard = reenc[L:, :] ^ z.z_hard[: n - L, :]
-    r = np.abs(z.z[: n - L, :]) * (1.0 - 2.0 * r_hard)
-    return SoftInput(r=r, r_hard=r_hard)
+    itilde = predecode(z.z_hard, code, "qli")
+    r_hard = convcode.encode(code, itilde)[L:, :] ^ z.z_hard[: n - L, :]
+    return np.abs(z.z[: n - L, :]) * (1.0 - 2.0 * r_hard), r_hard
 
 
 # ------------------------------------------------------------- main decoder
 
 def default_truncation(code):
-    conv = as_conv(code)
     try:
-        ell = as_qli(code).L
+        ell = code.L
     except ValueError:
         ell = 0
-    return 5 * conv.nu + ell
+    return 5 * code.nu + ell
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
@@ -141,61 +111,61 @@ def _build_kernel():
 def viterbi_main(r, code, truncation=None):
     """Max-correlation Viterbi; decodes the information sequence of the code.
 
-    The encoder is assumed to start in the zero state.  The bit of step
-    t is read from the survivor of the best-metric state at step
-    t + truncation (default 5 nu + L); the last `truncation` bits come
-    from the final best state.  Ties prefer the input-0 branch and the
-    lowest-index state.  The trellis runs in the C kernel `_viterbi.c`,
-    built on the first call.
+    r is the (n, 2) array of finite soft values.  The encoder is assumed
+    to start in the zero state.  The bit of step t is read from the
+    survivor of the best-metric state at step t + truncation (default
+    5 nu + L); the last `truncation` bits come from the final best state.
+    Ties prefer the input-0 branch and the lowest-index state.  The
+    trellis runs in the C kernel `_viterbi.c`, built on the first call.
     """
     global _kernel
-    conv = as_conv(code)
-    soft = r if isinstance(r, SoftInput) else SoftInput(r)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != 2:
+        raise ValueError("r must have shape (n, 2)")
+    if not np.isfinite(r).all():
+        raise ValueError("r must be finite")
     if truncation is None:
         truncation = default_truncation(code)
-    if conv.nu < 1:
+    if code.nu < 1:
         raise ValueError("the main decoder needs a code of memory nu >= 1")
-    if truncation < 5 * conv.nu:
-        raise ValueError(f"truncation must be at least 5*nu = {5 * conv.nu}")
-    n = len(soft)
+    if truncation < 5 * code.nu:
+        raise ValueError(f"truncation must be at least 5*nu = {5 * code.nu}")
+    n = r.shape[0]
     out = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return out
     if _kernel is None:
         _kernel = _build_kernel()
-    nstates = 1 << conv.nu
+    nstates = 1 << code.nu
     # the survivor decisions of the last min(truncation, n) steps, in a ring
     rows = 1 << (min(truncation, n) - 1).bit_length()
-    r = np.ascontiguousarray(soft.r)
     work = np.empty(6 * nstates)
     choices = np.empty(rows * nstates, dtype=np.uint8)
-    _kernel(r.ctypes.data, n, conv.nu, conv.g[0].mask, conv.g[1].mask, truncation,
+    _kernel(r.ctypes.data, n, code.nu, code.g[0].mask, code.g[1].mask, truncation,
             work.ctypes.data, choices.ctypes.data, rows, out.ctypes.data)
     return out
 
 
 def classical_viterbi(z, code, truncation=None):
     """Plain Viterbi on the received stream itself (the SST-free reference)."""
-    return viterbi_main(SoftInput(z.z), code, truncation)
+    return viterbi_main(z.z, code, truncation)
 
 
 def _sst_streams(z, code, mode, truncation):
-    """Pre-decoder stream, main-decoder input and SST output of one block.
+    """Pre-decoder stream, main-decoder hard input and SST output of one block.
 
     Both bit streams estimate the information bits they line up with:
     i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
     """
     if mode == "general":
-        code = as_conv(code)
         pre = predecode(z.z_hard, code, "general")
-        soft = main_input_general(z, code)
+        r, r_hard = main_input_general(z, code)
     elif mode == "qli":
-        code = as_qli(code)
         pre = predecode(z.z_hard, code, "qli")[code.L:]
-        soft = main_input_qli(z, code)
+        r, r_hard = main_input_qli(z, code)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return pre, soft, pre ^ viterbi_main(soft, code, truncation)
+    return pre, r_hard, pre ^ viterbi_main(r, code, truncation)
 
 
 def sst_decode(z, code, mode="general", truncation=None):
@@ -236,19 +206,18 @@ def simulate(code, point, branches, seed, mode="general", truncation=None):
     """
     if branches < 100:
         raise ValueError("need at least 100 branches")
-    conv = as_conv(code)
     info = (channel.make_rng((seed, 1)).random(branches) < 0.5).astype(np.uint8)
-    y = convcode.encode(conv, info)
+    y = convcode.encode(code, info)
     z = channel.transmit(y, point, seed)
     e = z.z_hard ^ y
 
     s1, s2 = parity_prob.code_supports(code, mode)
     stride = max(s1.max_delay, s2.max_delay) + 1
 
-    pre_stream, soft, post_stream = _sst_streams(z, code, mode, truncation)
+    pre_stream, r_hard, post_stream = _sst_streams(z, code, mode, truncation)
     m = len(post_stream)
     truth = info[:m]
-    v = soft.r_hard ^ e[:m]
+    v = r_hard ^ e[:m]
 
     # drop the warmup window where v's support sticks out of the block
     vs = v[stride::stride]

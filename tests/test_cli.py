@@ -111,6 +111,8 @@ def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
     {"g": ["111", 5], "ginv": ["01", "11"]},
     {"g": ["111"], "ginv": ["01", "11"]},
     {"g": ["111", "101"], "ginv": ["01", "11"], "h": None},
+    # g1 + g2 = D + D^2 + D^3 is not a monomial, so the "qli" claim is false
+    {"g": ["1101", "101"], "ginv": ["001", "1001"], "qli": True},
 ])
 def test_malformed_code_file_exits_2(tmp_path, content):
     path = tmp_path / "code.json"
@@ -149,6 +151,28 @@ def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     assert flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--mode", "qli"],
+    ["simulate", "--mode", "qli", "--branches", "1000"],
+])
+def test_qli_mode_follows_from_the_generators_alone(capsys, tmp_path, argv):
+    # c1's g and ginv with no "qli" key: g1 + g2 = D makes the code QLI
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"g": ["111", "101"], "ginv": ["01", "11"]}))
+    rc_file, out_file, err_file = run([*argv, "--code", str(path)], capsys)
+    rc_c1, out_c1, err_c1 = run([*argv, "--code", "c1"], capsys)
+    assert (rc_file, out_file, err_file) == (rc_c1, out_c1, err_c1)
+    assert rc_file == 0
+
+
+@pytest.mark.parametrize("db", ["305", "400"])
+def test_simulate_at_huge_snr_passes_its_checks(capsys, db):
+    # c = sqrt(rho) reaches 1e20: the noise must not vanish in c*xt + w
+    rc, out, err = run(["simulate", f"--ebn0-db={db}", "--branches", "1000"], capsys)
+    assert rc == 0, err
+    assert out.count("\n") == 2
 
 
 def test_quiet_suppresses_write_note(capsys, tmp_path):
@@ -280,6 +304,6 @@ def test_validate_bound_chain_flags_violations():
     columns = ["half_tr_sigma_c", "gauss_bound", "half_tr_sigma_x",
                "inv_1p_rho", "log1p_rho_over_rho"]
     good = [dict(zip(columns, (0.1, 0.2, 0.3, 0.4, 0.5)))]
-    assert validate_bound_chain(good) == []
+    assert validate_bound_chain(columns, good) == []
     bad = [dict(zip(columns, (0.3, 0.2, 0.1, 0.4, 0.5)))]
-    assert validate_bound_chain(bad) != []
+    assert validate_bound_chain(columns, bad) != []

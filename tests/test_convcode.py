@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from sstkalman.convcode import (
     ConvCode,
-    as_conv,
-    as_qli,
     code_from_json,
     code_to_json,
     encode,
@@ -35,18 +33,18 @@ def _nonqli_code():
 
 def test_builtin_c1():
     c1 = get_code("c1")
-    base = as_conv(c1)
+    base = c1
     assert [p.to_string() for p in base.g] == ["111", "101"]
     assert [p.to_string() for p in base.ginv] == ["01", "11"]
-    assert as_qli(c1).L == 1
+    assert c1.L == 1
     assert verify_right_inverse(base.g, base.ginv)
 
 
 def test_builtin_c2_is_family_member():
     c2 = get_code("c2")
-    base = as_conv(c2)
+    base = c2
     assert base.g[0].degree == 6
-    assert as_qli(c2).L == 1
+    assert c2.L == 1
     assert base.g[0] + base.g[1] == D
     assert verify_right_inverse(base.g, base.ginv)
 
@@ -65,7 +63,7 @@ def test_constructor_rejects_wrong_inverse():
 def test_as_qli_rejects_non_qli():
     code = _nonqli_code()
     with pytest.raises(ValueError):
-        as_qli(code)
+        code.L
 
 
 @given(st.integers(0, 2 ** 8 - 1))
@@ -73,7 +71,7 @@ def test_make_qli_family(cbits):
     # g' = c_1 D + ... + c_8 D^8 + D^9, always memory 9 with L = 1
     mask = (1 << 9) | (cbits << 1)
     code = make_qli(BinaryPoly(mask))
-    base = as_conv(code)
+    base = code
     assert code.L == 1
     assert base.g[0] + base.g[1] == D
     assert verify_right_inverse(base.g, base.ginv)
@@ -149,10 +147,10 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code_to_json(get_code("c2"))))
     loaded = load_code(str(path))
-    assert as_conv(loaded).g == as_conv(get_code("c2")).g
+    assert loaded.g == get_code("c2").g
 
 
 def test_load_code_builtin_names():
-    assert as_conv(load_code("C1")).name == "c1"
+    assert load_code("C1").name == "c1"
     with pytest.raises(OSError):
         load_code("no-such-code-or-file")

@@ -216,7 +216,7 @@ def test_main_input_hard_part_depends_only_on_errors():
     for _ in range(3):
         v = encode(code, rng.integers(0, 2, n))
         z = channel.ReceivedSequence(channel.bpsk_map(v ^ e))
-        hard_parts.append(sstdec.main_input_general(z, code).r_hard)
+        hard_parts.append(sstdec.main_input_general(z, code)[1])
     assert np.array_equal(hard_parts[0], hard_parts[1])
     assert np.array_equal(hard_parts[0], hard_parts[2])
 
@@ -228,7 +228,7 @@ def test_main_input_hard_part_is_mapped_errors_xor_errors():
     n = 25
     e = rng.integers(0, 2, (n, 2)).astype(np.uint8)
     z = channel.ReceivedSequence(channel.bpsk_map(encode(code, np.zeros(n, int)) ^ e))
-    r_hard = sstdec.main_input_general(z, code).r_hard
+    _, r_hard = sstdec.main_input_general(z, code)
     m = main_encoded_block_map(code).rows
     e1, e2 = poly_from_stream(e[:, 0]), poly_from_stream(e[:, 1])
     keep = (1 << n) - 1
@@ -242,9 +242,9 @@ def test_main_input_soft_magnitudes_preserved():
     code = get_code("c1")
     v = encode(code, np.random.default_rng(4).integers(0, 2, 20))
     recv = channel.transmit(v, channel.snr_point(1.0), seed=5)
-    soft = sstdec.main_input_general(recv, code)
-    assert_allclose(np.abs(soft.r), np.abs(recv.z), atol=1e-15)
-    assert np.array_equal((soft.r < 0).astype(np.uint8), soft.r_hard)
+    r, r_hard = sstdec.main_input_general(recv, code)
+    assert_allclose(np.abs(r), np.abs(recv.z), atol=1e-15)
+    assert np.array_equal((r < 0).astype(np.uint8), r_hard)
 
 
 def test_sst_equals_classical_viterbi():
@@ -305,10 +305,8 @@ def test_decoding_beats_the_predecoder():
 
 
 def test_soft_input_validates_shape():
-    with pytest.raises(ValueError):
-        sstdec.SoftInput(np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        sstdec.SoftInput(np.zeros((4, 2)), r_hard=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        sstdec.viterbi_main(np.zeros((4, 3)), get_code("c1"))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -316,6 +314,6 @@ def test_soft_input_rejects_non_finite_values(bad):
     r = np.zeros((4, 2))
     r[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        sstdec.SoftInput(r)
+        sstdec.classical_viterbi(channel.ReceivedSequence(r), get_code("c1"))
     with pytest.raises(ValueError, match="finite"):
         sstdec.viterbi_main(r, get_code("c1"))
