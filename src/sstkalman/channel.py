@@ -13,12 +13,18 @@ rejection steps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 DB_GRID = tuple(range(-10, 11))
+
+# rho and 1/rho stay normal doubles: rho in [2^-1022, 2^1022], or
+# 10 log10 rho within about +-3076.5 dB
+RHO_RANGE = (sys.float_info.min, 1.0 / sys.float_info.min)
+_RHO_DB_RANGE = tuple(10.0 * math.log10(r) for r in RHO_RANGE)
 
 
 def q_function(x):
@@ -40,6 +46,11 @@ class SnrPoint:
 def snr_point(ebn0_db, rate=0.5):
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
+    rate_db = 10.0 * math.log10(2.0 * rate)
+    lo, hi = _RHO_DB_RANGE[0] - rate_db, _RHO_DB_RANGE[1] - rate_db
+    if not lo <= ebn0_db <= hi:
+        raise ValueError(f"Eb/N0 must be finite and within about [{lo:.6g}, {hi:.6g}] dB, "
+                         f"where rho and 1/rho are normal doubles; got {ebn0_db!r}")
     rho = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
     c = math.sqrt(rho)
     return SnrPoint(ebn0_db=float(ebn0_db), rate=float(rate), rho=rho, c=c,

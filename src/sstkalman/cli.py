@@ -92,25 +92,30 @@ def json_text(columns, rows, meta=None):
 def parse_db_values(text):
     """'-10..10' (unit steps), 'a,b,c', single value, or '' for an empty grid.
 
-    Anything else, an empty range and a value that is not finite raise a
-    ValueError that names --ebn0-db.
+    Anything else, an empty range and a value outside channel.snr_point's
+    range (which also rejects inf and nan) raise a ValueError that names
+    --ebn0-db.
     """
     text = text.strip()
     if not text:
         return []
     try:
         if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            values = [float(v) for v in range(int(lo_s), int(hi_s) + 1)]
+            lo, hi = (int(v) for v in text.split("..", 1))
+            values = range(lo, hi + 1)
         else:
             values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"--ebn0-db: cannot read {text!r} as dB values") from None
     if not values:
         raise ValueError(f"--ebn0-db: empty range {text!r}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"--ebn0-db: values must be finite, got {text!r}")
-    return values
+    # a range is checked at its ends, before it is expanded
+    for db in (values[0], values[-1]) if isinstance(values, range) else values:
+        try:
+            channel.snr_point(db)
+        except ValueError as exc:
+            raise ValueError(f"--ebn0-db: {exc}") from None
+    return [float(v) for v in values]
 
 
 # ------------------------------------------------------------------- validators
@@ -148,7 +153,7 @@ def validate_lambda(columns, rows):
     for i, row in enumerate(rows):
         if not row["rho_lambda_max"] < 1.0:
             errors.append(f"row {i}: rho_lambda_max not below one")
-        if row.get("lambda_t1") is not None and row["lambda_t1"] > row["lambda_t2"] + CHAIN_SLACK:
+        if row["lambda_t1"] > row["lambda_t2"] + CHAIN_SLACK:
             errors.append(f"row {i}: lambda_t1 above lambda_t2")
     return errors
 
@@ -163,56 +168,60 @@ def validate_roundtrip(text):
 
 # ------------------------------------------------------------------ table specs
 
-def _sweep_rows(code, db_values, mode="general"):
+# the QLI arrangement's column name for each statistic of Sigma_x
+QLI_NAMES = {"alpha1": "beta1", "alpha2": "beta2", "alpha11": "beta11",
+             "theta12": "theta12_prime", "sigma1_sq": "sigma1_sq_prime",
+             "sigma2_sq": "sigma2_sq_prime", "half_tr_sigma_x": "half_tr_sigma_x_prime"}
+
+STATS = ("alpha1", "alpha2", "alpha11", "theta12")
+
+
+def column_names(fields, mode):
+    """Column names of SweepRow fields (or statistics) in one arrangement."""
+    return [QLI_NAMES.get(f, f) for f in fields] if mode == "qli" else list(fields)
+
+
+def _sweep_rows(code, db_values, mode):
     return covar_mi.sweep(code, db_values=db_values, mode=mode)
+
+
+def _select(sweep_rows, fields, columns):
+    return [{c: getattr(r, f) for c, f in zip(columns, fields)} for r in sweep_rows]
+
+
+SIGMA = ("ebn0_db", "alpha1", "sigma1_sq", "alpha2", "sigma2_sq", "theta12",
+         "half_tr_sigma_x")
+EIGEN = ("ebn0_db", "rho", "lambda_t1", "lambda_t2", "rho_lambda_t1", "rho_lambda_max")
+BOUND = ("ebn0_db", "half_rho_tr_sigma_c", "half_tr_sigma_c", "inv_1p_rho",
+         "gauss_bound", "log1p_rho_over_rho", "half_tr_sigma_x")
+QLI_SIGMA = ("ebn0_db", "alpha1", "sigma1_sq", "alpha2", "sigma2_sq", "half_tr_sigma_x")
+CURVES = ("ebn0_db", "rho", "half_tr_sigma_c", "gauss_bound", "half_tr_sigma_x",
+          "inv_1p_rho", "log1p_rho_over_rho", "two_I_over_rho", "lambda_t1",
+          "lambda_t2", "rho_lambda_max")
+
+# table -> (code, mode, SweepRow fields, validators), on the default grid
+SWEEP_TABLES = {
+    1: ("c1", "general", SIGMA, [validate_finite]),
+    2: ("c2", "general", SIGMA, [validate_finite]),
+    3: ("c1", "general", EIGEN, [validate_finite, validate_lambda]),
+    4: ("c2", "general", EIGEN, [validate_finite, validate_lambda]),
+    5: ("c1", "general", BOUND, [validate_finite, validate_bound_chain]),
+    6: ("c2", "general", BOUND, [validate_finite, validate_bound_chain]),
+    7: ("c1", "qli", QLI_SIGMA, [validate_finite]),
+    8: ("c2", "qli", QLI_SIGMA, [validate_finite]),
+}
 
 
 def run_tables(table):
     if table not in range(1, 11):
         raise ValueError("table id must be in 1..10")
 
-    if table in (1, 2):
-        code = convcode.get_code("c1" if table == 1 else "c2")
-        columns = ["ebn0_db", "alpha1", "sigma1_sq", "alpha2", "sigma2_sq",
-                   "theta12", "half_tr_sigma_x"]
-        rows = [{c: getattr(r, c) for c in columns} for r in _sweep_rows(code, channel.DB_GRID)]
-        return columns, rows, [validate_finite], None
-
-    if table in (3, 4):
-        code = convcode.get_code("c1" if table == 3 else "c2")
-        columns = ["ebn0_db", "rho", "lambda_t1", "lambda_t2",
-                   "rho_lambda_t1", "rho_lambda_max"]
-        rows = []
-        for r in _sweep_rows(code, channel.DB_GRID):
-            rows.append({"ebn0_db": r.ebn0_db, "rho": r.rho,
-                         "lambda_t1": r.lambda_tilde_1, "lambda_t2": r.lambda_tilde_2,
-                         "rho_lambda_t1": r.rho_lambda_tilde_1,
-                         "rho_lambda_max": r.rho_lambda_tilde_max})
-        return columns, rows, [validate_finite, validate_lambda], None
-
-    if table in (5, 6):
-        code = convcode.get_code("c1" if table == 5 else "c2")
-        columns = ["ebn0_db", "half_rho_tr_sigma_c", "half_tr_sigma_c",
-                   "inv_1p_rho", "gauss_bound", "log1p_rho_over_rho",
-                   "half_tr_sigma_x"]
-        rows = []
-        for r in _sweep_rows(code, channel.DB_GRID):
-            rows.append({"ebn0_db": r.ebn0_db,
-                         "half_rho_tr_sigma_c": r.half_rho_tr_sigma_c,
-                         "half_tr_sigma_c": r.half_tr_sigma_c,
-                         "inv_1p_rho": r.inv_one_plus_rho,
-                         "gauss_bound": r.gauss_per_rho,
-                         "log1p_rho_over_rho": r.log1p_rho_over_rho,
-                         "half_tr_sigma_x": r.half_tr_sigma_x})
-        return columns, rows, [validate_finite, validate_bound_chain], None
-
-    if table in (7, 8):
-        code = convcode.get_code("c1" if table == 7 else "c2")
-        columns = ["ebn0_db", "beta1", "sigma1_sq_prime", "beta2",
-                   "sigma2_sq_prime", "half_tr_sigma_x_prime"]
-        rows = [{c: getattr(r, c) for c in columns}
-                for r in _sweep_rows(code, channel.DB_GRID, mode="qli")]
-        return columns, rows, [validate_finite], None
+    if table in SWEEP_TABLES:
+        code, mode, fields, validators = SWEEP_TABLES[table]
+        columns = column_names(fields, mode)
+        rows = _select(_sweep_rows(convcode.get_code(code), channel.DB_GRID, mode),
+                       fields, columns)
+        return columns, rows, validators, None
 
     nu = 5 if table == 9 else 6
     c_cols = [f"c{j}" for j in range(1, nu - 1)]
@@ -231,23 +240,9 @@ def run_tables(table):
 def run_curves(args):
     code = convcode.load_code(args.code)
     db_values = parse_db_values(args.ebn0_db)
-    columns = ["ebn0_db", "rho", "half_tr_sigma_c", "gauss_bound",
-               "half_tr_sigma_x", "inv_1p_rho", "log1p_rho_over_rho",
-               "two_I_over_rho", "lambda_t1", "lambda_t2", "rho_lambda_max"]
-    rows = []
-    for r in _sweep_rows(code, db_values, mode=args.mode):
-        tx = r.half_tr_sigma_x_prime if args.mode == "qli" else r.half_tr_sigma_x
-        rows.append({"ebn0_db": r.ebn0_db, "rho": r.rho,
-                     "half_tr_sigma_c": r.half_tr_sigma_c,
-                     "gauss_bound": r.gauss_per_rho,
-                     "half_tr_sigma_x": tx,
-                     "inv_1p_rho": r.inv_one_plus_rho,
-                     "log1p_rho_over_rho": r.log1p_rho_over_rho,
-                     "two_I_over_rho": r.two_i_over_rho,
-                     "lambda_t1": r.lambda_tilde_1,
-                     "lambda_t2": r.lambda_tilde_2,
-                     "rho_lambda_max": r.rho_lambda_tilde_max})
-    return columns, rows, [validate_finite, validate_bound_chain, validate_lambda], None
+    rows = _select(_sweep_rows(code, db_values, args.mode), CURVES, CURVES)
+    return (list(CURVES), rows,
+            [validate_finite, validate_bound_chain, validate_lambda], None)
 
 
 def run_alpha(args):
@@ -258,21 +253,14 @@ def run_alpha(args):
         p2 = parity_prob.marginal_polynomial(len(s2))
         p11 = parity_prob.joint_polynomial(s1, s2)
         ptheta = (p11 - p1 * p2).trimmed()
-        names = (("alpha1", "alpha2", "alpha11", "theta12") if args.mode == "general"
-                 else ("beta1", "beta2", "beta11", "theta12_prime"))
         payload = {"code": code.name, "mode": args.mode,
-                   "variable": "eps", "coefficient_order": "ascending",
-                   names[0]: list(p1.coefficients),
-                   names[1]: list(p2.coefficients),
-                   names[2]: list(p11.coefficients),
-                   names[3]: list(ptheta.coefficients)}
+                   "variable": "eps", "coefficient_order": "ascending"}
+        for name, poly in zip(column_names(STATS, args.mode), (p1, p2, p11, ptheta)):
+            payload[name] = list(poly.coefficients)
         return None, payload, [], None
 
     db_values = parse_db_values(args.ebn0_db)
-    if args.mode == "general":
-        columns = ["ebn0_db", "epsilon", "alpha1", "alpha2", "alpha11", "theta12"]
-    else:
-        columns = ["ebn0_db", "epsilon", "beta1", "beta2", "beta11", "theta12_prime"]
+    columns = column_names(("ebn0_db", "epsilon") + STATS, args.mode)
     rows = []
     for db in db_values:
         point = channel.snr_point(db)

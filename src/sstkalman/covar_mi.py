@@ -260,9 +260,15 @@ def _log_cosh(x):
 def binary_input_mi(rho, nodes=128):
     """Mutual information of BPSK over AWGN at rho = c^2, in nats.
 
-    I(rho) = rho - E[log cosh(rho - sqrt(rho) Y)], Y standard normal,
+    With X = rho - sqrt(rho) Y, Y standard normal,
+
+        I(rho) = rho - E[log cosh X] = log 2 - E[log1p(e^(-2X))],
+
     evaluated by Gauss-Hermite quadrature (nodes >= 96 keeps the absolute
-    error well under 1e-6 across the grid).
+    error well under 1e-6 across the grid).  The first form carries an
+    absolute error near ulp(rho) and the second one near ulp(log 2), so
+    rho <= 1 takes the first and larger rho the second, which also keeps
+    I <= log 2 at any rho.
     """
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
@@ -271,9 +277,12 @@ def binary_input_mi(rho, nodes=128):
     if rho == 0.0:
         return 0.0
     t, w = _gh_nodes(nodes)
-    vals = _log_cosh(rho - math.sqrt(rho) * math.sqrt(2.0) * t)
-    expect = float(np.dot(w, vals)) / math.sqrt(math.pi)
-    return max(rho - expect, 0.0)
+    x = rho - math.sqrt(rho) * math.sqrt(2.0) * t
+    if rho <= 1.0:
+        expect = float(np.dot(w, _log_cosh(x))) / math.sqrt(math.pi)
+        return max(rho - expect, 0.0)
+    loss = float(np.dot(w, np.logaddexp(0.0, -2.0 * x))) / math.sqrt(math.pi)
+    return math.log(2.0) - loss
 
 
 def mi_per_branch_bound(sigma_x, rho):
@@ -313,12 +322,12 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Everything the tables and curves need at one SNR point.
+    """Everything the tables and curves need at one SNR point, for one
+    arrangement: the general SST map (Sigma_x) or the QLI one (Sigma_x').
 
-    The alpha-side fields always refer to the general SST map; beta-side
-    fields are None for codes without the quick-look-in property.  Bound
-    and eigenvalue fields follow the sweep mode (general uses Sigma_x,
-    qli uses Sigma_x')."""
+    Field names are the CSV column names.  In qli mode the statistics
+    alpha1 ... half_tr_sigma_x are those of Sigma_x' (the paper's beta1,
+    theta12', ...)."""
 
     ebn0_db: float
     rho: float
@@ -330,87 +339,53 @@ class SweepRow:
     sigma1_sq: float
     sigma2_sq: float
     half_tr_sigma_x: float
-    beta1: object
-    beta2: object
-    beta11: object
-    theta12_prime: object
-    sigma1_sq_prime: object
-    sigma2_sq_prime: object
-    half_tr_sigma_x_prime: object
     half_tr_sigma_c: float
     half_rho_tr_sigma_c: float
-    gauss_per_rho: float
-    inv_one_plus_rho: float
+    gauss_bound: float
+    inv_1p_rho: float
     log1p_rho_over_rho: float
-    two_i_over_rho: float
-    lambda_tilde_1: float
-    lambda_tilde_2: float
-    rho_lambda_tilde_1: float
-    rho_lambda_tilde_max: float
+    two_I_over_rho: float
+    lambda_t1: float
+    lambda_t2: float
+    rho_lambda_t1: float
+    rho_lambda_max: float
 
 
-def _sweep_row(point, general, qli, mode):
-    """One SweepRow from the general supports and the QLI ones (None if not QLI)."""
-    eps = point.epsilon
+def _sweep_row(point, supports):
+    """One SweepRow from the error supports of one arrangement."""
     rho = point.rho
-    a1, a2, a11, th = parity_prob.branch_stats(*general, eps)
+    a1, a2, a11, th = parity_prob.branch_stats(*supports, point.epsilon)
     sig_x = sigma_x_from_probs(a1, a2, th)
-
-    beta1 = beta2 = beta11 = th_p = None
-    s1p_sq = s2p_sq = half_tr_xp = None
-    sig_xp = None
-    if qli is not None:
-        beta1, beta2, beta11, th_p = parity_prob.branch_stats(*qli, eps)
-        sig_xp = sigma_x_from_probs(beta1, beta2, th_p)
-        s1p_sq = sig_xp[0, 0]
-        s2p_sq = sig_xp[1, 1]
-        half_tr_xp = 0.5 * (s1p_sq + s2p_sq)
-
-    chain = bound_chain(sig_xp if mode == "qli" else sig_x, rho)
+    chain = bound_chain(sig_x, rho)
     lt1, lt2 = _lambda_tilde(chain.sigma_c)
     return SweepRow(
         ebn0_db=point.ebn0_db,
         rho=rho,
-        epsilon=eps,
+        epsilon=point.epsilon,
         alpha1=a1,
         alpha2=a2,
         alpha11=a11,
         theta12=th,
         sigma1_sq=sig_x[0, 0],
         sigma2_sq=sig_x[1, 1],
-        half_tr_sigma_x=0.5 * (sig_x[0, 0] + sig_x[1, 1]),
-        beta1=beta1,
-        beta2=beta2,
-        beta11=beta11,
-        theta12_prime=th_p,
-        sigma1_sq_prime=s1p_sq,
-        sigma2_sq_prime=s2p_sq,
-        half_tr_sigma_x_prime=half_tr_xp,
+        half_tr_sigma_x=chain.half_tr_sigma_x,
         half_tr_sigma_c=chain.half_tr_sigma_c,
         half_rho_tr_sigma_c=rho * chain.half_tr_sigma_c,
-        gauss_per_rho=chain.gauss_per_rho,
-        inv_one_plus_rho=chain.inv_one_plus_rho,
+        gauss_bound=chain.gauss_per_rho,
+        inv_1p_rho=chain.inv_one_plus_rho,
         log1p_rho_over_rho=chain.log1p_rho_over_rho,
-        two_i_over_rho=2.0 * binary_input_mi(rho) / rho,
-        lambda_tilde_1=lt1,
-        lambda_tilde_2=lt2,
-        rho_lambda_tilde_1=rho * lt1,
-        rho_lambda_tilde_max=rho * lt2,
+        two_I_over_rho=2.0 * binary_input_mi(rho) / rho,
+        lambda_t1=lt1,
+        lambda_t2=lt2,
+        rho_lambda_t1=rho * lt1,
+        rho_lambda_max=rho * lt2,
     )
 
 
 def sweep(code, db_values=channel.DB_GRID, rate=0.5, mode="general"):
-    """SweepRows over an Eb/N0 grid; the code's supports are built once."""
-    if mode not in ("general", "qli"):
-        raise ValueError(f"unknown mode {mode!r}")
-    general = code_supports(code, "general")
-    try:
-        qli = code_supports(code, "qli")
-    except ValueError:
-        qli = None
-    if mode == "qli" and qli is None:
-        raise ValueError(f"{code.name!r} is not quick-look-in; qli mode unavailable")
-    return [_sweep_row(channel.snr_point(db, rate), general, qli, mode) for db in db_values]
+    """SweepRows of one arrangement over an Eb/N0 grid; the supports are built once."""
+    supports = code_supports(code, mode)
+    return [_sweep_row(channel.snr_point(db, rate), supports) for db in db_values]
 
 
 def sweep_row(code, point, mode="general"):

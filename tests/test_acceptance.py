@@ -179,8 +179,8 @@ def test_criterion5_qli_tables(name, table):
     rows = covar_mi.sweep(get_code(name), mode="qli")
     assert len(rows) == len(table) == 21
     for row, ref in zip(rows, table):
-        got = (row.beta1, row.sigma1_sq_prime, row.beta2,
-               row.sigma2_sq_prime, row.half_tr_sigma_x_prime)
+        got = (row.alpha1, row.sigma1_sq, row.alpha2,
+               row.sigma2_sq, row.half_tr_sigma_x)
         assert_allclose(got, ref[1:], atol=TABLE_ATOL)
 
 

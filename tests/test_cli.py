@@ -1,5 +1,7 @@
 """Command line interface: output contracts, validators, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sstkalman.cli import (
+    CHAIN_SLACK,
     csv_text,
     format_cell,
     main,
@@ -141,6 +145,13 @@ def test_malformed_code_file_exits_2(tmp_path, content):
     (["curves", "--ebn0-db=1e400"], "--ebn0-db"),
     (["alpha", "--ebn0-db=-inf"], "--ebn0-db"),
     (["curves", "--ebn0-db=1,,2"], "--ebn0-db"),
+    (["curves", "--ebn0-db=3080"], "--ebn0-db"),
+    (["curves", "--ebn0-db=3083"], "--ebn0-db"),
+    (["alpha", "--ebn0-db=3083"], "--ebn0-db"),
+    (["simulate", "--ebn0-db=3083", "--branches", "1000"], "--ebn0-db"),
+    (["curves", "--ebn0-db=-3230"], "--ebn0-db"),
+    (["curves", "--ebn0-db=-3240"], "--ebn0-db"),
+    (["curves", "--ebn0-db=0..1" + "0" * 400], "--ebn0-db"),
 ])
 def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -165,6 +176,34 @@ def test_qli_mode_follows_from_the_generators_alone(capsys, tmp_path, argv):
     rc_c1, out_c1, err_c1 = run([*argv, "--code", "c1"], capsys)
     assert (rc_file, out_file, err_file) == (rc_c1, out_c1, err_c1)
     assert rc_file == 0
+
+
+def csv_column(text, name):
+    lines = text.strip().split("\n")
+    index = lines[0].split(",").index(name)
+    return [line.split(",")[index] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("code, table", [("c1", 7), ("c2", 8)])
+def test_qli_curves_carry_the_qli_table_trace(capsys, code, table):
+    # a qli sweep row holds the Sigma_x' statistics under the general names
+    rc_curves, curves, _ = run(["curves", "--code", code, "--mode", "qli", "--quiet"],
+                               capsys)
+    rc_table, tables, _ = run(["tables", "--table", str(table), "--quiet"], capsys)
+    assert rc_curves == rc_table == 0
+    assert (csv_column(curves, "half_tr_sigma_x")
+            == csv_column(tables, "half_tr_sigma_x_prime"))
+
+
+def test_qli_mode_on_a_non_qli_code_gives_one_error_line(capsys, tmp_path):
+    # g1 + g2 = D + D^2 + D^3 is not a monomial
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"name": "nq", "g": ["1101", "101"],
+                                "ginv": ["001", "1001"]}))
+    results = {run([command, "--mode", "qli", "--code", str(path), *extra], capsys)
+               for command, extra in (("curves", []), ("alpha", []),
+                                      ("simulate", ["--branches", "1000"]))}
+    assert results == {(2, "", "error: 'nq' is not quick-look-in\n")}
 
 
 @pytest.mark.parametrize("db", ["305", "400"])
@@ -307,3 +346,105 @@ def test_validate_bound_chain_flags_violations():
     assert validate_bound_chain(columns, good) == []
     bad = [dict(zip(columns, (0.3, 0.2, 0.1, 0.4, 0.5)))]
     assert validate_bound_chain(columns, bad) != []
+
+
+# ------------------------------------------------------------------ fuzzing
+
+def _clmul(a, b):
+    # product of two GF(2) polynomials held as bit masks (bit j is D^j)
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def _bezout(a, b):
+    """(s, t) with s a + t b = 1 over GF(2), or None when gcd(a, b) != 1."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q, r = 0, r0
+        while r and r.bit_length() >= r1.bit_length():
+            shift = r.bit_length() - r1.bit_length()
+            q ^= 1 << shift
+            r ^= r1 << shift
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _clmul(q, s1)
+        t0, t1 = t1, t0 ^ _clmul(q, t1)
+    return (s0, t0) if r0 == 1 else None
+
+
+def _poly_text(mask):
+    return "".join(str(mask >> j & 1) for j in range(max(mask.bit_length(), 1)))
+
+
+@st.composite
+def code_files(draw):
+    """A code file with nu <= 6: a right inverse when one exists, any other
+    pair otherwise, and sometimes a "qli" claim."""
+    g = (draw(st.integers(1, 127)), draw(st.integers(1, 127)))
+    ginv = _bezout(*g) or (draw(st.integers(0, 63)), draw(st.integers(0, 63)))
+    content = {"g": [_poly_text(p) for p in g], "ginv": [_poly_text(p) for p in ginv]}
+    if draw(st.booleans()):
+        content["qli"] = draw(st.booleans())
+    return content
+
+
+db_texts = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=2)
+    .map(lambda values: ",".join(repr(v) for v in values)),
+    st.tuples(st.integers(-4000, 4000), st.integers(-1, 2))
+    .map(lambda ends: f"{ends[0]}..{ends[0] + ends[1]}"),
+)
+code_args = st.sampled_from(["c1", "c2", "FILE"])
+modes = st.sampled_from(["general", "qli"])
+formats = st.sampled_from(["csv", "json"])
+argvs = st.one_of(
+    st.tuples(st.just("tables"), st.just("--table"), st.integers(0, 11).map(str)),
+    st.tuples(st.just("curves"), st.just("--code"), code_args, st.just("--mode"), modes,
+              db_texts.map("--ebn0-db={}".format)),
+    st.tuples(st.just("alpha"), st.just("--code"), code_args, st.just("--mode"), modes,
+              st.just("--emit"), st.sampled_from(["values", "polynomial"]),
+              db_texts.map("--ebn0-db={}".format)),
+    st.tuples(st.just("simulate"), st.just("--code"), code_args, st.just("--mode"), modes,
+              db_texts.map("--ebn0-db={}".format), st.just("--branches"), st.just("1000"),
+              st.just("--seed"), st.integers(0, 99).map(str)),
+    st.tuples(st.just("kalman-check"), st.just("--states"), st.integers(0, 5).map(str),
+              st.just("--steps"), st.integers(3, 10).map(str),
+              st.just("--seed"), st.integers(0, 99).map(str)),
+    st.tuples(st.just("search"), st.just("--nu"), st.integers(0, 6).map(str)),
+)
+
+
+def _output_rows(text):
+    # a polynomial payload is JSON whatever the format, and has no rows
+    if text.startswith("{"):
+        return json.loads(text).get("rows", [])
+    return parse_csv(text)[1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs, fmt=formats, content=code_files())
+def test_cli_fuzz_exit_codes_and_bound_chain(tmp_path, argv, fmt, content):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(content))
+    argv = [str(path) if a == "FILE" else a for a in argv] + ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        return
+    # CSV cells carry six significant digits
+    slack = CHAIN_SLACK if fmt == "json" else 1e-5
+    for row in _output_rows(out.getvalue()):
+        if "gauss_bound" in row:
+            lo, mid, hi = row["half_tr_sigma_c"], row["gauss_bound"], row["half_tr_sigma_x"]
+            assert lo <= mid * (1 + slack) + CHAIN_SLACK, (argv, row)
+            assert mid <= hi * (1 + slack) + CHAIN_SLACK, (argv, row)

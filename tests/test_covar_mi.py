@@ -213,6 +213,23 @@ def test_binary_input_mi_keeps_precision_at_tiny_rho(rho):
     assert abs(2.0 * binary_input_mi(rho) / rho - (1.0 - rho / 2.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("db", [20.0, 60.0, 100.0, 160.0, 300.0])
+def test_binary_input_mi_at_high_snr(db):
+    # I = log 2 - E[log1p(exp(-2 X))], X = rho + sqrt(rho) Y: the loss term
+    # vanishes past 20 dB, so 2 I / rho is 2 log 2 / rho to double precision
+    rho = channel.snr_point(db).rho
+    f = lambda y: (np.exp(-y * y / 2) / np.sqrt(2 * np.pi)
+                   * np.logaddexp(0.0, -2.0 * (rho + np.sqrt(rho) * y)))
+    exact = 2.0 * (np.log(2.0) - quad(f, -np.inf, np.inf)[0]) / rho
+    assert exact == pytest.approx(2.0 * np.log(2.0) / rho, rel=1e-12, abs=0.0)
+    assert 2.0 * binary_input_mi(rho) / rho == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_binary_input_mi_never_exceeds_the_bpsk_ceiling():
+    for db in range(-60, 401):
+        assert binary_input_mi(channel.snr_point(db).rho) <= np.log(2.0)
+
+
 def test_mi_per_branch_bound_picks_the_min():
     code = get_code("c1")
     pt = channel.snr_point(10.0)
@@ -246,9 +263,9 @@ def test_sweep_row_consistency():
     assert_allclose(row.alpha1, 0.4259, atol=1e-3)
     assert_allclose(row.half_tr_sigma_x,
                     0.5 * (row.sigma1_sq + row.sigma2_sq), atol=1e-12)
-    assert_allclose(row.rho_lambda_tilde_max, row.rho * row.lambda_tilde_2, atol=1e-12)
-    assert row.lambda_tilde_1 <= row.lambda_tilde_2
-    assert_allclose(row.two_i_over_rho, 2 * binary_input_mi(row.rho) / row.rho,
+    assert_allclose(row.rho_lambda_max, row.rho * row.lambda_t2, atol=1e-12)
+    assert row.lambda_t1 <= row.lambda_t2
+    assert_allclose(row.two_I_over_rho, 2 * binary_input_mi(row.rho) / row.rho,
                     atol=1e-12)
 
 
@@ -256,8 +273,9 @@ def test_sweep_grid_shape():
     rows = sweep(get_code("c2"))
     assert len(rows) == 21
     assert [r.ebn0_db for r in rows] == list(channel.DB_GRID)
-    qli_rows = sweep(get_code("c2"), mode="qli")
-    assert all(r.beta1 is not None for r in qli_rows)
+    code = get_code("c2")
+    for r in sweep(code, mode="qli"):
+        assert r.half_tr_sigma_x == 0.5 * np.trace(sigma_x_prime(code, r.epsilon))
 
 
 def test_monte_carlo_sigma_r_agrees_with_analytic():
