@@ -247,6 +247,7 @@ def run_curves(args):
 
 def run_alpha(args):
     code = convcode.load_code(args.code)
+    db_values = parse_db_values(args.ebn0_db)
     s1, s2 = covar_mi.code_supports(code, args.mode)
     if args.emit == "polynomial":
         p1 = parity_prob.marginal_polynomial(len(s1))
@@ -259,7 +260,6 @@ def run_alpha(args):
             payload[name] = list(poly.coefficients)
         return None, payload, [], None
 
-    db_values = parse_db_values(args.ebn0_db)
     columns = column_names(("ebn0_db", "epsilon") + STATS, args.mode)
     rows = []
     for db in db_values:

@@ -18,7 +18,7 @@ conditioning (the projection forms below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,9 +55,20 @@ def _wrap(value):
     return lambda k: const
 
 
+def _frozen(mat):
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Time-varying linear-Gaussian state-space model; F/H/U/W are k -> array."""
+    """Time-varying linear-Gaussian state-space model; F/H/U/W are k -> array.
+
+    Each of F, H, U and W is read and checked once per step k, on first
+    use, and then served from a private read-only copy, so the callables
+    must be pure functions of k.  A check that fails is not cached: the
+    next read calls the callable again and raises again.
+    """
 
     n: int
     m: int
@@ -67,26 +78,39 @@ class StateSpaceModel:
     W_k: object
     x0_mean: np.ndarray
     X0: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def F(self, k):
-        f = np.asarray(self.F_k(k), dtype=np.float64)
+    def _read(self, key, build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
+    def _build_F(self, k):
+        f = np.array(self.F_k(k), dtype=np.float64)
         if f.shape != (self.n, self.n):
             raise ValueError(f"F_{k} must be {self.n}x{self.n}")
         if np.linalg.matrix_rank(f) < self.n:
             raise ValueError(f"F_{k} is singular; the smoother recursion needs F invertible")
-        return f
+        return _frozen(f)
 
-    def H(self, k):
-        h = np.asarray(self.H_k(k), dtype=np.float64)
+    def _build_H(self, k):
+        h = np.array(self.H_k(k), dtype=np.float64)
         if h.shape != (self.m, self.n):
             raise ValueError(f"H_{k} must be {self.m}x{self.n}")
-        return h
+        return _frozen(h)
+
+    def F(self, k):
+        return self._read(("F", k), lambda: self._build_F(k))
+
+    def H(self, k):
+        return self._read(("H", k), lambda: self._build_H(k))
 
     def U(self, k):
-        return _check_psd(self.U_k(k), f"U_{k}")
+        return self._read(("U", k), lambda: _frozen(_check_psd(self.U_k(k), f"U_{k}")))
 
     def W(self, k):
-        return _check_pd(self.W_k(k), f"W_{k}")
+        return self._read(("W", k), lambda: _frozen(_check_pd(self.W_k(k), f"W_{k}")))
 
 
 def state_space_model(F, H, U, W, x0_mean=None, X0=None):
@@ -99,12 +123,15 @@ def state_space_model(F, H, U, W, x0_mean=None, X0=None):
         x0_mean = np.zeros(n)
     if X0 is None:
         X0 = np.zeros((n, n))
-    return StateSpaceModel(
+    model = StateSpaceModel(
         n=n, m=m,
         F_k=_wrap(F), H_k=_wrap(H), U_k=_wrap(U), W_k=_wrap(W),
         x0_mean=_as_vector(x0_mean, n, "x0_mean"),
         X0=_check_psd(X0, "X0"),
     )
+    # the shape probe is H_0's one read; its shape check holds by construction
+    model._cache[("H", 0)] = _frozen(np.array(h0))
+    return model
 
 
 @dataclass(frozen=True)
@@ -267,7 +294,12 @@ def smoothed_estimate(model, states, k, b=None):
 # ----------------------------------------------- direct joint-Gaussian oracle
 
 def _joint_moments(model, k, b):
-    """Means and covariances of (x_k, z_0..z_b) by direct propagation."""
+    """Means and covariances of (x_k, z_0..z_b), built once per (k, b)."""
+    return model._read(("joint", k, b), lambda: _propagate(model, k, b))
+
+
+def _propagate(model, k, b):
+    # direct propagation of the joint Gaussian; every result is read-only
     steps = b + 1
     means = [model.x0_mean.copy()]
     covs = [model.X0.copy()]
@@ -298,7 +330,7 @@ def _joint_moments(model, k, b):
                 block = block + model.W(i)
             z_cov[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
     xz = np.hstack([cov_x(k, j) @ hs[j].T for j in range(steps)])
-    return means[k], covs[k], z_mean, z_cov, xz
+    return tuple(_frozen(a) for a in (means[k], covs[k], z_mean, z_cov, xz))
 
 
 def joint_observation_covariance(model, k):

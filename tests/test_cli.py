@@ -152,6 +152,9 @@ def test_malformed_code_file_exits_2(tmp_path, content):
     (["curves", "--ebn0-db=-3230"], "--ebn0-db"),
     (["curves", "--ebn0-db=-3240"], "--ebn0-db"),
     (["curves", "--ebn0-db=0..1" + "0" * 400], "--ebn0-db"),
+    (["alpha", "--emit", "polynomial", "--ebn0-db=nan"], "--ebn0-db"),
+    (["alpha", "--emit", "polynomial", "--ebn0-db=9999"], "--ebn0-db"),
+    (["alpha", "--emit", "polynomial", "--ebn0-db=a,b"], "--ebn0-db"),
 ])
 def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

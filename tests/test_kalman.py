@@ -106,15 +106,17 @@ def test_smoother_reduces_to_filter_at_b_equals_k():
 
 
 def test_smoother_matches_projection_oracle():
-    model = kalman.random_model(8, 2)
-    obs = kalman.simulate_observations(model, 9, seed=5)
-    trace = kalman.run_filter(model, obs)
-    for k, b in [(0, 8), (2, 5), (4, 8), (6, 7)]:
-        assert_allclose(kalman.smoother_cov(model, trace, k, b),
-                        kalman.projection_smoother_cov(model, k, b), atol=1e-10)
-        assert_allclose(kalman.smoothed_estimate(model, trace, k, b),
-                        kalman.projection_smoothed_estimate(model, obs, k, b),
-                        atol=1e-10)
+    for states in (1, 4):
+        model = kalman.random_model(8, states)
+        obs = kalman.simulate_observations(model, 12, seed=5)
+        trace = kalman.run_filter(model, obs)
+        for b in range(12):
+            for k in range(b + 1):
+                assert_allclose(kalman.smoother_cov(model, trace, k, b),
+                                kalman.projection_smoother_cov(model, k, b), atol=1e-10)
+                assert_allclose(kalman.smoothed_estimate(model, trace, k, b),
+                                kalman.projection_smoothed_estimate(model, obs, k, b),
+                                atol=1e-10)
 
 
 def test_filter_estimate_is_projection_onto_past():
@@ -155,3 +157,82 @@ def test_simulate_observations_deterministic():
     c = kalman.simulate_observations(model, 5, seed=8)
     assert_allclose(np.asarray(a), np.asarray(b))
     assert not np.allclose(np.asarray(a), np.asarray(c))
+
+
+# ------------------------------------------------- model matrices and checks
+
+class Counting:
+    """A k -> matrix callable that counts its calls per k."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = {}
+
+    def __call__(self, k):
+        self.calls[k] = self.calls.get(k, 0) + 1
+        return self.fn(k)
+
+
+def test_model_matrices_are_read_once_per_step_and_read_only():
+    base = kalman.random_model(5, 3)
+    counters = [Counting(fn) for fn in (base.F_k, base.H_k, base.U_k, base.W_k)]
+    model = kalman.state_space_model(*counters, X0=base.X0)
+    steps = 7
+    obs = kalman.simulate_observations(base, steps, seed=2)
+    trace = kalman.covariance_recursion(model, steps)
+    states = kalman.run_filter(model, obs)
+    for b in (3, steps - 1):
+        for k in range(b + 1):
+            kalman.smoother_cov(model, trace, k, b)
+            kalman.smoothed_estimate(model, states, k, b)
+            kalman.projection_smoother_cov(model, k, b)
+            kalman.projection_smoothed_estimate(model, obs, k, b)
+    for counter in counters:
+        assert counter.calls and max(counter.calls.values()) == 1, counter.calls
+    for read in (model.F, model.H, model.U, model.W):
+        with pytest.raises(ValueError):
+            read(2)[0, 0] = 1.0
+    np.testing.assert_array_equal(trace[-1].P_k,
+                                  kalman.covariance_recursion(base, steps)[-1].P_k)
+
+
+def test_constant_matrices_are_copied_not_frozen():
+    f, h, u, w = (np.array([[0.9]]), np.array([[2.0]]), np.array([[0.5]]),
+                  np.array([[1.5]]))
+    model = kalman.state_space_model(f, h, u, w, X0=np.array([[1.0]]))
+    trace = kalman.covariance_recursion(model, 4)
+    kalman.smoother_cov(model, trace, 0, 3)
+    for const in (f, h, u, w):
+        assert const.flags.writeable
+    f[0, 0] = 0.5  # the model keeps the copy it read
+    assert model.F(0)[0, 0] == 0.9
+
+
+def two_state_model(F=None, H=None, U=None, W=None):
+    return kalman.state_space_model(
+        F or (lambda k: 0.9 * np.eye(2)),
+        H or (lambda k: np.array([[1.0, 0.5]])),
+        U or (lambda k: 0.2 * np.eye(2)),
+        W or (lambda k: np.array([[1.0]])),
+        X0=np.eye(2))
+
+
+@pytest.mark.parametrize("kwargs, run, match", [
+    ({"F": lambda k: np.zeros((2, 2)) if k == 3 else 0.9 * np.eye(2)},
+     "recursion", "F_3 is singular"),
+    ({"U": lambda k: np.array([[0.2, 0.1], [0.0, 0.2]]) if k == 2 else 0.2 * np.eye(2)},
+     "filter", "U_2 must be symmetric"),
+    ({"W": lambda k: np.array([[0.0]]) if k == 1 else np.array([[1.0]])},
+     "filter", "W_1 must be positive definite"),
+    ({"H": lambda k: np.ones((1, 3)) if k == 4 else np.array([[1.0, 0.5]])},
+     "recursion", "H_4 must be 1x2"),
+])
+def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
+    model = two_state_model(**kwargs)
+    obs = [np.array([0.3])] * 6
+    for _ in range(2):  # a failed read is not cached, so it raises again
+        with pytest.raises(ValueError, match=match):
+            if run == "recursion":
+                kalman.covariance_recursion(model, 6)
+            else:
+                kalman.run_filter(model, obs)
