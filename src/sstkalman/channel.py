@@ -1,9 +1,9 @@
 """BPSK over the memoryless AWGN channel, with hard decisions.
 
 Code bit 0 maps to +1 and bit 1 to -1; the receiver sees z = c*x + w
-with w ~ N(0, 1) and c = sqrt(rho), rho = 2 Es/N0.  For a rate-R code,
-rho = 2 R * 10^(Eb/N0[dB]/10).  The hard decision is 0 when z >= 0, and
-the crossover probability is eps = Q(c).
+with w ~ N(0, 1) and c = sqrt(rho), rho = 2 Es/N0.  Every code here is
+rate 1/2, so rho = Eb/N0 = 10^(Eb/N0[dB]/10).  The hard decision is 0
+when z >= 0, and the crossover probability is eps = Q(c).
 
 Noise is drawn from a counter-based Philox generator through the inverse
 normal CDF, so a (seed, length) pair fixes the stream exactly, with no
@@ -37,28 +37,23 @@ class SnrPoint:
     """One operating point: Eb/N0 in dB plus the derived rho, c and eps."""
 
     ebn0_db: float
-    rate: float
     rho: float
     c: float
     epsilon: float
 
 
-def snr_point(ebn0_db, rate=0.5):
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    rate_db = 10.0 * math.log10(2.0 * rate)
-    lo, hi = _RHO_DB_RANGE[0] - rate_db, _RHO_DB_RANGE[1] - rate_db
+def snr_point(ebn0_db):
+    lo, hi = _RHO_DB_RANGE
     if not lo <= ebn0_db <= hi:
         raise ValueError(f"Eb/N0 must be finite and within about [{lo:.6g}, {hi:.6g}] dB, "
                          f"where rho and 1/rho are normal doubles; got {ebn0_db!r}")
-    rho = 2.0 * rate * 10.0 ** (ebn0_db / 10.0)
+    rho = 10.0 ** (ebn0_db / 10.0)
     c = math.sqrt(rho)
-    return SnrPoint(ebn0_db=float(ebn0_db), rate=float(rate), rho=rho, c=c,
-                    epsilon=q_function(c))
+    return SnrPoint(ebn0_db=float(ebn0_db), rho=rho, c=c, epsilon=q_function(c))
 
 
-def grid_points(db_values=DB_GRID, rate=0.5):
-    return [snr_point(db, rate) for db in db_values]
+def grid_points(db_values=DB_GRID):
+    return [snr_point(db) for db in db_values]
 
 
 def bpsk_map(bits):

@@ -253,7 +253,7 @@ def run_alpha(args):
         p1 = parity_prob.marginal_polynomial(len(s1))
         p2 = parity_prob.marginal_polynomial(len(s2))
         p11 = parity_prob.joint_polynomial(s1, s2)
-        ptheta = (p11 - p1 * p2).trimmed()
+        ptheta = parity_prob.theta_polynomial(s1, s2)
         payload = {"code": code.name, "mode": args.mode,
                    "variable": "eps", "coefficient_order": "ascending"}
         for name, poly in zip(column_names(STATS, args.mode), (p1, p2, p11, ptheta)):
@@ -448,8 +448,6 @@ def build_parser():
     p = sub.add_parser("search", parents=[common],
                        help="exhaustive quick-look-in family scan at one memory")
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--emit", choices=("csv", "json"), default=None,
-                   help="alias for --format")
 
     return parser
 
@@ -486,8 +484,6 @@ def main(argv=None):
         elif args.command == "kalman-check":
             columns, rows, validators, meta = run_kalman_check(args)
         elif args.command == "search":
-            if args.emit:
-                args.format = args.emit
             columns, rows, validators, meta = run_search(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")

@@ -22,15 +22,12 @@ from .gf2 import BinaryPoly, BinaryPolyMatrix, polymat_mul, verify_right_inverse
 
 @dataclass(frozen=True)
 class ConvCode:
-    """Rate-1/2 feedforward convolutional code (k0 = 1, n0 = 2)."""
+    """Rate-1/2 feedforward convolutional code: one input, two output streams."""
 
     name: str
     g: tuple
     ginv: tuple
     h: tuple
-
-    n0 = 2
-    k0 = 1
 
     def __post_init__(self):
         g = tuple(BinaryPoly(p) for p in self.g)
@@ -54,10 +51,6 @@ class ConvCode:
     def nu(self):
         """Constraint length (memory): the largest generator degree."""
         return max(self.g[0].degree, self.g[1].degree)
-
-    @property
-    def rate(self):
-        return self.k0 / self.n0
 
     @property
     def L(self):

@@ -356,10 +356,9 @@ def projection_smoothed_estimate(model, observations, k, b=None):
 
 # -------------------------------------------------------------- sanity report
 
-def random_model(seed, n, m=None):
-    """A well-conditioned time-varying model, deterministic in (seed, k)."""
-    if m is None:
-        m = n
+def random_model(seed, n):
+    """A well-conditioned time-varying model with n states and n observations
+    per step, deterministic in (seed, k)."""
 
     def mat(k, tag, shape):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k, tag))))
@@ -370,15 +369,15 @@ def random_model(seed, n, m=None):
         return 0.95 * q
 
     def H(k):
-        return mat(k, 2, (m, n))
+        return mat(k, 2, (n, n))
 
     def U(k):
         a = mat(k, 3, (n, n))
         return a @ a.T / n + 0.1 * np.eye(n)
 
     def W(k):
-        a = mat(k, 4, (m, m))
-        return a @ a.T / m + 0.5 * np.eye(m)
+        a = mat(k, 4, (n, n))
+        return a @ a.T / n + 0.5 * np.eye(n)
 
     a0 = mat(0, 5, (n, n))
     x0 = a0 @ a0.T / n + 0.5 * np.eye(n)
@@ -412,11 +411,11 @@ def _neg_eig(mat):
     return max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
 
 
-def identity_report(seed=3, states=3, steps=8, obs=None):
+def identity_report(seed=3, states=3, steps=8):
     """Run every filter/smoother identity on a random model; returns checks."""
     if steps < 4:
         raise ValueError("need at least 4 steps")
-    model = random_model(seed, states, obs)
+    model = random_model(seed, states)
     zs = simulate_observations(model, steps, seed)
     fs = run_filter(model, zs)
     trace = covariance_recursion(model, steps)
@@ -474,7 +473,8 @@ def identity_report(seed=3, states=3, steps=8, obs=None):
         max(_neg_eig(trace[k].P_k - smoother_cov(model, trace, k, b))
             for k in range(steps)))
 
-    k_mid = steps // 2
+    # lag 2 needs k_mid + 2 <= b; at steps >= 5 this is steps // 2
+    k_mid = min(steps // 2, steps - 3)
     lag1 = smoother_cov(model, trace, k_mid, k_mid + 1)
     lag2 = smoother_cov(model, trace, k_mid, k_mid + 2)
     add("more-data-never-hurts", _neg_eig(lag1 - lag2))

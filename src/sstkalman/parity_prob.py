@@ -6,6 +6,8 @@ A main-encoded bit is a parity v = sum of e over a support set of
 
     P(v = 1)          = (1 - q^n) / 2                       (n support vars)
     P(v1 = 1, v2 = 1) = (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4
+    theta = P(v1 = 1, v2 = 1) - P(v1 = 1) P(v2 = 1)
+                      = (q^(a+b) - q^(a+b+2c)) / 4
 
 where a and b count variables exclusive to each support and c counts the
 shared ones.  Everything here is a polynomial in eps with integer
@@ -15,7 +17,6 @@ coefficients; the polynomial forms are exposed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -161,95 +162,45 @@ class EpsPolynomial:
 
     coefficients: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
     def __call__(self, eps):
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * eps + c
         return acc
 
-    @property
-    def degree(self):
-        nz = [k for k, c in enumerate(self.coefficients) if c]
-        return nz[-1] if nz else 0
 
-    def _binary(self, other, op):
-        a, b = self.coefficients, EpsPolynomial._coeffs(other)
-        width = max(len(a), len(b))
-        out = [op(a[k] if k < len(a) else 0, b[k] if k < len(b) else 0) for k in range(width)]
-        return EpsPolynomial(tuple(out))
-
-    @staticmethod
-    def _coeffs(other):
-        if isinstance(other, EpsPolynomial):
-            return other.coefficients
-        return (int(other),)
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
-
-    def __mul__(self, other):
-        b = EpsPolynomial._coeffs(other)
-        a = self.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return EpsPolynomial(tuple(out))
-
-    def trimmed(self):
-        coeffs = list(self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return EpsPolynomial(tuple(coeffs))
-
-    def __str__(self):
-        return " + ".join(f"{c}*eps^{k}" for k, c in enumerate(self.coefficients) if c) or "0"
+def _q_expansion(terms, denominator):
+    """(sum of weight * q^n over (weight, n) terms) / denominator, expanded
+    exactly in eps with q = 1 - 2 eps, trailing zeros dropped."""
+    coeffs = [0] * (max(n for _, n in terms) + 1)
+    for weight, n in terms:
+        for k in range(n + 1):
+            coeffs[k] += weight * comb(n, k) * (-2) ** k
+    if any(c % denominator for c in coeffs):
+        raise AssertionError("expansion must have integer coefficients")
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return EpsPolynomial(tuple(c // denominator for c in coeffs))
 
 
 def marginal_polynomial(n):
-    """parity_one_prob(n, eps) expanded exactly in eps."""
+    """parity_one_prob(n, eps) = (1 - q^n) / 2, expanded exactly in eps."""
     n = _size(n)
     if not 0 <= n <= 30:
         raise ValueError("n must lie in [0, 30]")
-    coeffs = [0] + [comb(n, k) * (-1) ** (k + 1) * 2 ** (k - 1) for k in range(1, n + 1)]
-    return EpsPolynomial(tuple(coeffs) if n else (0,))
-
-
-def _q_power_coeff(n, k):
-    # coefficient of eps^k in (1 - 2 eps)^n
-    if k > n:
-        return 0
-    return comb(n, k) * (-2) ** k
+    return _q_expansion(((1, 0), (-1, n)), 2)
 
 
 def joint_polynomial(s1, s2):
-    """joint_parity_prob expanded exactly in eps."""
+    """joint_parity_prob = (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4, expanded exactly in eps."""
     a, b, c = _split_sizes(s1, s2)
-    coeffs = []
-    for k in range(a + b + c + 1):
-        val = Fraction(
-            (1 if k == 0 else 0)
-            + _q_power_coeff(a + b, k)
-            - _q_power_coeff(a + c, k)
-            - _q_power_coeff(b + c, k),
-            4,
-        )
-        if val.denominator != 1:
-            raise AssertionError("joint expansion must have integer coefficients")
-        coeffs.append(int(val))
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return EpsPolynomial(tuple(coeffs))
+    return _q_expansion(((1, 0), (1, a + b), (-1, a + c), (-1, b + c)), 4)
+
+
+def theta_polynomial(s1, s2):
+    """theta = (q^(a+b) - q^(a+b+2c)) / 4, expanded exactly in eps; (0,) when c = 0."""
+    a, b, c = _split_sizes(s1, s2)
+    return _q_expansion(((1, a + b), (-1, a + b + 2 * c)), 4)
 
 
 def branch_stats(s1, s2, eps):

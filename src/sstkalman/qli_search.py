@@ -91,7 +91,7 @@ class TracePoint:
     reversed_order: bool
 
 
-def trace_compare(counts, db_values=channel.DB_GRID, rate=0.5):
+def trace_compare(counts, db_values=channel.DB_GRID):
     """Exact (1/2) tr Sigma_x versus (1/2) tr Sigma_x' over an SNR grid.
 
     counts (family_counts) are the four support sizes, which fix both
@@ -100,7 +100,7 @@ def trace_compare(counts, db_values=channel.DB_GRID, rate=0.5):
     m1a, m2a, m1b, m2b = counts
     out = []
     for db in db_values:
-        point = channel.snr_point(db, rate)
+        point = channel.snr_point(db)
         eps = point.epsilon
 
         def half_tr(n1, n2):
@@ -116,7 +116,7 @@ def trace_compare(counts, db_values=channel.DB_GRID, rate=0.5):
     return out
 
 
-def exact_counterexample_snrs(code, db_values=channel.DB_GRID, rate=0.5):
+def exact_counterexample_snrs(code, db_values=channel.DB_GRID):
     """Grid points (dB) where tr Sigma_x < tr Sigma_x' exactly."""
-    return [p.ebn0_db for p in trace_compare(family_counts(code), db_values, rate)
+    return [p.ebn0_db for p in trace_compare(family_counts(code), db_values)
             if p.reversed_order]

@@ -34,13 +34,6 @@ def test_snr_point_anchors():
     assert_allclose(p10.rho, 10.0)
 
 
-def test_rate_enters_rho():
-    # at rate 1 the same Eb/N0 doubles rho
-    assert_allclose(snr_point(3.0, rate=1.0).rho, 2.0 * snr_point(3.0).rho)
-    with pytest.raises(ValueError):
-        snr_point(0.0, rate=0.0)
-
-
 def test_grid_points_default():
     pts = grid_points()
     assert len(pts) == 21

@@ -283,6 +283,48 @@ def test_kalman_check_passes(capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_kalman_check_least_step_count(capsys):
+    # 4 is the least step count, and the lag-2 check must stay inside its trace
+    rc, out, _ = run(["kalman-check", "--steps", "4", "--quiet"], capsys)
+    assert rc == 0
+    assert all(line.endswith(",1") for line in out.strip().split("\n")[1:])
+
+
+# recorded from the joint polynomial minus the product of the marginals
+THETA_POLYNOMIALS = {
+    ("c1", "general"): [0, 4, -52, 328, -1320, 3696, -7392, 10560, -10560, 7040,
+                        -2816, 512],
+    ("c1", "qli"): [0, 4, -44, 240, -840, 2016, -3360, 3840, -2880, 1280, -256],
+    ("c2", "general"): [0, 9, -279, 4530, -50460, 424872, -2833488, 15382368,
+                        -69220800, 261500800, -836802560, 2282188800, -5325107200,
+                        10650214400, -18257510400, 26777681920, -33472102400,
+                        35441049600, -31503155200, 23212851200, -13927710720,
+                        6632243200, -2411724800, 629145600, -104857600, 8388608],
+    ("c2", "qli"): [0, 8, -152, 1632, -12240, 68544, -297024, 1018368, -2800512,
+                    6223360, -11202048, 16293888, -19009536, 17547264, -12533760,
+                    6684672, -2506752, 589824, -65536],
+}
+
+
+@pytest.mark.parametrize("code,mode", sorted(THETA_POLYNOMIALS))
+def test_alpha_polynomial_theta_coefficients(code, mode, capsys):
+    rc, out, _ = run(["alpha", "--code", code, "--mode", mode, "--emit", "polynomial"],
+                     capsys)
+    assert rc == 0
+    key = "theta12" if mode == "general" else "theta12_prime"
+    assert json.loads(out)[key] == THETA_POLYNOMIALS[code, mode]
+
+
+def test_search_json_rows_match_csv(capsys):
+    rc, csv_out, _ = run(["search", "--nu", "6"], capsys)
+    assert rc == 0
+    rc, json_out, _ = run(["search", "--nu", "6", "--format", "json"], capsys)
+    assert rc == 0
+    payload = json.loads(json_out)
+    assert len(payload["rows"]) == 16
+    assert csv_text(payload["columns"], payload["rows"]) == csv_out
+
+
 def test_search_rows_and_flag_column(capsys):
     rc, out, _ = run(["search", "--nu", "5", "--quiet"], capsys)
     assert rc == 0

@@ -24,7 +24,6 @@ from sstkalman.covar_mi import (
     sigma_c_general,
     sigma_r,
     sigma_x_from_probs,
-    sigma_x_from_sigma_r,
     sigma_x_prime,
     sweep,
     sweep_row,
@@ -62,7 +61,6 @@ def test_sigma_r_is_identity_plus_rho_sigma_x():
     sx = random_psd(rng, 2)
     sr = sigma_r(sx, 3.0)
     assert_allclose(sr, np.eye(2) + 3.0 * sx, atol=1e-14)
-    assert_allclose(sigma_x_from_sigma_r(sr, 3.0), sx, atol=1e-12)
     # observation covariance never dips below the noise floor
     assert np.linalg.eigvalsh(sr).min() >= 1.0 - 1e-12
 

@@ -12,7 +12,8 @@ def psd_min_eig(mat):
 
 
 def test_identity_report_passes_across_models():
-    for seed, states, steps in [(3, 3, 8), (0, 1, 6), (11, 4, 10), (42, 2, 7)]:
+    for seed, states, steps in [(3, 3, 8), (0, 1, 6), (11, 4, 10), (42, 2, 7),
+                                (3, 1, 4), (3, 3, 4)]:
         report = kalman.identity_report(seed=seed, states=states, steps=steps)
         assert all(chk.passed for chk in report), [
             (chk.name, chk.max_dev) for chk in report if not chk.passed

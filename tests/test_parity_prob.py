@@ -1,16 +1,17 @@
 """Exact parity probabilities against enumeration oracles and each other."""
 
-import numpy as np
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from sstkalman.convcode import get_code, main_encoded_block_map
+from sstkalman.convcode import get_code, main_encoded_block_map, make_qli
 from sstkalman.parity_prob import (
-    EpsPolynomial,
     ErrorSupport,
     alpha_tilde_family,
     brute_force_joint,
+    code_supports,
     joint_parity_prob,
     joint_polynomial,
     joint_value_prob,
@@ -20,7 +21,9 @@ from sstkalman.parity_prob import (
     support_of,
     theta,
     theta_four_ways,
+    theta_polynomial,
 )
+from sstkalman.qli_search import enumerate_qli
 
 supports = st.frozensets(
     st.tuples(st.integers(1, 2), st.integers(0, 5)), max_size=6
@@ -117,29 +120,55 @@ def test_alpha_tilde_family_iid_point():
         alpha_tilde_family(a1, a2, min(a1, a2) + 0.01)
 
 
-coeff_lists = st.lists(st.integers(-40, 40), min_size=1, max_size=6)
+def _closed_forms(s1, s2, eps):
+    """Marginals, joint and theta as Fractions, straight from the supports."""
+    q = 1 - 2 * eps
+    a, b, c = len(s1.vars - s2.vars), len(s2.vars - s1.vars), len(s1.vars & s2.vars)
+    p1, p2 = (1 - q ** (a + c)) / 2, (1 - q ** (b + c)) / 2
+    p11 = (1 + q ** (a + b) - q ** (a + c) - q ** (b + c)) / 4
+    return p1, p2, p11, p11 - p1 * p2
 
 
-@given(coeff_lists, coeff_lists, st.floats(min_value=-1.5, max_value=1.5))
-def test_polynomial_ring_operations(a, b, x):
-    pa, pb = EpsPolynomial(tuple(a)), EpsPolynomial(tuple(b))
-    assert_allclose((pa + pb)(x), pa(x) + pb(x), rtol=0, atol=1e-9)
-    assert_allclose((pa - pb)(x), pa(x) - pb(x), rtol=0, atol=1e-9)
-    assert_allclose((pa * pb)(x), pa(x) * pb(x), rtol=1e-12, atol=1e-9)
+@given(supports, supports, st.booleans())
+@settings(max_examples=150)
+def test_polynomials_equal_closed_forms_exactly(s1, s2, disjoint):
+    if disjoint:
+        s2 = ErrorSupport(s2.vars - s1.vars)
+    polys = (marginal_polynomial(s1), marginal_polynomial(s2),
+             joint_polynomial(s1, s2), theta_polynomial(s1, s2))
+    # every closed form has degree at most |s1| + |s2| in eps
+    deg = len(s1) + len(s2)
+    assert all(len(p.coefficients) <= deg + 1 for p in polys)
+    for j in range(deg + 1):
+        eps = Fraction(j, deg + 1)
+        assert tuple(p(eps) for p in polys) == _closed_forms(s1, s2, eps)
+    if not s1.vars & s2.vars:
+        assert theta_polynomial(s1, s2).coefficients == (0,)
 
 
-def test_polynomial_mul_matches_numpy():
-    a = EpsPolynomial((1, -2, 3))
-    b = EpsPolynomial((0, 4, 0, -1))
-    got = (a * b).coefficients
-    want = np.polymul(np.array((1, -2, 3))[::-1], np.array((0, 4, 0, -1))[::-1])[::-1]
-    assert list(got) == list(want)
+def _joint_minus_product(p11, p1, p2):
+    """Coefficients of p11 - p1 * p2 by integer convolution, trailing zeros dropped."""
+    out = [0] * max(len(p11), len(p1) + len(p2) - 1)
+    for k, c in enumerate(p11):
+        out[k] += c
+    for i, x in enumerate(p1):
+        for j, y in enumerate(p2):
+            out[i + j] -= x * y
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def test_polynomial_trimmed():
-    p = EpsPolynomial((1, 2, 0, 0))
-    assert p.trimmed().coefficients == (1, 2)
-    assert EpsPolynomial((0, 0)).trimmed().coefficients == (0,)
+def test_theta_polynomial_is_joint_minus_product_of_marginals():
+    codes = [get_code("c1"), get_code("c2")]
+    codes += [make_qli(row.gprime) for nu in range(3, 9) for row in enumerate_qli(nu)]
+    for code in codes:
+        for mode in ("general", "qli"):
+            s1, s2 = code_supports(code, mode)
+            want = _joint_minus_product(joint_polynomial(s1, s2).coefficients,
+                                        marginal_polynomial(s1).coefficients,
+                                        marginal_polynomial(s2).coefficients)
+            assert theta_polynomial(s1, s2).coefficients == want, (code.name, mode)
 
 
 def test_code_support_sizes():
