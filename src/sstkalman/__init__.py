@@ -7,7 +7,7 @@ and fixed-interval smoother, the scarce-state-transition decoder, and
 an exhaustive quick-look-in family search.
 """
 
-from .gf2 import BinaryPoly, BinaryPolyMatrix, ZERO, ONE, D
+from .gf2 import BinaryPoly, ZERO, ONE, D
 from .convcode import ConvCode, make_qli, get_code, load_code
 from .channel import DB_GRID, SnrPoint, snr_point, grid_points, transmit, make_rng
 from .parity_prob import (
@@ -47,7 +47,7 @@ from .qli_search import enumerate_qli, exact_counterexample_snrs
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryPoly", "BinaryPolyMatrix", "ZERO", "ONE", "D",
+    "BinaryPoly", "ZERO", "ONE", "D",
     "ConvCode", "make_qli", "get_code", "load_code",
     "DB_GRID", "SnrPoint", "snr_point", "grid_points", "transmit", "make_rng",
     "ErrorSupport", "EpsPolynomial", "parity_one_prob", "joint_parity_prob",

@@ -5,7 +5,8 @@ G * Ginv = [1] exactly (no decoding delay), and a parity-check pair h
 orthogonal to G.  Quick-look-in (QLI) codes satisfy g1 + g2 = D^L, so
 the information sequence is recovered from hard decisions by adding the
 two received streams.  QLI-ness is read from g alone: ConvCode.L gives
-the look-in delay and raises ValueError for any other code.
+the look-in delay and raises ValueError for any other code.  The SST
+pre-decoder of either arrangement is one value, `predecoder(code, mode)`.
 
 Encoded streams are numpy bit arrays; polynomials only describe codes.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryPoly, BinaryPolyMatrix, polymat_mul, verify_right_inverse
+from .gf2 import BinaryPoly, ONE, polymat_mul, verify_right_inverse
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,6 @@ class ConvCode:
         if s.term_count != 1:
             raise ValueError(f"{self.name!r} is not quick-look-in")
         return s.degree
-
-    @property
-    def generator_matrix(self):
-        return BinaryPolyMatrix([self.g])
-
-    @property
-    def inverse_matrix(self):
-        return BinaryPolyMatrix([[self.ginv[0]], [self.ginv[1]]])
 
 
 def make_qli(gprime, name=None):
@@ -185,17 +178,28 @@ def syndrome(code, z_hard):
     return zeta
 
 
-def main_encoded_block_map(code, mode="general"):
-    """Error-to-main-encoded-block map as a 2x2 polynomial matrix.
+def predecoder(code, mode):
+    """The SST pre-decoder as (taps, delay).
 
-    In general mode this is Ginv @ G: the main encoder input stream is
-    v = e (Ginv G), where e is the hard-decision error pair.  In qli mode
-    the pre-decoder adds the two streams, so both error components feed
-    through (g1, g2) and the map rows are identical.
+    The pre-decoder stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1]
+    estimates i delayed by `delay`.  general: the right inverse Ginv, no
+    delay.  qli: the two streams added, which needs g1 + g2 = D^L and
+    delays i by L.
     """
     if mode == "general":
-        return polymat_mul(code.inverse_matrix, code.generator_matrix)
+        return code.ginv, 0
     if mode == "qli":
-        code.L  # the QLI pre-decoder needs g1 + g2 = D^L
-        return BinaryPolyMatrix([code.g, code.g])
+        return (ONE, ONE), code.L
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def main_encoded_block_map(code, mode="general"):
+    """Error-to-main-encoded-block map as a 2x2 polynomial matrix (row tuples).
+
+    This is taps @ G, with taps the pre-decoder column: the main encoder
+    input stream, advanced by the pre-decoder delay, is v = e (taps G),
+    where e is the hard-decision error pair.  In general mode that is
+    Ginv G; in qli mode both rows are (g1, g2).
+    """
+    taps, _ = predecoder(code, mode)
+    return polymat_mul(tuple((t,) for t in taps), (code.g,))

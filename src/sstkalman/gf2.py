@@ -124,96 +124,29 @@ def poly_mul(a, b):
     return BinaryPoly(out)
 
 
-class BinaryPolyMatrix:
-    """Immutable matrix with BinaryPoly entries."""
-
-    __slots__ = ("rows", "shape")
-
-    def __init__(self, rows):
-        entries = tuple(tuple(BinaryPoly(e) for e in row) for row in rows)
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be non-empty")
-        ncols = len(entries[0])
-        if any(len(row) != ncols for row in entries):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", entries)
-        object.__setattr__(self, "shape", (len(entries), ncols))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryPolyMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryPolyMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __matmul__(self, other):
-        return polymat_mul(self, other)
-
-    def transpose(self):
-        r, c = self.shape
-        return BinaryPolyMatrix([[self.rows[i][j] for i in range(r)] for j in range(c)])
-
-    def to_strings(self):
-        return [[e.to_string() for e in row] for row in self.rows]
-
-    def __repr__(self):
-        return f"BinaryPolyMatrix({self.to_strings()})"
-
-
 def polymat_mul(a, b):
-    """Matrix product over GF(2)[D]."""
-    if not isinstance(a, BinaryPolyMatrix) or not isinstance(b, BinaryPolyMatrix):
-        raise TypeError("polymat_mul expects BinaryPolyMatrix operands")
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    if ca != rb:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    """Matrix product over GF(2)[D]; a matrix is a tuple of row tuples of BinaryPoly."""
+    if len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
     out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
+    for row in a:
+        entries = []
+        for col in zip(*b):
             acc = 0
-            for k in range(ca):
-                acc ^= poly_mul(a[i, k], b[k, j]).mask
-            row.append(BinaryPoly(acc))
-        out.append(row)
-    return BinaryPolyMatrix(out)
+            for x, y in zip(row, col):
+                acc ^= poly_mul(x, y).mask
+            entries.append(BinaryPoly(acc))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def verify_right_inverse(g, ginv):
-    """True when g @ ginv is the identity (an exact right inverse, no delay)."""
-    g = _as_matrix(g, row=True)
-    ginv = _as_matrix(ginv, row=False)
-    if g.shape[1] != ginv.shape[0] or g.shape[0] != ginv.shape[1]:
-        raise ValueError(f"shape mismatch: {g.shape} versus {ginv.shape}")
-    return polymat_mul(g, ginv) == BinaryPolyMatrix.identity(g.shape[0])
+    """True when g ginv = 1: the column ginv is an exact right inverse of the row g, no delay."""
+    return polymat_mul((tuple(g),), tuple((p,) for p in ginv)) == ((ONE,),)
 
 
 def column_term_count(m, col):
     """Total number of terms in one column of a polynomial matrix."""
-    if not isinstance(m, BinaryPolyMatrix):
-        raise TypeError("expected BinaryPolyMatrix")
-    nrows, ncols = m.shape
-    if not 0 <= col < ncols:
-        raise ValueError(f"column {col} out of range for shape {m.shape}")
-    return sum(m[i, col].term_count for i in range(nrows))
-
-
-def _as_matrix(obj, row):
-    if isinstance(obj, BinaryPolyMatrix):
-        return obj
-    seq = tuple(obj)
-    if row:
-        return BinaryPolyMatrix([seq])
-    return BinaryPolyMatrix([[e] for e in seq])
+    if not 0 <= col < len(m[0]):
+        raise ValueError(f"column {col} out of range for {len(m[0])} columns")
+    return sum(row[col].term_count for row in m)

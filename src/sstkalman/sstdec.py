@@ -1,12 +1,14 @@
 """Scarce-state-transition (SST) Viterbi decoding.
 
 The pre-decoder applies the polynomial right inverse to the hard
-decisions (QLI codes just add the two streams), re-encodes the result,
-and hands the main Viterbi decoder a re-signed soft stream whose hard
-part is v + e: the main-encoded stream v = e (Ginv G) buried in the
-original channel errors e.  At useful SNR v is mostly zero, which is
-the whole point of the construction.  The final output is the
-pre-decoder stream corrected by the main decoder's estimate.
+decisions (QLI codes just add the two streams, with delay L), re-encodes
+the result, and hands the main Viterbi decoder a re-signed soft stream
+whose hard part is v + e: the main-encoded stream v = e (taps G) buried
+in the original channel errors e.  Both arrangements take one path,
+driven by the (taps, delay) value of `convcode.predecoder`.  At useful
+SNR v is mostly zero, which is the whole point of the construction.  The
+final output is the pre-decoder stream corrected by the main decoder's
+estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
@@ -28,7 +30,7 @@ from . import channel, convcode, parity_prob
 
 
 def predecode(z_hard, code, mode="general"):
-    """Instantaneous information estimate from hard decisions.
+    """Pre-decoder stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1].
 
     general: ihat = z_hard Ginv (exact inverse, zero delay on clean input).
     qli:     adds the two streams; estimates i delayed by L.
@@ -36,35 +38,35 @@ def predecode(z_hard, code, mode="general"):
     z_hard = np.asarray(z_hard, dtype=np.uint8)
     if z_hard.ndim != 2 or z_hard.shape[1] != 2:
         raise ValueError("z_hard must have shape (n, 2)")
-    if mode == "general":
-        out = convcode._tap_xor(z_hard[:, 0], code.ginv[0])
-        convcode._tap_xor(z_hard[:, 1], code.ginv[1], out=out)
-        return out
-    if mode == "qli":
-        code.L  # adding the streams recovers i only when g1 + g2 = D^L
-        return z_hard[:, 0] ^ z_hard[:, 1]
-    raise ValueError(f"unknown mode {mode!r}")
+    taps, _ = convcode.predecoder(code, mode)
+    out = convcode._tap_xor(z_hard[:, 0], taps[0])
+    convcode._tap_xor(z_hard[:, 1], taps[1], out=out)
+    return out
+
+
+def _main_input(z, code, mode):
+    """Re-signed main-decoder input (r, r_hard), each (n - delay, 2).
+
+    The hard part r_hard is the re-encoded pre-decoder stream, advanced
+    by the pre-decoder delay, XOR z_hard.
+    """
+    _, delay = convcode.predecoder(code, mode)
+    n = len(z)
+    if delay and n <= delay:
+        raise ValueError("block shorter than the look-in delay")
+    ihat = predecode(z.z_hard, code, mode)
+    r_hard = convcode.encode(code, ihat)[delay:] ^ z.z_hard[: n - delay]
+    return np.abs(z.z[: n - delay]) * (1.0 - 2.0 * r_hard), r_hard
 
 
 def main_input_general(z, code):
-    """Re-signed main-decoder input (r, r_hard), each (n, 2).
-
-    The hard part r_hard is the re-encoded pre-decode XOR z_hard.
-    """
-    ihat = predecode(z.z_hard, code, "general")
-    r_hard = convcode.encode(code, ihat) ^ z.z_hard
-    return np.abs(z.z) * (1.0 - 2.0 * r_hard), r_hard
+    """Main-decoder input (r, r_hard) of the general arrangement, length n."""
+    return _main_input(z, code, "general")
 
 
 def main_input_qli(z, code):
     """QLI main-decoder input (r, r_hard), length n - L (the look-in delay is consumed)."""
-    n = len(z)
-    L = code.L
-    if n <= L:
-        raise ValueError("block shorter than the look-in delay")
-    itilde = predecode(z.z_hard, code, "qli")
-    r_hard = convcode.encode(code, itilde)[L:, :] ^ z.z_hard[: n - L, :]
-    return np.abs(z.z[: n - L, :]) * (1.0 - 2.0 * r_hard), r_hard
+    return _main_input(z, code, "qli")
 
 
 # ------------------------------------------------------------- main decoder
@@ -157,14 +159,9 @@ def _sst_streams(z, code, mode, truncation):
     Both bit streams estimate the information bits they line up with:
     i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
     """
-    if mode == "general":
-        pre = predecode(z.z_hard, code, "general")
-        r, r_hard = main_input_general(z, code)
-    elif mode == "qli":
-        pre = predecode(z.z_hard, code, "qli")[code.L:]
-        r, r_hard = main_input_qli(z, code)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _, delay = convcode.predecoder(code, mode)
+    pre = predecode(z.z_hard, code, mode)[delay:]
+    r, r_hard = (main_input_qli if mode == "qli" else main_input_general)(z, code)
     return pre, r_hard, pre ^ viterbi_main(r, code, truncation)
 
 

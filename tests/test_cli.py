@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
+from sstkalman.convcode import code_to_json, make_qli
+from sstkalman.parity_prob import code_supports
 
 from reference_tables import POLY_ALPHA1_C1, SEARCH_ROWS_NU5
 
@@ -313,6 +316,35 @@ def test_alpha_polynomial_theta_coefficients(code, mode, capsys):
     assert rc == 0
     key = "theta12" if mode == "general" else "theta12_prime"
     assert json.loads(out)[key] == THETA_POLYNOMIALS[code, mode]
+
+
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_alpha_polynomial_of_a_35_variable_support(capsys, tmp_path, mode):
+    # nu = 17: the exact expansion has no support-size limit, so both --emit
+    # forms accept the code
+    sizes = {"general": (35, 34), "qli": (34, 36)}[mode]
+    code = make_qli((1 << 17) - 2)
+    path = tmp_path / "nu17.json"
+    path.write_text(json.dumps(code_to_json(code)))
+    base = ["alpha", "--code", str(path), "--mode", mode, "--quiet"]
+    rc, _, err = run(base, capsys)
+    assert (rc, err) == (0, "")
+    rc, out, err = run([*base, "--emit", "polynomial"], capsys)
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    s1, s2 = code_supports(code, mode)
+    assert (len(s1), len(s2)) == sizes
+    a, b = len(s1.vars - s2.vars), len(s2.vars - s1.vars)
+    c = len(s1.vars & s2.vars)
+    marginal, theta = ("alpha1", "theta12") if mode == "general" else ("beta1", "theta12_prime")
+    for eps in (Fraction(1, 7), Fraction(2, 5)):
+        q = 1 - 2 * eps
+
+        def value(name):
+            return sum(k * eps ** j for j, k in enumerate(payload[name]))
+
+        assert value(marginal) == (1 - q ** sizes[0]) / 2
+        assert value(theta) == (q ** (a + b) - q ** (a + b + 2 * c)) / 4
 
 
 def test_search_json_rows_match_csv(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sstkalman import channel
 from sstkalman.convcode import (
     ConvCode,
     code_from_json,
@@ -15,10 +16,13 @@ from sstkalman.convcode import (
     load_code,
     main_encoded_block_map,
     make_qli,
+    predecoder,
     syndrome,
 )
-from sstkalman.gf2 import (BinaryPoly, BinaryPolyMatrix, D, ONE, polymat_mul,
-                           verify_right_inverse)
+from sstkalman.gf2 import BinaryPoly, D, ONE, polymat_mul, verify_right_inverse
+from sstkalman.parity_prob import code_supports
+from sstkalman.qli_search import enumerate_qli
+from sstkalman.sstdec import predecode, sst_decode
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(
     lambda b: np.array(b, dtype=np.uint8))
@@ -60,7 +64,7 @@ def test_constructor_rejects_wrong_inverse():
         ConvCode("bad", g, (ONE, ONE), (g[1], g[0]))
 
 
-def test_as_qli_rejects_non_qli():
+def test_look_in_delay_rejects_non_qli():
     code = _nonqli_code()
     with pytest.raises(ValueError):
         code.L
@@ -76,11 +80,8 @@ def test_make_qli_family(cbits):
     assert base.g[0] + base.g[1] == D
     assert verify_right_inverse(base.g, base.ginv)
     # parity check rows annihilate the generator
-    prod = polymat_mul(
-        BinaryPolyMatrix([[base.h[0]], [base.h[1]]]).transpose(),
-        BinaryPolyMatrix([[base.g[0]], [base.g[1]]]),
-    )
-    assert prod[0, 0].is_zero
+    prod = polymat_mul((base.h,), ((base.g[0],), (base.g[1],)))
+    assert prod[0][0].is_zero
 
 
 def test_encode_impulse_response():
@@ -124,7 +125,7 @@ def test_encode_rejects_bad_bits():
 
 def test_main_encoded_block_map_c1():
     m = main_encoded_block_map(get_code("c1"))
-    assert m.to_strings() == [["0111", "0101"], ["1001", "1111"]]
+    assert [[p.to_string() for p in row] for row in m] == [["0111", "0101"], ["1001", "1111"]]
 
 
 def test_main_encoded_block_map_sizes():
@@ -137,6 +138,26 @@ def test_main_encoded_block_map_sizes():
     assert (column_term_count(m2, 0), column_term_count(m2, 1)) == (12, 13)
     q1 = main_encoded_block_map(get_code("c1"), "qli")
     assert (column_term_count(q1, 0), column_term_count(q1, 1)) == (6, 4)
+
+
+def test_predecoder_is_ginv_or_the_stream_sum():
+    codes = [get_code("c1"), get_code("c2")]
+    codes += [make_qli(row.gprime) for nu in range(3, 9) for row in enumerate_qli(nu)]
+    for code in codes:
+        assert predecoder(code, "general") == (code.ginv, 0)
+        assert predecoder(code, "qli") == ((ONE, ONE), 1)
+
+
+def test_predecoder_rejects_non_qli_codes_and_unknown_modes():
+    with pytest.raises(ValueError, match="not quick-look-in"):
+        predecoder(_nonqli_code(), "qli")
+    c1 = get_code("c1")
+    z = channel.ReceivedSequence(channel.bpsk_map(encode(c1, np.zeros(12, dtype=np.uint8))))
+    for call in (lambda: predecode(z.z_hard, c1, "soft"), lambda: sst_decode(z, c1, "soft"),
+                 lambda: main_encoded_block_map(c1, "soft"),
+                 lambda: code_supports(c1, "soft")):
+        with pytest.raises(ValueError, match="unknown mode 'soft'"):
+            call()
 
 
 def test_json_round_trip(tmp_path):

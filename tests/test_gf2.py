@@ -7,7 +7,6 @@ from sstkalman.gf2 import (
     ZERO,
     D,
     BinaryPoly,
-    BinaryPolyMatrix,
     column_term_count,
     poly_mul,
     polymat_mul,
@@ -107,35 +106,25 @@ def test_immutability():
 
 
 def test_matrix_identity_and_matmul():
-    ident = BinaryPolyMatrix.identity(2)
-    m = BinaryPolyMatrix([[BinaryPoly.from_string("11"), D], [ONE, ZERO]])
-    assert m @ ident == m
-    assert ident @ m == m
+    ident = ((ONE, ZERO), (ZERO, ONE))
+    m = ((BinaryPoly.from_string("11"), D), (ONE, ZERO))
+    assert polymat_mul(m, ident) == m
+    assert polymat_mul(ident, m) == m
 
 
 def test_matrix_shape_checks():
-    with pytest.raises(ValueError):
-        BinaryPolyMatrix([[ONE, ZERO], [ONE]])
-    with pytest.raises(ValueError):
-        BinaryPolyMatrix([])
-    a = BinaryPolyMatrix([[ONE, D]])
+    a = ((ONE, D),)
     with pytest.raises(ValueError):
         polymat_mul(a, a)
-
-
-def test_matrix_transpose_involution():
-    m = BinaryPolyMatrix([[ONE, D, ZERO], [D * D, ONE, D]])
-    assert m.transpose().transpose() == m
-    assert m.transpose().shape == (3, 2)
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_matmul_matches_scalar_expansion(a, b, c, d):
     # 1x2 @ 2x1 reduces to a dot product of polynomials
-    row = BinaryPolyMatrix([[BinaryPoly(a), BinaryPoly(b)]])
-    col = BinaryPolyMatrix([[BinaryPoly(c)], [BinaryPoly(d)]])
+    row = ((BinaryPoly(a), BinaryPoly(b)),)
+    col = ((BinaryPoly(c),), (BinaryPoly(d),))
     prod = polymat_mul(row, col)
-    assert prod[0, 0] == BinaryPoly(a) * BinaryPoly(c) + BinaryPoly(b) * BinaryPoly(d)
+    assert prod[0][0] == BinaryPoly(a) * BinaryPoly(c) + BinaryPoly(b) * BinaryPoly(d)
 
 
 def test_verify_right_inverse_known_pair():
@@ -147,8 +136,8 @@ def test_verify_right_inverse_known_pair():
 
 
 def test_column_term_count():
-    m = BinaryPolyMatrix([[BinaryPoly.from_string("0111"), BinaryPoly.from_string("0101")],
-                          [BinaryPoly.from_string("1001"), BinaryPoly.from_string("1111")]])
+    m = ((BinaryPoly.from_string("0111"), BinaryPoly.from_string("0101")),
+         (BinaryPoly.from_string("1001"), BinaryPoly.from_string("1111")))
     assert column_term_count(m, 0) == 3 + 2
     assert column_term_count(m, 1) == 2 + 4
     with pytest.raises(ValueError):

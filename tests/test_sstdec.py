@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from sstkalman import channel, parity_prob, sstdec
 from sstkalman.cli import main
-from sstkalman.convcode import ConvCode, encode, get_code, main_encoded_block_map, make_qli
+from sstkalman.convcode import (ConvCode, encode, get_code, main_encoded_block_map, make_qli,
+                                predecoder)
 from sstkalman.gf2 import BinaryPoly
 
 
@@ -222,20 +223,25 @@ def test_main_input_hard_part_depends_only_on_errors():
 
 
 def test_main_input_hard_part_is_mapped_errors_xor_errors():
-    # r_hard = v + e with v the error streams pushed through Ginv G
-    code = get_code("c1")
+    # r_hard = v + e with v the error streams pushed through taps G and
+    # advanced by the pre-decoder delay
     rng = np.random.default_rng(3)
     n = 25
-    e = rng.integers(0, 2, (n, 2)).astype(np.uint8)
-    z = channel.ReceivedSequence(channel.bpsk_map(encode(code, np.zeros(n, int)) ^ e))
-    _, r_hard = sstdec.main_input_general(z, code)
-    m = main_encoded_block_map(code).rows
-    e1, e2 = poly_from_stream(e[:, 0]), poly_from_stream(e[:, 1])
     keep = (1 << n) - 1
-    for stream in (0, 1):
-        v_poly = e1 * m[0][stream] + e2 * m[1][stream]
-        got = poly_from_stream(r_hard[:, stream] ^ e[:, stream])
-        assert (v_poly.mask & keep) == got.mask
+    for name, mode in itertools.product(("c1", "c2"), ("general", "qli")):
+        code = get_code(name)
+        e = rng.integers(0, 2, (n, 2)).astype(np.uint8)
+        z = channel.ReceivedSequence(channel.bpsk_map(encode(code, np.zeros(n, int)) ^ e))
+        _, delay = predecoder(code, mode)
+        main_input = sstdec.main_input_qli if mode == "qli" else sstdec.main_input_general
+        _, r_hard = main_input(z, code)
+        assert r_hard.shape == (n - delay, 2)
+        m = main_encoded_block_map(code, mode)
+        e1, e2 = poly_from_stream(e[:, 0]), poly_from_stream(e[:, 1])
+        for stream in (0, 1):
+            v_poly = e1 * m[0][stream] + e2 * m[1][stream]
+            got = poly_from_stream(r_hard[:, stream] ^ e[: n - delay, stream])
+            assert (v_poly.mask >> delay) & (keep >> delay) == got.mask, (name, mode, stream)
 
 
 def test_main_input_soft_magnitudes_preserved():
