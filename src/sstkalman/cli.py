@@ -7,6 +7,7 @@ requested artifact was produced and every internal validator passed.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -285,7 +286,6 @@ def run_simulate(args):
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
     s1, s2 = covar_mi.code_supports(code, args.mode)
     rows = []
-    checks = []
     for j, db in enumerate(db_values):
         point = channel.snr_point(db)
         res = sstdec.simulate(code, point, args.branches, args.seed, mode=args.mode)
@@ -295,23 +295,14 @@ def run_simulate(args):
             code, point, min(args.branches, 200_000), args.seed + 7919 * j,
             mode=args.mode)
         sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
-        row = {"ebn0_db": res.ebn0_db, "branches": res.branches,
-               "pre_ber": res.pre_ber, "post_ber": res.post_ber,
-               "emp_alpha1": res.emp_alpha1, "emp_alpha2": res.emp_alpha2,
-               "emp_alpha11": res.emp_alpha11,
-               "se_alpha1": res.se_alpha1, "se_alpha2": res.se_alpha2,
-               "se_alpha11": res.se_alpha11,
-               "stride": res.stride, "n_eff": res.n_eff,
-               "epsilon": eps, "rho": point.rho,
-               "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,
-               "sigma_r_hat": sig_hat.tolist(), "sigma_r_se": sig_se.tolist(),
-               "sigma_r_ref": sig_ref.tolist()}
-        rows.append(row)
-        checks.append((row, sig_hat, sig_se, sig_ref))
+        rows.append({**dataclasses.asdict(res), "epsilon": eps, "rho": point.rho,
+                     "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,
+                     "sigma_r_hat": sig_hat.tolist(), "sigma_r_se": sig_se.tolist(),
+                     "sigma_r_ref": sig_ref.tolist()})
 
     def mc_consistency(cols, rws):
         errors = []
-        for i, (row, sig_hat, sig_se, sig_ref) in enumerate(checks):
+        for i, row in enumerate(rws):
             n = row["n_eff"]
             for name, ref in (("emp_alpha1", row["alpha1_ref"]),
                               ("emp_alpha2", row["alpha2_ref"]),
@@ -319,8 +310,8 @@ def run_simulate(args):
                 se = max(np.sqrt(ref * (1.0 - ref) / n), 1e-9)
                 if abs(row[name] - ref) > 5.0 * se:
                     errors.append(f"row {i}: {name} deviates from model by >5 se")
-            dev = np.abs(sig_hat - sig_ref)
-            if np.any(dev > 5.0 * sig_se + 1e-9):
+            dev = np.abs(np.subtract(row["sigma_r_hat"], row["sigma_r_ref"]))
+            if np.any(dev > 5.0 * np.asarray(row["sigma_r_se"]) + 1e-9):
                 errors.append(f"row {i}: empirical received covariance off model by >5 se")
             if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):
                 errors.append(f"row {i}: bit error rate outside [0, 1]")

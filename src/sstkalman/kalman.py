@@ -12,8 +12,9 @@ The Gaussian mutual information between the state path and z^k is
 (1/2) sum_j log(det R_j / det W_j), which only needs the covariance
 recursion, never data.  The smoother uses the filter-to-future
 cross-covariances P(k, l+1) = P(k, l) (I - K_l H_l)^T F_l^T seeded by
-P(k, k) = P_k; everything here is checked against direct joint-Gaussian
-conditioning (the projection forms below).
+P(k, k+1) = P_k F_k^T; everything here is checked against direct
+joint-Gaussian conditioning of the stacked states and observations (the
+projection forms below), which reads only the model.
 """
 
 from __future__ import annotations
@@ -245,29 +246,30 @@ def information_form_inverse(a, b, c):
 
 # ----------------------------------------------------------------- smoothing
 
-def _cross_step(p_kl, model, step_l):
-    # P(k, l+1) = P(k, l) (I - K_l H_l)^T F_l^T
-    h = model.H(step_l.k)
-    closed = np.eye(model.n) - step_l.K_k @ h
-    return p_kl @ closed.T @ model.F(step_l.k).T
+def _smoother_gains(model, steps, k, b):
+    """(step l, P(k, l) H_l^T) for l = k+1..b, from filter steps covering 0..b."""
+    if k < 0 or b < k:
+        raise ValueError("need 0 <= k <= b")
+    if len(steps) <= b:
+        raise ValueError("filter steps must cover 0..b")
+    if b == k:
+        return []
+    gains = []
+    p_kl = steps[k].P_k @ model.F(k).T
+    for l in range(k + 1, b + 1):
+        h = model.H(l)
+        gains.append((steps[l], p_kl @ h.T))
+        if l < b:
+            p_kl = p_kl @ (np.eye(model.n) - steps[l].K_k @ h).T @ model.F(l).T
+    return gains
 
 
 def smoother_cov(model, trace, k, b):
     """Fixed-interval smoothing covariance Cov(x_k | z^b), k <= b."""
-    if k < 0 or b < k:
-        raise ValueError("need 0 <= k <= b")
-    if len(trace) <= b:
-        raise ValueError("trace must cover steps 0..b")
-    sigma = trace[k].P_k.copy()
-    if b == k:
-        return sigma
-    p_kl = trace[k].P_k @ model.F(k).T
-    for l in range(k + 1, b + 1):
-        h = model.H(l)
-        g = p_kl @ h.T
-        sigma = sigma - g @ np.linalg.solve(trace[l].R_k, g.T)
-        if l < b:
-            p_kl = _cross_step(p_kl, model, trace[l])
+    gains = _smoother_gains(model, trace, k, b)
+    sigma = trace[k].P_k
+    for step, g in gains:
+        sigma = sigma - g @ np.linalg.solve(step.R_k, g.T)
     return 0.5 * (sigma + sigma.T)
 
 
@@ -275,62 +277,47 @@ def smoothed_estimate(model, states, k, b=None):
     """Fixed-interval smoothed mean xhat_{k|b} from stored filter states."""
     if b is None:
         b = len(states) - 1
-    if k < 0 or b < k:
-        raise ValueError("need 0 <= k <= b")
-    if len(states) <= b:
-        raise ValueError("filter states must cover steps 0..b")
+    gains = _smoother_gains(model, states, k, b)
     xhat = states[k].xhat_filt.copy()
-    if b == k:
-        return xhat
-    p_kl = states[k].P_k @ model.F(k).T
-    for l in range(k + 1, b + 1):
-        h = model.H(l)
-        xhat = xhat + p_kl @ h.T @ np.linalg.solve(states[l].R_k, states[l].innovation)
-        if l < b:
-            p_kl = _cross_step(p_kl, model, states[l])
+    for step, g in gains:
+        xhat = xhat + g @ np.linalg.solve(step.R_k, step.innovation)
     return xhat
 
 
 # ----------------------------------------------- direct joint-Gaussian oracle
 
+def _stacked_joint(model, b):
+    """Means and covariances of x = (x_0..x_b) and z = (z_0..z_b), read-only.
+
+    x = A (x_0, u_0..u_{b-1}) with A block lower-triangular, block (i, j)
+    = F_{i-1} .. F_j, and z = H x + w with H = blockdiag(H_0..H_b), so
+    Cov(x) = A blockdiag(X0, U_0..U_{b-1}) A^T, Cov(x, z) = Cov(x) H^T and
+    Cov(z) = H Cov(x) H^T + blockdiag(W_0..W_b).
+    """
+    # scipy.linalg takes ~40 ms to import and only this oracle uses it
+    from scipy.linalg import block_diag
+
+    n = model.n
+    a = np.eye((b + 1) * n)
+    for i in range(1, b + 1):
+        a[i * n:(i + 1) * n, :i * n] = model.F(i - 1) @ a[(i - 1) * n:i * n, :i * n]
+    x_mean = a[:, :n] @ model.x0_mean
+    x_cov = a @ block_diag(model.X0, *(model.U(j) for j in range(b))) @ a.T
+    h = block_diag(*(model.H(j) for j in range(b + 1)))
+    xz = x_cov @ h.T
+    z_cov = h @ xz + block_diag(*(model.W(j) for j in range(b + 1)))
+    return tuple(_frozen(v) for v in (x_mean, x_cov, h @ x_mean, z_cov, xz))
+
+
 def _joint_moments(model, k, b):
-    """Means and covariances of (x_k, z_0..z_b), built once per (k, b)."""
-    return model._read(("joint", k, b), lambda: _propagate(model, k, b))
-
-
-def _propagate(model, k, b):
-    # direct propagation of the joint Gaussian; every result is read-only
-    steps = b + 1
-    means = [model.x0_mean.copy()]
-    covs = [model.X0.copy()]
-    top = max(k, b)
-    fs = [model.F(j) for j in range(top)]
-    hs = [model.H(j) for j in range(steps)]
-    for j, f in enumerate(fs):
-        means.append(f @ means[j])
-        covs.append(f @ covs[j] @ f.T + model.U(j))
-    # cross[i][j] = Cov(x_i, x_j) for j <= i, built row by row
-    cross = {}
-    for i in range(top + 1):
-        cross[(i, i)] = covs[i]
-        for j in range(i):
-            prev = cross[(i - 1, j)] if i - 1 >= j else covs[j]
-            cross[(i, j)] = fs[i - 1] @ prev
-    def cov_x(i, j):
-        if j <= i:
-            return cross[(i, j)]
-        return cross[(j, i)].T
-    m = model.m
-    z_mean = np.concatenate([hs[j] @ means[j] for j in range(steps)])
-    z_cov = np.zeros((steps * m, steps * m))
-    for i in range(steps):
-        for j in range(steps):
-            block = hs[i] @ cov_x(i, j) @ hs[j].T
-            if i == j:
-                block = block + model.W(i)
-            z_cov[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    xz = np.hstack([cov_x(k, j) @ hs[j].T for j in range(steps)])
-    return tuple(_frozen(a) for a in (means[k], covs[k], z_mean, z_cov, xz))
+    """Means and covariances of (x_k, z_0..z_b): row block k of the horizon-b
+    joint, which is built once per b."""
+    if k < 0 or b < k:
+        raise ValueError("need 0 <= k <= b")
+    x_mean, x_cov, z_mean, z_cov, xz = model._read(("joint", b),
+                                                   lambda: _stacked_joint(model, b))
+    rows = slice(k * model.n, (k + 1) * model.n)
+    return x_mean[rows], x_cov[rows, rows], z_mean, z_cov, xz[rows]
 
 
 def joint_observation_covariance(model, k):
@@ -339,14 +326,14 @@ def joint_observation_covariance(model, k):
 
 
 def projection_smoother_cov(model, k, b):
-    """Cov(x_k | z^b) by conditioning the full joint Gaussian (reference form)."""
+    """Cov(x_k | z^b), k <= b, by conditioning the joint Gaussian (reference form)."""
     _, x_cov, _, z_cov, xz = _joint_moments(model, k, b)
     sigma = x_cov - xz @ np.linalg.solve(z_cov, xz.T)
     return 0.5 * (sigma + sigma.T)
 
 
 def projection_smoothed_estimate(model, observations, k, b=None):
-    """E[x_k | z^b] by conditioning the full joint Gaussian (reference form)."""
+    """E[x_k | z^b], k <= b, by conditioning the joint Gaussian (reference form)."""
     if b is None:
         b = len(observations) - 1
     x_mean, _, z_mean, z_cov, xz = _joint_moments(model, k, b)

@@ -44,29 +44,27 @@ def predecode(z_hard, code, mode="general"):
     return out
 
 
-def _main_input(z, code, mode):
+def _main_input(z, code, ihat, delay):
     """Re-signed main-decoder input (r, r_hard), each (n - delay, 2).
 
-    The hard part r_hard is the re-encoded pre-decoder stream, advanced
-    by the pre-decoder delay, XOR z_hard.
+    The hard part r_hard is the re-encoded pre-decoder stream ihat,
+    advanced by the pre-decoder delay, XOR z_hard.
     """
-    _, delay = convcode.predecoder(code, mode)
     n = len(z)
     if delay and n <= delay:
         raise ValueError("block shorter than the look-in delay")
-    ihat = predecode(z.z_hard, code, mode)
     r_hard = convcode.encode(code, ihat)[delay:] ^ z.z_hard[: n - delay]
     return np.abs(z.z[: n - delay]) * (1.0 - 2.0 * r_hard), r_hard
 
 
-def main_input_general(z, code):
+def main_input_general(z, code, ihat):
     """Main-decoder input (r, r_hard) of the general arrangement, length n."""
-    return _main_input(z, code, "general")
+    return _main_input(z, code, ihat, 0)
 
 
-def main_input_qli(z, code):
+def main_input_qli(z, code, ihat):
     """QLI main-decoder input (r, r_hard), length n - L (the look-in delay is consumed)."""
-    return _main_input(z, code, "qli")
+    return _main_input(z, code, ihat, code.L)
 
 
 # ------------------------------------------------------------- main decoder
@@ -148,30 +146,31 @@ def viterbi_main(r, code, truncation=None):
     return out
 
 
-def classical_viterbi(z, code, truncation=None):
+def classical_viterbi(z, code):
     """Plain Viterbi on the received stream itself (the SST-free reference)."""
-    return viterbi_main(z.z, code, truncation)
+    return viterbi_main(z.z, code)
 
 
-def _sst_streams(z, code, mode, truncation):
+def _sst_streams(z, code, mode):
     """Pre-decoder stream, main-decoder hard input and SST output of one block.
 
     Both bit streams estimate the information bits they line up with:
     i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
     """
     _, delay = convcode.predecoder(code, mode)
-    pre = predecode(z.z_hard, code, mode)[delay:]
-    r, r_hard = (main_input_qli if mode == "qli" else main_input_general)(z, code)
-    return pre, r_hard, pre ^ viterbi_main(r, code, truncation)
+    ihat = predecode(z.z_hard, code, mode)
+    r, r_hard = (main_input_qli if mode == "qli" else main_input_general)(z, code, ihat)
+    pre = ihat[delay:]
+    return pre, r_hard, pre ^ viterbi_main(r, code)
 
 
-def sst_decode(z, code, mode="general", truncation=None):
+def sst_decode(z, code, mode="general"):
     """Full SST decode: pre-decode, main decode, recombine.
 
     general mode returns n bits; qli mode returns n - L bits (estimates
     of i_0 .. i_{n-L-1}).
     """
-    return _sst_streams(z, code, mode, truncation)[2]
+    return _sst_streams(z, code, mode)[2]
 
 
 # ----------------------------------------------------------------- simulation
@@ -192,7 +191,7 @@ class SimulationResult:
     n_eff: int
 
 
-def simulate(code, point, branches, seed, mode="general", truncation=None):
+def simulate(code, point, branches, seed, mode="general"):
     """End-to-end Monte Carlo run at one SNR point.
 
     pre_ber is the pre-decoder's raw error rate, post_ber the full SST
@@ -211,7 +210,7 @@ def simulate(code, point, branches, seed, mode="general", truncation=None):
     s1, s2 = parity_prob.code_supports(code, mode)
     stride = max(s1.max_delay, s2.max_delay) + 1
 
-    pre_stream, r_hard, post_stream = _sst_streams(z, code, mode, truncation)
+    pre_stream, r_hard, post_stream = _sst_streams(z, code, mode)
     m = len(post_stream)
     truth = info[:m]
     v = r_hard ^ e[:m]

@@ -144,11 +144,54 @@ def test_psd_ordering_chain():
         prev = cur
 
 
-def test_smoother_rejects_k_beyond_b():
+@pytest.mark.parametrize("smoother", [kalman.smoother_cov, kalman.smoothed_estimate],
+                         ids=["smoother_cov", "smoothed_estimate"])
+@pytest.mark.parametrize("k, b, match", [(3, 1, "need 0 <= k <= b"),
+                                         (1, 4, "must cover 0..b")],
+                         ids=["k_beyond_b", "short_steps"])
+def test_smoother_rejects_k_beyond_b(smoother, k, b, match):
+    # four filter steps cover 0..3, so b = 4 is one step too many
     model = kalman.random_model(1, 2)
     trace = kalman.run_filter(model, kalman.simulate_observations(model, 4, seed=0))
-    with pytest.raises(ValueError):
-        kalman.smoother_cov(model, trace, 3, 1)
+    with pytest.raises(ValueError, match=match):
+        smoother(model, trace, k, b)
+
+
+def test_projection_rejects_k_beyond_b():
+    model = kalman.random_model(1, 2)
+    obs = kalman.simulate_observations(model, 4, seed=0)
+    with pytest.raises(ValueError, match="need 0 <= k <= b"):
+        kalman.projection_smoother_cov(model, 3, 1)
+    with pytest.raises(ValueError, match="need 0 <= k <= b"):
+        kalman.projection_smoothed_estimate(model, obs, 3, 1)
+
+
+def test_joint_moments_of_a_shorter_horizon_are_a_prefix():
+    # the stacked joint of horizon b is the leading block of horizon B's
+    model = kalman.random_model(7, 3)
+    big = 6
+    m = model.m
+    for b in range(big):
+        assert_allclose(kalman.joint_observation_covariance(model, b),
+                        kalman.joint_observation_covariance(model, big)[:(b + 1) * m,
+                                                                       :(b + 1) * m],
+                        rtol=0, atol=1e-12)
+        for k in range(b + 1):
+            assert_allclose(kalman._joint_moments(model, k, b)[1],
+                            kalman._joint_moments(model, k, big)[1], rtol=0, atol=1e-12)
+
+
+def test_identity_report_builds_the_stacked_joint_once(monkeypatch):
+    horizons = []
+    original = kalman._stacked_joint
+
+    def counting(model, b):
+        horizons.append(b)
+        return original(model, b)
+
+    monkeypatch.setattr(kalman, "_stacked_joint", counting)
+    assert all(chk.passed for chk in kalman.identity_report(seed=3, states=3, steps=8))
+    assert horizons == [7]
 
 
 def test_simulate_observations_deterministic():

@@ -217,7 +217,8 @@ def test_main_input_hard_part_depends_only_on_errors():
     for _ in range(3):
         v = encode(code, rng.integers(0, 2, n))
         z = channel.ReceivedSequence(channel.bpsk_map(v ^ e))
-        hard_parts.append(sstdec.main_input_general(z, code)[1])
+        ihat = sstdec.predecode(z.z_hard, code, "general")
+        hard_parts.append(sstdec.main_input_general(z, code, ihat)[1])
     assert np.array_equal(hard_parts[0], hard_parts[1])
     assert np.array_equal(hard_parts[0], hard_parts[2])
 
@@ -234,7 +235,7 @@ def test_main_input_hard_part_is_mapped_errors_xor_errors():
         z = channel.ReceivedSequence(channel.bpsk_map(encode(code, np.zeros(n, int)) ^ e))
         _, delay = predecoder(code, mode)
         main_input = sstdec.main_input_qli if mode == "qli" else sstdec.main_input_general
-        _, r_hard = main_input(z, code)
+        _, r_hard = main_input(z, code, sstdec.predecode(z.z_hard, code, mode))
         assert r_hard.shape == (n - delay, 2)
         m = main_encoded_block_map(code, mode)
         e1, e2 = poly_from_stream(e[:, 0]), poly_from_stream(e[:, 1])
@@ -244,11 +245,28 @@ def test_main_input_hard_part_is_mapped_errors_xor_errors():
             assert (v_poly.mask >> delay) & (keep >> delay) == got.mask, (name, mode, stream)
 
 
+@pytest.mark.parametrize("name, mode", itertools.product(("c1", "c2"), ("general", "qli")))
+def test_sst_decode_predecodes_each_block_once(name, mode, monkeypatch):
+    calls = []
+    original = sstdec.predecode
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sstdec, "predecode", counting)
+    code = get_code(name)
+    info = np.random.default_rng(8).integers(0, 2, 200)
+    recv = channel.transmit(encode(code, info), channel.snr_point(3.0), seed=4)
+    sstdec.sst_decode(recv, code, mode)
+    assert len(calls) == 1
+
+
 def test_main_input_soft_magnitudes_preserved():
     code = get_code("c1")
     v = encode(code, np.random.default_rng(4).integers(0, 2, 20))
     recv = channel.transmit(v, channel.snr_point(1.0), seed=5)
-    r, r_hard = sstdec.main_input_general(recv, code)
+    r, r_hard = sstdec.main_input_general(recv, code, sstdec.predecode(recv.z_hard, code))
     assert_allclose(np.abs(r), np.abs(recv.z), atol=1e-15)
     assert np.array_equal((r < 0).astype(np.uint8), r_hard)
 
