@@ -338,17 +338,21 @@ def run_search(args):
     entries = qli_search.enumerate_qli(args.nu)
     columns = ["c_bits", "m1a", "m2a", "m1b", "m2b",
                "heuristic_counterexample", "exact_counterexample_snrs"]
+    # many rows share a count tuple, and the tuple fixes the comparison
+    points = channel.grid_points()
+    snrs_by_counts = {}
     rows = []
     for entry in entries:
-        snrs = [p.ebn0_db for p in qli_search.trace_compare(entry.counts)
-                if p.reversed_order]
+        if entry.counts not in snrs_by_counts:
+            snrs_by_counts[entry.counts] = ";".join(
+                format_cell(p.ebn0_db) for p in qli_search.trace_compare(entry.counts, points)
+                if p.reversed_order)
         rows.append({"c_bits": "".join(str(b) for b in entry.c_bits),
                      "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
                      "m1b": entry.m1_beta, "m2b": entry.m2_beta,
                      "heuristic_counterexample": entry.heuristic_counterexample,
                      "indeterminate": entry.indeterminate,
-                     "exact_counterexample_snrs": ";".join(
-                         format_cell(v) for v in snrs)})
+                     "exact_counterexample_snrs": snrs_by_counts[entry.counts]})
 
     def heuristic_vs_exact(cols, rws):
         errors = []

@@ -336,6 +336,8 @@ def projection_smoothed_estimate(model, observations, k, b=None):
     """E[x_k | z^b], k <= b, by conditioning the joint Gaussian (reference form)."""
     if b is None:
         b = len(observations) - 1
+    if len(observations) <= b:
+        raise ValueError("observations must cover 0..b")
     x_mean, _, z_mean, z_cov, xz = _joint_moments(model, k, b)
     z = np.concatenate([_as_vector(v, model.m, "z") for v in observations[:b + 1]])
     return x_mean + xz @ np.linalg.solve(z_cov, z - z_mean)

@@ -8,7 +8,7 @@ counts: if some pairing puts every m^alpha at or below its m^beta
 partner (one strictly), the general arrangement strictly wins at every
 finite SNR, which contradicts the usual reading that QLI pre-decoding is
 the safer choice.  Rows where neither pairing works are flagged
-indeterminate and deserve the exact trace comparison.
+indeterminate and deserve the trace comparison.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import channel, convcode, parity_prob
+from . import channel, convcode
 from .gf2 import BinaryPoly, column_term_count
 
 
@@ -91,32 +91,36 @@ class TracePoint:
     reversed_order: bool
 
 
-def trace_compare(counts, db_values=channel.DB_GRID):
-    """Exact (1/2) tr Sigma_x versus (1/2) tr Sigma_x' over an SNR grid.
+def _half_trace(q, n1, n2):
+    """(1/2) tr of the 2x2 covariance of two parities over n1 and n2 variables."""
+    a1 = 0.5 * (1.0 - q ** n1)
+    a2 = 0.5 * (1.0 - q ** n2)
+    return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
+
+
+def trace_compare(counts, points):
+    """(1/2) tr Sigma_x versus (1/2) tr Sigma_x' at each SnrPoint, in float64.
 
     counts (family_counts) are the four support sizes, which fix both
     traces.  reversed_order marks points where the general arrangement is
-    strictly better (tr Sigma_x < tr Sigma_x')."""
+    strictly better (tr Sigma_x < tr Sigma_x').  Both half traces are
+    float64 values near 1 at low SNR, so the order is wrong within about
+    2^-48 of a tie (ROADMAP item 1)."""
     m1a, m2a, m1b, m2b = counts
     out = []
-    for db in db_values:
-        point = channel.snr_point(db)
+    for point in points:
         eps = point.epsilon
-
-        def half_tr(n1, n2):
-            a1 = parity_prob.parity_one_prob(n1, eps)
-            a2 = parity_prob.parity_one_prob(n2, eps)
-            return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
-
-        tx = half_tr(m1a, m2a)
-        txp = half_tr(m1b, m2b)
-        out.append(TracePoint(ebn0_db=float(db), epsilon=eps,
+        q = 1.0 - 2.0 * eps
+        tx = _half_trace(q, m1a, m2a)
+        txp = _half_trace(q, m1b, m2b)
+        out.append(TracePoint(ebn0_db=point.ebn0_db, epsilon=eps,
                               half_tr_sigma_x=tx, half_tr_sigma_x_prime=txp,
                               reversed_order=bool(tx < txp)))
     return out
 
 
-def exact_counterexample_snrs(code, db_values=channel.DB_GRID):
-    """Grid points (dB) where tr Sigma_x < tr Sigma_x' exactly."""
-    return [p.ebn0_db for p in trace_compare(family_counts(code), db_values)
+def exact_counterexample_snrs(code):
+    """Grid points (dB) where the float64 half traces put tr Sigma_x below
+    tr Sigma_x'; wrong within about 2^-48 of a tie, as trace_compare."""
+    return [p.ebn0_db for p in trace_compare(family_counts(code), channel.grid_points())
             if p.reversed_order]

@@ -16,12 +16,14 @@ from sstkalman.cli import (
     CHAIN_SLACK,
     csv_text,
     format_cell,
+    json_text,
     main,
     parse_cell,
     parse_csv,
     parse_db_values,
     validate_bound_chain,
 )
+from sstkalman import channel, qli_search
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -355,6 +357,54 @@ def test_search_json_rows_match_csv(capsys):
     payload = json.loads(json_out)
     assert len(payload["rows"]) == 16
     assert csv_text(payload["columns"], payload["rows"]) == csv_out
+
+
+def per_row_search(nu):
+    """search's columns and rows with one trace_compare per row, each on
+    freshly built SNR points: the reference for search, which compares
+    each distinct count tuple once."""
+    columns = ["c_bits", "m1a", "m2a", "m1b", "m2b",
+               "heuristic_counterexample", "exact_counterexample_snrs"]
+    rows = []
+    for entry in qli_search.enumerate_qli(nu):
+        snrs = [p.ebn0_db for p in qli_search.trace_compare(entry.counts,
+                                                             channel.grid_points())
+                if p.reversed_order]
+        assert snrs == qli_search.exact_counterexample_snrs(make_qli(entry.gprime))
+        rows.append({"c_bits": "".join(str(b) for b in entry.c_bits),
+                     "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
+                     "m1b": entry.m1_beta, "m2b": entry.m2_beta,
+                     "heuristic_counterexample": entry.heuristic_counterexample,
+                     "indeterminate": entry.indeterminate,
+                     "exact_counterexample_snrs": ";".join(format_cell(v) for v in snrs)})
+    return columns, rows
+
+
+@pytest.mark.parametrize("nu", range(3, 11))
+def test_search_matches_one_comparison_per_row(nu, capsys):
+    columns, rows = per_row_search(nu)
+    rc, csv_out, _ = run(["search", "--nu", str(nu)], capsys)
+    assert rc == 0
+    assert csv_out == csv_text(columns, rows)
+    rc, json_out, _ = run(["search", "--nu", str(nu), "--format", "json"], capsys)
+    assert rc == 0
+    assert json_out == json_text(columns, rows)
+
+
+def test_search_compares_each_count_tuple_once(monkeypatch, capsys):
+    compared = []
+    trace_compare = qli_search.trace_compare
+
+    def counting(counts, points):
+        compared.append(counts)
+        return trace_compare(counts, points)
+
+    monkeypatch.setattr(qli_search, "trace_compare", counting)
+    rc, out, _ = run(["search", "--nu", "10", "--quiet"], capsys)
+    assert rc == 0
+    assert len(out.strip().split("\n")) == 1 + 256
+    assert len(compared) == len(set(compared)) == 57
+    assert set(compared) == {row.counts for row in qli_search.enumerate_qli(10)}
 
 
 def test_search_rows_and_flag_column(capsys):

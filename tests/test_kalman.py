@@ -166,6 +166,14 @@ def test_projection_rejects_k_beyond_b():
         kalman.projection_smoothed_estimate(model, obs, 3, 1)
 
 
+def test_projection_rejects_short_observations():
+    # four observations cover 0..3, so b = 6 is three steps too many
+    model = kalman.random_model(1, 2)
+    obs = [np.zeros(2)] * 4
+    with pytest.raises(ValueError, match=r"observations must cover 0\.\.b"):
+        kalman.projection_smoothed_estimate(model, obs, 1, 6)
+
+
 def test_joint_moments_of_a_shorter_horizon_are_a_prefix():
     # the stacked joint of horizon b is the leading block of horizon B's
     model = kalman.random_model(7, 3)

@@ -1,5 +1,7 @@
 """Exhaustive quick-look-in family search and the term-count heuristic."""
 
+from fractions import Fraction
+
 import pytest
 
 from sstkalman import channel, parity_prob, qli_search
@@ -59,7 +61,7 @@ def test_classify_counts():
 def test_trace_compare_orders_counterexample_code():
     bad = [r for r in qli_search.enumerate_qli(5) if r.heuristic_counterexample][0]
     code = make_qli(bad.gprime)
-    points = qli_search.trace_compare(qli_search.family_counts(code))
+    points = qli_search.trace_compare(qli_search.family_counts(code), channel.grid_points())
     assert len(points) == 21
     assert all(p.reversed_order for p in points)
     assert all(p.half_tr_sigma_x_prime > p.half_tr_sigma_x for p in points)
@@ -69,7 +71,7 @@ def test_trace_compare_orders_counterexample_code():
 def test_trace_compare_keeps_order_for_plain_code():
     plain = qli_search.enumerate_qli(5)[0]
     code = make_qli(plain.gprime)
-    points = qli_search.trace_compare(qli_search.family_counts(code))
+    points = qli_search.trace_compare(qli_search.family_counts(code), channel.grid_points())
     assert not any(p.reversed_order for p in points)
     assert qli_search.exact_counterexample_snrs(code) == []
 
@@ -96,8 +98,25 @@ def test_trace_compare_from_counts_matches_supports():
         code = make_qli(row.gprime)
         general = parity_prob.code_supports(code, "general")
         qli = parity_prob.code_supports(code, "qli")
-        points = qli_search.trace_compare(row.counts)
+        points = qli_search.trace_compare(row.counts, channel.grid_points())
         assert [p.ebn0_db for p in points] == [float(db) for db in channel.DB_GRID]
         for p in points:
             assert p.half_tr_sigma_x == half_tr(*general, p.epsilon)
             assert p.half_tr_sigma_x_prime == half_tr(*qli, p.epsilon)
+
+
+@pytest.mark.parametrize("nu", range(7, 13))
+def test_reversal_flags_match_exact_arithmetic_outside_float_ties(nu):
+    # 4 a (1 - a) = 1 - q^(2m) for a parity over m variables, so the exact
+    # gap (1/2) tr Sigma_x - (1/2) tr Sigma_x' is
+    # (q^(2 m1b) + q^(2 m2b) - q^(2 m1a) - q^(2 m2a)) / 2 on the rational
+    # value of the float q, and a reversal is a negative gap.  The float64
+    # comparison may miss within 2^-48 of a tie; everywhere else it holds.
+    points = channel.grid_points()
+    qs = [Fraction(1.0 - 2.0 * p.epsilon) for p in points]
+    for counts in {row.counts for row in qli_search.enumerate_qli(nu)}:
+        m1a, m2a, m1b, m2b = counts
+        for p, q in zip(qli_search.trace_compare(counts, points), qs):
+            gap = (q ** (2 * m1b) + q ** (2 * m2b) - q ** (2 * m1a) - q ** (2 * m2a)) / 2
+            if abs(gap) >= Fraction(1, 2 ** 48):
+                assert p.reversed_order == (gap < 0), (counts, p.ebn0_db)
