@@ -109,19 +109,21 @@ ONE = BinaryPoly(1)
 D = BinaryPoly(2)
 
 
+def clmul(a, b):
+    """Carry-less product of two non-negative int masks: the GF(2)[D] product."""
+    if a < 0 or b < 0:
+        raise ValueError("masks must be non-negative")
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low
+        b ^= low
+    return out
+
+
 def poly_mul(a, b):
     """Carry-free product of two polynomials over GF(2)."""
-    a = BinaryPoly(a)
-    b = BinaryPoly(b)
-    out = 0
-    y = b.mask
-    shift = 0
-    while y:
-        if y & 1:
-            out ^= a.mask << shift
-        y >>= 1
-        shift += 1
-    return BinaryPoly(out)
+    return BinaryPoly(clmul(BinaryPoly(a).mask, BinaryPoly(b).mask))
 
 
 def polymat_mul(a, b):

@@ -9,6 +9,10 @@ partner (one strictly), the general arrangement strictly wins at every
 finite SNR, which contradicts the usual reading that QLI pre-decoding is
 the safer choice.  Rows where neither pairing works are flagged
 indeterminate and deserve the trace comparison.
+
+The counts are popcounts of carry-less products of integer masks
+(`gf2.clmul`); the family is enumerated without building a `ConvCode`
+or a polynomial matrix per member.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import channel, convcode
-from .gf2 import BinaryPoly, column_term_count
+from . import channel
+from .gf2 import BinaryPoly, clmul
 
 
 @dataclass(frozen=True)
@@ -52,33 +56,44 @@ def classify_counts(m_alpha, m_beta):
     return counterexample, (not counterexample and not expected)
 
 
+def _term_counts(g1, g2, i1, i2):
+    """(m1_alpha, m2_alpha, m1_beta, m2_beta) from the masks of g and ginv.
+
+    Column l of Ginv G is (i1 g_l, i2 g_l), so m_l^alpha = |i1 g_l| + |i2 g_l|;
+    the QLI pre-decoder adds both streams, so m_l^beta = 2 |g_l|.  ValueError
+    unless g ginv = 1."""
+    if clmul(g1, i1) ^ clmul(g2, i2) != 1:
+        raise ValueError("ginv is not a right inverse of g")
+    return (clmul(i1, g1).bit_count() + clmul(i2, g1).bit_count(),
+            clmul(i1, g2).bit_count() + clmul(i2, g2).bit_count(),
+            2 * g1.bit_count(), 2 * g2.bit_count())
+
+
 def family_counts(code):
     """Term counts (m1_alpha, m2_alpha, m1_beta, m2_beta) for one code."""
-    m = convcode.main_encoded_block_map(code, "general")
-    m1a = column_term_count(m, 0)
-    m2a = column_term_count(m, 1)
     code.L  # the beta counts hold only for QLI codes
-    return m1a, m2a, 2 * code.g[0].term_count, 2 * code.g[1].term_count
+    return _term_counts(code.g[0].mask, code.g[1].mask,
+                        code.ginv[0].mask, code.ginv[1].mask)
 
 
 def enumerate_qli(nu):
-    """All 2^(nu-2) family codes of memory nu, in ascending c_1..c_{nu-2} order."""
+    """All 2^(nu-2) family codes of memory nu, in ascending c_1..c_{nu-2} order.
+
+    Each member is g1 = 1 + D g', g2 = 1 + D + D g' with right inverse
+    (1 + g', g'), as `convcode.make_qli` builds it, but held as int masks:
+    the one check run per member is g ginv = 1."""
     if not 3 <= nu <= 12:
         raise ValueError("nu must lie in [3, 12]")
     rows = []
     for bits in product((0, 1), repeat=nu - 2):
-        mask = 1 << (nu - 1)
+        gp = 1 << (nu - 1)
         for pos, c in enumerate(bits, start=1):
             if c:
-                mask |= 1 << pos
-        gprime = BinaryPoly(mask)
-        code = convcode.make_qli(gprime)
-        m1a, m2a, m1b, m2b = family_counts(code)
-        counter, indet = classify_counts((m1a, m2a), (m1b, m2b))
-        rows.append(QliSearchRow(c_bits=bits, m1_alpha=m1a, m2_alpha=m2a,
-                                 m1_beta=m1b, m2_beta=m2b,
-                                 heuristic_counterexample=counter,
-                                 indeterminate=indet, gprime=gprime))
+                gp |= 1 << pos
+        counts = _term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)
+        counter, indet = classify_counts(counts[:2], counts[2:])
+        rows.append(QliSearchRow(bits, *counts, heuristic_counterexample=counter,
+                                 indeterminate=indet, gprime=BinaryPoly(gp)))
     return rows
 
 

@@ -23,7 +23,7 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
-from sstkalman import channel, qli_search
+from sstkalman import channel, convcode, gf2, qli_search
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -405,6 +405,34 @@ def test_search_compares_each_count_tuple_once(monkeypatch, capsys):
     assert len(out.strip().split("\n")) == 1 + 256
     assert len(compared) == len(set(compared)) == 57
     assert set(compared) == {row.counts for row in qli_search.enumerate_qli(10)}
+
+
+def test_search_builds_no_code_objects(monkeypatch, capsys):
+    # search and tables 9-10 take the family's counts from integer masks;
+    # convcode holds its own binding of polymat_mul
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        label = f"{module.__name__}.{name}"
+        calls[label] = 0
+
+        def counting(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((convcode, "make_qli"), (convcode, "main_encoded_block_map"),
+                         (convcode, "polymat_mul"), (gf2, "polymat_mul")):
+        count(module, name)
+    for argv in (["search", "--nu", "10", "--quiet"], ["tables", "--table", "10"]):
+        rc, _, _ = run(argv, capsys)
+        assert rc == 0
+    assert set(calls.values()) == {0}
+    # the counters are live: one built code and its block map count once each
+    convcode.main_encoded_block_map(convcode.make_qli(qli_search.enumerate_qli(10)[0].gprime))
+    assert set(calls.values()) == {1}
 
 
 def test_search_rows_and_flag_column(capsys):

@@ -7,6 +7,7 @@ from sstkalman.gf2 import (
     ZERO,
     D,
     BinaryPoly,
+    clmul,
     column_term_count,
     poly_mul,
     polymat_mul,
@@ -83,6 +84,36 @@ def test_mul_units(a):
 @given(masks.filter(lambda m: m > 0), masks.filter(lambda m: m > 0))
 def test_mul_degree_adds(a, b):
     assert poly_mul(a, b).degree == BinaryPoly(a).degree + BinaryPoly(b).degree
+
+
+@given(masks, masks)
+def test_clmul_is_the_xor_convolution_of_the_coefficients(a, b):
+    ca = [a >> j & 1 for j in range(a.bit_length())]
+    cb = [b >> j & 1 for j in range(b.bit_length())]
+    conv = [0] * (len(ca) + len(cb))
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            conv[i + j] ^= x & y
+    assert clmul(a, b) == sum(c << k for k, c in enumerate(conv))
+
+
+@given(masks, masks)
+def test_clmul_commutes_and_degrees_add(a, b):
+    assert clmul(a, b) == clmul(b, a)
+    if a and b:
+        assert clmul(a, b).bit_length() == a.bit_length() + b.bit_length() - 1
+
+
+@given(masks, masks)
+def test_poly_mul_is_clmul_on_the_masks(a, b):
+    pa, pb = BinaryPoly(a), BinaryPoly(b)
+    assert poly_mul(pa, pb).mask == clmul(pa.mask, pb.mask)
+
+
+def test_clmul_rejects_negative_masks():
+    for a, b in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            clmul(a, b)
 
 
 @given(masks, st.integers(min_value=0, max_value=16))

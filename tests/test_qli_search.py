@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sstkalman import channel, parity_prob, qli_search
-from sstkalman.convcode import get_code, make_qli
+from sstkalman.convcode import ConvCode, get_code, main_encoded_block_map, make_qli
+from sstkalman.gf2 import BinaryPoly, column_term_count
 
 from reference_tables import SEARCH_ROWS_NU5, SEARCH_ROWS_NU6
 
@@ -87,6 +89,38 @@ def test_family_counts_are_support_sizes(nu):
         sizes = tuple(len(s) for mode in ("general", "qli")
                       for s in parity_prob.code_supports(code, mode))
         assert qli_search.family_counts(code) == sizes == row.counts
+
+
+@pytest.mark.parametrize("nu", range(3, 13))
+def test_integer_counts_match_the_block_map_of_each_built_code(nu):
+    # make_qli runs every ConvCode check (g ginv = 1, h g = 0, g and h
+    # nonzero); the oracle counts come from the block map Ginv G and from g
+    for row in qli_search.enumerate_qli(nu):
+        code = make_qli(row.gprime)
+        m = main_encoded_block_map(code, "general")
+        oracle = (column_term_count(m, 0), column_term_count(m, 1),
+                  2 * code.g[0].term_count, 2 * code.g[1].term_count)
+        assert row.counts == oracle == qli_search.family_counts(code)
+        assert (qli_search.classify_counts(oracle[:2], oracle[2:])
+                == (row.heuristic_counterexample, row.indeterminate))
+
+
+@given(st.integers(min_value=1, max_value=(1 << 11) - 1))
+def test_term_counts_reject_a_false_right_inverse(c):
+    gp = c << 1
+    g1, g2 = 1 ^ (gp << 1), 3 ^ (gp << 1)
+    qli_search._term_counts(g1, g2, 1 ^ gp, gp)  # the family's own ginv
+    # the swapped pair gives g ginv = 1 + D
+    with pytest.raises(ValueError, match="not a right inverse"):
+        qli_search._term_counts(g1, g2, gp, 1 ^ gp)
+
+
+def test_family_counts_rejects_a_non_qli_code():
+    # g1 + g2 = D + D^2 + D^3 is not a monomial, but an exact right inverse exists
+    g = (BinaryPoly.from_string("1101"), BinaryPoly.from_string("101"))
+    ginv = (BinaryPoly.from_string("001"), BinaryPoly.from_string("1001"))
+    with pytest.raises(ValueError, match="not quick-look-in"):
+        qli_search.family_counts(ConvCode("nonqli", g, ginv, (g[1], g[0])))
 
 
 def test_trace_compare_from_counts_matches_supports():
