@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 DB_GRID = tuple(range(-10, 11))
 
@@ -70,6 +69,10 @@ def make_rng(seed):
 
 def standard_normals(gen, size):
     """Standard normals via the inverse CDF of mid-interval uniforms."""
+    # scipy.special is the package's only scipy import; it loads here, on
+    # the first noise draw, so the other commands start on numpy alone
+    from scipy.special import ndtri
+
     u = (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) / float(1 << 53)
     return ndtri(u)
 

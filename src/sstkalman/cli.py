@@ -8,6 +8,7 @@ requested artifact was produced and every internal validator passed.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -397,7 +398,9 @@ def _emit_and_validate(args, columns, rows, validators, meta=None):
     return errors
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; parse_args keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")

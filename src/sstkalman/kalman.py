@@ -286,6 +286,18 @@ def smoothed_estimate(model, states, k, b=None):
 
 # ----------------------------------------------- direct joint-Gaussian oracle
 
+def _block_diag(*blocks):
+    """The 2-D blocks, rectangular ones included, on the diagonal of a zero matrix."""
+    out = np.zeros((sum(blk.shape[0] for blk in blocks),
+                    sum(blk.shape[1] for blk in blocks)))
+    i = j = 0
+    for blk in blocks:
+        r, c = blk.shape
+        out[i:i + r, j:j + c] = blk
+        i, j = i + r, j + c
+    return out
+
+
 def _stacked_joint(model, b):
     """Means and covariances of x = (x_0..x_b) and z = (z_0..z_b), read-only.
 
@@ -294,18 +306,15 @@ def _stacked_joint(model, b):
     Cov(x) = A blockdiag(X0, U_0..U_{b-1}) A^T, Cov(x, z) = Cov(x) H^T and
     Cov(z) = H Cov(x) H^T + blockdiag(W_0..W_b).
     """
-    # scipy.linalg takes ~40 ms to import and only this oracle uses it
-    from scipy.linalg import block_diag
-
     n = model.n
     a = np.eye((b + 1) * n)
     for i in range(1, b + 1):
         a[i * n:(i + 1) * n, :i * n] = model.F(i - 1) @ a[(i - 1) * n:i * n, :i * n]
     x_mean = a[:, :n] @ model.x0_mean
-    x_cov = a @ block_diag(model.X0, *(model.U(j) for j in range(b))) @ a.T
-    h = block_diag(*(model.H(j) for j in range(b + 1)))
+    x_cov = a @ _block_diag(model.X0, *(model.U(j) for j in range(b))) @ a.T
+    h = _block_diag(*(model.H(j) for j in range(b + 1)))
     xz = x_cov @ h.T
-    z_cov = h @ xz + block_diag(*(model.W(j) for j in range(b + 1)))
+    z_cov = h @ xz + _block_diag(*(model.W(j) for j in range(b + 1)))
     return tuple(_frozen(v) for v in (x_mean, x_cov, h @ x_mean, z_cov, xz))
 
 

@@ -93,6 +93,13 @@ def test_standard_normals_moments():
     assert np.array_equal(w, w2)
 
 
+def test_standard_normals_are_ndtri_of_mid_interval_uniforms():
+    from scipy.special import ndtri
+
+    u = (make_rng(123).integers(0, 1 << 53, size=8, dtype=np.uint64) + 0.5) / float(1 << 53)
+    assert np.array_equal(standard_normals(make_rng(123), 8), ndtri(u))
+
+
 def test_make_rng_tuple_seeds_differ():
     a = make_rng((5, 1)).random(8)
     b = make_rng((5, 2)).random(8)

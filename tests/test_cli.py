@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sstkalman.cli import (
     CHAIN_SLACK,
+    build_parser,
     csv_text,
     format_cell,
     json_text,
@@ -170,6 +171,50 @@ def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     assert flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+from sstkalman import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+assert not scipy_modules(), scipy_modules()
+for argv in (["tables", "--table", "1"], ["curves", "--code", "c2", "--mode", "qli"],
+             ["alpha", "--code", "c1", "--emit", "polynomial"], ["kalman-check"],
+             ["search", "--nu", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--branches", "1000"]) == 0
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+def test_only_the_noise_draw_imports_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    first = run(["tables", "--table", "1"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["tables"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["simulate", "--branches", "5"], capsys)[0] == 2
+    rc, out, _ = run(["curves", "--format", "json"], capsys)
+    assert rc == 0 and json.loads(out)["columns"][0] == "ebn0_db"
+    # --format falls back to its csv default on the next call
+    assert run(["tables", "--table", "1"], capsys)[:2] == first[:2]
+    assert first[0] == 0 and first[1].startswith("ebn0_db,alpha1,")
 
 
 @pytest.mark.parametrize("argv", [

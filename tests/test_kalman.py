@@ -120,6 +120,48 @@ def test_smoother_matches_projection_oracle():
                                 atol=1e-10)
 
 
+def test_block_diag_matches_scipy():
+    from scipy.linalg import block_diag
+
+    gen = np.random.default_rng(0)
+    square = [gen.standard_normal((k, k)) for k in (1, 3, 2)]
+    rect = [gen.standard_normal(shape) for shape in ((2, 3), (1, 3), (4, 3), (3, 1))]
+    for blocks in (square, rect, rect[:1]):
+        out = kalman._block_diag(*blocks)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, block_diag(*blocks))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_smoother_matches_projection_oracle_with_rectangular_h(m):
+    n, steps = 3, 7
+
+    def mat(k, tag, shape):
+        return np.random.default_rng((k, tag, m)).standard_normal(shape)
+
+    def pd(k, tag, dim, floor):
+        a = mat(k, tag, (dim, dim))
+        return a @ a.T / dim + floor * np.eye(dim)
+
+    model = kalman.state_space_model(
+        lambda k: 0.95 * np.linalg.qr(mat(k, 1, (n, n)))[0],
+        lambda k: mat(k, 2, (m, n)),
+        lambda k: pd(k, 3, n, 0.1),
+        lambda k: pd(k, 4, m, 0.5),
+        X0=np.eye(n))
+    assert (model.m, model.n) == (m, n)
+    obs = kalman.simulate_observations(model, steps, seed=2)
+    trace = kalman.run_filter(model, obs)
+    for b in range(steps):
+        for k in range(b + 1):
+            assert_allclose(kalman.smoother_cov(model, trace, k, b),
+                            kalman.projection_smoother_cov(model, k, b), atol=1e-10)
+            assert_allclose(kalman.smoothed_estimate(model, trace, k, b),
+                            kalman.projection_smoothed_estimate(model, obs, k, b),
+                            atol=1e-10)
+    assert kalman.joint_observation_covariance(model, steps - 1).shape == (m * steps,) * 2
+
+
 def test_filter_estimate_is_projection_onto_past():
     model = kalman.random_model(12, 3)
     obs = kalman.simulate_observations(model, 6, seed=8)
