@@ -125,8 +125,13 @@ def code_from_json(obj):
     g = polys("g")
     ginv = polys("ginv")
     h = polys("h") if "h" in obj else g[::-1]
-    code = ConvCode(name=obj.get("name", "custom"), g=g, ginv=ginv, h=h)
-    if obj.get("qli", False):
+    name, qli = obj.get("name", "custom"), obj.get("qli", False)
+    if not isinstance(name, str):
+        raise ValueError("code field 'name' must be a string")
+    if not isinstance(qli, bool):
+        raise ValueError("code field 'qli' must be true or false")
+    code = ConvCode(name=name, g=g, ginv=ginv, h=h)
+    if qli:
         code.L  # a code file that claims QLI must have g1 + g2 = D^L
     return code
 

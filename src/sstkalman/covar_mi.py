@@ -70,19 +70,26 @@ def sigma_c_general(sigma_x, rho):
     return 0.5 * (out + out.T)
 
 
+def _closed_2x2(sigma_x, rho):
+    """(s1, s2, s12, delta_x, excess) of a 2x2 Sigma_x, where delta_x =
+    det Sigma_x and excess = det(I + rho Sigma_x) - 1
+    = rho (s1 + s2 + rho delta_x)."""
+    sigma_x = np.asarray(sigma_x, dtype=np.float64)
+    if sigma_x.shape != (2, 2):
+        raise ValueError("Sigma_x must be 2x2")
+    s1, s2, s12 = sigma_x[0, 0], sigma_x[1, 1], sigma_x[0, 1]
+    delta_x = s1 * s2 - s12 * s12
+    return s1, s2, s12, delta_x, rho * (s1 + s2 + rho * delta_x)
+
+
 def sigma_c_closed_2x2(sigma_x, rho):
     """Closed 2x2 form; returns (Sigma_c, delta_x, delta_r).
 
     delta_x = det Sigma_x and delta_r = det(I + rho Sigma_x)
             = 1 + rho (s1 + s2 + rho delta_x).
     """
-    sigma_x = _check_square(sigma_x)
-    if sigma_x.shape != (2, 2):
-        raise ValueError("closed form is for 2x2 matrices")
-    s1, s2 = sigma_x[0, 0], sigma_x[1, 1]
-    s12 = sigma_x[0, 1]
-    delta_x = s1 * s2 - s12 * s12
-    delta_r = 1.0 + rho * (s1 + s2 + rho * delta_x)
+    s1, s2, s12, delta_x, excess = _closed_2x2(sigma_x, rho)
+    delta_r = 1.0 + excess
     mat = np.array([
         [s1 + rho * delta_x, s12],
         [s12, s2 + rho * delta_x],
@@ -172,15 +179,10 @@ def coupled_provider(code, mode="general"):
 def mi_gauss_bound(sigma_x, rho):
     """(1/2) log det(I + rho Sigma_x), nats per branch (Gaussian input).
 
-    For 2x2 Sigma_x, det(I + rho Sigma_x) = 1 + rho (s1 + s2 + rho det Sigma_x);
-    taking log1p of the part past 1 keeps full precision at tiny rho, where
-    a log-determinant rounds to 0.
+    Taking log1p of the closed form's excess det(I + rho Sigma_x) - 1 keeps
+    full precision at tiny rho, where a log-determinant rounds to 0.
     """
-    sigma_x = _check_square(sigma_x)
-    if sigma_x.shape != (2, 2):
-        raise ValueError("Sigma_x must be 2x2")
-    delta_x = sigma_x[0, 0] * sigma_x[1, 1] - sigma_x[0, 1] * sigma_x[1, 0]
-    excess = rho * (sigma_x[0, 0] + sigma_x[1, 1] + rho * delta_x)
+    excess = _closed_2x2(sigma_x, rho)[4]
     if excess <= -1.0:
         raise ValueError("I + rho Sigma_x must be positive definite")
     return 0.5 * math.log1p(excess)
@@ -211,14 +213,14 @@ class BoundChain:
 
 
 def bound_chain(sigma_x, rho):
-    pair = cov_pair(sigma_x, rho)
+    sigma_c = sigma_c_closed_2x2(sigma_x, rho)[0]
     return BoundChain(
-        half_tr_sigma_c=0.5 * float(np.trace(pair.sigma_c)),
+        half_tr_sigma_c=0.5 * float(np.trace(sigma_c)),
         gauss_per_rho=mi_gauss_bound_per_rho(sigma_x, rho),
-        half_tr_sigma_x=0.5 * float(np.trace(pair.sigma_x)),
+        half_tr_sigma_x=0.5 * float(np.trace(sigma_x)),
         inv_one_plus_rho=1.0 / (1.0 + rho),
         log1p_rho_over_rho=math.log1p(rho) / rho,
-        sigma_c=pair.sigma_c,
+        sigma_c=sigma_c,
     )
 
 

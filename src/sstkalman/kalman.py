@@ -8,9 +8,10 @@ w_k ~ N(0, W_k), x_0 ~ N(x0_mean, X0), all independent.  Conventions:
     R_k  innovation covariance  W_k + H_k M_k H_k^T
     K_k  gain                   M_k H_k^T R_k^{-1}  (= P_k H_k^T W_k^{-1})
 
-The Gaussian mutual information between the state path and z^k is
-(1/2) sum_j log(det R_j / det W_j), which only needs the covariance
-recursion, never data.  The smoother uses the filter-to-future
+No covariance reads an observation, so the data-free covariance recursion
+is the filter run on zero observations.  The Gaussian mutual information
+between the state path and z^k is (1/2) sum_j log(det R_j / det W_j), which
+only needs that recursion, never data.  The smoother uses the filter-to-future
 cross-covariances P(k, l+1) = P(k, l) (I - K_l H_l)^T F_l^T seeded by
 P(k, k+1) = P_k F_k^T; everything here is checked against direct
 joint-Gaussian conditioning of the stacked states and observations (the
@@ -148,7 +149,8 @@ class FilterState:
 
 
 def kf_step(state, model, z_k):
-    """One measurement update; pass state=None to start at k = 0."""
+    """The time update from `state`, then the measurement update of z_k;
+    pass state=None to start at k = 0."""
     if state is None:
         k = 0
         x_pred = model.x0_mean.copy()
@@ -182,32 +184,13 @@ def run_filter(model, observations):
     return states
 
 
-@dataclass(frozen=True)
-class CovStep:
-    k: int
-    M_k: np.ndarray
-    P_k: np.ndarray
-    R_k: np.ndarray
-    K_k: np.ndarray
-
-
 def covariance_recursion(model, steps):
-    """Data-free covariance trace for k = 0 .. steps-1."""
+    """Data-free covariance trace for k = 0 .. steps-1: the filter run on zero
+    observations, whose M_k, P_k, R_k and K_k are those of a run on any data,
+    since no covariance reads an observation."""
     if steps < 1:
         raise ValueError("steps must be positive")
-    out = []
-    m_cov = model.X0.copy()
-    for k in range(steps):
-        h = model.H(k)
-        r_cov = model.W(k) + h @ m_cov @ h.T
-        gain = np.linalg.solve(r_cov, h @ m_cov).T
-        p_cov = m_cov - gain @ r_cov @ gain.T
-        p_cov = 0.5 * (p_cov + p_cov.T)
-        out.append(CovStep(k=k, M_k=m_cov, P_k=p_cov, R_k=r_cov, K_k=gain))
-        f = model.F(k)
-        m_cov = f @ p_cov @ f.T + model.U(k)
-        m_cov = 0.5 * (m_cov + m_cov.T)
-    return out
+    return run_filter(model, np.zeros((steps, model.m)))
 
 
 def _logdet(mat):

@@ -18,9 +18,7 @@ on first use.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +83,10 @@ _kernel = None
 
 def _build_kernel():
     """Compile _viterbi.c into __pycache__ (once per source and flags) and load it."""
+    # imported here, on the first decoder call, so no other command pays for them
+    import hashlib
+    import subprocess
+
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
     lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{key}.so"

@@ -123,6 +123,9 @@ def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
     {"g": ["111", "101"], "ginv": ["01", "11"], "h": None},
     # g1 + g2 = D + D^2 + D^3 is not a monomial, so the "qli" claim is false
     {"g": ["1101", "101"], "ginv": ["001", "1001"], "qli": True},
+    # a valid code under a name that is not a string, and a "qli" that is not a bool
+    {"name": ["x"], "g": ["111", "101"], "ginv": ["01", "11"]},
+    {"g": ["11", "1"], "ginv": ["0", "1"], "qli": 1},
 ])
 def test_malformed_code_file_exits_2(tmp_path, content):
     path = tmp_path / "code.json"
@@ -180,13 +183,22 @@ from sstkalman import cli
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
+def late_modules():
+    # sstdec imports these on the decoder kernel's first build only
+    return {"hashlib", "subprocess"} & set(sys.modules)
+
 assert not scipy_modules(), scipy_modules()
 for argv in (["tables", "--table", "1"], ["curves", "--code", "c2", "--mode", "qli"],
-             ["alpha", "--code", "c1", "--emit", "polynomial"], ["kalman-check"],
-             ["search", "--nu", "6"]):
+             ["alpha", "--code", "c1", "--emit", "polynomial"], ["search", "--nu", "6"],
+             ["kalman-check"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0, argv
+    if argv[0] != "kalman-check":
+        assert not late_modules(), (argv, late_modules())
 assert not scipy_modules(), scipy_modules()
+# kalman-check draws its model from numpy.random, whose seeding may load
+# hashlib (through secrets and hmac); subprocess stays out
+assert "subprocess" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--branches", "1000"]) == 0
 assert "scipy.special" in sys.modules

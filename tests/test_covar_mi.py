@@ -172,6 +172,20 @@ def test_bound_chain_strict_on_grid():
             assert ch.gauss_per_rho <= ch.log1p_rho_over_rho + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_bound_chain_reads_the_closed_form_bit_for_bit(name, mode):
+    code = get_code(name)
+    for db in [*range(-10, 11), -300.0, 300.0]:
+        pt = channel.snr_point(db)
+        sx = code_sigma_x(code, pt.epsilon, mode)
+        ch = bound_chain(sx, pt.rho)
+        sigma_c = sigma_c_closed_2x2(sx, pt.rho)[0]
+        assert ch.half_tr_sigma_c == 0.5 * float(np.trace(sigma_c))
+        assert ch.gauss_per_rho == mi_gauss_bound_per_rho(sx, pt.rho)
+        np.testing.assert_array_equal(ch.sigma_c, sigma_c)
+
+
 def test_bound_chain_tightness_at_low_snr():
     # at -10 dB the code bounds collapse onto the channel bounds
     for name in ("c1", "c2"):

@@ -1,6 +1,7 @@
 """Scarce-state-transition decoder: pre-decode, main Viterbi, recombination."""
 
 import itertools
+import subprocess
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_missing_compiler_is_an_os_error(monkeypatch):
 
     monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", sstdec._KERNEL_FLAGS + ("-DNO_COMPILER",))
     monkeypatch.setattr(sstdec, "_kernel", None)
-    monkeypatch.setattr(sstdec.subprocess, "run", no_compiler)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
     with pytest.raises(OSError, match="cannot build the Viterbi kernel: .*'cc'"):
         sstdec.viterbi_main(np.zeros((10, 2)), get_code("c1"))
 
