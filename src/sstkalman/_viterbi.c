@@ -10,16 +10,24 @@
    work holds 6 * 2^nu doubles.  choices is a ring of `rows` rows of 2^nu
    bytes (rows a power of two, at least min(truncation, n)).  Bit t of out
    is read T = truncation steps later from the best state's survivor; the
-   last T bits come from the final best state. */
+   last T bits come from the final best state.
+
+   path is a ring of `plen` states (plen a power of two above
+   min(truncation, n)) holding the survivor traced at the previous step,
+   state at time t in entry t.  Each traceback stops at the first time
+   where it meets that survivor: a walk back from (state, t) reads only
+   choices rows at or before t, and those rows do not change while they
+   are in the ring, so from there on both survivors are the same. */
 
 #include <math.h>
 #include <stdint.h>
 
 void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
              int64_t truncation, double *work, uint8_t *choices, int64_t rows,
-             uint8_t *out)
+             int64_t *path, int64_t plen, uint8_t *out)
 {
-    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, ring = rows - 1;
+    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, ring = rows - 1,
+                  pmask = plen - 1;
     const int top = nu - 1;
     double *m = work, *next = work + ns, *sign = work + 2 * ns, *tmp;
     int64_t s, k, t, best = 0, state;
@@ -32,6 +40,9 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
         sign[4 * s + 3] = __builtin_parityll(g1 & reg1) ? -1.0 : 1.0;
         m[s] = s ? -1e30 : 0.0;
     }
+    /* no state is -1, so the first traceback runs its full length */
+    for (t = 0; t < plen; t++)
+        path[t] = -1;
     for (k = 0; k < n; k++) {
         const double r0 = r[2 * k], r1 = r[2 * k + 1];
         uint8_t *take = choices + (k & ring) * ns;
@@ -49,9 +60,14 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
         }
         tmp = m, m = next, next = tmp;
         if (k >= truncation) {
-            for (state = best, t = k; t > k - truncation; t--)
+            path[k & pmask] = best;
+            for (state = best, t = k; t > k - truncation; t--) {
                 state = (state >> 1) | ((int64_t)choices[(t & ring) * ns + state] << top);
-            out[k - truncation] = state & 1;
+                if (path[(t - 1) & pmask] == state)
+                    break;
+                path[(t - 1) & pmask] = state;
+            }
+            out[k - truncation] = path[(k - truncation) & pmask] & 1;
         }
     }
     for (state = best, t = n - 1; t >= 0 && t >= n - truncation; t--) {

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+import threading
 
 import numpy as np
 
@@ -286,15 +287,39 @@ def run_simulate(args):
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
     s1, s2 = covar_mi.code_supports(code, args.mode)
+    points = [channel.snr_point(db) for db in db_values]
+    trials = min(args.branches, 200_000)
+    # The covariance draws share no data with the decoder runs, and both
+    # spend most of their time in native code that releases the GIL, so
+    # they run on a second thread.  Every decoder call stays on this one.
+    sigma = []  # (Sigma_r_hat, se) per point; an exception ends the list
+
+    def draw_sigma_r():
+        try:
+            for j, point in enumerate(points):
+                sigma.append(covar_mi.monte_carlo_sigma_r(
+                    code, point, trials, args.seed + 7919 * j, mode=args.mode))
+        except BaseException as exc:  # handed to the calling thread below
+            sigma.append(exc)
+
+    drawer = threading.Thread(target=draw_sigma_r, name="sigma-r-draws")
+    drawer.start()
+    results = []
+    try:
+        for point in points:
+            results.append(sstdec.simulate(code, point, args.branches, args.seed,
+                                           mode=args.mode))
+    finally:
+        drawer.join()
+        # raise what a point-by-point run would have raised first: a draw
+        # failure at point j precedes a decoder failure at any later point
+        for item in sigma[:len(results)]:
+            if isinstance(item, BaseException):
+                raise item
     rows = []
-    for j, db in enumerate(db_values):
-        point = channel.snr_point(db)
-        res = sstdec.simulate(code, point, args.branches, args.seed, mode=args.mode)
+    for point, res, (sig_hat, sig_se) in zip(points, results, sigma):
         eps = point.epsilon
         a1, a2, a11, th = parity_prob.branch_stats(s1, s2, eps)
-        sig_hat, sig_se = covar_mi.monte_carlo_sigma_r(
-            code, point, min(args.branches, 200_000), args.seed + 7919 * j,
-            mode=args.mode)
         sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
         rows.append({**dataclasses.asdict(res), "epsilon": eps, "rho": point.rho,
                      "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,

@@ -17,6 +17,7 @@ coefficients; the polynomial forms are exposed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -60,8 +61,12 @@ def support_of(m, col):
                                    for j in row[col].support())
 
 
+@cache
 def code_supports(code, mode="general"):
-    """Error supports of the two main-encoded components."""
+    """Error supports of the two main-encoded components.
+
+    Built once per (code, mode): a ConvCode is a frozen dataclass and an
+    ErrorSupport is immutable, so every caller can share the pair."""
     m = convcode.main_encoded_block_map(code, mode)
     return support_of(m, 0), support_of(m, 1)
 

@@ -12,13 +12,15 @@ estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
-on first use.
+on first use.  Each step's traceback stops where it meets the survivor
+traced at the step before, from which point the two are the same.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +81,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
 # no FMA contraction and no fast-math: every path metric is one fixed float
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _kernel = None
+_kernel_lock = threading.Lock()
 
 
 def _build_kernel():
@@ -106,7 +109,7 @@ def _build_kernel():
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
                    ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_int64, ctypes.c_void_p]
+                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     return fn
 
 
@@ -137,14 +140,21 @@ def viterbi_main(r, code, truncation=None):
     if n == 0:
         return out
     if _kernel is None:
-        _kernel = _build_kernel()
+        # two threads making their first decoder call build into one temp file
+        with _kernel_lock:
+            if _kernel is None:
+                _kernel = _build_kernel()
     nstates = 1 << code.nu
     # the survivor decisions of the last min(truncation, n) steps, in a ring
     rows = 1 << (min(truncation, n) - 1).bit_length()
+    # the previous step's survivor, one state per time, over more than that
+    plen = 1 << min(truncation, n).bit_length()
     work = np.empty(6 * nstates)
     choices = np.empty(rows * nstates, dtype=np.uint8)
+    path = np.empty(plen, dtype=np.int64)
     _kernel(r.ctypes.data, n, code.nu, code.g[0].mask, code.g[1].mask, truncation,
-            work.ctypes.data, choices.ctypes.data, rows, out.ctypes.data)
+            work.ctypes.data, choices.ctypes.data, rows, path.ctypes.data, plen,
+            out.ctypes.data)
     return out
 
 

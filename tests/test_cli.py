@@ -1,14 +1,17 @@
 """Command line interface: output contracts, validators, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,7 +27,7 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
-from sstkalman import channel, convcode, gf2, qli_search
+from sstkalman import channel, convcode, covar_mi, gf2, qli_search, sstdec
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -334,6 +337,66 @@ def test_simulate_rejects_small_budget(capsys):
                       "--branches", "500", "--seed", "1", "--quiet"], capsys)
     assert rc == 2
     assert "error" in err.lower()
+
+
+SIM_ARGV = ["simulate", "--code", "c2", "--mode", "qli", "--ebn0-db=-2,4,9",
+            "--branches", "3000", "--seed", "11", "--format", "json", "--quiet"]
+SIM_DB = (-2.0, 4.0, 9.0)
+
+
+def test_simulate_rows_equal_the_point_by_point_composition(capsys):
+    threads = threading.active_count()
+    rc, out, err = run(SIM_ARGV, capsys)
+    assert threading.active_count() == threads
+    assert rc == 0, err
+    rows = json.loads(out)["rows"]
+    code = convcode.get_code("c2")
+    assert len(rows) == len(SIM_DB)
+    for j, (row, db) in enumerate(zip(rows, SIM_DB)):
+        point = channel.snr_point(db)
+        res = sstdec.simulate(code, point, 3000, 11, mode="qli")
+        sig_hat, sig_se = covar_mi.monte_carlo_sigma_r(code, point, 3000, 11 + 7919 * j,
+                                                       mode="qli")
+        assert {k: row[k] for k in dataclasses.asdict(res)} == dataclasses.asdict(res)
+        assert row["sigma_r_hat"] == sig_hat.tolist()
+        assert row["sigma_r_se"] == sig_se.tolist()
+
+
+def test_simulate_decodes_on_the_calling_thread_in_db_order(capsys, monkeypatch):
+    original = sstdec.viterbi_main
+    calls = []
+
+    def recording(r, *args, **kwargs):
+        calls.append((threading.get_ident(), np.array(r)))
+        return original(r, *args, **kwargs)
+
+    monkeypatch.setattr(sstdec, "viterbi_main", recording)
+    code = convcode.get_code("c2")
+    for db in SIM_DB:
+        sstdec.simulate(code, channel.snr_point(db), 3000, 11, mode="qli")
+    expected = [r for _, r in calls]
+    calls.clear()
+    threads = threading.active_count()
+    rc, _, err = run(SIM_ARGV, capsys)
+    assert threading.active_count() == threads
+    assert rc == 0, err
+    assert [ident for ident, _ in calls] == [threading.get_ident()] * len(SIM_DB)
+    assert all(np.array_equal(r, e) for (_, r), e in zip(calls, expected))
+
+
+def test_failed_covariance_draw_exits_2_without_traceback(capsys, monkeypatch):
+    original = covar_mi.monte_carlo_sigma_r
+
+    def failing_at_second_point(code, point, trials, seed, mode="general"):
+        if seed == 11 + 7919:
+            raise ValueError("planted draw failure")
+        return original(code, point, trials, seed, mode=mode)
+
+    monkeypatch.setattr(covar_mi, "monte_carlo_sigma_r", failing_at_second_point)
+    threads = threading.active_count()
+    rc, out, err = run(SIM_ARGV, capsys)
+    assert threading.active_count() == threads
+    assert (rc, out, err) == (2, "", "error: planted draw failure\n")
 
 
 def test_kalman_check_passes(capsys):

@@ -2,10 +2,12 @@
 
 import itertools
 import subprocess
+import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sstkalman import channel, parity_prob, sstdec
@@ -102,8 +104,11 @@ block_lengths = st.one_of(
 )
 
 
+# T + 1 a power of two (15, 31, 63) fills the survivor-path ring exactly, and
+# T itself one (16, 32, 64) the ring of decisions; c2's default T is 31
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["c1", "c2"]), truncation=st.sampled_from([None, 70]),
+@given(name=st.sampled_from(["c1", "c2"]),
+       truncation=st.sampled_from([None, 70, 15, 16, 31, 32, 63, 64]),
        n=block_lengths, kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
 @example(name="c1", truncation=None, n=1, kind="grid", seed=0)
 @example(name="c1", truncation=None, n=11, kind="grid", seed=1)
@@ -112,10 +117,19 @@ block_lengths = st.one_of(
 @example(name="c1", truncation=70, n=129, kind="grid", seed=4)
 @example(name="c2", truncation=None, n=257, kind="grid", seed=5)
 @example(name="c1", truncation=None, n=200, kind="near_grid", seed=6)
+@example(name="c2", truncation=None, n=31, kind="grid", seed=7)
+@example(name="c2", truncation=None, n=33, kind="near_grid", seed=8)
+@example(name="c1", truncation=15, n=15, kind="grid", seed=9)
+@example(name="c1", truncation=15, n=16, kind="near_grid", seed=10)
+@example(name="c1", truncation=16, n=18, kind="grid", seed=11)
+@example(name="c2", truncation=32, n=33, kind="grid", seed=12)
+@example(name="c2", truncation=63, n=65, kind="grid", seed=13)
+@example(name="c1", truncation=64, n=64, kind="normal", seed=14)
 def test_viterbi_main_matches_per_step_traceback(name, truncation, n, kind, seed):
     code = get_code(name)
-    r = soft_values(seed, n, kind)
     t = sstdec.default_truncation(code) if truncation is None else truncation
+    assume(t >= 5 * code.nu)
+    r = soft_values(seed, n, kind)
     assert np.array_equal(sstdec.viterbi_main(r, code, truncation),
                           per_step_viterbi(r, code, t))
 
@@ -173,6 +187,32 @@ def test_missing_compiler_is_an_os_error(monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     with pytest.raises(OSError, match="cannot build the Viterbi kernel: .*'cc'"):
         sstdec.viterbi_main(np.zeros((10, 2)), get_code("c1"))
+
+
+def test_first_decoder_calls_on_two_threads_build_the_kernel_once(monkeypatch):
+    kernel = sstdec._kernel or sstdec._build_kernel()
+    builds = []
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.2)
+        return kernel
+
+    monkeypatch.setattr(sstdec, "_kernel", None)
+    monkeypatch.setattr(sstdec, "_build_kernel", slow_build)
+    code = get_code("c1")
+    r = soft_values(15, 200, "normal")
+    outs = []
+    threads = [threading.Thread(target=lambda: outs.append(sstdec.viterbi_main(r, code)))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(outs) == 2 and all(np.array_equal(o, per_step_viterbi(r, code, 11))
+                                  for o in outs)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
