@@ -69,7 +69,7 @@ def make_rng(seed):
 
 def standard_normals(gen, size):
     """Standard normals via the inverse CDF of mid-interval uniforms."""
-    # scipy.special is the package's only scipy import; it loads here, on
+    # scipy.special is the package's only scipy module; it loads here, on
     # the first noise draw, so the other commands start on numpy alone
     from scipy.special import ndtri
 

@@ -11,13 +11,13 @@ import dataclasses
 import functools
 import json
 import sys
-import threading
 
 import numpy as np
 
 from . import channel, convcode, covar_mi, kalman, parity_prob, qli_search, sstdec
 
 CHAIN_SLACK = 1e-12
+FIVE_SIGMA_TAIL = channel.q_function(5.0)
 
 
 # ------------------------------------------------------------- cell formatting
@@ -287,54 +287,29 @@ def run_simulate(args):
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
     s1, s2 = covar_mi.code_supports(code, args.mode)
-    points = [channel.snr_point(db) for db in db_values]
-    trials = min(args.branches, 200_000)
-    # The covariance draws share no data with the decoder runs, and both
-    # spend most of their time in native code that releases the GIL, so
-    # they run on a second thread.  Every decoder call stays on this one.
-    sigma = []  # (Sigma_r_hat, se) per point; an exception ends the list
-
-    def draw_sigma_r():
-        try:
-            for j, point in enumerate(points):
-                sigma.append(covar_mi.monte_carlo_sigma_r(
-                    code, point, trials, args.seed + 7919 * j, mode=args.mode))
-        except BaseException as exc:  # handed to the calling thread below
-            sigma.append(exc)
-
-    drawer = threading.Thread(target=draw_sigma_r, name="sigma-r-draws")
-    drawer.start()
-    results = []
-    try:
-        for point in points:
-            results.append(sstdec.simulate(code, point, args.branches, args.seed,
-                                           mode=args.mode))
-    finally:
-        drawer.join()
-        # raise what a point-by-point run would have raised first: a draw
-        # failure at point j precedes a decoder failure at any later point
-        for item in sigma[:len(results)]:
-            if isinstance(item, BaseException):
-                raise item
     rows = []
-    for point, res, (sig_hat, sig_se) in zip(points, results, sigma):
+    for point in map(channel.snr_point, db_values):
+        res = sstdec.simulate(code, point, args.branches, args.seed, mode=args.mode)
         eps = point.epsilon
         a1, a2, a11, th = parity_prob.branch_stats(s1, s2, eps)
         sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
         rows.append({**dataclasses.asdict(res), "epsilon": eps, "rho": point.rho,
                      "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,
-                     "sigma_r_hat": sig_hat.tolist(), "sigma_r_se": sig_se.tolist(),
                      "sigma_r_ref": sig_ref.tolist()})
 
     def mc_consistency(cols, rws):
+        # simulate has loaded scipy.special already, on its first noise draw
+        from scipy.special import bdtr, bdtrc
+
         errors = []
         for i, row in enumerate(rws):
             n = row["n_eff"]
             for name, ref in (("emp_alpha1", row["alpha1_ref"]),
                               ("emp_alpha2", row["alpha2_ref"]),
                               ("emp_alpha11", row["alpha11_ref"])):
-                se = max(np.sqrt(ref * (1.0 - ref) / n), 1e-9)
-                if abs(row[name] - ref) > 5.0 * se:
+                # the exact binomial tail of the count, at the normal 5 se level
+                k = round(row[name] * n)
+                if min(bdtr(k, n, ref), bdtrc(k - 1, n, ref)) < FIVE_SIGMA_TAIL:
                     errors.append(f"row {i}: {name} deviates from model by >5 se")
             dev = np.abs(np.subtract(row["sigma_r_hat"], row["sigma_r_ref"]))
             if np.any(dev > 5.0 * np.asarray(row["sigma_r_se"]) + 1e-9):

@@ -274,29 +274,40 @@ def mi_per_branch_bound(sigma_x, rho):
 
 # ------------------------------------------------------------------ MC oracle
 
-def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
-    """Empirical Sigma_r from the branch model r = c(1-2v) + w.
+def sample_sigma_r(v, w, point, supports):
+    """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
+    w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
+    on four points with the supports' exact probabilities, w white N(0, 1).
 
-    Draws an independent error window per trial, so entries come with
-    honest empirical standard errors; returns (Sigma_r_hat, se)."""
-    if trials < 2:
+    `simulate` feeds it the decoder's own stream, `monte_carlo_sigma_r`
+    fresh error windows; returns (Sigma_r_hat, se)."""
+    n = len(v)
+    if n < 2:
         raise ValueError("need at least two trials")
-    gen = channel.make_rng(seed)
-    v = parity_prob.error_window_parities(*code_supports(code, mode), point.epsilon,
-                                          trials, gen)
-    xt = 1.0 - 2.0 * v.astype(np.float64)
-    w = channel.standard_normals(gen, xt.shape)
+    xt = 1.0 - 2.0 * np.asarray(v, dtype=np.float64)
     # centred apart: at large c the spacing of c*xt + w would swallow w
-    xt -= xt.mean(axis=0)
-    w -= w.mean(axis=0)
-    centered = point.c * xt + w
-    sigma_hat = (centered.T @ centered) / (trials - 1)
-    se = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            prod = centered[:, i] * centered[:, j]
-            se[i, j] = prod.std(ddof=1) / math.sqrt(trials)
-    return sigma_hat, se
+    centered = point.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
+    sigma_hat = (centered.T @ centered) / (n - 1)
+    a1, a2, a11, _ = parity_prob.branch_stats(*supports, point.epsilon)
+    p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
+    x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
+    p = p[p > 0.0]
+    # moments of u = c (xt - E xt) on the points that occur: no 0 * inf at huge c
+    u = point.c * (x - p @ x)
+    cov, fourth = (u.T * p) @ u, ((u * u).T * p) @ (u * u)
+    m2 = np.diag(cov)
+    # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]
+    var = fourth - cov * cov + (1.0 + np.eye(2)) * (m2[:, None] + m2 + 1.0)
+    return sigma_hat, np.sqrt(var / n)
+
+
+def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
+    """Sigma_r of the branch model r = c(1-2v) + w, one fresh error window
+    per trial; returns `sample_sigma_r`'s (Sigma_r_hat, se)."""
+    supports = code_supports(code, mode)
+    gen = channel.make_rng(seed)
+    v = parity_prob.error_window_parities(*supports, point.epsilon, trials, gen)
+    return sample_sigma_r(v, channel.standard_normals(gen, v.shape), point, supports)
 
 
 # ---------------------------------------------------------------------- sweep

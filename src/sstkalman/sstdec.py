@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channel, convcode, parity_prob
+from . import channel, convcode, covar_mi, parity_prob
 
 
 def predecode(z_hard, code, mode="general"):
@@ -201,6 +201,8 @@ class SimulationResult:
     se_alpha11: float
     stride: int
     n_eff: int
+    sigma_r_hat: tuple
+    sigma_r_se: tuple
 
 
 def simulate(code, point, branches, seed, mode="general"):
@@ -210,7 +212,10 @@ def simulate(code, point, branches, seed, mode="general"):
     error rate.  emp_alpha* are frequencies of the main-encoded stream v
     (recovered exactly as hard-part XOR e), subsampled at a stride wider
     than the support depth so the estimates are independent and the
-    binomial standard errors honest.
+    binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
+    c(1 - 2v) + w on the same rows, with w drawn from a third seed stream,
+    and sigma_r_se its standard error under the paper's model
+    (`covar_mi.sample_sigma_r`); both are 2x2 nested tuples.
     """
     if branches < 100:
         raise ValueError("need at least 100 branches")
@@ -234,6 +239,8 @@ def simulate(code, point, branches, seed, mode="general"):
     a2 = float(vs[:, 1].mean())
     a11 = float((vs[:, 0] & vs[:, 1]).mean())
     ses = [float(np.sqrt(p * (1.0 - p) / n_eff)) for p in (a1, a2, a11)]
+    w = channel.standard_normals(channel.make_rng((seed, 2)), (n_eff, 2))
+    sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (s1, s2))
     return SimulationResult(
         ebn0_db=point.ebn0_db,
         branches=branches,
@@ -242,4 +249,6 @@ def simulate(code, point, branches, seed, mode="general"):
         emp_alpha1=a1, emp_alpha2=a2, emp_alpha11=a11,
         se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
         stride=stride, n_eff=n_eff,
+        sigma_r_hat=tuple(map(tuple, sig_hat.tolist())),
+        sigma_r_se=tuple(map(tuple, sig_se.tolist())),
     )

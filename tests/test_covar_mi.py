@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from sstkalman import channel
+from sstkalman import channel, parity_prob
 from sstkalman.convcode import get_code
 from sstkalman.covar_mi import (
     binary_input_mi,
@@ -20,6 +20,7 @@ from sstkalman.covar_mi import (
     mi_gauss_bound_per_rho,
     mi_per_branch_bound,
     monte_carlo_sigma_r,
+    sample_sigma_r,
     sigma_c_closed_2x2,
     sigma_c_general,
     sigma_r,
@@ -296,3 +297,18 @@ def test_monte_carlo_sigma_r_agrees_with_analytic():
     hat, se = monte_carlo_sigma_r(code, pt, trials=150_000, seed=99)
     ref = sigma_r(code_sigma_x(code, pt.epsilon), pt.rho)
     assert np.all(np.abs(hat - ref) <= 4 * se + 1e-9)
+
+
+@pytest.mark.parametrize("db", [-4.0, 4.0, 9.0])
+def test_sample_sigma_r_se_matches_the_replicate_spread(db):
+    # 3000 replicate samples of 400 rows: the spread of their Sigma_r_hat
+    # is known to about 1.3%, and at 9 dB a sample holds ~10 parity events
+    code, pt, n, reps = get_code("c2"), channel.snr_point(db), 400, 3000
+    supports = parity_prob.code_supports(code, "general")
+    gen = channel.make_rng(2024)
+    v = parity_prob.error_window_parities(*supports, pt.epsilon, reps * n, gen)
+    w = channel.standard_normals(gen, (reps * n, 2))
+    hats = [sample_sigma_r(v[k:k + n], w[k:k + n], pt, supports)[0]
+            for k in range(0, reps * n, n)]
+    se = sample_sigma_r(v[:n], w[:n], pt, supports)[1]
+    assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
