@@ -93,11 +93,15 @@ class ReceivedSequence:
         return self.z.shape[0]
 
 
+def receive(x, w, point):
+    """The receiver's view z = c x + w of BPSK symbols x under unit noise w."""
+    return ReceivedSequence(point.c * x + w)
+
+
 def transmit(code_bits, point, seed):
     """Send code bits through the channel at one SNR point; returns a ReceivedSequence."""
     code_bits = np.asarray(code_bits, dtype=np.uint8)
     if code_bits.ndim != 2 or code_bits.shape[1] != 2:
         raise ValueError("code_bits must have shape (n, 2)")
     x = bpsk_map(code_bits)
-    w = standard_normals(make_rng(seed), x.shape)
-    return ReceivedSequence(point.c * x + w)
+    return receive(x, standard_normals(make_rng(seed), x.shape), point)

@@ -301,6 +301,22 @@ def sample_sigma_r(v, w, point, supports):
     return sigma_hat, np.sqrt(var / n)
 
 
+def sigma_r_given_parities(a1, a2, a11, n, rho):
+    """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
+    of column frequencies a1 and a2 and joint frequency a11.
+
+    The rows fix the sample covariance S of xt = 1 - 2v, so only w is
+    random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
+    (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
+    off it.  Returns (mean, se), both 2x2."""
+    m1, m2 = 1.0 - 2.0 * a1, 1.0 - 2.0 * a2
+    s12 = 1.0 - 2.0 * a1 - 2.0 * a2 + 4.0 * a11 - m1 * m2
+    s = n / (n - 1) * np.array([[1.0 - m1 * m1, s12], [s12, 1.0 - m2 * m2]])
+    d = np.diag(s)
+    var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
+    return np.eye(2) + rho * s, np.sqrt(var)
+
+
 def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
     """Sigma_r of the branch model r = c(1-2v) + w, one fresh error window
     per trial; returns `sample_sigma_r`'s (Sigma_r_hat, se)."""

@@ -205,50 +205,68 @@ class SimulationResult:
     sigma_r_se: tuple
 
 
-def simulate(code, point, branches, seed, mode="general"):
-    """End-to-end Monte Carlo run at one SNR point.
+def simulate(code, points, branches, seed, mode="general"):
+    """End-to-end Monte Carlo runs of one block, one result per SNR point.
+
+    None of the call's three seed streams depends on the point, so each is
+    drawn once: the information bits from (seed, 1), with their codeword
+    and BPSK symbols x, the channel noise w from `seed`, and the white
+    noise of the Sigma_r check from (seed, 2).  Each point of `points`
+    receives c x + w and decodes it on its own, so the points share common
+    random numbers and each result equals simulate(code, [point], ...)[0].
+    `points` is a sequence of `channel.SnrPoint`; returns a list of
+    SimulationResult in its order.
 
     pre_ber is the pre-decoder's raw error rate, post_ber the full SST
     error rate.  emp_alpha* are frequencies of the main-encoded stream v
     (recovered exactly as hard-part XOR e), subsampled at a stride wider
     than the support depth so the estimates are independent and the
     binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
-    c(1 - 2v) + w on the same rows, with w drawn from a third seed stream,
+    c(1 - 2v) + w on the same rows, with w from the third seed stream,
     and sigma_r_se its standard error under the paper's model
     (`covar_mi.sample_sigma_r`); both are 2x2 nested tuples.
     """
     if branches < 100:
         raise ValueError("need at least 100 branches")
+    if not points:
+        return []
     info = (channel.make_rng((seed, 1)).random(branches) < 0.5).astype(np.uint8)
     y = convcode.encode(code, info)
-    z = channel.transmit(y, point, seed)
-    e = z.z_hard ^ y
+    x = channel.bpsk_map(y)
+    noise = channel.standard_normals(channel.make_rng(seed), x.shape)
 
     s1, s2 = parity_prob.code_supports(code, mode)
     stride = max(s1.max_delay, s2.max_delay) + 1
-
-    pre_stream, r_hard, post_stream = _sst_streams(z, code, mode)
-    m = len(post_stream)
-    truth = info[:m]
-    v = r_hard ^ e[:m]
-
-    # drop the warmup window where v's support sticks out of the block
-    vs = v[stride::stride]
-    n_eff = vs.shape[0]
-    a1 = float(vs[:, 0].mean())
-    a2 = float(vs[:, 1].mean())
-    a11 = float((vs[:, 0] & vs[:, 1]).mean())
-    ses = [float(np.sqrt(p * (1.0 - p) / n_eff)) for p in (a1, a2, a11)]
+    _, delay = convcode.predecoder(code, mode)
+    # v[stride::stride] below, over the m = branches - delay decoded steps;
+    # the warmup window, where v's support sticks out of the block, is dropped
+    n_eff = len(range(stride, branches - delay, stride))
     w = channel.standard_normals(channel.make_rng((seed, 2)), (n_eff, 2))
-    sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (s1, s2))
-    return SimulationResult(
-        ebn0_db=point.ebn0_db,
-        branches=branches,
-        pre_ber=float(np.mean(pre_stream != truth)),
-        post_ber=float(np.mean(post_stream != truth)),
-        emp_alpha1=a1, emp_alpha2=a2, emp_alpha11=a11,
-        se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
-        stride=stride, n_eff=n_eff,
-        sigma_r_hat=tuple(map(tuple, sig_hat.tolist())),
-        sigma_r_se=tuple(map(tuple, sig_se.tolist())),
-    )
+
+    results = []
+    for point in points:
+        z = channel.receive(x, noise, point)
+        e = z.z_hard ^ y
+        pre_stream, r_hard, post_stream = _sst_streams(z, code, mode)
+        # one point's received block at a time
+        del z
+        m = len(post_stream)
+        truth = info[:m]
+        vs = (r_hard ^ e[:m])[stride::stride]
+        a1 = float(vs[:, 0].mean())
+        a2 = float(vs[:, 1].mean())
+        a11 = float((vs[:, 0] & vs[:, 1]).mean())
+        ses = [float(np.sqrt(p * (1.0 - p) / n_eff)) for p in (a1, a2, a11)]
+        sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (s1, s2))
+        results.append(SimulationResult(
+            ebn0_db=point.ebn0_db,
+            branches=branches,
+            pre_ber=float(np.mean(pre_stream != truth)),
+            post_ber=float(np.mean(post_stream != truth)),
+            emp_alpha1=a1, emp_alpha2=a2, emp_alpha11=a11,
+            se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
+            stride=stride, n_eff=n_eff,
+            sigma_r_hat=tuple(map(tuple, sig_hat.tolist())),
+            sigma_r_se=tuple(map(tuple, sig_se.tolist())),
+        ))
+    return results

@@ -274,7 +274,7 @@ def test_qli_mode_on_a_non_qli_code_gives_one_error_line(capsys, tmp_path):
     assert results == {(2, "", "error: 'nq' is not quick-look-in\n")}
 
 
-@pytest.mark.parametrize("db", ["305", "400", "3000", "-3076.5"])
+@pytest.mark.parametrize("db", ["305", "400", "3000", "-3076.5", "3076.5"])
 def test_simulate_at_huge_snr_passes_its_checks(capsys, db):
     # c = sqrt(rho) reaches 1e20 and more: the noise must not vanish in
     # c*xt + w, and the model se must not meet 0 * inf
@@ -354,7 +354,7 @@ def test_simulate_rows_equal_the_point_by_point_composition(capsys):
     code = convcode.get_code("c2")
     assert len(rows) == len(SIM_DB)
     for row, db in zip(rows, SIM_DB):
-        res = sstdec.simulate(code, channel.snr_point(db), 3000, 11, mode="qli")
+        res = sstdec.simulate(code, [channel.snr_point(db)], 3000, 11, mode="qli")[0]
         # JSON turns the nested sigma_r_* tuples into lists
         expected = json.loads(json.dumps(dataclasses.asdict(res)))
         assert {k: row[k] for k in expected} == expected
@@ -371,7 +371,7 @@ def test_simulate_decodes_on_the_calling_thread_in_db_order(capsys, monkeypatch)
     monkeypatch.setattr(sstdec, "viterbi_main", recording)
     code = convcode.get_code("c2")
     for db in SIM_DB:
-        sstdec.simulate(code, channel.snr_point(db), 3000, 11, mode="qli")
+        sstdec.simulate(code, [channel.snr_point(db)], 3000, 11, mode="qli")[0]
     expected = [r for _, r in calls]
     calls.clear()
     threads = threading.active_count()
@@ -409,10 +409,45 @@ def test_simulate_starts_no_thread(capsys, monkeypatch):
     ["--code", "c1", "--ebn0-db=10,11,12,13,14", "--seed", "13"],
     ["--code", "c1", "--mode", "qli", "--ebn0-db=10", "--seed", "60"],
     ["--code", "c1", "--mode", "qli", "--ebn0-db=-10..0", "--seed", "49"],
+    # one parity event in each stream of 83 rows at 13 dB, where 0.004 are
+    # expected: Sigma_r_hat is 7.4 model se off I + rho Sigma_x, but within
+    # 1.6 se of I + rho S given those counts
+    ["--code", "c2", "--ebn0-db=10..14", "--seed", "159"],
 ])
 def test_simulate_checks_pass_on_rare_but_lawful_samples(capsys, argv):
     rc, _, err = run(["simulate", *argv, "--branches", "1000", "--quiet"], capsys)
     assert (rc, err) == (0, "")
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_simulate_sigma_r_check_passes_long_runs(capsys, code_name, mode):
+    # 1666 to 6666 rows per point, where 5 se stays under 0.42: a w of
+    # variance 1.44, or a reference with c S in place of rho S or without
+    # rho S_12 (about 1 at 4 dB), fails here
+    rc, _, err = run(["simulate", "--code", code_name, "--mode", mode, "--ebn0-db=-10,0,4",
+                      "--branches", "20000", "--seed", "5", "--quiet"], capsys)
+    assert (rc, err) == (0, "")
+
+
+def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
+    original = covar_mi.sample_sigma_r
+
+    def scaled(v, w, point, supports):
+        return original(v, 1.2 * w, point, supports)
+
+    monkeypatch.setattr(covar_mi, "sample_sigma_r", scaled)
+    rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
+                      "--quiet"], capsys)
+    assert rc == 1
+    assert "empirical received covariance off model by >5 se" in err
+
+
+def test_simulate_empty_grid_is_header_only(capsys):
+    rc, out, err = run(["simulate", "--code", "c1", "--ebn0-db=", "--branches", "1000",
+                        "--quiet"], capsys)
+    assert (rc, out, err) == (0, "ebn0_db,branches,pre_ber,post_ber,emp_alpha1,"
+                                 "emp_alpha2,emp_alpha11\n", "")
 
 
 def test_kalman_check_passes(capsys):

@@ -24,6 +24,7 @@ from sstkalman.covar_mi import (
     sigma_c_closed_2x2,
     sigma_c_general,
     sigma_r,
+    sigma_r_given_parities,
     sigma_x_from_probs,
     sigma_x_prime,
     sweep,
@@ -311,4 +312,19 @@ def test_sample_sigma_r_se_matches_the_replicate_spread(db):
     hats = [sample_sigma_r(v[k:k + n], w[k:k + n], pt, supports)[0]
             for k in range(0, reps * n, n)]
     se = sample_sigma_r(v[:n], w[:n], pt, supports)[1]
+    assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
+
+
+@pytest.mark.parametrize("db", [-4.0, 4.0, 9.0])
+def test_sigma_r_given_parities_matches_the_spread_over_w(db):
+    # one sample of 400 rows of v, and 3000 replicate draws of its w
+    code, pt, n, reps = get_code("c2"), channel.snr_point(db), 400, 3000
+    supports = parity_prob.code_supports(code, "general")
+    gen = channel.make_rng(2025)
+    v = parity_prob.error_window_parities(*supports, pt.epsilon, n, gen)
+    w = channel.standard_normals(gen, (reps * n, 2))
+    hats = [sample_sigma_r(v, w[k:k + n], pt, supports)[0] for k in range(0, reps * n, n)]
+    a1, a2 = v.mean(axis=0)
+    mean, se = sigma_r_given_parities(a1, a2, (v[:, 0] & v[:, 1]).mean(), n, pt.rho)
+    assert np.all(np.abs(np.mean(hats, axis=0) - mean) < 4 * se / np.sqrt(reps))
     assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)

@@ -339,12 +339,12 @@ def test_viterbi_is_maximum_correlation():
 
 def test_simulate_rejects_tiny_runs():
     with pytest.raises(ValueError):
-        sstdec.simulate(get_code("c1"), channel.snr_point(0.0), branches=99, seed=0)
+        sstdec.simulate(get_code("c1"), [channel.snr_point(0.0)], branches=99, seed=0)[0]
 
 
 def test_simulate_matches_parity_statistics():
     pt = channel.snr_point(2.0)
-    res = sstdec.simulate(get_code("c1"), pt, branches=60_000, seed=5)
+    res = sstdec.simulate(get_code("c1"), [pt], branches=60_000, seed=5)[0]
     eps = pt.epsilon
     assert abs(res.emp_alpha1 - parity_prob.parity_one_prob(5, eps)) < 4 * res.se_alpha1
     assert abs(res.emp_alpha2 - parity_prob.parity_one_prob(6, eps)) < 4 * res.se_alpha2
@@ -357,16 +357,59 @@ def test_simulate_matches_parity_statistics():
 
 def test_simulate_qli_predecoder_rate():
     pt = channel.snr_point(4.0)
-    res = sstdec.simulate(get_code("c1"), pt, branches=40_000, seed=9, mode="qli")
+    res = sstdec.simulate(get_code("c1"), [pt], branches=40_000, seed=9, mode="qli")[0]
     expect = parity_prob.parity_one_prob(2, pt.epsilon)
     se = np.sqrt(expect * (1 - expect) / res.branches)
     assert abs(res.pre_ber - expect) < 5 * se
 
 
 def test_decoding_beats_the_predecoder():
-    res = sstdec.simulate(get_code("c1"), channel.snr_point(4.0),
-                          branches=30_000, seed=9)
+    res = sstdec.simulate(get_code("c1"), [channel.snr_point(4.0)],
+                          branches=30_000, seed=9)[0]
     assert res.post_ber < res.pre_ber / 10
+
+
+RHO_ENDS_DB = tuple(10.0 * np.log10(channel.RHO_RANGE))
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("dbs", [(4.0, 4.0), (8.0, -2.0, 4.0), (RHO_ENDS_DB[0], 0.0, RHO_ENDS_DB[1])])
+def test_simulate_batch_rows_equal_the_one_point_calls(code_name, mode, dbs):
+    code, points = get_code(code_name), [channel.snr_point(db) for db in dbs]
+    batch = sstdec.simulate(code, points, 1000, 3, mode=mode)
+    assert [res.ebn0_db for res in batch] == [pt.ebn0_db for pt in points]
+    assert batch == [sstdec.simulate(code, [pt], 1000, 3, mode=mode)[0] for pt in points]
+
+
+def _count_draws(monkeypatch):
+    counts = {"make_rng": 0, "standard_normals": 0}
+
+    def counting(name):
+        original = getattr(channel, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(channel, name, wrapper)
+
+    counting("make_rng")
+    counting("standard_normals")
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_simulate_draws_its_streams_once_per_call(monkeypatch, k):
+    counts = _count_draws(monkeypatch)
+    points = [channel.snr_point(db) for db in (0.0, 2.0, 4.0, 6.0)[:k]]
+    assert len(sstdec.simulate(get_code("c2"), points, 1000, 1, mode="qli")) == k
+    assert counts == {"make_rng": 3, "standard_normals": 2}
+
+
+def test_simulate_of_no_points_draws_nothing(monkeypatch):
+    counts = _count_draws(monkeypatch)
+    assert sstdec.simulate(get_code("c1"), [], 1000, 1) == []
+    assert counts == {"make_rng": 0, "standard_normals": 0}
 
 
 def test_soft_input_validates_shape():
