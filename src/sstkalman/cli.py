@@ -25,12 +25,10 @@ FIVE_SIGMA_TAIL = channel.q_function(5.0)
 def format_cell(value):
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".6g")
+    if isinstance(value, float):
+        return format(value, ".6g")
     return str(value)
 
 
@@ -67,26 +65,10 @@ def parse_csv(text):
     return columns, rows
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def json_text(columns, rows, meta=None):
-    payload = {"columns": list(columns), "rows": [_jsonable(r) for r in rows]}
+    payload = {"columns": list(columns), "rows": rows}
     if meta:
-        payload.update(_jsonable(meta))
+        payload.update(meta)
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -130,7 +112,7 @@ def validate_finite(columns, rows):
     for i, row in enumerate(rows):
         for c in columns:
             v = row.get(c)
-            if isinstance(v, (int, float, np.integer, np.floating)):
+            if isinstance(v, (int, float)):
                 if not np.isfinite(float(v)):
                     errors.append(f"row {i}: column {c} is not finite")
             elif v is None:
@@ -215,7 +197,8 @@ SWEEP_TABLES = {
 }
 
 
-def run_tables(table):
+def run_tables(args):
+    table = args.table
     if table not in range(1, 11):
         raise ValueError("table id must be in 1..10")
 
@@ -378,7 +361,7 @@ def run_search(args):
 def _emit_and_validate(args, columns, rows, validators, meta=None):
     if columns is None:
         # polynomial payloads are JSON regardless of --format
-        text = json.dumps(_jsonable(rows), indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
         errors = []
     elif args.format == "csv":
         text = csv_text(columns, rows)
@@ -475,20 +458,11 @@ def main(argv=None):
 
     try:
         check_ranges(args)
-        if args.command == "tables":
-            columns, rows, validators, meta = run_tables(args.table)
-        elif args.command == "curves":
-            columns, rows, validators, meta = run_curves(args)
-        elif args.command == "alpha":
-            columns, rows, validators, meta = run_alpha(args)
-        elif args.command == "simulate":
-            columns, rows, validators, meta = run_simulate(args)
-        elif args.command == "kalman-check":
-            columns, rows, validators, meta = run_kalman_check(args)
-        elif args.command == "search":
-            columns, rows, validators, meta = run_search(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        # looked up per call: tracers and tests replace the run_* functions
+        run = {"tables": run_tables, "curves": run_curves, "alpha": run_alpha,
+               "simulate": run_simulate, "kalman-check": run_kalman_check,
+               "search": run_search}[args.command]
+        columns, rows, validators, meta = run(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -309,9 +309,7 @@ def sigma_r_given_parities(a1, a2, a11, n, rho):
     random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
     (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
     off it.  Returns (mean, se), both 2x2."""
-    m1, m2 = 1.0 - 2.0 * a1, 1.0 - 2.0 * a2
-    s12 = 1.0 - 2.0 * a1 - 2.0 * a2 + 4.0 * a11 - m1 * m2
-    s = n / (n - 1) * np.array([[1.0 - m1 * m1, s12], [s12, 1.0 - m2 * m2]])
+    s = n / (n - 1) * sigma_x_from_probs(a1, a2, a11 - a1 * a2)
     d = np.diag(s)
     var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
     return np.eye(2) + rho * s, np.sqrt(var)

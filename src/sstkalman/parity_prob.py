@@ -274,6 +274,15 @@ def error_window_parities(s1, s2, eps, trials, gen):
     return v
 
 
+def parity_frequencies(v):
+    """Frequencies alpha1, alpha2 and alpha11 of an (n, 2) parity array's
+    columns and of their AND, and their binomial standard errors
+    sqrt(p (1 - p) / n); returns (estimates, ses), each three floats."""
+    est = [float(np.mean(x)) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])]
+    ses = [float(np.sqrt(p * (1.0 - p) / len(v))) for p in est]
+    return est, ses
+
+
 def monte_carlo_probs(code, eps, trials, seed, mode="general"):
     """Estimate alpha1, alpha2, alpha11 by pushing i.i.d. errors through the block map.
 
@@ -285,9 +294,7 @@ def monte_carlo_probs(code, eps, trials, seed, mode="general"):
         raise ValueError("trials must be positive")
     s1, s2 = code_supports(code, mode)
     v = error_window_parities(s1, s2, eps, trials, channel.make_rng(seed))
-    both = v[:, 0] & v[:, 1]
-    est = [float(np.mean(x)) for x in (v[:, 0], v[:, 1], both)]
-    ses = [float(np.sqrt(p * (1.0 - p) / trials)) for p in est]
+    est, ses = parity_frequencies(v)
     return MonteCarloProbs(alpha1=est[0], alpha2=est[1], alpha11=est[2],
                            se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
                            trials=trials)

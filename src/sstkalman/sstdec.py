@@ -253,10 +253,7 @@ def simulate(code, points, branches, seed, mode="general"):
         m = len(post_stream)
         truth = info[:m]
         vs = (r_hard ^ e[:m])[stride::stride]
-        a1 = float(vs[:, 0].mean())
-        a2 = float(vs[:, 1].mean())
-        a11 = float((vs[:, 0] & vs[:, 1]).mean())
-        ses = [float(np.sqrt(p * (1.0 - p) / n_eff)) for p in (a1, a2, a11)]
+        (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
         sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (s1, s2))
         results.append(SimulationResult(
             ebn0_db=point.ebn0_db,

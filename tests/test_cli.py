@@ -27,7 +27,7 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
-from sstkalman import channel, convcode, covar_mi, gf2, qli_search, sstdec
+from sstkalman import channel, cli, convcode, covar_mi, gf2, qli_search, sstdec
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -230,6 +230,66 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     # --format falls back to its csv default on the next call
     assert run(["tables", "--table", "1"], capsys)[:2] == first[:2]
     assert first[0] == 0 and first[1].startswith("ebn0_db,alpha1,")
+
+
+def test_main_looks_up_its_runner_at_call_time(capsys, monkeypatch):
+    # the tracer's cli.run_self_s attribution needs the replaced functions to run
+    build_parser()
+    ran = []
+    for name in ("run_tables", "run_search"):
+        def recording(args, _original=getattr(cli, name), _name=name):
+            ran.append(_name)
+            return _original(args)
+        monkeypatch.setattr(cli, name, recording)
+    assert run(["tables", "--table", "9", "--quiet"], capsys)[0] == 0
+    assert run(["search", "--nu", "5", "--quiet"], capsys)[0] == 0
+    assert ran == ["run_tables", "run_search"]
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        assert all(isinstance(k, str) for k in value)
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("argv", [
+    *(["tables", "--table", str(t)] for t in range(1, 11)),
+    *([cmd, "--code", code, "--mode", mode, *extra]
+      for cmd, extra in (("curves", []), ("alpha", []), ("alpha", ["--emit", "polynomial"]),
+                         ("simulate", ["--ebn0-db=-3076.5,3000", "--branches", "1000"]))
+      for code in ("c1", "c2") for mode in ("general", "qli")),
+    ["kalman-check"],
+    ["search", "--nu", "6"],
+], ids=" ".join)
+def test_rows_hold_only_plain_values(capsys, monkeypatch, argv):
+    # json.dumps and format_cell take the rows as they are: a numpy integer or
+    # bool in a row would raise or print differently
+    emitted = []
+    original = cli._emit_and_validate
+
+    def recording(args, columns, rows, validators, meta=None):
+        emitted.append(rows)
+        return original(args, columns, rows, validators, meta)
+
+    monkeypatch.setattr(cli, "_emit_and_validate", recording)
+    rc, out, err = run([*argv, "--format", "json", "--quiet"], capsys)
+    assert rc == 0, err
+    [rows] = emitted
+    bad = [v for v in _leaves(rows) if not isinstance(v, (bool, int, float, str, type(None)))]
+    assert not bad, [type(v) for v in bad]
+    payload = json.loads(out)
+    assert (payload if "variable" in payload else payload["rows"]) == _as_lists(rows)
 
 
 @pytest.mark.parametrize("argv", [
