@@ -7,10 +7,27 @@
    each operation (build with -ffp-contract=off) as numpy evaluates it.
    Ties keep the branch from s >> 1 and the lowest-index best state.
 
-   work holds 6 * 2^nu doubles.  choices is a ring of `rows` rows of 2^nu
-   bytes (rows a power of two, at least min(truncation, n)).  Bit t of out
-   is read T = truncation steps later from the best state's survivor; the
-   last T bits come from the final best state.
+   The ACS runs over butterflies: lane j reads the metrics of states j and
+   j + 2^(nu-1) and writes states 2j and 2j + 1.  It works in GCC vectors
+   of W doubles, W the target's native width from the predefined macros: 8
+   with AVX-512F, 4 with AVX, 2 otherwise.  gcc does not vectorise a plain
+   butterfly loop, and a vector wider than the target, lowered to SSE2,
+   runs slower than scalar code, so the kernel is built with -march=native
+   (and cached under the host CPU's name).  There are lanes =
+   max(2^(nu-1), W) lanes (viterbi_lanes).  Lanes past 2^(nu-1), present
+   only when nu - 1 < log2 W, carry NaN signs: their metrics are NaN, which
+   never wins a compare, so every nu runs the same loop.  The best state is
+   the lowest one with the top metric, kept per lane through the ACS and
+   then reduced across the lanes.
+
+   work holds 12 * lanes doubles: the metrics and the next metrics (2 *
+   lanes each, in state order; entries from 2^nu on are NaN) and the signs,
+   eight vectors per W lanes.  choices is a ring of `rows` rows of 2 *
+   lanes bytes (rows a power of two, at least min(truncation, n)); a row
+   holds the decisions of the even states, then those of the odd states,
+   so state s has entry (s & 1) * lanes + (s >> 1).  Bit t of out is read
+   T = truncation steps later from the best state's survivor; the last T
+   bits come from the final best state.
 
    path is a ring of `plen` states (plen a power of two above
    min(truncation, n)) holding the survivor traced at the previous step,
@@ -21,48 +38,138 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+#if defined(__AVX512F__)
+#define W 8
+#define LANE {0, 1, 2, 3, 4, 5, 6, 7}
+#elif defined(__AVX__)
+#define W 4
+#define LANE {0, 1, 2, 3}
+#else
+#define W 2
+#define LANE {0, 1}
+#endif
+
+typedef double vd __attribute__((vector_size(8 * W)));
+typedef int64_t vi __attribute__((vector_size(8 * W)));
+typedef uint8_t vb __attribute__((vector_size(W)));
+
+/* the lanes of a plane for memory nu: 2^(nu-1), at least one vector */
+int64_t viterbi_lanes(int nu)
+{
+    const int64_t half = (int64_t)1 << (nu - 1);
+    return half > W ? half : W;
+}
+
+static inline vd load(const double *p)
+{
+    vd v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store(double *p, vd v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* a where mask is set, else b */
+static inline vi pick_i(vi mask, vi a, vi b)
+{
+    return (a & mask) | (b & ~mask);
+}
+
+static inline vd pick(vi mask, vd a, vd b)
+{
+    return (vd)pick_i(mask, (vi)a, (vi)b);
+}
+
+static double sign_of(uint64_t g, uint64_t reg)
+{
+    return __builtin_parityll(g & reg) ? -1.0 : 1.0;
+}
 
 void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
              int64_t truncation, double *work, uint8_t *choices, int64_t rows,
              int64_t *path, int64_t plen, uint8_t *out)
 {
-    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, ring = rows - 1,
-                  pmask = plen - 1;
+    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = viterbi_lanes(nu),
+                  row = 2 * lanes, ring = rows - 1, pmask = plen - 1;
     const int top = nu - 1;
-    double *m = work, *next = work + ns, *sign = work + 2 * ns, *tmp;
-    int64_t s, k, t, best = 0, state;
+    const vi lane = LANE, nobody = lane + ns;
+    /* lane i of the even then the odd next metrics goes to state 2i, 2i + 1 */
+    const vi lo = (lane >> 1) + (lane & 1) * W, hi = lo + W / 2;
+    const vd none = (vd){0} - INFINITY;
+    double *m = work, *next = work + row, *tmp;
+    /* block j / W holds the vectors 4p + q: state parity p; q = g0, g1 on the
+       branch from lane j, then on the branch from j + 2^(nu-1) */
+    double *const sign = work + 2 * row;
+    int64_t s, j, k, t, best = 0, state;
+    int p, q;
 
-    for (s = 0; s < ns; s++) {
-        uint64_t reg1 = (uint64_t)s | ((uint64_t)1 << nu);
-        sign[4 * s] = __builtin_parityll(g0 & (uint64_t)s) ? -1.0 : 1.0;
-        sign[4 * s + 1] = __builtin_parityll(g1 & (uint64_t)s) ? -1.0 : 1.0;
-        sign[4 * s + 2] = __builtin_parityll(g0 & reg1) ? -1.0 : 1.0;
-        sign[4 * s + 3] = __builtin_parityll(g1 & reg1) ? -1.0 : 1.0;
-        m[s] = s ? -1e30 : 0.0;
-    }
+    for (j = 0; j < lanes; j++)
+        for (p = 0; p < 2; p++) {
+            const uint64_t s0 = (uint64_t)(2 * j + p), reg[2] = {s0, s0 | (uint64_t)1 << nu};
+            for (q = 0; q < 4; q++)
+                sign[8 * (j - j % W) + (4 * p + q) * W + j % W] =
+                    j < half ? sign_of(q & 1 ? g1 : g0, reg[q >> 1]) : NAN;
+        }
+    for (s = 0; s < row; s++)
+        m[s] = s == 0 ? 0.0 : s < ns ? -1e30 : NAN;
     /* no state is -1, so the first traceback runs its full length */
     for (t = 0; t < plen; t++)
         path[t] = -1;
     for (k = 0; k < n; k++) {
         const double r0 = r[2 * k], r1 = r[2 * k + 1];
-        uint8_t *take = choices + (k & ring) * ns;
-        double top_metric = -INFINITY;
-        for (s = 0; s < ns; s++) {
-            const double *sg = sign + 4 * s;
-            double c0 = (m[s >> 1] + r0 * sg[0]) + r1 * sg[1];
-            double c1 = (m[(s >> 1) + half] + r0 * sg[2]) + r1 * sg[3];
-            take[s] = c1 > c0;
-            next[s] = take[s] ? c1 : c0;
-            if (next[s] > top_metric) {
-                top_metric = next[s];
-                best = s;
-            }
+        uint8_t *take = choices + (k & ring) * row;
+        /* per lane, the first best state among those it wrote */
+        vd topv = none, u;
+        vi topi = lane, gt;
+        for (j = 0; j < lanes; j += W) {
+            const double *sg = sign + 8 * j;
+            const vd a = load(m + j), b = load(m + j + half);
+            const vd e0 = (a + r0 * load(sg)) + r1 * load(sg + W);
+            const vd e1 = (b + r0 * load(sg + 2 * W)) + r1 * load(sg + 3 * W);
+            const vd o0 = (a + r0 * load(sg + 4 * W)) + r1 * load(sg + 5 * W);
+            const vd o1 = (b + r0 * load(sg + 6 * W)) + r1 * load(sg + 7 * W);
+            const vi te = e1 > e0, to = o1 > o0;
+            const vd ev = pick(te, e1, e0), od = pick(to, o1, o0);
+            const vb be = __builtin_convertvector(-te, vb), bo = __builtin_convertvector(-to, vb);
+            memcpy(take + j, &be, W);
+            memcpy(take + lanes + j, &bo, W);
+            gt = ev > topv;
+            topv = pick(gt, ev, topv);
+            topi = pick_i(gt, 2 * (lane + j), topi);
+            gt = od > topv;
+            topv = pick(gt, od, topv);
+            topi = pick_i(gt, 2 * (lane + j) + 1, topi);
+            store(next + 2 * j, __builtin_shuffle(ev, od, lo));
+            store(next + 2 * j + W, __builtin_shuffle(ev, od, hi));
         }
         tmp = m, m = next, next = tmp;
+        /* the best metric in every lane, then the lowest state that has it */
+        u = topv;
+#pragma GCC unroll 3
+        for (s = 1; s < W; s *= 2) {
+            const vd v = __builtin_shuffle(u, lane ^ s);
+            u = pick(v > u, v, u);
+        }
+        topi = pick_i(topv == u, topi, nobody);
+#pragma GCC unroll 3
+        for (s = 1; s < W; s *= 2) {
+            const vi v = __builtin_shuffle(topi, lane ^ s);
+            topi = pick_i(v < topi, v, topi);
+        }
+        /* no metric above -inf keeps the last best state */
+        if (u[0] > -INFINITY)
+            best = topi[0];
         if (k >= truncation) {
             path[k & pmask] = best;
             for (state = best, t = k; t > k - truncation; t--) {
-                state = (state >> 1) | ((int64_t)choices[(t & ring) * ns + state] << top);
+                state = (state >> 1) |
+                        (int64_t)choices[(t & ring) * row + (state & 1) * lanes + (state >> 1)]
+                            << top;
                 if (path[(t - 1) & pmask] == state)
                     break;
                 path[(t - 1) & pmask] = state;
@@ -72,6 +179,7 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
     }
     for (state = best, t = n - 1; t >= 0 && t >= n - truncation; t--) {
         out[t] = state & 1;
-        state = (state >> 1) | ((int64_t)choices[(t & ring) * ns + state] << top);
+        state = (state >> 1) |
+                (int64_t)choices[(t & ring) * row + (state & 1) * lanes + (state >> 1)] << top;
     }
 }

@@ -12,7 +12,8 @@ estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
-on first use.  Each step's traceback stops where it meets the survivor
+on first use for the host CPU, whose add-compare-select runs in that
+CPU's vector width.  Each step's traceback stops where it meets the survivor
 traced at the step before, from which point the two are the same.
 """
 
@@ -78,21 +79,48 @@ def default_truncation(code):
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
-# no FMA contraction and no fast-math: every path metric is one fixed float
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+# no FMA contraction and no fast-math: every path metric is one fixed float;
+# -march=native sets the ACS vector width (see _viterbi.c)
+_KERNEL_FLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-fast-math", "-shared",
+                 "-fPIC")
 _kernel = None
 _kernel_lock = threading.Lock()
 
 
-def _build_kernel():
-    """Compile _viterbi.c into __pycache__ (once per source and flags) and load it."""
-    # imported here, on the first decoder call, so no other command pays for them
+def _host_cpu():
+    """The host CPU's feature flags, or its machine type where /proc has none."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith(("flags", "Features")):
+                    return line.strip()
+    except OSError:
+        pass
+    import platform
+
+    return platform.machine()
+
+
+def _kernel_path():
+    """The kernel's file in __pycache__, named by its source, flags and host CPU.
+
+    A -march=native build runs on its own CPU alone, so a shared __pycache__
+    must never hand it to another.
+    """
     import hashlib
+
+    key = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(),
+                                      " ".join(_KERNEL_FLAGS).encode(),
+                                      _host_cpu().encode()])).hexdigest()[:16]
+    return _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{key}.so"
+
+
+def _build_kernel():
+    """Compile _viterbi.c into __pycache__ (once per _kernel_path) and load it."""
+    # imported here, on the first decoder call, so no other command pays for it
     import subprocess
 
-    source = _KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
-    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{key}.so"
+    lib = _kernel_path()
     if not lib.exists():
         lib.parent.mkdir(exist_ok=True)
         partial = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
@@ -105,12 +133,15 @@ def _build_kernel():
             partial.unlink(missing_ok=True)
             raise OSError(f"cannot build the Viterbi kernel: {proc.stderr.strip()}")
         os.replace(partial, lib)
-    fn = ctypes.CDLL(str(lib)).viterbi
-    fn.restype = None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
-                   ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    return fn
+    kernel = ctypes.CDLL(str(lib))
+    kernel.viterbi_lanes.restype = ctypes.c_int64
+    kernel.viterbi_lanes.argtypes = [ctypes.c_int]
+    kernel.viterbi.restype = None
+    kernel.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
+                               ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_int64, ctypes.c_void_p]
+    return kernel
 
 
 def viterbi_main(r, code, truncation=None):
@@ -144,17 +175,18 @@ def viterbi_main(r, code, truncation=None):
         with _kernel_lock:
             if _kernel is None:
                 _kernel = _build_kernel()
-    nstates = 1 << code.nu
+    # the kernel's per-lane planes: 2^(nu-1) lanes, padded to its vector width
+    lanes = _kernel.viterbi_lanes(code.nu)
     # the survivor decisions of the last min(truncation, n) steps, in a ring
     rows = 1 << (min(truncation, n) - 1).bit_length()
     # the previous step's survivor, one state per time, over more than that
     plen = 1 << min(truncation, n).bit_length()
-    work = np.empty(6 * nstates)
-    choices = np.empty(rows * nstates, dtype=np.uint8)
+    work = np.empty(12 * lanes)
+    choices = np.empty(rows * 2 * lanes, dtype=np.uint8)
     path = np.empty(plen, dtype=np.int64)
-    _kernel(r.ctypes.data, n, code.nu, code.g[0].mask, code.g[1].mask, truncation,
-            work.ctypes.data, choices.ctypes.data, rows, path.ctypes.data, plen,
-            out.ctypes.data)
+    _kernel.viterbi(r.ctypes.data, n, code.nu, code.g[0].mask, code.g[1].mask, truncation,
+                    work.ctypes.data, choices.ctypes.data, rows, path.ctypes.data, plen,
+                    out.ctypes.data)
     return out
 
 

@@ -1,6 +1,7 @@
 """Scarce-state-transition decoder: pre-decode, main Viterbi, recombination."""
 
 import itertools
+import platform
 import subprocess
 import threading
 import time
@@ -160,6 +161,64 @@ def test_viterbi_main_matches_per_step_traceback_at_memory_one(kind):
     code = ConvCode(name="nu1", g=(1, 3), ginv=(1, 0), h=(3, 1))
     r = soft_values(9, 300, kind)
     assert np.array_equal(sstdec.viterbi_main(r, code, 5), per_step_viterbi(r, code, 5))
+
+
+def memory_code(nu):
+    """A code of memory nu: the nu = 1 code above, else a QLI code with a few taps."""
+    if nu == 1:
+        return ConvCode(name="nu1", g=(1, 3), ginv=(1, 0), h=(3, 1))
+    return make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
+
+
+def assert_kernel_matches_per_step_traceback(nu, kind, seed):
+    # three truncation windows and a partial one
+    code = memory_code(nu)
+    t = sstdec.default_truncation(code)
+    r = soft_values(seed, 3 * t + 7, kind)
+    assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
+
+
+# the kernel pads 2^(nu-1) lanes to its vector width with NaN-sign lanes:
+# nu = 1..3 are padded at W = 8, 1..2 at W = 4 and 1 at W = 2; 4 and 10 are not
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 10])
+def test_viterbi_main_matches_per_step_traceback_with_padded_lanes(nu, kind):
+    assert_kernel_matches_per_step_traceback(nu, kind, 20 + nu)
+
+
+# the -march levels whose vector widths (2 and 4 doubles) the native build of
+# an AVX-512 host skips, with the cpuinfo flags a level needs
+X86_64_LEVELS = [
+    pytest.param("-march=x86-64", 2, (), id="x86-64"),
+    pytest.param("-march=x86-64-v3", 4, ("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2",
+                                         "ssse3", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma",
+                                         "abm", "movbe", "xsave"), id="x86-64-v3"),
+]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the -march levels are x86-64's")
+@pytest.mark.parametrize("march, width, needs", X86_64_LEVELS)
+def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, march, width,
+                                                                 needs):
+    missing = set(needs) - set(sstdec._host_cpu().split())
+    if missing:
+        pytest.skip(f"the host cannot run {march}: no {' '.join(sorted(missing))}")
+    monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", tuple(
+        march if flag == "-march=native" else flag for flag in sstdec._KERNEL_FLAGS))
+    monkeypatch.setattr(sstdec, "_kernel", None)
+    for nu, kind in itertools.product([1, 2, 3, 6], KINDS):
+        assert_kernel_matches_per_step_traceback(nu, kind, 40 + nu)
+    assert sstdec._kernel.viterbi_lanes(1) == width
+
+
+def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
+    # a -march=native build from another CPU could die on an illegal instruction
+    here = sstdec._kernel_path()
+    assert sstdec._host_cpu()
+    monkeypatch.setattr(sstdec, "_host_cpu", lambda: "flags\t\t: fpu sse sse2")
+    there = sstdec._kernel_path()
+    assert there != here and there.parent == here.parent
 
 
 def test_viterbi_main_rejects_memory_zero():
