@@ -8,6 +8,7 @@ two received streams.  QLI-ness is read from g alone: ConvCode.L gives
 the look-in delay and raises ValueError for any other code.  The SST
 pre-decoder of either arrangement is one value, `predecoder(code, mode)`.
 
+Polynomials are int masks (see `gf2`): bit j is the coefficient of D^j.
 Encoded streams are numpy bit arrays; polynomials only describe codes.
 """
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryPoly, ONE, polymat_mul, verify_right_inverse
+from .gf2 import (MAX_DEGREE, clmul, from_string, polymat_mul, support, to_string,
+                  verify_right_inverse)
 
 
 @dataclass(frozen=True)
@@ -31,65 +33,62 @@ class ConvCode:
     h: tuple
 
     def __post_init__(self):
-        g = tuple(BinaryPoly(p) for p in self.g)
-        ginv = tuple(BinaryPoly(p) for p in self.ginv)
-        h = tuple(BinaryPoly(p) for p in self.h)
-        if len(g) != 2 or len(ginv) != 2 or len(h) != 2:
-            raise ValueError("g, ginv and h must each hold two polynomials")
-        if any(p.is_zero for p in g):
+        for key in ("g", "ginv", "h"):
+            pair = tuple(getattr(self, key))
+            if len(pair) != 2:
+                raise ValueError("g, ginv and h must each hold two polynomials")
+            if not all(isinstance(p, int) and 0 <= p < 1 << (MAX_DEGREE + 1) for p in pair):
+                raise ValueError(f"{key} must hold int masks of degree at most {MAX_DEGREE}")
+            object.__setattr__(self, key, pair)
+        (g1, g2), (h1, h2) = self.g, self.h
+        if not (g1 and g2):
             raise ValueError("generator polynomials must be nonzero")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "ginv", ginv)
-        object.__setattr__(self, "h", h)
-        if not verify_right_inverse(g, ginv):
+        if not verify_right_inverse(self.g, self.ginv):
             raise ValueError("ginv is not a right inverse of g")
-        if (g[0] * h[0] + g[1] * h[1]).mask != 0:
+        if clmul(g1, h1) != clmul(g2, h2):
             raise ValueError("h is not orthogonal to g")
-        if h[0].is_zero and h[1].is_zero:
+        if not (h1 or h2):
             raise ValueError("h must be nonzero")
 
     @property
     def nu(self):
         """Constraint length (memory): the largest generator degree."""
-        return max(self.g[0].degree, self.g[1].degree)
+        return max(self.g).bit_length() - 1
 
     @property
     def L(self):
         """Look-in delay of a QLI code (g1 + g2 = D^L); ValueError for any other code."""
-        s = self.g[0] + self.g[1]
-        if s.term_count != 1:
+        s = self.g[0] ^ self.g[1]
+        if s.bit_count() != 1:
             raise ValueError(f"{self.name!r} is not quick-look-in")
-        return s.degree
+        return s.bit_length() - 1
 
 
 def make_qli(gprime, name=None):
     """Build the QLI code with g1 = 1 + D*g', g2 = 1 + D + D*g'.
 
-    gprime must have zero constant term; its degree fixes nu = deg(g') + 1.
-    The right inverse is (1 + g', g')^T and the parity check is (g2, g1).
+    gprime is an int mask with zero constant term; its degree fixes
+    nu = deg(g') + 1.  The right inverse is (1 + g', g')^T and the parity
+    check is (g2, g1).
     """
-    gprime = BinaryPoly(gprime)
-    if gprime.is_zero:
-        raise ValueError("gprime must be nonzero")
-    if gprime.coeff(0) != 0:
+    if gprime <= 0:
+        raise ValueError("gprime must be a nonzero mask")
+    if gprime & 1:
         raise ValueError("gprime must have zero constant term")
-    g1 = BinaryPoly(1) + gprime.shifted(1)
-    g2 = BinaryPoly(3) + gprime.shifted(1)
-    ginv = (BinaryPoly(1) + gprime, gprime)
+    g1, g2 = 1 ^ (gprime << 1), 3 ^ (gprime << 1)
     if name is None:
-        nu = gprime.degree + 1
-        name = f"qli-nu{nu}-{gprime.to_string()[1:]}"
-    return ConvCode(name=name, g=(g1, g2), ginv=ginv, h=(g2, g1))
+        name = f"qli-nu{gprime.bit_length()}-{to_string(gprime)[1:]}"
+    return ConvCode(name=name, g=(g1, g2), ginv=(1 ^ gprime, gprime), h=(g2, g1))
 
 
 C1 = ConvCode(
     name="c1",
-    g=(BinaryPoly.from_string("111"), BinaryPoly.from_string("101")),
-    ginv=(BinaryPoly.from_string("01"), BinaryPoly.from_string("11")),
-    h=(BinaryPoly.from_string("101"), BinaryPoly.from_string("111")),
+    g=(from_string("111"), from_string("101")),
+    ginv=(from_string("01"), from_string("11")),
+    h=(from_string("101"), from_string("111")),
 )
 
-C2 = make_qli(BinaryPoly.from_string("001011"), name="c2")
+C2 = make_qli(from_string("001011"), name="c2")
 
 _BUILTIN = {"c1": C1, "c2": C2}
 
@@ -104,10 +103,10 @@ def get_code(name):
 def code_to_json(code):
     return {
         "name": code.name,
-        "g": [p.to_string() for p in code.g],
-        "ginv": [p.to_string() for p in code.ginv],
-        "h": [p.to_string() for p in code.h],
-        "qli": (code.g[0] + code.g[1]).term_count == 1,
+        "g": [to_string(p) for p in code.g],
+        "ginv": [to_string(p) for p in code.ginv],
+        "h": [to_string(p) for p in code.h],
+        "qli": (code.g[0] ^ code.g[1]).bit_count() == 1,
     }
 
 
@@ -120,7 +119,7 @@ def code_from_json(obj):
         value = obj.get(key)
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
             raise ValueError(f"code field {key!r} must be a list of polynomial strings")
-        return tuple(BinaryPoly.from_string(s) for s in value)
+        return tuple(from_string(s) for s in value)
 
     g = polys("g")
     ginv = polys("ginv")
@@ -158,7 +157,7 @@ def _tap_xor(bits, poly, out=None):
     n = bits.shape[0]
     if out is None:
         out = np.zeros(n, dtype=np.uint8)
-    for j in poly.support():
+    for j in support(poly):
         if j < n:
             out[j:] ^= bits[: n - j]
     return out
@@ -194,7 +193,7 @@ def predecoder(code, mode):
     if mode == "general":
         return code.ginv, 0
     if mode == "qli":
-        return (ONE, ONE), code.L
+        return (1, 1), code.L
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -24,6 +24,7 @@ from math import comb
 import numpy as np
 
 from . import channel, convcode
+from .gf2 import support
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def support_of(m, col):
     if not 0 <= col < len(m[0]):
         raise ValueError(f"column {col} out of range for {len(m[0])} columns")
     return ErrorSupport.from_pairs((i + 1, j) for i, row in enumerate(m)
-                                   for j in row[col].support())
+                                   for j in support(row[col]))
 
 
 @cache

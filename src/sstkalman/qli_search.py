@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import channel
-from .gf2 import BinaryPoly, clmul
+from .gf2 import clmul
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class QliSearchRow:
     m2_beta: int
     heuristic_counterexample: bool
     indeterminate: bool
-    gprime: BinaryPoly
+    gprime: int
 
     @property
     def counts(self):
@@ -72,8 +72,7 @@ def _term_counts(g1, g2, i1, i2):
 def family_counts(code):
     """Term counts (m1_alpha, m2_alpha, m1_beta, m2_beta) for one code."""
     code.L  # the beta counts hold only for QLI codes
-    return _term_counts(code.g[0].mask, code.g[1].mask,
-                        code.ginv[0].mask, code.ginv[1].mask)
+    return _term_counts(*code.g, *code.ginv)
 
 
 def enumerate_qli(nu):
@@ -93,7 +92,7 @@ def enumerate_qli(nu):
         counts = _term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)
         counter, indet = classify_counts(counts[:2], counts[2:])
         rows.append(QliSearchRow(bits, *counts, heuristic_counterexample=counter,
-                                 indeterminate=indet, gprime=BinaryPoly(gp)))
+                                 indeterminate=indet, gprime=gp))
     return rows
 
 

@@ -153,6 +153,8 @@ def viterbi_main(r, code, truncation=None):
     5 nu + L); the last `truncation` bits come from the final best state.
     Ties prefer the input-0 branch and the lowest-index state.  The
     trellis runs in the C kernel `_viterbi.c`, built on the first call.
+    It indexes the states and shift register in 64-bit words, so the
+    code's memory must satisfy 1 <= nu <= 62 (ValueError otherwise).
     """
     global _kernel
     r = np.ascontiguousarray(r, dtype=np.float64)
@@ -162,8 +164,8 @@ def viterbi_main(r, code, truncation=None):
         raise ValueError("r must be finite")
     if truncation is None:
         truncation = default_truncation(code)
-    if code.nu < 1:
-        raise ValueError("the main decoder needs a code of memory nu >= 1")
+    if not 1 <= code.nu <= 62:
+        raise ValueError("the main decoder needs a code of memory 1 <= nu <= 62")
     if truncation < 5 * code.nu:
         raise ValueError(f"truncation must be at least 5*nu = {5 * code.nu}")
     n = r.shape[0]
@@ -184,7 +186,7 @@ def viterbi_main(r, code, truncation=None):
     work = np.empty(12 * lanes)
     choices = np.empty(rows * 2 * lanes, dtype=np.uint8)
     path = np.empty(plen, dtype=np.int64)
-    _kernel.viterbi(r.ctypes.data, n, code.nu, code.g[0].mask, code.g[1].mask, truncation,
+    _kernel.viterbi(r.ctypes.data, n, code.nu, *code.g, truncation,
                     work.ctypes.data, choices.ctypes.data, rows, path.ctypes.data, plen,
                     out.ctypes.data)
     return out

@@ -142,6 +142,19 @@ def test_malformed_code_file_exits_2(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("nu", [63, 64])
+def test_simulate_refuses_a_memory_the_decoder_cannot_index(capsys, tmp_path, nu):
+    # (1 + D^nu, 1) with right inverse (0, 1) passes every code check, but
+    # the decoder kernel holds its states in 64-bit words
+    g1 = "1" + "0" * (nu - 1) + "1"
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"g": [g1, "1"], "ginv": ["0", "1"], "h": ["1", g1]}))
+    rc, out, err = run(["simulate", "--code", str(path), "--ebn0-db=4", "--branches", "1000"],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: the main decoder needs a code of memory 1 <= nu <= 62\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["kalman-check", "--states", "0"], "--states"),
     (["kalman-check", "--steps", "3"], "--steps"),
