@@ -68,8 +68,10 @@ class StateSpaceModel:
 
     Each of F, H, U and W is read and checked once per step k, on first
     use, and then served from a private read-only copy, so the callables
-    must be pure functions of k.  A check that fails is not cached: the
-    next read calls the callable again and raises again.
+    must be pure functions of k.  F and U must be n x n, H m x n and W
+    m x m, U PSD and W PD; F may be singular, as an encoder's shift
+    register is.  A check that fails is not cached: the next read calls
+    the callable again and raises again.
     """
 
     n: int
@@ -82,37 +84,27 @@ class StateSpaceModel:
     X0: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def _read(self, key, build):
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = build()
-        return value
-
-    def _build_F(self, k):
-        f = np.array(self.F_k(k), dtype=np.float64)
-        if f.shape != (self.n, self.n):
-            raise ValueError(f"F_{k} must be {self.n}x{self.n}")
-        if np.linalg.matrix_rank(f) < self.n:
-            raise ValueError(f"F_{k} is singular; the smoother recursion needs F invertible")
-        return _frozen(f)
-
-    def _build_H(self, k):
-        h = np.array(self.H_k(k), dtype=np.float64)
-        if h.shape != (self.m, self.n):
-            raise ValueError(f"H_{k} must be {self.m}x{self.n}")
-        return _frozen(h)
+    def _matrix(self, name, k, rows, cols, check=None):
+        """name_k, read on first use and checked: its shape, then `check`."""
+        mat = self._cache.get((name, k))
+        if mat is None:
+            mat = np.array(getattr(self, f"{name}_k")(k), dtype=np.float64)
+            if mat.shape != (rows, cols):
+                raise ValueError(f"{name}_{k} must be {rows}x{cols}")
+            mat = self._cache[name, k] = _frozen(check(mat, f"{name}_{k}") if check else mat)
+        return mat
 
     def F(self, k):
-        return self._read(("F", k), lambda: self._build_F(k))
+        return self._matrix("F", k, self.n, self.n)
 
     def H(self, k):
-        return self._read(("H", k), lambda: self._build_H(k))
+        return self._matrix("H", k, self.m, self.n)
 
     def U(self, k):
-        return self._read(("U", k), lambda: _frozen(_check_psd(self.U_k(k), f"U_{k}")))
+        return self._matrix("U", k, self.n, self.n, _check_psd)
 
     def W(self, k):
-        return self._read(("W", k), lambda: _frozen(_check_pd(self.W_k(k), f"W_{k}")))
+        return self._matrix("W", k, self.m, self.m, _check_pd)
 
 
 def state_space_model(F, H, U, W, x0_mean=None, X0=None):
@@ -306,8 +298,10 @@ def _joint_moments(model, k, b):
     joint, which is built once per b."""
     if k < 0 or b < k:
         raise ValueError("need 0 <= k <= b")
-    x_mean, x_cov, z_mean, z_cov, xz = model._read(("joint", b),
-                                                   lambda: _stacked_joint(model, b))
+    joint = model._cache.get(("joint", b))
+    if joint is None:
+        joint = model._cache["joint", b] = _stacked_joint(model, b)
+    x_mean, x_cov, z_mean, z_cov, xz = joint
     rows = slice(k * model.n, (k + 1) * model.n)
     return x_mean[rows], x_cov[rows, rows], z_mean, z_cov, xz[rows]
 

@@ -27,39 +27,26 @@ from . import channel, convcode
 from .gf2 import support
 
 
-@dataclass(frozen=True)
-class ErrorSupport:
-    """A set of (component, delay) error variables; components are 1-based."""
+class ErrorSupport(frozenset):
+    """A frozenset of (component, delay) error variables; components are 1-based."""
 
-    vars: frozenset
-
-    def __post_init__(self):
-        pairs = frozenset((int(c), int(d)) for c, d in self.vars)
+    def __new__(cls, pairs=()):
+        pairs = frozenset((int(c), int(d)) for c, d in pairs)
         if any(c < 1 or d < 0 for c, d in pairs):
             raise ValueError("variables are (component >= 1, delay >= 0) pairs")
-        object.__setattr__(self, "vars", pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls(vars=frozenset(pairs))
-
-    def __len__(self):
-        return len(self.vars)
-
-    def __iter__(self):
-        return iter(sorted(self.vars))
+        return super().__new__(cls, pairs)
 
     @property
     def max_delay(self):
-        return max((d for _, d in self.vars), default=0)
+        return max((d for _, d in self), default=0)
 
 
 def support_of(m, col):
     """Error support of one column of a main-encoded block map (row tuples)."""
     if not 0 <= col < len(m[0]):
         raise ValueError(f"column {col} out of range for {len(m[0])} columns")
-    return ErrorSupport.from_pairs((i + 1, j) for i, row in enumerate(m)
-                                   for j in support(row[col]))
+    return ErrorSupport((i + 1, j) for i, row in enumerate(m)
+                        for j in support(row[col]))
 
 
 @cache
@@ -67,7 +54,7 @@ def code_supports(code, mode="general"):
     """Error supports of the two main-encoded components.
 
     Built once per (code, mode): a ConvCode is a frozen dataclass and an
-    ErrorSupport is immutable, so every caller can share the pair."""
+    ErrorSupport is a frozenset, so every caller can share the pair."""
     m = convcode.main_encoded_block_map(code, mode)
     return support_of(m, 0), support_of(m, 1)
 
@@ -93,10 +80,7 @@ def parity_one_prob(n, eps):
 
 
 def _split_sizes(s1, s2):
-    a = len(s1.vars - s2.vars)
-    b = len(s2.vars - s1.vars)
-    c = len(s1.vars & s2.vars)
-    return a, b, c
+    return len(s1 - s2), len(s2 - s1), len(s1 & s2)
 
 
 def joint_parity_prob(s1, s2, eps):
@@ -127,7 +111,7 @@ def joint_value_prob(supports, values, eps):
         for subset in combinations(range(m), r):
             sym = frozenset()
             for j in subset:
-                sym = sym ^ supports[j].vars
+                sym = sym ^ supports[j]
             sign = -1.0 if sum(values[j] for j in subset) % 2 else 1.0
             total += sign * q ** len(sym)
     return total / 2.0 ** m
@@ -136,13 +120,13 @@ def joint_value_prob(supports, values, eps):
 def brute_force_joint(s1, s2, eps):
     """Literal enumeration oracle for joint_parity_prob; |union| <= 24."""
     eps = _check_eps(eps)
-    union = sorted(s1.vars | s2.vars)
+    union = sorted(s1 | s2)
     nu = len(union)
     if nu > 24:
         raise ValueError("union larger than 24 variables; enumeration refused")
     index = {v: i for i, v in enumerate(union)}
-    m1 = sum(1 << index[v] for v in s1.vars)
-    m2 = sum(1 << index[v] for v in s2.vars)
+    m1 = sum(1 << index[v] for v in s1)
+    m2 = sum(1 << index[v] for v in s2)
     weight_counts = np.zeros(nu + 1, dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, 1 << nu, chunk):
@@ -234,25 +218,6 @@ def theta_four_ways(s1, s2, eps):
     )
 
 
-def alpha_tilde_family(alpha_i, alpha_j, u):
-    """Joint 2x2 tables with the given marginals, parameterized by u = P(1,1).
-
-    Valid for 0 <= u <= min(alpha_i, alpha_j) as long as the (0,0) cell
-    stays non-negative.  The i.i.d.-error model picks u = alpha_11.
-    """
-    if not 0.0 <= u <= min(alpha_i, alpha_j):
-        raise ValueError("u must lie in [0, min(alpha_i, alpha_j)]")
-    table = {
-        (0, 0): 1.0 - alpha_i - alpha_j + u,
-        (0, 1): alpha_j - u,
-        (1, 0): alpha_i - u,
-        (1, 1): u,
-    }
-    if table[(0, 0)] < 0.0:
-        raise ValueError("u too small for these marginals: P(0,0) would be negative")
-    return table
-
-
 @dataclass(frozen=True)
 class MonteCarloProbs:
     alpha1: float
@@ -270,7 +235,7 @@ def error_window_parities(s1, s2, eps, trials, gen):
     errors = (gen.random((trials, depth, 2)) < eps).astype(np.uint8)
     v = np.zeros((trials, 2), dtype=np.uint8)
     for col, support in enumerate((s1, s2)):
-        for comp, delay in support.vars:
+        for comp, delay in support:
             v[:, col] ^= errors[:, delay, comp - 1]
     return v
 

@@ -205,7 +205,7 @@ def _sst_streams(z, code, mode):
     """
     _, delay = convcode.predecoder(code, mode)
     ihat = predecode(z.z_hard, code, mode)
-    r, r_hard = (main_input_qli if mode == "qli" else main_input_general)(z, code, ihat)
+    r, r_hard = (main_input_qli if delay else main_input_general)(z, code, ihat)
     pre = ihat[delay:]
     return pre, r_hard, pre ^ viterbi_main(r, code)
 

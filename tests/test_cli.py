@@ -580,8 +580,7 @@ def test_alpha_polynomial_of_a_35_variable_support(capsys, tmp_path, mode):
     payload = json.loads(out)
     s1, s2 = code_supports(code, mode)
     assert (len(s1), len(s2)) == sizes
-    a, b = len(s1.vars - s2.vars), len(s2.vars - s1.vars)
-    c = len(s1.vars & s2.vars)
+    a, b, c = len(s1 - s2), len(s2 - s1), len(s1 & s2)
     marginal, theta = ("alpha1", "theta12") if mode == "general" else ("beta1", "theta12_prime")
     for eps in (Fraction(1, 7), Fraction(2, 5)):
         q = 1 - 2 * eps

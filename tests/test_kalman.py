@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sstkalman import kalman
+from sstkalman.convcode import get_code
 
 
 def psd_min_eig(mat):
@@ -313,14 +314,16 @@ def two_state_model(F=None, H=None, U=None, W=None):
 
 
 @pytest.mark.parametrize("kwargs, run, match", [
-    ({"F": lambda k: np.zeros((2, 2)) if k == 3 else 0.9 * np.eye(2)},
-     "recursion", "F_3 is singular"),
+    ({"U": lambda k: np.array([[0.2]]) if k == 2 else 0.2 * np.eye(2)},
+     "filter", "U_2 must be 2x2"),
     ({"U": lambda k: np.array([[0.2, 0.1], [0.0, 0.2]]) if k == 2 else 0.2 * np.eye(2)},
      "filter", "U_2 must be symmetric"),
     ({"W": lambda k: np.array([[0.0]]) if k == 1 else np.array([[1.0]])},
      "filter", "W_1 must be positive definite"),
     ({"H": lambda k: np.ones((1, 3)) if k == 4 else np.array([[1.0, 0.5]])},
      "recursion", "H_4 must be 1x2"),
+    ({"W": lambda k: np.eye(2) if k == 1 else np.array([[1.0]])},
+     "filter", "W_1 must be 1x1"),
 ])
 def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
     model = two_state_model(**kwargs)
@@ -331,3 +334,28 @@ def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
                 kalman.covariance_recursion(model, 6)
             else:
                 kalman.run_filter(model, obs)
+
+
+def test_encoder_shift_register_model_matches_projection():
+    # c1 as a state-space model: x_k = (i_k, i_{k-1}, i_{k-2}), F the nilpotent
+    # shift, each observation row the taps of one generator polynomial
+    code = get_code("c1")
+    n = code.nu + 1
+    h = np.array([[(g >> j) & 1 for j in range(n)] for g in code.g], dtype=np.float64)
+    assert h.tolist() == [[1, 1, 1], [1, 0, 1]]
+    shift = np.eye(n, k=-1)
+    model = kalman.state_space_model(shift, h, np.diag([1.0, 0.0, 0.0]), 0.5 * np.eye(2),
+                                     X0=np.diag([1.0, 0.0, 0.0]))
+    steps = 9
+    obs = kalman.simulate_observations(model, steps, seed=4)
+    states = kalman.run_filter(model, obs)
+    for b in range(steps):
+        for k in range(b + 1):
+            assert_allclose(kalman.smoother_cov(model, states, k, b),
+                            kalman.projection_smoother_cov(model, k, b), rtol=0, atol=1e-9)
+            assert_allclose(kalman.smoothed_estimate(model, states, k, b),
+                            kalman.projection_smoothed_estimate(model, obs, k, b),
+                            rtol=0, atol=1e-9)
+        stacked = 0.5 * (np.linalg.slogdet(kalman.joint_observation_covariance(model, b))[1]
+                         - (b + 1) * np.linalg.slogdet(0.5 * np.eye(2))[1])
+        assert abs(kalman.gaussian_mi(model, b, states) - stacked) <= 1e-9

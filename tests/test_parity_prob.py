@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -9,7 +10,6 @@ from numpy.testing import assert_allclose
 from sstkalman.convcode import get_code, main_encoded_block_map, make_qli
 from sstkalman.parity_prob import (
     ErrorSupport,
-    alpha_tilde_family,
     brute_force_joint,
     code_supports,
     joint_parity_prob,
@@ -48,6 +48,26 @@ def test_parity_one_prob_monotone_saturates():
 def test_parity_one_prob_accepts_support():
     s = ErrorSupport(frozenset({(1, 0), (2, 1), (1, 2)}))
     assert_allclose(parity_one_prob(s, 0.17), parity_one_prob(3, 0.17))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, -1)])
+def test_error_support_refuses_bad_pairs(pair):
+    with pytest.raises(ValueError, match="component >= 1, delay >= 0"):
+        ErrorSupport({(1, 0), pair})
+
+
+def test_error_support_is_the_frozenset_of_its_pairs():
+    s = ErrorSupport([(np.int64(2), np.uint8(3)), (1, 0)])
+    assert all(type(x) is int for pair in s for x in pair)
+    assert s == frozenset({(2, 3), (1, 0)}) and hash(s) == hash(frozenset(s))
+    assert s.max_delay == 3
+    assert ErrorSupport().max_delay == 0
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_code_supports_are_error_supports(name, mode):
+    assert all(isinstance(s, ErrorSupport) for s in code_supports(get_code(name), mode))
 
 
 def test_eps_validation():
@@ -106,24 +126,10 @@ def test_theta_zero_for_disjoint_supports():
     assert_allclose(theta(s1, s2, 0.23), 0.0, atol=1e-15)
 
 
-def test_alpha_tilde_family_iid_point():
-    s1 = ErrorSupport(frozenset({(1, 0), (1, 1), (2, 0)}))
-    s2 = ErrorSupport(frozenset({(1, 0), (2, 1), (2, 2)}))
-    eps = 0.08
-    a1 = parity_one_prob(s1, eps)
-    a2 = parity_one_prob(s2, eps)
-    u = joint_parity_prob(s1, s2, eps)
-    table = alpha_tilde_family(a1, a2, u)
-    for v in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert_allclose(table[v], joint_value_prob([s1, s2], v, eps), atol=1e-12)
-    with pytest.raises(ValueError):
-        alpha_tilde_family(a1, a2, min(a1, a2) + 0.01)
-
-
 def _closed_forms(s1, s2, eps):
     """Marginals, joint and theta as Fractions, straight from the supports."""
     q = 1 - 2 * eps
-    a, b, c = len(s1.vars - s2.vars), len(s2.vars - s1.vars), len(s1.vars & s2.vars)
+    a, b, c = len(s1 - s2), len(s2 - s1), len(s1 & s2)
     p1, p2 = (1 - q ** (a + c)) / 2, (1 - q ** (b + c)) / 2
     p11 = (1 + q ** (a + b) - q ** (a + c) - q ** (b + c)) / 4
     return p1, p2, p11, p11 - p1 * p2
@@ -133,7 +139,7 @@ def _closed_forms(s1, s2, eps):
 @settings(max_examples=150)
 def test_polynomials_equal_closed_forms_exactly(s1, s2, disjoint):
     if disjoint:
-        s2 = ErrorSupport(s2.vars - s1.vars)
+        s2 = ErrorSupport(s2 - s1)
     polys = (marginal_polynomial(s1), marginal_polynomial(s2),
              joint_polynomial(s1, s2), theta_polynomial(s1, s2))
     # every closed form has degree at most |s1| + |s2| in eps
@@ -142,7 +148,7 @@ def test_polynomials_equal_closed_forms_exactly(s1, s2, disjoint):
     for j in range(deg + 1):
         eps = Fraction(j, deg + 1)
         assert tuple(p(eps) for p in polys) == _closed_forms(s1, s2, eps)
-    if not s1.vars & s2.vars:
+    if not s1 & s2:
         assert theta_polynomial(s1, s2).coefficients == (0,)
 
 
@@ -174,11 +180,11 @@ def test_theta_polynomial_is_joint_minus_product_of_marginals():
 def test_code_support_sizes():
     m1 = main_encoded_block_map(get_code("c1"))
     s1, s2 = support_of(m1, 0), support_of(m1, 1)
-    assert (len(s1.vars), len(s2.vars)) == (5, 6)
+    assert (len(s1), len(s2)) == (5, 6)
     m2 = main_encoded_block_map(get_code("c2"))
     t1, t2 = support_of(m2, 0), support_of(m2, 1)
-    assert (len(t1.vars), len(t2.vars)) == (12, 13)
-    assert len(t1.vars & t2.vars) == 9
+    assert (len(t1), len(t2)) == (12, 13)
+    assert len(t1 & t2) == 9
 
 
 def test_monte_carlo_probs_consistency():
