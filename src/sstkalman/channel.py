@@ -51,8 +51,8 @@ def snr_point(ebn0_db):
     return SnrPoint(ebn0_db=float(ebn0_db), rho=rho, c=c, epsilon=q_function(c))
 
 
-def grid_points(db_values=DB_GRID):
-    return [snr_point(db) for db in db_values]
+def grid_points():
+    return [snr_point(db) for db in DB_GRID]
 
 
 def bpsk_map(bits):

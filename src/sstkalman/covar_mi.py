@@ -62,7 +62,8 @@ def sigma_r(sigma_x, rho):
 
 
 def sigma_c_general(sigma_x, rho):
-    """Filtering covariance Sigma_x - rho Sigma_x (I + rho Sigma_x)^-1 Sigma_x."""
+    """Filtering covariance Sigma_x - rho Sigma_x (I + rho Sigma_x)^-1 Sigma_x
+    for any n, by the n x n solve: the reference form of `sigma_c_closed_2x2`."""
     sigma_x = _check_square(sigma_x)
     n = sigma_x.shape[0]
     core = np.linalg.solve(np.eye(n) + rho * sigma_x, sigma_x)
@@ -138,26 +139,23 @@ def _lambda_tilde(sigma_c):
 def eigen_track(provider, rho):
     """Track Sigma_c eigenvalues for Sigma_x = provider(rho).
 
-    provider is a callable rho -> Sigma_x; the derivative of
-    rho * lambda_l(rho) is a central difference with relative step 1e-4.
+    provider is a callable rho -> 2x2 Sigma_x, and Sigma_c is its closed
+    form; the derivative of rho * lambda_l(rho) is a central difference
+    with relative step 1e-4.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
 
     def rho_lambdas(r):
-        lam = np.linalg.eigvalsh(sigma_c_general(provider(r), r))
-        return r * lam
+        return r * np.linalg.eigvalsh(sigma_c_closed_2x2(provider(r), r)[0])
 
-    sig_x = provider(rho)
-    lam = tuple(float(v) for v in np.linalg.eigvalsh(sigma_c_general(sig_x, rho)))
-    if sig_x.shape == (2, 2):
-        lt1, lt2 = _lambda_tilde(sigma_c_closed_2x2(sig_x, rho)[0])
-    else:
-        lt1 = lt2 = float("nan")
+    sig_c = sigma_c_closed_2x2(provider(rho), rho)[0]
+    lam = tuple(float(v) for v in np.linalg.eigvalsh(sig_c))
+    lt1, lt2 = _lambda_tilde(sig_c)
     delta = 1e-4 * rho
     d = (rho_lambdas(rho + delta) - rho_lambdas(rho - delta)) / (2.0 * delta)
     return EigenTrack(rho=float(rho), lambdas=lam,
-                      lambda_tilde_1=float(lt1), lambda_tilde_2=float(lt2),
+                      lambda_tilde_1=lt1, lambda_tilde_2=lt2,
                       d_rho_lambda=tuple(float(v) for v in d))
 
 
@@ -312,7 +310,7 @@ def sigma_r_given_parities(a1, a2, a11, n, rho):
     s = n / (n - 1) * sigma_x_from_probs(a1, a2, a11 - a1 * a2)
     d = np.diag(s)
     var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
-    return np.eye(2) + rho * s, np.sqrt(var)
+    return sigma_r(s, rho), np.sqrt(var)
 
 
 def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):

@@ -1,7 +1,7 @@
 """Reference Kalman filter, fixed-interval smoother, and identity checks.
 
 Model: x_{k+1} = F_k x_k + u_k,  z_k = H_k x_k + w_k, with u_k ~ N(0, U_k),
-w_k ~ N(0, W_k), x_0 ~ N(x0_mean, X0), all independent.  Conventions:
+w_k ~ N(0, W_k), x_0 ~ N(0, X0), all independent.  Conventions:
 
     M_k  prediction covariance  Cov(x_k | z^{k-1})
     P_k  filtering covariance   Cov(x_k | z^k)
@@ -80,7 +80,6 @@ class StateSpaceModel:
     H_k: object
     U_k: object
     W_k: object
-    x0_mean: np.ndarray
     X0: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -107,20 +106,17 @@ class StateSpaceModel:
         return self._matrix("W", k, self.m, self.m, _check_pd)
 
 
-def state_space_model(F, H, U, W, x0_mean=None, X0=None):
-    """Build a model from constants or k -> matrix callables."""
+def state_space_model(F, H, U, W, X0):
+    """Build a model from constants or k -> matrix callables; X0 is n x n PSD."""
     h0 = np.asarray(_wrap(H)(0), dtype=np.float64)
     if h0.ndim != 2:
         raise ValueError("H must be a matrix (or a callable returning one)")
     m, n = h0.shape
-    if x0_mean is None:
-        x0_mean = np.zeros(n)
-    if X0 is None:
-        X0 = np.zeros((n, n))
+    if np.shape(X0) != (n, n):
+        raise ValueError(f"X0 must be {n}x{n}")
     model = StateSpaceModel(
         n=n, m=m,
         F_k=_wrap(F), H_k=_wrap(H), U_k=_wrap(U), W_k=_wrap(W),
-        x0_mean=_as_vector(x0_mean, n, "x0_mean"),
         X0=_check_psd(X0, "X0"),
     )
     # the shape probe is H_0's one read; its shape check holds by construction
@@ -131,7 +127,6 @@ def state_space_model(F, H, U, W, x0_mean=None, X0=None):
 @dataclass(frozen=True)
 class FilterState:
     k: int
-    xhat_pred: np.ndarray
     xhat_filt: np.ndarray
     M_k: np.ndarray
     P_k: np.ndarray
@@ -145,7 +140,7 @@ def kf_step(state, model, z_k):
     pass state=None to start at k = 0."""
     if state is None:
         k = 0
-        x_pred = model.x0_mean.copy()
+        x_pred = np.zeros(model.n)
         m_cov = model.X0.copy()
     else:
         k = state.k + 1
@@ -162,7 +157,7 @@ def kf_step(state, model, z_k):
     x_filt = x_pred + gain @ innovation
     p_cov = m_cov - gain @ r_cov @ gain.T
     p_cov = 0.5 * (p_cov + p_cov.T)
-    return FilterState(k=k, xhat_pred=x_pred, xhat_filt=x_filt,
+    return FilterState(k=k, xhat_filt=x_filt,
                        M_k=m_cov, P_k=p_cov, R_k=r_cov, K_k=gain,
                        innovation=innovation)
 
@@ -248,10 +243,8 @@ def smoother_cov(model, trace, k, b):
     return 0.5 * (sigma + sigma.T)
 
 
-def smoothed_estimate(model, states, k, b=None):
+def smoothed_estimate(model, states, k, b):
     """Fixed-interval smoothed mean xhat_{k|b} from stored filter states."""
-    if b is None:
-        b = len(states) - 1
     gains = _smoother_gains(model, states, k, b)
     xhat = states[k].xhat_filt.copy()
     for step, g in gains:
@@ -274,7 +267,7 @@ def _block_diag(*blocks):
 
 
 def _stacked_joint(model, b):
-    """Means and covariances of x = (x_0..x_b) and z = (z_0..z_b), read-only.
+    """Covariances of x = (x_0..x_b) and z = (z_0..z_b), read-only.
 
     x = A (x_0, u_0..u_{b-1}) with A block lower-triangular, block (i, j)
     = F_{i-1} .. F_j, and z = H x + w with H = blockdiag(H_0..H_b), so
@@ -285,48 +278,45 @@ def _stacked_joint(model, b):
     a = np.eye((b + 1) * n)
     for i in range(1, b + 1):
         a[i * n:(i + 1) * n, :i * n] = model.F(i - 1) @ a[(i - 1) * n:i * n, :i * n]
-    x_mean = a[:, :n] @ model.x0_mean
     x_cov = a @ _block_diag(model.X0, *(model.U(j) for j in range(b))) @ a.T
     h = _block_diag(*(model.H(j) for j in range(b + 1)))
     xz = x_cov @ h.T
     z_cov = h @ xz + _block_diag(*(model.W(j) for j in range(b + 1)))
-    return tuple(_frozen(v) for v in (x_mean, x_cov, h @ x_mean, z_cov, xz))
+    return tuple(_frozen(v) for v in (x_cov, z_cov, xz))
 
 
 def _joint_moments(model, k, b):
-    """Means and covariances of (x_k, z_0..z_b): row block k of the horizon-b
-    joint, which is built once per b."""
+    """Covariances of (x_k, z_0..z_b): row block k of the horizon-b joint,
+    which is built once per b."""
     if k < 0 or b < k:
         raise ValueError("need 0 <= k <= b")
     joint = model._cache.get(("joint", b))
     if joint is None:
         joint = model._cache["joint", b] = _stacked_joint(model, b)
-    x_mean, x_cov, z_mean, z_cov, xz = joint
+    x_cov, z_cov, xz = joint
     rows = slice(k * model.n, (k + 1) * model.n)
-    return x_mean[rows], x_cov[rows, rows], z_mean, z_cov, xz[rows]
+    return x_cov[rows, rows], z_cov, xz[rows]
 
 
 def joint_observation_covariance(model, k):
     """Covariance of the stacked observations z_0..z_k."""
-    return _joint_moments(model, 0, k)[3]
+    return _joint_moments(model, 0, k)[1]
 
 
 def projection_smoother_cov(model, k, b):
     """Cov(x_k | z^b), k <= b, by conditioning the joint Gaussian (reference form)."""
-    _, x_cov, _, z_cov, xz = _joint_moments(model, k, b)
+    x_cov, z_cov, xz = _joint_moments(model, k, b)
     sigma = x_cov - xz @ np.linalg.solve(z_cov, xz.T)
     return 0.5 * (sigma + sigma.T)
 
 
-def projection_smoothed_estimate(model, observations, k, b=None):
+def projection_smoothed_estimate(model, observations, k, b):
     """E[x_k | z^b], k <= b, by conditioning the joint Gaussian (reference form)."""
-    if b is None:
-        b = len(observations) - 1
     if len(observations) <= b:
         raise ValueError("observations must cover 0..b")
-    x_mean, _, z_mean, z_cov, xz = _joint_moments(model, k, b)
+    _, z_cov, xz = _joint_moments(model, k, b)
     z = np.concatenate([_as_vector(v, model.m, "z") for v in observations[:b + 1]])
-    return x_mean + xz @ np.linalg.solve(z_cov, z - z_mean)
+    return xz @ np.linalg.solve(z_cov, z)
 
 
 # -------------------------------------------------------------- sanity report
@@ -356,13 +346,13 @@ def random_model(seed, n):
 
     a0 = mat(0, 5, (n, n))
     x0 = a0 @ a0.T / n + 0.5 * np.eye(n)
-    return state_space_model(F, H, U, W, x0_mean=np.zeros(n), X0=x0)
+    return state_space_model(F, H, U, W, X0=x0)
 
 
 def simulate_observations(model, steps, seed):
     """Draw one state/observation path from the model."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 999))))
-    x = model.x0_mean + np.linalg.cholesky(model.X0 + 1e-12 * np.eye(model.n)) @ gen.standard_normal(model.n)
+    x = np.linalg.cholesky(model.X0 + 1e-12 * np.eye(model.n)) @ gen.standard_normal(model.n)
     zs = []
     for k in range(steps):
         w = np.linalg.cholesky(model.W(k)) @ gen.standard_normal(model.m)
@@ -386,7 +376,7 @@ def _neg_eig(mat):
     return max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
 
 
-def identity_report(seed=3, states=3, steps=8):
+def identity_report(seed, states, steps):
     """Run every filter/smoother identity on a random model; returns checks."""
     if steps < 4:
         raise ValueError("need at least 4 steps")

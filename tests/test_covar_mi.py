@@ -113,6 +113,20 @@ def test_eigen_track_trace_identity():
     assert et.lambdas[0] <= et.lambdas[1]
 
 
+def test_eigen_track_reads_the_closed_form():
+    for name in ("c1", "c2"):
+        for mode in ("general", "qli"):
+            prov = fixed_eps_provider(get_code(name), 0.1, mode)
+            et = eigen_track(prov, 2.0)
+            lam = np.linalg.eigvalsh(sigma_c_closed_2x2(prov(2.0), 2.0)[0])
+            assert et.lambdas == tuple(float(v) for v in lam)
+
+
+def test_eigen_track_refuses_a_non_2x2_provider():
+    with pytest.raises(ValueError, match="Sigma_x must be 2x2"):
+        eigen_track(lambda rho: np.eye(3), 1.0)
+
+
 def test_eigen_track_fixed_eps_derivative_positive():
     # with the error statistics frozen, rho*lambda grows with rho
     for name in ("c1", "c2"):

@@ -24,7 +24,7 @@ def test_identity_report_passes_across_models():
 def test_scalar_covariance_recursion_by_hand():
     model = kalman.state_space_model(
         np.array([[0.9]]), np.array([[2.0]]), np.array([[0.5]]),
-        np.array([[1.5]]), x0_mean=np.array([0.0]), X0=np.array([[1.0]]))
+        np.array([[1.5]]), X0=np.array([[1.0]]))
     trace = kalman.covariance_recursion(model, 3)
     m_cov = 1.0
     for step in trace:
@@ -229,8 +229,8 @@ def test_joint_moments_of_a_shorter_horizon_are_a_prefix():
                                                                        :(b + 1) * m],
                         rtol=0, atol=1e-12)
         for k in range(b + 1):
-            assert_allclose(kalman._joint_moments(model, k, b)[1],
-                            kalman._joint_moments(model, k, big)[1], rtol=0, atol=1e-12)
+            assert_allclose(kalman._joint_moments(model, k, b)[0],
+                            kalman._joint_moments(model, k, big)[0], rtol=0, atol=1e-12)
 
 
 def test_identity_report_builds_the_stacked_joint_once(monkeypatch):
@@ -334,6 +334,14 @@ def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
                 kalman.covariance_recursion(model, 6)
             else:
                 kalman.run_filter(model, obs)
+
+
+@pytest.mark.parametrize("x0", [np.eye(3), np.eye(1), np.ones((2, 3))],
+                         ids=["3x3", "1x1", "2x3"])
+def test_x0_shape_is_checked_when_the_model_is_built(x0):
+    with pytest.raises(ValueError, match="X0 must be 2x2"):
+        kalman.state_space_model(0.9 * np.eye(2), np.array([[1.0, 0.5]]), 0.2 * np.eye(2),
+                                 np.array([[1.0]]), X0=x0)
 
 
 def test_encoder_shift_register_model_matches_projection():
