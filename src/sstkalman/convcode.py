@@ -1,12 +1,14 @@
 """Rate-1/2 binary convolutional codes, including the quick-look-in family.
 
-A code is a generator pair (g1, g2), a polynomial right inverse with
-G * Ginv = [1] exactly (no decoding delay), and a parity-check pair h
-orthogonal to G.  Quick-look-in (QLI) codes satisfy g1 + g2 = D^L, so
-the information sequence is recovered from hard decisions by adding the
-two received streams.  QLI-ness is read from g alone: ConvCode.L gives
-the look-in delay and raises ValueError for any other code.  The SST
-pre-decoder of either arrangement is one value, `predecoder(code, mode)`.
+A code is a generator pair (g1, g2) and a polynomial right inverse with
+G * Ginv = [1] exactly (no decoding delay).  G Ginv = 1 forces
+gcd(g1, g2) = 1, so the parity check is (g2, g1) up to a factor and is
+not stored.  Quick-look-in (QLI) codes satisfy g1 + g2 = D^L, so the
+information sequence is recovered from hard decisions by adding the two
+received streams.  QLI-ness is read from g alone: ConvCode.L gives the
+look-in delay and raises ValueError for any other code.  The SST
+pre-decoder of either arrangement is one value, `predecoder(code, mode)`;
+`syndrome` and the pre-decoder both run through `column_filter`.
 
 Polynomials are int masks (see `gf2`): bit j is the coefficient of D^j.
 Encoded streams are numpy bit arrays; polynomials only describe codes.
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (MAX_DEGREE, clmul, from_string, polymat_mul, support, to_string,
-                  verify_right_inverse)
+from .gf2 import MAX_DEGREE, from_string, polymat_mul, support, to_string, verify_right_inverse
 
 
 @dataclass(frozen=True)
@@ -30,25 +31,19 @@ class ConvCode:
     name: str
     g: tuple
     ginv: tuple
-    h: tuple
 
     def __post_init__(self):
-        for key in ("g", "ginv", "h"):
+        for key in ("g", "ginv"):
             pair = tuple(getattr(self, key))
             if len(pair) != 2:
-                raise ValueError("g, ginv and h must each hold two polynomials")
+                raise ValueError("g and ginv must each hold two polynomials")
             if not all(isinstance(p, int) and 0 <= p < 1 << (MAX_DEGREE + 1) for p in pair):
                 raise ValueError(f"{key} must hold int masks of degree at most {MAX_DEGREE}")
             object.__setattr__(self, key, pair)
-        (g1, g2), (h1, h2) = self.g, self.h
-        if not (g1 and g2):
+        if not all(self.g):
             raise ValueError("generator polynomials must be nonzero")
         if not verify_right_inverse(self.g, self.ginv):
             raise ValueError("ginv is not a right inverse of g")
-        if clmul(g1, h1) != clmul(g2, h2):
-            raise ValueError("h is not orthogonal to g")
-        if not (h1 or h2):
-            raise ValueError("h must be nonzero")
 
     @property
     def nu(self):
@@ -68,8 +63,7 @@ def make_qli(gprime, name=None):
     """Build the QLI code with g1 = 1 + D*g', g2 = 1 + D + D*g'.
 
     gprime is an int mask with zero constant term; its degree fixes
-    nu = deg(g') + 1.  The right inverse is (1 + g', g')^T and the parity
-    check is (g2, g1).
+    nu = deg(g') + 1.  The right inverse is (1 + g', g')^T.
     """
     if gprime <= 0:
         raise ValueError("gprime must be a nonzero mask")
@@ -78,14 +72,13 @@ def make_qli(gprime, name=None):
     g1, g2 = 1 ^ (gprime << 1), 3 ^ (gprime << 1)
     if name is None:
         name = f"qli-nu{gprime.bit_length()}-{to_string(gprime)[1:]}"
-    return ConvCode(name=name, g=(g1, g2), ginv=(1 ^ gprime, gprime), h=(g2, g1))
+    return ConvCode(name=name, g=(g1, g2), ginv=(1 ^ gprime, gprime))
 
 
 C1 = ConvCode(
     name="c1",
     g=(from_string("111"), from_string("101")),
     ginv=(from_string("01"), from_string("11")),
-    h=(from_string("101"), from_string("111")),
 )
 
 C2 = make_qli(from_string("001011"), name="c2")
@@ -105,15 +98,16 @@ def code_to_json(code):
         "name": code.name,
         "g": [to_string(p) for p in code.g],
         "ginv": [to_string(p) for p in code.ginv],
-        "h": [to_string(p) for p in code.h],
-        "qli": (code.g[0] ^ code.g[1]).bit_count() == 1,
     }
 
 
 def code_from_json(obj):
-    """Code from a parsed code file; ValueError on any malformed field."""
+    """Code from a parsed code file; ValueError on any malformed or unknown field."""
     if not isinstance(obj, dict):
         raise ValueError("a code file must hold a JSON object")
+    for key in obj:
+        if key not in ("name", "g", "ginv"):
+            raise ValueError(f"unknown code field {key!r}")
 
     def polys(key):
         value = obj.get(key)
@@ -121,18 +115,10 @@ def code_from_json(obj):
             raise ValueError(f"code field {key!r} must be a list of polynomial strings")
         return tuple(from_string(s) for s in value)
 
-    g = polys("g")
-    ginv = polys("ginv")
-    h = polys("h") if "h" in obj else g[::-1]
-    name, qli = obj.get("name", "custom"), obj.get("qli", False)
+    name = obj.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError("code field 'name' must be a string")
-    if not isinstance(qli, bool):
-        raise ValueError("code field 'qli' must be true or false")
-    code = ConvCode(name=name, g=g, ginv=ginv, h=h)
-    if qli:
-        code.L  # a code file that claims QLI must have g1 + g2 = D^L
-    return code
+    return ConvCode(name=name, g=polys("g"), ginv=polys("ginv"))
 
 
 def load_code(spec):
@@ -152,11 +138,10 @@ def _check_bits(bits):
     return arr
 
 
-def _tap_xor(bits, poly, out=None):
+def _tap_xor(bits, poly):
     # y[k] = sum_j poly[j] * bits[k - j] over GF(2), truncated to the block
     n = bits.shape[0]
-    if out is None:
-        out = np.zeros(n, dtype=np.uint8)
+    out = np.zeros(n, dtype=np.uint8)
     for j in support(poly):
         if j < n:
             out[j:] ^= bits[: n - j]
@@ -172,14 +157,18 @@ def encode(code, info):
     return out
 
 
-def syndrome(code, z_hard):
-    """Parity-check stream of a hard-decision block; zero on error-free codewords."""
+def column_filter(z_hard, taps):
+    """GF(2) stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1] of an (n, 2) block."""
     z_hard = np.asarray(z_hard, dtype=np.uint8)
     if z_hard.ndim != 2 or z_hard.shape[1] != 2:
         raise ValueError("z_hard must have shape (n, 2)")
-    zeta = _tap_xor(z_hard[:, 0], code.h[0])
-    _tap_xor(z_hard[:, 1], code.h[1], out=zeta)
-    return zeta
+    return _tap_xor(z_hard[:, 0], taps[0]) ^ _tap_xor(z_hard[:, 1], taps[1])
+
+
+def syndrome(code, z_hard):
+    """Parity-check stream of a hard-decision block through (g2, g1); zero on
+    error-free codewords."""
+    return column_filter(z_hard, code.g[::-1])
 
 
 def predecoder(code, mode):

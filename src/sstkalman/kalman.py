@@ -32,6 +32,12 @@ def _as_vector(v, n, name):
     return v
 
 
+def _check_finite(mat, name):
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
+    return mat
+
+
 def _check_psd(mat, name):
     mat = np.asarray(mat, dtype=np.float64)
     if not np.allclose(mat, mat.T, atol=1e-10):
@@ -69,9 +75,9 @@ class StateSpaceModel:
     Each of F, H, U and W is read and checked once per step k, on first
     use, and then served from a private read-only copy, so the callables
     must be pure functions of k.  F and U must be n x n, H m x n and W
-    m x m, U PSD and W PD; F may be singular, as an encoder's shift
-    register is.  A check that fails is not cached: the next read calls
-    the callable again and raises again.
+    m x m, all finite, U PSD and W PD; F may be singular, as an encoder's
+    shift register is.  A check that fails is not cached: the next read
+    calls the callable again and raises again.
     """
 
     n: int
@@ -84,12 +90,13 @@ class StateSpaceModel:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _matrix(self, name, k, rows, cols, check=None):
-        """name_k, read on first use and checked: its shape, then `check`."""
+        """name_k, read on first use and checked: its shape, finiteness, then `check`."""
         mat = self._cache.get((name, k))
         if mat is None:
             mat = np.array(getattr(self, f"{name}_k")(k), dtype=np.float64)
             if mat.shape != (rows, cols):
                 raise ValueError(f"{name}_{k} must be {rows}x{cols}")
+            _check_finite(mat, f"{name}_{k}")
             mat = self._cache[name, k] = _frozen(check(mat, f"{name}_{k}") if check else mat)
         return mat
 
@@ -117,10 +124,10 @@ def state_space_model(F, H, U, W, X0):
     model = StateSpaceModel(
         n=n, m=m,
         F_k=_wrap(F), H_k=_wrap(H), U_k=_wrap(U), W_k=_wrap(W),
-        X0=_check_psd(X0, "X0"),
+        X0=_check_psd(_check_finite(X0, "X0"), "X0"),
     )
     # the shape probe is H_0's one read; its shape check holds by construction
-    model._cache[("H", 0)] = _frozen(np.array(h0))
+    model._cache[("H", 0)] = _frozen(_check_finite(np.array(h0), "H_0"))
     return model
 
 

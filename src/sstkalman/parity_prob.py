@@ -226,7 +226,6 @@ class MonteCarloProbs:
     se_alpha1: float
     se_alpha2: float
     se_alpha11: float
-    trials: int
 
 
 def error_window_parities(s1, s2, eps, trials, gen):
@@ -262,5 +261,4 @@ def monte_carlo_probs(code, eps, trials, seed, mode="general"):
     v = error_window_parities(s1, s2, eps, trials, channel.make_rng(seed))
     est, ses = parity_frequencies(v)
     return MonteCarloProbs(alpha1=est[0], alpha2=est[1], alpha11=est[2],
-                           se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
-                           trials=trials)
+                           se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2])

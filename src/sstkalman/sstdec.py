@@ -36,13 +36,7 @@ def predecode(z_hard, code, mode="general"):
     general: ihat = z_hard Ginv (exact inverse, zero delay on clean input).
     qli:     adds the two streams; estimates i delayed by L.
     """
-    z_hard = np.asarray(z_hard, dtype=np.uint8)
-    if z_hard.ndim != 2 or z_hard.shape[1] != 2:
-        raise ValueError("z_hard must have shape (n, 2)")
-    taps, _ = convcode.predecoder(code, mode)
-    out = convcode._tap_xor(z_hard[:, 0], taps[0])
-    convcode._tap_xor(z_hard[:, 1], taps[1], out=out)
-    return out
+    return convcode.column_filter(z_hard, convcode.predecoder(code, mode)[0])
 
 
 def _main_input(z, code, ihat, delay):

@@ -123,12 +123,16 @@ def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
     {"g": "111", "ginv": ["01", "11"]},
     {"g": ["111", 5], "ginv": ["01", "11"]},
     {"g": ["111"], "ginv": ["01", "11"]},
+    # a code file holds name, g and ginv only: "h" and "qli" are unknown fields
     {"g": ["111", "101"], "ginv": ["01", "11"], "h": None},
-    # g1 + g2 = D + D^2 + D^3 is not a monomial, so the "qli" claim is false
     {"g": ["1101", "101"], "ginv": ["001", "1001"], "qli": True},
-    # a valid code under a name that is not a string, and a "qli" that is not a bool
+    # a valid code under a name that is not a string
     {"name": ["x"], "g": ["111", "101"], "ginv": ["01", "11"]},
+    # unknown fields, whatever their value
     {"g": ["11", "1"], "ginv": ["0", "1"], "qli": 1},
+    {"g": ["111", "101"], "ginv": ["01", "11"], "ginverse": ["01", "11"]},
+    # c1 with its parity check (g2, g1) spelled out
+    {"g": ["111", "101"], "ginv": ["01", "11"], "h": ["101", "111"]},
 ])
 def test_malformed_code_file_exits_2(tmp_path, content):
     path = tmp_path / "code.json"
@@ -148,7 +152,7 @@ def test_simulate_refuses_a_memory_the_decoder_cannot_index(capsys, tmp_path, nu
     # the decoder kernel holds its states in 64-bit words
     g1 = "1" + "0" * (nu - 1) + "1"
     path = tmp_path / "code.json"
-    path.write_text(json.dumps({"g": [g1, "1"], "ginv": ["0", "1"], "h": ["1", g1]}))
+    path.write_text(json.dumps({"g": [g1, "1"], "ginv": ["0", "1"]}))
     rc, out, err = run(["simulate", "--code", str(path), "--ebn0-db=4", "--branches", "1000"],
                        capsys)
     assert (rc, out) == (2, "")
@@ -780,13 +784,10 @@ def _poly_text(mask):
 @st.composite
 def code_files(draw):
     """A code file with nu <= 6: a right inverse when one exists, any other
-    pair otherwise, and sometimes a "qli" claim."""
+    pair otherwise."""
     g = (draw(st.integers(1, 127)), draw(st.integers(1, 127)))
     ginv = _bezout(*g) or (draw(st.integers(0, 63)), draw(st.integers(0, 63)))
-    content = {"g": [_poly_text(p) for p in g], "ginv": [_poly_text(p) for p in ginv]}
-    if draw(st.booleans()):
-        content["qli"] = draw(st.booleans())
-    return content
+    return {"g": [_poly_text(p) for p in g], "ginv": [_poly_text(p) for p in ginv]}
 
 
 db_texts = st.one_of(

@@ -1,5 +1,6 @@
 """Code construction, encoding, and the block maps driving the parity calculus."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,7 +33,7 @@ def _nonqli_code():
     # g1 + g2 = D + D^2 + D^3 is not a monomial, but an exact right inverse exists
     g = (from_string("1101"), from_string("101"))
     ginv = (from_string("001"), from_string("1001"))
-    return ConvCode("nonqli", g, ginv, (g[1], g[0]))
+    return ConvCode("nonqli", g, ginv)
 
 
 def test_builtin_c1():
@@ -61,7 +62,7 @@ def test_get_code_unknown():
 def test_constructor_rejects_wrong_inverse():
     g = (from_string("111"), from_string("101"))
     with pytest.raises(ValueError):
-        ConvCode("bad", g, (1, 1), (g[1], g[0]))
+        ConvCode("bad", g, (1, 1))
 
 
 def test_look_in_delay_rejects_non_qli():
@@ -79,8 +80,8 @@ def test_make_qli_family(cbits):
     assert code.L == 1
     assert base.g[0] ^ base.g[1] == from_string("01")
     assert verify_right_inverse(base.g, base.ginv)
-    # parity check rows annihilate the generator
-    prod = polymat_mul((base.h,), ((base.g[0],), (base.g[1],)))
+    # the parity check (g2, g1) annihilates the generator
+    prod = polymat_mul((base.g[::-1],), ((base.g[0],), (base.g[1],)))
     assert prod[0][0] == 0
 
 
@@ -169,6 +170,15 @@ def test_json_round_trip(tmp_path):
     path.write_text(json.dumps(code_to_json(get_code("c2"))))
     loaded = load_code(str(path))
     assert loaded.g == get_code("c2").g
+
+
+def test_a_code_is_its_name_generators_and_right_inverse():
+    assert [f.name for f in dataclasses.fields(ConvCode)] == ["name", "g", "ginv"]
+    assert set(code_to_json(get_code("c2"))) == {"name", "g", "ginv"}
+    for key in ("h", "qli", "ginverse"):
+        obj = dict(code_to_json(get_code("c1")), **{key: ["101", "111"]})
+        with pytest.raises(ValueError, match=f"unknown code field '{key}'"):
+            code_from_json(obj)
 
 
 def test_load_code_builtin_names():

@@ -47,7 +47,7 @@ def test_bad_strings_rejected():
 def test_degree_of_zero_raises():
     # the zero polynomial has no degree, so a code with a zero generator has no memory
     with pytest.raises(ValueError, match="generator polynomials must be nonzero"):
-        ConvCode("zero", (0, 1), (0, 1), (1, 0))
+        ConvCode("zero", (0, 1), (0, 1))
 
 
 def test_degree_and_term_count():
@@ -124,15 +124,15 @@ def test_degree_cap_enforced():
     with pytest.raises(ValueError, match=f"degree exceeds {MAX_DEGREE}"):
         from_string(at_cap[:-1] + "01")
 
-    # (1 + D^k, 1) has right inverse (0, 1) and parity check (1, 1 + D^k)
+    # (1 + D^k, 1) has right inverse (0, 1)
     def code(k):
         g1 = 1 | 1 << k
-        return ConvCode("cap", (g1, 1), (0, 1), (1, g1))
+        return ConvCode("cap", (g1, 1), (0, 1))
 
     assert code(MAX_DEGREE).nu == MAX_DEGREE
     for bad in (lambda: code(MAX_DEGREE + 1),
-                lambda: ConvCode("neg", (-1, 1), (0, 1), (1, -1)),
-                lambda: ConvCode("str", ("111", "101"), (0b10, 0b11), (0b101, 0b111))):
+                lambda: ConvCode("neg", (-1, 1), (0, 1)),
+                lambda: ConvCode("str", ("111", "101"), (0b10, 0b11))):
         with pytest.raises(ValueError, match=f"int masks of degree at most {MAX_DEGREE}"):
             bad()
 

@@ -324,6 +324,14 @@ def two_state_model(F=None, H=None, U=None, W=None):
      "recursion", "H_4 must be 1x2"),
     ({"W": lambda k: np.eye(2) if k == 1 else np.array([[1.0]])},
      "filter", "W_1 must be 1x1"),
+    ({"U": lambda k: np.diag([np.inf, 0.2]) if k == 0 else 0.2 * np.eye(2)},
+     "recursion", "U_0 must be finite"),
+    ({"W": lambda k: np.array([[np.inf]]) if k == 2 else np.array([[1.0]])},
+     "filter", "W_2 must be finite"),
+    ({"F": lambda k: np.full((2, 2), np.nan) if k == 1 else 0.9 * np.eye(2)},
+     "recursion", "F_1 must be finite"),
+    ({"H": lambda k: np.array([[np.inf, 0.5]]) if k == 3 else np.array([[1.0, 0.5]])},
+     "filter", "H_3 must be finite"),
 ])
 def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
     model = two_state_model(**kwargs)
@@ -342,6 +350,16 @@ def test_x0_shape_is_checked_when_the_model_is_built(x0):
     with pytest.raises(ValueError, match="X0 must be 2x2"):
         kalman.state_space_model(0.9 * np.eye(2), np.array([[1.0, 0.5]]), 0.2 * np.eye(2),
                                  np.array([[1.0]]), X0=x0)
+
+
+@pytest.mark.parametrize("x0, h, match", [
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.5]]), "X0 must be finite"),
+    (np.full((2, 2), np.nan), np.array([[1.0, 0.5]]), "X0 must be finite"),
+    (np.eye(2), np.array([[np.nan, 0.5]]), "H_0 must be finite"),
+], ids=["x0-inf", "x0-nan", "h0-nan"])
+def test_non_finite_x0_and_h0_are_refused_when_the_model_is_built(x0, h, match):
+    with pytest.raises(ValueError, match=match):
+        kalman.state_space_model(0.9 * np.eye(2), h, 0.2 * np.eye(2), np.array([[1.0]]), X0=x0)
 
 
 def test_encoder_shift_register_model_matches_projection():

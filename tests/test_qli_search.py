@@ -120,7 +120,7 @@ def test_family_counts_rejects_a_non_qli_code():
     g = (from_string("1101"), from_string("101"))
     ginv = (from_string("001"), from_string("1001"))
     with pytest.raises(ValueError, match="not quick-look-in"):
-        qli_search.family_counts(ConvCode("nonqli", g, ginv, (g[1], g[0])))
+        qli_search.family_counts(ConvCode("nonqli", g, ginv))
 
 
 def test_trace_compare_from_counts_matches_supports():

@@ -158,7 +158,7 @@ def test_viterbi_main_matches_per_step_traceback_across_memories(nu, taps, n, ki
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_viterbi_main_matches_per_step_traceback_at_memory_one(kind):
-    code = ConvCode(name="nu1", g=(1, 3), ginv=(1, 0), h=(3, 1))
+    code = ConvCode(name="nu1", g=(1, 3), ginv=(1, 0))
     r = soft_values(9, 300, kind)
     assert np.array_equal(sstdec.viterbi_main(r, code, 5), per_step_viterbi(r, code, 5))
 
@@ -166,7 +166,7 @@ def test_viterbi_main_matches_per_step_traceback_at_memory_one(kind):
 def memory_code(nu):
     """A code of memory nu: the nu = 1 code above, else a QLI code with a few taps."""
     if nu == 1:
-        return ConvCode(name="nu1", g=(1, 3), ginv=(1, 0), h=(3, 1))
+        return ConvCode(name="nu1", g=(1, 3), ginv=(1, 0))
     return make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
 
 
@@ -222,7 +222,7 @@ def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
 
 
 def test_viterbi_main_rejects_memory_zero():
-    code = ConvCode(name="nu0", g=(1, 1), ginv=(1, 0), h=(1, 1))
+    code = ConvCode(name="nu0", g=(1, 1), ginv=(1, 0))
     with pytest.raises(ValueError, match="1 <= nu <= 62"):
         sstdec.viterbi_main(np.zeros((10, 2)), code)
 
