@@ -9,16 +9,20 @@
 
    The ACS runs over butterflies: lane j reads the metrics of states j and
    j + 2^(nu-1) and writes states 2j and 2j + 1.  It works in GCC vectors
-   of W doubles, W the target's native width from the predefined macros: 8
-   with AVX-512F, 4 with AVX, 2 otherwise.  gcc does not vectorise a plain
-   butterfly loop, and a vector wider than the target, lowered to SSE2,
-   runs slower than scalar code, so the kernel is built with -march=native
-   (and cached under the host CPU's name).  There are lanes =
-   max(2^(nu-1), W) lanes (viterbi_lanes).  Lanes past 2^(nu-1), present
-   only when nu - 1 < log2 W, carry NaN signs: their metrics are NaN, which
-   never wins a compare, so every nu runs the same loop.  The best state is
-   the lowest one with the top metric, kept per lane through the ACS and
-   then reduced across the lanes.
+   of W doubles, W = min(native, max(2, 2^(nu-1))) (viterbi_width), where
+   the native width comes from the predefined macros: 8 with AVX-512F, 4
+   with AVX, 2 otherwise.  A narrow code in a wide vector would fill few
+   of its lanes and pay the full cross-lane reduction each step, so this
+   file holds the kernel once for each width up to the native one (it
+   includes itself with W set) and `viterbi` picks one per call.  gcc does
+   not vectorise a plain butterfly loop, and a vector wider than the
+   target, lowered to SSE2, runs slower than scalar code, so the kernel is
+   built with -march=native (and cached under the host CPU's name).  There
+   are lanes = max(2^(nu-1), 2) lanes (viterbi_lanes).  At nu = 1 the one
+   lane past 2^(nu-1) carries NaN signs: its metrics are NaN, which never
+   wins a compare, so every nu runs the same loop.  The best state is the
+   lowest one with the top metric, kept per lane through the ACS and then
+   reduced across the lanes.
 
    work holds 12 * lanes doubles: the metrics and the next metrics (2 *
    lanes each, in state order; entries from 2^nu on are NaN) and the signs,
@@ -36,31 +40,96 @@
    choices rows at or before t, and those rows do not change while they
    are in the ring, so from there on both survivors are the same. */
 
+#ifndef W
+
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 #if defined(__AVX512F__)
-#define W 8
-#define LANE {0, 1, 2, 3, 4, 5, 6, 7}
+#define NATIVE 8
 #elif defined(__AVX__)
+#define NATIVE 4
+#else
+#define NATIVE 2
+#endif
+
+#define JOIN_(a, b) a##b
+#define JOIN(a, b) JOIN_(a, b)
+/* the types and helpers of the kernel at width W take the suffix W */
+#define vd JOIN(vd, W)
+#define vi JOIN(vi, W)
+#define vb JOIN(vb, W)
+#define load JOIN(load, W)
+#define store JOIN(store, W)
+#define pick_i JOIN(pick_i, W)
+#define pick JOIN(pick, W)
+
+static double sign_of(uint64_t g, uint64_t reg)
+{
+    return __builtin_parityll(g & reg) ? -1.0 : 1.0;
+}
+
+#define W 2
+#include "_viterbi.c"
+#undef W
+#if NATIVE >= 4
 #define W 4
+#include "_viterbi.c"
+#undef W
+#endif
+#if NATIVE >= 8
+#define W 8
+#include "_viterbi.c"
+#undef W
+#endif
+
+/* the vector width for memory nu: 2^(nu-1) doubles, at least 2, at most native */
+int viterbi_width(int nu)
+{
+    const int64_t half = (int64_t)1 << (nu - 1);
+    return half < 2 ? 2 : half < NATIVE ? (int)half : NATIVE;
+}
+
+/* the lanes of a plane for memory nu: 2^(nu-1), at least one vector of 2 */
+int64_t viterbi_lanes(int nu)
+{
+    const int64_t half = (int64_t)1 << (nu - 1);
+    return half < 2 ? 2 : half;
+}
+
+void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
+             int64_t truncation, double *work, uint8_t *choices, int64_t rows,
+             int64_t *path, int64_t plen, uint8_t *out)
+{
+    /* entry i is the kernel of width 2^(i+1) */
+    static __typeof__(viterbi2) *const run[] = {
+        viterbi2,
+#if NATIVE >= 4
+        viterbi4,
+#endif
+#if NATIVE >= 8
+        viterbi8,
+#endif
+    };
+
+    run[__builtin_ctz((unsigned)viterbi_width(nu)) - 1](r, n, nu, g0, g1, truncation, work,
+                                                        choices, rows, path, plen, out);
+}
+
+#else /* the kernel at width W */
+
+#if W == 2
+#define LANE {0, 1}
+#elif W == 4
 #define LANE {0, 1, 2, 3}
 #else
-#define W 2
-#define LANE {0, 1}
+#define LANE {0, 1, 2, 3, 4, 5, 6, 7}
 #endif
 
 typedef double vd __attribute__((vector_size(8 * W)));
 typedef int64_t vi __attribute__((vector_size(8 * W)));
 typedef uint8_t vb __attribute__((vector_size(W)));
-
-/* the lanes of a plane for memory nu: 2^(nu-1), at least one vector */
-int64_t viterbi_lanes(int nu)
-{
-    const int64_t half = (int64_t)1 << (nu - 1);
-    return half > W ? half : W;
-}
 
 static inline vd load(const double *p)
 {
@@ -85,16 +154,11 @@ static inline vd pick(vi mask, vd a, vd b)
     return (vd)pick_i(mask, (vi)a, (vi)b);
 }
 
-static double sign_of(uint64_t g, uint64_t reg)
+static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
+                             int64_t truncation, double *work, uint8_t *choices, int64_t rows,
+                             int64_t *path, int64_t plen, uint8_t *out)
 {
-    return __builtin_parityll(g & reg) ? -1.0 : 1.0;
-}
-
-void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
-             int64_t truncation, double *work, uint8_t *choices, int64_t rows,
-             int64_t *path, int64_t plen, uint8_t *out)
-{
-    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = viterbi_lanes(nu),
+    const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = half > W ? half : W,
                   row = 2 * lanes, ring = rows - 1, pmask = plen - 1;
     const int top = nu - 1;
     const vi lane = LANE, nobody = lane + ns;
@@ -183,3 +247,7 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
                 (int64_t)choices[(t & ring) * row + (state & 1) * lanes + (state >> 1)] << top;
     }
 }
+
+#undef LANE
+
+#endif

@@ -7,7 +7,6 @@ requested artifact was produced and every internal validator passed.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -277,7 +276,7 @@ def run_simulate(args):
         eps = point.epsilon
         a1, a2, a11, th = parity_prob.branch_stats(s1, s2, eps)
         sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
-        rows.append({**dataclasses.asdict(res), "epsilon": eps, "rho": point.rho,
+        rows.append({**vars(res), "epsilon": eps, "rho": point.rho,
                      "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,
                      "sigma_r_ref": sig_ref.tolist()})
 

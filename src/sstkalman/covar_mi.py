@@ -282,9 +282,15 @@ def sample_sigma_r(v, w, point, supports):
     n = len(v)
     if n < 2:
         raise ValueError("need at least two trials")
-    xt = 1.0 - 2.0 * np.asarray(v, dtype=np.float64)
+    v = np.asarray(v)
+    w_mean = w.mean(axis=0)
     # centred apart: at large c the spacing of c*xt + w would swallow w
-    centered = point.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
+    centered = np.empty((n, 2))
+    for j in range(2):
+        # xt = 1 - 2v is +-1, so its mean is the exact count (n - 2k) / n
+        m = (n - 2 * np.count_nonzero(v[:, j])) / n
+        centered[:, j] = (np.where(v[:, j], point.c * (-1.0 - m), point.c * (1.0 - m))
+                          + (w[:, j] - w_mean[j]))
     sigma_hat = (centered.T @ centered) / (n - 1)
     a1, a2, a11, _ = parity_prob.branch_stats(*supports, point.epsilon)
     p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])

@@ -243,7 +243,8 @@ def parity_frequencies(v):
     """Frequencies alpha1, alpha2 and alpha11 of an (n, 2) parity array's
     columns and of their AND, and their binomial standard errors
     sqrt(p (1 - p) / n); returns (estimates, ses), each three floats."""
-    est = [float(np.mean(x)) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])]
+    # a float sum of 0/1 values is exact, so the mean is the count over n
+    est = [np.count_nonzero(x) / len(v) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])]
     ses = [float(np.sqrt(p * (1.0 - p) / len(v))) for p in est]
     return est, ses
 

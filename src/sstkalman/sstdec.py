@@ -12,9 +12,10 @@ estimate.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
-on first use for the host CPU, whose add-compare-select runs in that
-CPU's vector width.  Each step's traceback stops where it meets the survivor
-traced at the step before, from which point the two are the same.
+on first use for the host CPU, whose add-compare-select runs in vectors
+of 2^(nu-1) doubles, at least 2 and at most that CPU's native width.
+Each step's traceback stops where it meets the survivor traced at the
+step before, from which point the two are the same.
 """
 
 from __future__ import annotations
@@ -74,9 +75,11 @@ def default_truncation(code):
 
 _KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
 # no FMA contraction and no fast-math: every path metric is one fixed float;
-# -march=native sets the ACS vector width (see _viterbi.c)
+# -march=native sets the widest ACS vector (see _viterbi.c)
 _KERNEL_FLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-fast-math", "-shared",
                  "-fPIC")
+# the most that the main decoder's work, choices and path arrays may take
+DECODER_BYTES = 1 << 30
 _kernel = None
 _kernel_lock = threading.Lock()
 
@@ -128,6 +131,8 @@ def _build_kernel():
             raise OSError(f"cannot build the Viterbi kernel: {proc.stderr.strip()}")
         os.replace(partial, lib)
     kernel = ctypes.CDLL(str(lib))
+    kernel.viterbi_width.restype = ctypes.c_int
+    kernel.viterbi_width.argtypes = [ctypes.c_int]
     kernel.viterbi_lanes.restype = ctypes.c_int64
     kernel.viterbi_lanes.argtypes = [ctypes.c_int]
     kernel.viterbi.restype = None
@@ -148,7 +153,9 @@ def viterbi_main(r, code, truncation=None):
     Ties prefer the input-0 branch and the lowest-index state.  The
     trellis runs in the C kernel `_viterbi.c`, built on the first call.
     It indexes the states and shift register in 64-bit words, so the
-    code's memory must satisfy 1 <= nu <= 62 (ValueError otherwise).
+    code's memory must satisfy 1 <= nu <= 62, and its arrays, sized from
+    nu, the truncation and n, may take at most DECODER_BYTES (ValueError
+    otherwise, before they are allocated).
     """
     global _kernel
     r = np.ascontiguousarray(r, dtype=np.float64)
@@ -171,12 +178,16 @@ def viterbi_main(r, code, truncation=None):
         with _kernel_lock:
             if _kernel is None:
                 _kernel = _build_kernel()
-    # the kernel's per-lane planes: 2^(nu-1) lanes, padded to its vector width
+    # the kernel's per-lane planes: 2^(nu-1) lanes, at least one vector of 2
     lanes = _kernel.viterbi_lanes(code.nu)
     # the survivor decisions of the last min(truncation, n) steps, in a ring
     rows = 1 << (min(truncation, n) - 1).bit_length()
     # the previous step's survivor, one state per time, over more than that
     plen = 1 << min(truncation, n).bit_length()
+    size = 8 * 12 * lanes + rows * 2 * lanes + 8 * plen
+    if size > DECODER_BYTES:
+        raise ValueError(f"the main decoder would take {size} bytes for a code of memory "
+                         f"nu = {code.nu}, over its cap of {DECODER_BYTES} bytes")
     work = np.empty(12 * lanes)
     choices = np.empty(rows * 2 * lanes, dtype=np.uint8)
     path = np.empty(plen, dtype=np.int64)
@@ -286,8 +297,8 @@ def simulate(code, points, branches, seed, mode="general"):
         results.append(SimulationResult(
             ebn0_db=point.ebn0_db,
             branches=branches,
-            pre_ber=float(np.mean(pre_stream != truth)),
-            post_ber=float(np.mean(post_stream != truth)),
+            pre_ber=np.count_nonzero(pre_stream != truth) / m,
+            post_ber=np.count_nonzero(post_stream != truth) / m,
             emp_alpha1=a1, emp_alpha2=a2, emp_alpha11=a11,
             se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
             stride=stride, n_eff=n_eff,

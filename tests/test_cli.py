@@ -159,6 +159,18 @@ def test_simulate_refuses_a_memory_the_decoder_cannot_index(capsys, tmp_path, nu
     assert err == "error: the main decoder needs a code of memory 1 <= nu <= 62\n"
 
 
+def test_simulate_refuses_a_decoder_past_its_memory_cap(capsys, tmp_path):
+    # g = (1 + D^62, 1 + D + D^62): a memory the kernel indexes, 2^61 lanes
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(convcode.code_to_json(convcode.make_qli(1 << 61))))
+    rc, out, err = run(["simulate", "--code", str(path), "--ebn0-db=4", "--branches", "1000"],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the main decoder would take ")
+    assert err.endswith(f" bytes for a code of memory nu = 62, over its cap of "
+                        f"{sstdec.DECODER_BYTES} bytes\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["kalman-check", "--states", "0"], "--states"),
     (["kalman-check", "--steps", "3"], "--steps"),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -342,3 +342,22 @@ def test_sigma_r_given_parities_matches_the_spread_over_w(db):
     mean, se = sigma_r_given_parities(a1, a2, (v[:, 0] & v[:, 1]).mean(), n, pt.rho)
     assert np.all(np.abs(np.mean(hats, axis=0) - mean) < 4 * se / np.sqrt(reps))
     assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
+
+
+# a column rate of 0 or 1 draws an all-zero or all-one column; 300 dB puts
+# c at ~3e7, where centring c (1 - 2v) and w apart matters
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5000), rates=st.tuples(*[st.sampled_from([0.0, 0.003, 0.5, 1.0])] * 2),
+       db=st.sampled_from([-10.0, 0.0, 7.0, 300.0]), seed=st.integers(0, 2**32 - 1))
+@example(n=2, rates=(0.0, 1.0), db=7.0, seed=0)
+@example(n=2, rates=(0.5, 0.5), db=300.0, seed=3)
+def test_sample_sigma_r_equals_the_broadcast_centring_bit_for_bit(n, rates, db, seed):
+    gen = np.random.default_rng(seed)
+    v = (gen.random((n, 2)) < rates).astype(np.uint8)
+    w = gen.standard_normal((n, 2))
+    pt = channel.snr_point(db)
+    xt = 1.0 - 2.0 * v.astype(np.float64)
+    centered = pt.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
+    supports = parity_prob.code_supports(get_code("c1"), "general")
+    hat = sample_sigma_r(v, w, pt, supports)[0]
+    assert hat.tobytes() == ((centered.T @ centered) / (n - 1)).tobytes()

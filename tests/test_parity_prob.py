@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sstkalman.convcode import get_code, main_encoded_block_map, make_qli
@@ -17,6 +17,7 @@ from sstkalman.parity_prob import (
     joint_value_prob,
     marginal_polynomial,
     monte_carlo_probs,
+    parity_frequencies,
     parity_one_prob,
     support_of,
     theta,
@@ -199,3 +200,17 @@ def test_monte_carlo_probs_consistency():
     assert abs(mc.alpha2 - a2) < 4 * mc.se_alpha2
     assert abs(mc.alpha11 - a11) < 4 * mc.se_alpha11
     assert_allclose(a1, 0.3442, atol=1e-4)
+
+
+# a column rate of 0 or 1 draws an all-zero or all-one column
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5000), rates=st.tuples(*[st.sampled_from([0.0, 0.003, 0.5, 1.0])] * 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, rates=(1.0, 0.0), seed=0)
+@example(n=2, rates=(1.0, 1.0), seed=0)
+def test_parity_frequencies_are_the_float_means_bit_for_bit(n, rates, seed):
+    v = (np.random.default_rng(seed).random((n, 2)) < rates).astype(np.uint8)
+    means = [float(np.mean(x)) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])]
+    est, ses = parity_frequencies(v)
+    assert np.array(est).tobytes() == np.array(means).tobytes()
+    assert ses == [float(np.sqrt(p * (1.0 - p) / n)) for p in means]

@@ -178,29 +178,33 @@ def assert_kernel_matches_per_step_traceback(nu, kind, seed):
     assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
 
 
-# the kernel pads 2^(nu-1) lanes to its vector width with NaN-sign lanes:
-# nu = 1..3 are padded at W = 8, 1..2 at W = 4 and 1 at W = 2; 4 and 10 are not
+# the kernel runs memory nu at width min(native, max(2, 2^(nu-1))): nu = 1
+# pads its one lane to W = 2 with a NaN-sign lane, nu = 2 and 3 fill W = 2
+# and 4, and 4 and 10 take the native width
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 10])
 def test_viterbi_main_matches_per_step_traceback_with_padded_lanes(nu, kind):
     assert_kernel_matches_per_step_traceback(nu, kind, 20 + nu)
 
 
-# the -march levels whose vector widths (2 and 4 doubles) the native build of
-# an AVX-512 host skips, with the cpuinfo flags a level needs
+V3_FLAGS = ("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3", "avx", "avx2", "bmi1",
+            "bmi2", "f16c", "fma", "abm", "movbe", "xsave")
+# the x86-64 -march levels with their native widths (2, 4 and 8 doubles),
+# the widths they pick for nu = 1, 2, 3 and 6, and the cpuinfo flags each needs
 X86_64_LEVELS = [
-    pytest.param("-march=x86-64", 2, (), id="x86-64"),
-    pytest.param("-march=x86-64-v3", 4, ("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2",
-                                         "ssse3", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma",
-                                         "abm", "movbe", "xsave"), id="x86-64-v3"),
+    pytest.param("-march=x86-64", 2, (2, 2, 2, 2), (), id="x86-64"),
+    pytest.param("-march=x86-64-v3", 4, (2, 2, 4, 4), V3_FLAGS, id="x86-64-v3"),
+    pytest.param("-march=x86-64-v4", 8, (2, 2, 4, 8),
+                 V3_FLAGS + ("avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"),
+                 id="x86-64-v4"),
 ]
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the -march levels are x86-64's")
-@pytest.mark.parametrize("march, width, needs", X86_64_LEVELS)
-def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, march, width,
-                                                                 needs):
+@pytest.mark.parametrize("march, native, widths, needs", X86_64_LEVELS)
+def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, march, native,
+                                                                 widths, needs):
     missing = set(needs) - set(sstdec._host_cpu().split())
     if missing:
         pytest.skip(f"the host cannot run {march}: no {' '.join(sorted(missing))}")
@@ -209,7 +213,9 @@ def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, ma
     monkeypatch.setattr(sstdec, "_kernel", None)
     for nu, kind in itertools.product([1, 2, 3, 6], KINDS):
         assert_kernel_matches_per_step_traceback(nu, kind, 40 + nu)
-    assert sstdec._kernel.viterbi_lanes(1) == width
+    # a code as wide as the kernel's states allow runs at the native width
+    assert sstdec._kernel.viterbi_width(62) == native
+    assert tuple(sstdec._kernel.viterbi_width(nu) for nu in (1, 2, 3, 6)) == widths
 
 
 def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
@@ -225,6 +231,26 @@ def test_viterbi_main_rejects_memory_zero():
     code = ConvCode(name="nu0", g=(1, 1), ginv=(1, 0))
     with pytest.raises(ValueError, match="1 <= nu <= 62"):
         sstdec.viterbi_main(np.zeros((10, 2)), code)
+
+
+@pytest.mark.parametrize("nu", [23, 62])
+def test_viterbi_main_refuses_arrays_past_its_cap(nu):
+    # 2^(nu-1) lanes of 12 doubles and 128 ring rows of 2 bytes pass 1 GiB
+    # from nu = 23; nothing is allocated
+    code = make_qli(1 << (nu - 1))
+    with pytest.raises(ValueError, match=rf"bytes for a code of memory nu = {nu}, over its cap"):
+        sstdec.viterbi_main(np.zeros((1000, 2)), code)
+
+
+def test_viterbi_main_cap_counts_work_choices_and_path(monkeypatch):
+    # c2 over 1000 steps: 12 x 32 doubles, 32 rows of 2 x 32 bytes, 32 states
+    code = get_code("c2")
+    r = soft_values(16, 1000, "normal")
+    monkeypatch.setattr(sstdec, "DECODER_BYTES", 8 * 12 * 32 + 32 * 2 * 32 + 8 * 32)
+    assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, 31))
+    monkeypatch.setattr(sstdec, "DECODER_BYTES", sstdec.DECODER_BYTES - 1)
+    with pytest.raises(ValueError, match="would take 5376 bytes .* nu = 6, over its cap of 5375"):
+        sstdec.viterbi_main(r, code)
 
 
 def test_kernel_build_failure_is_an_os_error(monkeypatch, capsys):
