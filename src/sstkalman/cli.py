@@ -9,6 +9,7 @@ requested artifact was produced and every internal validator passed.
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,11 +46,17 @@ def parse_cell(text):
     return value if str(value) == text else text
 
 
+def cell_texts(columns, rows):
+    """Each row's cell texts, in column order: one format_cell per cell."""
+    return [[format_cell(row.get(c)) for c in columns] for row in rows]
+
+
+def join_csv(columns, cells):
+    return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
+
+
 def csv_text(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    return join_csv(columns, cell_texts(columns, rows))
 
 
 def parse_csv(text):
@@ -112,7 +119,7 @@ def validate_finite(columns, rows):
         for c in columns:
             v = row.get(c)
             if isinstance(v, (int, float)):
-                if not np.isfinite(float(v)):
+                if not math.isfinite(v):
                     errors.append(f"row {i}: column {c} is not finite")
             elif v is None:
                 errors.append(f"row {i}: column {c} is missing")
@@ -142,10 +149,27 @@ def validate_lambda(columns, rows):
     return errors
 
 
-def validate_roundtrip(text):
-    columns, rows = parse_csv(text)
-    rebuilt = csv_text(columns, rows)
-    if rebuilt != text:
+# a value of these types formats to "", "1"/"0", str(int) or six significant
+# digits, and parse_cell reads each of those back to a value of the same text
+PLAIN_CELL_TYPES = (type(None), int, float)
+
+
+def validate_roundtrip(columns, rows, cells):
+    """[] when join_csv(columns, cells), the CSV of these rows, reads back
+    through parse_csv as the same names and cell texts, which csv_text
+    re-emits byte for byte; one error otherwise.
+
+    parse_csv splits on ',' and '\\n' only, so that holds exactly when the
+    column names are distinct, no name or cell text holds either character,
+    and every cell text is format_cell of its own parse_cell.  A None,
+    bool, int or float cell always meets the last two, so only the other
+    cells are parsed, each distinct text once.
+    """
+    texts = {t for row, line in zip(rows, cells) for c, t in zip(columns, line)
+             if not isinstance(row.get(c), PLAIN_CELL_TYPES)}
+    if (len(set(columns)) < len(columns)
+            or any("," in t or "\n" in t for t in (*columns, *texts))
+            or any(format_cell(parse_cell(t)) != t for t in texts)):
         return ["CSV does not round-trip through parse/emit"]
     return []
 
@@ -363,8 +387,9 @@ def _emit_and_validate(args, columns, rows, validators, meta=None):
         text = json.dumps(rows, indent=2) + "\n"
         errors = []
     elif args.format == "csv":
-        text = csv_text(columns, rows)
-        errors = validate_roundtrip(text)
+        cells = cell_texts(columns, rows)
+        text = join_csv(columns, cells)
+        errors = validate_roundtrip(columns, rows, cells)
     else:
         text = json_text(columns, rows, meta)
         errors = []
@@ -441,6 +466,12 @@ ARG_RANGES = {"branches": (1000, None), "seed": (0, 2**62), "states": (1, None),
               "steps": (4, None)}
 
 
+# kalman-check's projection oracle stacks every step's states into square
+# float64 covariances of side states x steps (kalman._stacked_joint); one of
+# them may take at most this many bytes, a side of 1024
+KALMAN_JOINT_BYTES = 2**23
+
+
 def check_ranges(args):
     """Reject an integer option outside its range, naming the option."""
     for name, (low, high) in ARG_RANGES.items():
@@ -449,6 +480,12 @@ def check_ranges(args):
             raise ValueError(f"--{name} must be at least {low}")
         if high is not None and value > high:
             raise ValueError(f"--{name} must be at most {high}")
+    if args.command == "kalman-check":
+        joint_bytes = 8 * (args.states * args.steps) ** 2
+        if joint_bytes > KALMAN_JOINT_BYTES:
+            raise ValueError(f"--states {args.states} x --steps {args.steps}: the projection "
+                             f"oracle's joint covariance would take {joint_bytes} bytes, "
+                             f"over its cap of {KALMAN_JOINT_BYTES} bytes")
 
 
 def main(argv=None):

@@ -27,7 +27,7 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
-from sstkalman import channel, cli, convcode, covar_mi, gf2, qli_search, sstdec
+from sstkalman import channel, cli, convcode, covar_mi, gf2, kalman, qli_search, sstdec
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -555,6 +555,35 @@ def test_kalman_check_least_step_count(capsys):
     assert all(line.endswith(",1") for line in out.strip().split("\n")[1:])
 
 
+@pytest.mark.parametrize("states, steps", [(1, 1025), (4, 257), (257, 4),
+                                           (3, 10**23)])
+def test_kalman_check_past_its_joint_cap_exits_2_before_building(capsys, monkeypatch,
+                                                                 states, steps):
+    # a side of states x steps = 1024 fills the cap, so each of these is the
+    # first value past it (or far past it); none of them is run
+    assert 8 * (states * steps) ** 2 > cli.KALMAN_JOINT_BYTES == 8 * 1024 ** 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built past the cap")
+
+    monkeypatch.setattr(kalman, "random_model", refuse)
+    rc, out, err = run(["kalman-check", "--states", str(states), "--steps", str(steps)],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --states {states} x --steps {steps}: the projection oracle's "
+                   f"joint covariance would take {8 * (states * steps) ** 2} bytes, "
+                   f"over its cap of {cli.KALMAN_JOINT_BYTES} bytes\n")
+
+
+def test_kalman_check_cap_admits_the_defaults_and_ci_sizes():
+    parser = build_parser()
+    for argv in (["kalman-check"], ["kalman-check", "--states", "4", "--steps", "24"],
+                 ["kalman-check", "--states", "1", "--steps", "1024"],
+                 ["kalman-check", "--states", "4", "--steps", "256"],
+                 ["kalman-check", "--states", "256", "--steps", "4"]):
+        cli.check_ranges(parser.parse_args(argv))
+
+
 # recorded from the joint polynomial minus the product of the marginals
 THETA_POLYNOMIALS = {
     ("c1", "general"): [0, 4, -52, 328, -1320, 3696, -7392, 10560, -10560, 7040,
@@ -760,6 +789,109 @@ def test_validate_bound_chain_flags_violations():
     assert validate_bound_chain(columns, good) == []
     bad = [dict(zip(columns, (0.3, 0.2, 0.1, 0.4, 0.5)))]
     assert validate_bound_chain(columns, bad) != []
+
+
+ROUNDTRIP_ERROR = "validation: CSV does not round-trip through parse/emit\n"
+
+
+def emitting(monkeypatch, columns, rows, validators):
+    """Make `search` emit these columns and rows under these validators."""
+    monkeypatch.setattr(cli, "run_search", lambda args: (columns, rows, validators, None))
+
+
+@pytest.mark.parametrize("columns, cell, rc", [
+    (["x"], "a,b", 1),
+    (["x"], "a\nb", 1),
+    # parse_cell reads these as 1.0 and 1000.0, which format as "1" and "1000"
+    (["x"], "1.0", 1),
+    (["x"], "1e3", 1),
+    (["x", "x"], "abc", 1),
+    (["x,y"], "abc", 1),
+    (["x\ny"], "abc", 1),
+    # these read back as themselves: parse_cell keeps "007" and "-0" str, as
+    # it keeps zero-padded bit strings, and reads "nan" as a float that
+    # prints "nan"
+    (["x"], "007", 0),
+    (["x"], "-0", 0),
+    (["x"], "0.5;1", 0),
+    (["x"], "nan", 0),
+])
+def test_csv_exits_1_where_it_does_not_round_trip(capsys, monkeypatch, columns, cell, rc):
+    emitting(monkeypatch, columns, [{"x": cell}], [])
+    assert run(["search", "--nu", "5"], capsys) == (
+        rc, csv_text(columns, [{"x": cell}]), ROUNDTRIP_ERROR if rc else "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), np.float64("nan"),
+                                   np.float64("inf")])
+def test_non_finite_cell_exits_1(capsys, monkeypatch, fmt, value):
+    emitting(monkeypatch, ["x", "y"], [{"x": 1.0, "y": 2}, {"x": value, "y": 2}],
+             [cli.validate_finite])
+    rc, _, err = run(["search", "--nu", "5", "--format", fmt], capsys)
+    assert (rc, err) == (1, "validation: row 1: column x is not finite\n")
+
+
+def whole_text_roundtrip(columns, rows):
+    """The reference verdict: emit the whole text, parse it and emit again."""
+    text = csv_text(columns, rows)
+    parsed_columns, parsed_rows = parse_csv(text)
+    if csv_text(parsed_columns, parsed_rows) != text:
+        return ["CSV does not round-trip through parse/emit"]
+    return []
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns and rows of every type a row may hold, their texts free of
+    separators in about half the tables.  The str cells include texts that
+    parse_cell reads back as themselves and texts it reads as other ints
+    or floats."""
+    separators = ",\n" if draw(st.booleans()) else ""
+    cell_values = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+        st.sampled_from(["1.0", "1e3", ".5", "NaN", "007", "-0", "nan", "000", "0.5;1"]),
+        st.text(alphabet="0179.e+-ainf_x;" + separators, max_size=6))
+    columns = draw(st.lists(st.text(alphabet="abc" + separators, min_size=1, max_size=3)
+                            | st.just(""), max_size=4))
+    keys = st.sampled_from(columns) if columns else st.nothing()
+    rows = draw(st.lists(st.dictionaries(keys, cell_values), max_size=4))
+    return columns, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=csv_tables())
+def test_roundtrip_verdict_matches_the_whole_text_check(table):
+    columns, rows = table
+    cells = cli.cell_texts(columns, rows)
+    verdict = cli.validate_roundtrip(columns, rows, cells)
+    reference = whole_text_roundtrip(columns, rows)
+    # whatever the verdict passes, the whole text reads back
+    assert verdict == reference or reference == []
+    if (len(set(columns)) == len(columns)
+            and not any("," in t or "\n" in t for t in (*columns, *sum(cells, [])))):
+        assert verdict == reference
+    else:
+        # stricter by design: a repeated name, or a name or cell holding a
+        # separator, refuses even where the whole text happens to read back
+        # (re-split into other rows or columns)
+        assert verdict == ["CSV does not round-trip through parse/emit"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(value=st.one_of(
+    st.none(), st.booleans(),
+    # str() refuses ints past 4300 digits, so no CSV holds one
+    st.integers(-10**4000, 10**4000),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+))
+def test_numeric_cells_round_trip(value):
+    # validate_roundtrip parses no cell of these types, on this property
+    assert isinstance(value, cli.PLAIN_CELL_TYPES)
+    text = format_cell(value)
+    assert "," not in text and "\n" not in text
+    assert format_cell(parse_cell(text)) == text
 
 
 # ------------------------------------------------------------------ fuzzing
