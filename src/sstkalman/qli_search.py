@@ -10,22 +10,28 @@ finite SNR, which contradicts the usual reading that QLI pre-decoding is
 the safer choice.  Rows where neither pairing works are flagged
 indeterminate and deserve the trace comparison.
 
-The counts are popcounts of carry-less products of integer masks
-(`gf2.clmul`); the family is enumerated without building a `ConvCode`
-or a polynomial matrix per member.
+The counts are popcounts of carry-less products of masks.  One code
+(`family_counts`) takes them from int masks (`gf2.clmul`), at any degree.
+`enumerate_qli` forms the whole family at once: its masks are numpy
+uint64 arrays, the four products and the g ginv = 1 check run by
+shift-and-XOR over every member together, and `classify_counts` runs
+once per distinct count tuple.  No member builds a `ConvCode` or a
+polynomial matrix.  The rows it hands out hold plain Python ints, bools
+and tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
+
+import numpy as np
 
 from . import channel
 from .gf2 import clmul
 
 
-@dataclass(frozen=True)
-class QliSearchRow:
+class QliSearchRow(NamedTuple):
     c_bits: tuple
     m1_alpha: int
     m2_alpha: int
@@ -75,29 +81,46 @@ def family_counts(code):
     return _term_counts(*code.g, *code.ginv)
 
 
+def _family_term_counts(g1, g2, i1, i2):
+    """_term_counts for every member at once: uint64 arrays of masks in,
+    four uint8 arrays of counts out.
+
+    The products are formed by shift-and-XOR over the bits of i1 and i2,
+    so each must fit in 64 bits; at nu <= 12 they have degree at most 23.
+    ValueError unless g ginv = 1 for every member."""
+    p11 = p12 = p21 = p22 = np.zeros_like(g1)
+    for k in range(int(i1.max() | i2.max()).bit_length()):
+        b1, b2 = (i1 >> k) & 1, (i2 >> k) & 1
+        s1, s2 = g1 << k, g2 << k
+        p11, p12 = p11 ^ s1 * b1, p12 ^ s1 * b2
+        p21, p22 = p21 ^ s2 * b1, p22 ^ s2 * b2
+    if np.any(p11 ^ p22 != 1):
+        raise ValueError("ginv is not a right inverse of g")
+    count = np.bitwise_count
+    return (count(p11) + count(p12), count(p21) + count(p22),
+            2 * count(g1), 2 * count(g2))
+
+
 def enumerate_qli(nu):
     """All 2^(nu-2) family codes of memory nu, in ascending c_1..c_{nu-2} order.
 
     Each member is g1 = 1 + D g', g2 = 1 + D + D g' with right inverse
-    (1 + g', g'), as `convcode.make_qli` builds it, but held as int masks:
-    the one check run per member is g ginv = 1."""
+    (1 + g', g'), as `convcode.make_qli` builds it, but held as uint64
+    masks, one array element per member: the one check run is g ginv = 1."""
     if not 3 <= nu <= 12:
         raise ValueError("nu must lie in [3, 12]")
-    rows = []
-    for bits in product((0, 1), repeat=nu - 2):
-        gp = 1 << (nu - 1)
-        for pos, c in enumerate(bits, start=1):
-            if c:
-                gp |= 1 << pos
-        counts = _term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)
-        counter, indet = classify_counts(counts[:2], counts[2:])
-        rows.append(QliSearchRow(bits, *counts, heuristic_counterexample=counter,
-                                 indeterminate=indet, gprime=gp))
-    return rows
+    c_bits = list(product((0, 1), repeat=nu - 2))
+    # c_j is bit j of g'; the leading term D^(nu-1) is always present
+    bits = np.array(c_bits, dtype=np.uint64)
+    gp = (bits << np.arange(1, nu - 1, dtype=np.uint64)).sum(axis=1) | np.uint64(1 << (nu - 1))
+    counts = list(zip(*(c.tolist() for c in
+                         _family_term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp))))
+    flags = {c: classify_counts(c[:2], c[2:]) for c in dict.fromkeys(counts)}
+    return [QliSearchRow(b, *c, *flags[c], g)
+            for b, c, g in zip(c_bits, counts, gp.tolist())]
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     ebn0_db: float
     epsilon: float
     half_tr_sigma_x: float
@@ -127,9 +150,7 @@ def trace_compare(counts, points):
         q = 1.0 - 2.0 * eps
         tx = _half_trace(q, m1a, m2a)
         txp = _half_trace(q, m1b, m2b)
-        out.append(TracePoint(ebn0_db=point.ebn0_db, epsilon=eps,
-                              half_tr_sigma_x=tx, half_tr_sigma_x_prime=txp,
-                              reversed_order=bool(tx < txp)))
+        out.append(TracePoint(point.ebn0_db, eps, tx, txp, bool(tx < txp)))
     return out
 
 

@@ -1,7 +1,9 @@
 """Exhaustive quick-look-in family search and the term-count heuristic."""
 
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +115,59 @@ def test_term_counts_reject_a_false_right_inverse(c):
     # the swapped pair gives g ginv = 1 + D
     with pytest.raises(ValueError, match="not a right inverse"):
         qli_search._term_counts(g1, g2, gp, 1 ^ gp)
+
+
+def per_member_rows(nu):
+    """enumerate_qli's rows as fields, one member at a time through the
+    int-mask _term_counts and classify_counts: the oracle for the array path."""
+    rows = []
+    for bits in product((0, 1), repeat=nu - 2):
+        gp = 1 << (nu - 1) | sum(c << j for j, c in enumerate(bits, start=1))
+        counts = qli_search._term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)
+        rows.append((bits, *counts, *qli_search.classify_counts(counts[:2], counts[2:]), gp))
+    return rows
+
+
+@pytest.mark.parametrize("nu", range(3, 13))
+def test_array_enumeration_matches_a_per_member_loop(nu):
+    rows = qli_search.enumerate_qli(nu)
+    assert [tuple(row) for row in rows] == per_member_rows(nu)
+    # plain Python types: an np.bool_ or np.int64 would print or serialise
+    # differently from the values it stands for
+    for row in rows:
+        assert type(row.c_bits) is tuple
+        assert all(type(b) is int for b in row.c_bits)
+        assert all(type(m) is int for m in (*row.counts, row.gprime))
+        assert type(row.heuristic_counterexample) is bool
+        assert type(row.indeterminate) is bool
+
+
+@given(st.integers(min_value=3, max_value=12), st.data())
+def test_array_term_counts_reject_one_false_right_inverse(nu, data):
+    gp = np.array([row.gprime for row in qli_search.enumerate_qli(nu)], dtype=np.uint64)
+    g1, g2, i1, i2 = 1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp
+    qli_search._family_term_counts(g1, g2, i1, i2)  # the family's own ginv
+    # one member's swapped pair gives g ginv = 1 + D for that member alone
+    j = data.draw(st.integers(min_value=0, max_value=len(g1) - 1))
+    bad1, bad2 = i1.copy(), i2.copy()
+    bad1[j], bad2[j] = i2[j], i1[j]
+    with pytest.raises(ValueError, match="^ginv is not a right inverse of g$"):
+        qli_search._family_term_counts(g1, g2, bad1, bad2)
+
+
+@pytest.mark.parametrize("nu, tuples", [(10, 57), (12, 91)])
+def test_enumeration_classifies_each_count_tuple_once(nu, tuples, monkeypatch):
+    classified = []
+    classify_counts = qli_search.classify_counts
+
+    def counting(m_alpha, m_beta):
+        classified.append((*m_alpha, *m_beta))
+        return classify_counts(m_alpha, m_beta)
+
+    monkeypatch.setattr(qli_search, "classify_counts", counting)
+    rows = qli_search.enumerate_qli(nu)
+    assert len(classified) == len(set(classified)) == tuples
+    assert set(classified) == {row.counts for row in rows}
 
 
 def test_family_counts_rejects_a_non_qli_code():
