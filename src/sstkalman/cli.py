@@ -12,12 +12,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import channel, convcode, covar_mi, kalman, parity_prob, qli_search, sstdec
 
 CHAIN_SLACK = 1e-12
-FIVE_SIGMA_TAIL = channel.q_function(5.0)
 
 
 # ------------------------------------------------------------- cell formatting
@@ -71,11 +68,8 @@ def parse_csv(text):
     return columns, rows
 
 
-def json_text(columns, rows, meta=None):
-    payload = {"columns": list(columns), "rows": rows}
-    if meta:
-        payload.update(meta)
-    return json.dumps(payload, indent=2) + "\n"
+def json_text(columns, rows):
+    return json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
 
 
 # -------------------------------------------------------------- db list parsing
@@ -230,7 +224,7 @@ def run_tables(args):
         columns = column_names(fields, mode)
         rows = _select(_sweep_rows(convcode.get_code(code), channel.DB_GRID, mode),
                        fields, columns)
-        return columns, rows, validators, None
+        return columns, rows, validators
 
     nu = 5 if table == 9 else 6
     c_cols = [f"c{j}" for j in range(1, nu - 1)]
@@ -241,7 +235,7 @@ def run_tables(args):
         row.update(m1_alpha=entry.m1_alpha, m2_alpha=entry.m2_alpha,
                    m1_beta=entry.m1_beta, m2_beta=entry.m2_beta)
         rows.append(row)
-    return columns, rows, [validate_finite], None
+    return columns, rows, [validate_finite]
 
 
 # ------------------------------------------------------------------- subcommands
@@ -251,7 +245,7 @@ def run_curves(args):
     db_values = parse_db_values(args.ebn0_db)
     rows = _select(_sweep_rows(code, db_values, args.mode), CURVES, CURVES)
     return (list(CURVES), rows,
-            [validate_finite, validate_bound_chain, validate_lambda], None)
+            [validate_finite, validate_bound_chain, validate_lambda])
 
 
 def run_alpha(args):
@@ -267,7 +261,7 @@ def run_alpha(args):
                    "variable": "eps", "coefficient_order": "ascending"}
         for name, poly in zip(column_names(STATS, args.mode), (p1, p2, p11, ptheta)):
             payload[name] = list(poly.coefficients)
-        return None, payload, [], None
+        return None, payload, []
 
     columns = column_names(("ebn0_db", "epsilon") + STATS, args.mode)
     rows = []
@@ -284,51 +278,16 @@ def run_alpha(args):
                     errors.append(f"row {i}: {c} outside [0, 1]")
         return errors
 
-    return columns, rows, [validate_finite, probs_in_range], None
+    return columns, rows, [validate_finite, probs_in_range]
 
 
 def run_simulate(args):
     code = convcode.load_code(args.code)
-    db_values = parse_db_values(args.ebn0_db)
+    points = [channel.snr_point(db) for db in parse_db_values(args.ebn0_db)]
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
-    s1, s2 = covar_mi.code_supports(code, args.mode)
-    points = [channel.snr_point(db) for db in db_values]
     results = sstdec.simulate(code, points, args.branches, args.seed, mode=args.mode)
-    rows = []
-    for point, res in zip(points, results):
-        eps = point.epsilon
-        a1, a2, a11, th = parity_prob.branch_stats(s1, s2, eps)
-        sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), point.rho)
-        rows.append({**vars(res), "epsilon": eps, "rho": point.rho,
-                     "alpha1_ref": a1, "alpha2_ref": a2, "alpha11_ref": a11,
-                     "sigma_r_ref": sig_ref.tolist()})
-
-    def mc_consistency(cols, rws):
-        # simulate has loaded scipy.special already, on its noise draw, unless
-        # the grid is empty
-        from scipy.special import bdtr, bdtrc
-
-        errors = []
-        for i, row in enumerate(rws):
-            n = row["n_eff"]
-            for name, ref in (("emp_alpha1", row["alpha1_ref"]),
-                              ("emp_alpha2", row["alpha2_ref"]),
-                              ("emp_alpha11", row["alpha11_ref"])):
-                # the exact binomial tail of the count, at the normal 5 se level
-                k = round(row[name] * n)
-                if min(bdtr(k, n, ref), bdtrc(k - 1, n, ref)) < FIVE_SIGMA_TAIL:
-                    errors.append(f"row {i}: {name} deviates from model by >5 se")
-            # the rule above tests the counts; given them, only the check's w is random
-            mean, se = covar_mi.sigma_r_given_parities(
-                row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], n, row["rho"])
-            if np.any(np.abs(row["sigma_r_hat"] - mean) > 5.0 * se + 1e-9):
-                errors.append(f"row {i}: empirical received covariance off model by >5 se")
-            if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):
-                errors.append(f"row {i}: bit error rate outside [0, 1]")
-        return errors
-
-    return columns, rows, [validate_finite, mc_consistency], None
+    return columns, [vars(r) for r in results], [validate_finite, sstdec.simulation_errors]
 
 
 def run_kalman_check(args):
@@ -342,7 +301,7 @@ def run_kalman_check(args):
         return [f"identity failed: {r['check']} (max dev {r['max_dev']:.3e})"
                 for r in rws if not r["passed"]]
 
-    return columns, rows, [all_passed], None
+    return columns, rows, [all_passed]
 
 
 def run_search(args):
@@ -353,12 +312,13 @@ def run_search(args):
     points = channel.grid_points()
     snrs_by_counts = {}
     rows = []
-    for entry in entries:
+    # enumerate_qli's members come in ascending c_1..c_{nu-2} order
+    for i, entry in enumerate(entries):
         if entry.counts not in snrs_by_counts:
             snrs_by_counts[entry.counts] = ";".join(
                 format_cell(p.ebn0_db) for p in qli_search.trace_compare(entry.counts, points)
                 if p.reversed_order)
-        rows.append({"c_bits": "".join(str(b) for b in entry.c_bits),
+        rows.append({"c_bits": format(i, f"0{args.nu - 2}b"),
                      "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
                      "m1b": entry.m1_beta, "m2b": entry.m2_beta,
                      "heuristic_counterexample": entry.heuristic_counterexample,
@@ -376,12 +336,12 @@ def run_search(args):
                 errors.append(f"row {i}: expected ordering but exact reversals found")
         return errors
 
-    return columns, rows, [heuristic_vs_exact], None
+    return columns, rows, [heuristic_vs_exact]
 
 
 # ------------------------------------------------------------------ entry point
 
-def _emit_and_validate(args, columns, rows, validators, meta=None):
+def _emit_and_validate(args, columns, rows, validators):
     if columns is None:
         # polynomial payloads are JSON regardless of --format
         text = json.dumps(rows, indent=2) + "\n"
@@ -391,7 +351,7 @@ def _emit_and_validate(args, columns, rows, validators, meta=None):
         text = join_csv(columns, cells)
         errors = validate_roundtrip(columns, rows, cells)
     else:
-        text = json_text(columns, rows, meta)
+        text = json_text(columns, rows)
         errors = []
 
     if args.out:
@@ -498,13 +458,13 @@ def main(argv=None):
         run = {"tables": run_tables, "curves": run_curves, "alpha": run_alpha,
                "simulate": run_simulate, "kalman-check": run_kalman_check,
                "search": run_search}[args.command]
-        columns, rows, validators, meta = run(args)
+        columns, rows, validators = run(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        errors = _emit_and_validate(args, columns, rows, validators, meta)
+        errors = _emit_and_validate(args, columns, rows, validators)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

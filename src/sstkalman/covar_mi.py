@@ -272,10 +272,10 @@ def mi_per_branch_bound(sigma_x, rho):
 
 # ------------------------------------------------------------------ MC oracle
 
-def sample_sigma_r(v, w, point, supports):
+def sample_sigma_r(v, w, point, probs):
     """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
     w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
-    on four points with the supports' exact probabilities, w white N(0, 1).
+    on four points of exact alpha1, alpha2, alpha11 (probs), w white N(0, 1).
 
     `simulate` feeds it the decoder's own stream, `monte_carlo_sigma_r`
     fresh error windows; returns (Sigma_r_hat, se)."""
@@ -292,7 +292,7 @@ def sample_sigma_r(v, w, point, supports):
         centered[:, j] = (np.where(v[:, j], point.c * (-1.0 - m), point.c * (1.0 - m))
                           + (w[:, j] - w_mean[j]))
     sigma_hat = (centered.T @ centered) / (n - 1)
-    a1, a2, a11, _ = parity_prob.branch_stats(*supports, point.epsilon)
+    a1, a2, a11 = probs
     p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
     x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
     p = p[p > 0.0]
@@ -325,7 +325,8 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
     supports = code_supports(code, mode)
     gen = channel.make_rng(seed)
     v = parity_prob.error_window_parities(*supports, point.epsilon, trials, gen)
-    return sample_sigma_r(v, channel.standard_normals(gen, v.shape), point, supports)
+    probs = parity_prob.branch_stats(*supports, point.epsilon)[:3]
+    return sample_sigma_r(v, channel.standard_normals(gen, v.shape), point, probs)
 
 
 # ---------------------------------------------------------------------- sweep

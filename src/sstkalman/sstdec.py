@@ -226,6 +226,17 @@ def sst_decode(z, code, mode="general"):
 
 # ----------------------------------------------------------------- simulation
 
+# simulate's arrays take at most this many bytes per branch: the block
+# (bits, codeword, x and noise, ~35 bytes) for the whole call, and one
+# point's received block, main-decoder input and their temporaries
+# (tracemalloc peaks at 113-126 for c1 and c2 from 1000 to 400 000 branches)
+SIMULATE_BRANCH_BYTES = 128
+# the most that they may take; the main decoder's own arrays are capped
+# apart, by DECODER_BYTES
+SIMULATE_BYTES = 1 << 30
+FIVE_SIGMA_TAIL = channel.q_function(5.0)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     ebn0_db: float
@@ -242,6 +253,12 @@ class SimulationResult:
     n_eff: int
     sigma_r_hat: tuple
     sigma_r_se: tuple
+    epsilon: float
+    rho: float
+    alpha1_ref: float
+    alpha2_ref: float
+    alpha11_ref: float
+    sigma_r_ref: tuple
 
 
 def simulate(code, points, branches, seed, mode="general"):
@@ -263,10 +280,19 @@ def simulate(code, points, branches, seed, mode="general"):
     binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
     c(1 - 2v) + w on the same rows, with w from the third seed stream,
     and sigma_r_se its standard error under the paper's model
-    (`covar_mi.sample_sigma_r`); both are 2x2 nested tuples.
+    (`covar_mi.sample_sigma_r`).  epsilon, rho, alpha*_ref and sigma_r_ref
+    (I + rho Sigma_x) are the point's exact values, from one branch_stats
+    call, for `simulation_errors`.  The sigma_r_* are 2x2 nested tuples.
+
+    ValueError, before anything is drawn, under 100 branches or when
+    SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES.
     """
     if branches < 100:
         raise ValueError("need at least 100 branches")
+    size = SIMULATE_BRANCH_BYTES * branches
+    if size > SIMULATE_BYTES:
+        raise ValueError(f"--branches {branches}: simulate would take about {size} bytes, "
+                         f"over its cap of {SIMULATE_BYTES} bytes")
     if not points:
         return []
     info = (channel.make_rng((seed, 1)).random(branches) < 0.5).astype(np.uint8)
@@ -293,7 +319,9 @@ def simulate(code, points, branches, seed, mode="general"):
         truth = info[:m]
         vs = (r_hard ^ e[:m])[stride::stride]
         (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
-        sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (s1, s2))
+        ref1, ref2, ref11, th = parity_prob.branch_stats(s1, s2, point.epsilon)
+        sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (ref1, ref2, ref11))
+        sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(ref1, ref2, th), point.rho)
         results.append(SimulationResult(
             ebn0_db=point.ebn0_db,
             branches=branches,
@@ -304,5 +332,31 @@ def simulate(code, points, branches, seed, mode="general"):
             stride=stride, n_eff=n_eff,
             sigma_r_hat=tuple(map(tuple, sig_hat.tolist())),
             sigma_r_se=tuple(map(tuple, sig_se.tolist())),
+            epsilon=point.epsilon, rho=point.rho, alpha1_ref=ref1, alpha2_ref=ref2,
+            alpha11_ref=ref11, sigma_r_ref=tuple(map(tuple, sig_ref.tolist())),
         ))
     return results
+
+
+def simulation_errors(columns, rows):
+    """CLI validator: the errors of `simulate`'s rows against their exact values."""
+    # simulate has loaded scipy.special already, on its noise draw, unless
+    # the grid is empty
+    from scipy.special import bdtr, bdtrc
+
+    errors = []
+    for i, row in enumerate(rows):
+        n = row["n_eff"]
+        for name in ("alpha1", "alpha2", "alpha11"):
+            # the exact binomial tail of the count, at the normal 5 se level
+            k, ref = round(row[f"emp_{name}"] * n), row[f"{name}_ref"]
+            if min(bdtr(k, n, ref), bdtrc(k - 1, n, ref)) < FIVE_SIGMA_TAIL:
+                errors.append(f"row {i}: emp_{name} deviates from model by >5 se")
+        # the rule above tests the counts; given them, only the check's w is random
+        mean, se = covar_mi.sigma_r_given_parities(
+            row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], n, row["rho"])
+        if np.any(np.abs(row["sigma_r_hat"] - mean) > 5.0 * se + 1e-9):
+            errors.append(f"row {i}: empirical received covariance off model by >5 se")
+        if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):
+            errors.append(f"row {i}: bit error rate outside [0, 1]")
+    return errors

@@ -27,7 +27,8 @@ from sstkalman.cli import (
     parse_db_values,
     validate_bound_chain,
 )
-from sstkalman import channel, cli, convcode, covar_mi, gf2, kalman, qli_search, sstdec
+from sstkalman import (channel, cli, convcode, covar_mi, gf2, kalman, parity_prob,
+                       qli_search, sstdec)
 from sstkalman.convcode import code_to_json, make_qli
 from sstkalman.parity_prob import code_supports
 
@@ -307,9 +308,9 @@ def test_rows_hold_only_plain_values(capsys, monkeypatch, argv):
     emitted = []
     original = cli._emit_and_validate
 
-    def recording(args, columns, rows, validators, meta=None):
+    def recording(args, columns, rows, validators):
         emitted.append(rows)
-        return original(args, columns, rows, validators, meta)
+        return original(args, columns, rows, validators)
 
     monkeypatch.setattr(cli, "_emit_and_validate", recording)
     rc, out, err = run([*argv, "--format", "json", "--quiet"], capsys)
@@ -474,10 +475,10 @@ def test_simulate_decodes_on_the_calling_thread_in_db_order(capsys, monkeypatch)
 def test_failed_covariance_draw_exits_2_without_traceback(capsys, monkeypatch):
     original = covar_mi.sample_sigma_r
 
-    def failing_at_second_point(v, w, point, supports):
+    def failing_at_second_point(v, w, point, probs):
         if point.ebn0_db == SIM_DB[1]:
             raise ValueError("planted draw failure")
-        return original(v, w, point, supports)
+        return original(v, w, point, probs)
 
     monkeypatch.setattr(covar_mi, "sample_sigma_r", failing_at_second_point)
     rc, out, err = run(SIM_ARGV, capsys)
@@ -522,14 +523,31 @@ def test_simulate_sigma_r_check_passes_long_runs(capsys, code_name, mode):
 def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
     original = covar_mi.sample_sigma_r
 
-    def scaled(v, w, point, supports):
-        return original(v, 1.2 * w, point, supports)
+    def scaled(v, w, point, probs):
+        return original(v, 1.2 * w, point, probs)
 
     monkeypatch.setattr(covar_mi, "sample_sigma_r", scaled)
     rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
                       "--quiet"], capsys)
     assert rc == 1
     assert "empirical received covariance off model by >5 se" in err
+
+
+def test_simulate_binomial_check_rejects_a_planted_alpha(capsys, monkeypatch):
+    original = parity_prob.parity_frequencies
+
+    def planted(v):
+        (a1, a2, a11), ses = original(v)
+        return [a1 + 0.2, a2, a11], ses
+
+    # the estimator that simulate calls; the exact alpha1 at 4 dB is ~0.22
+    monkeypatch.setattr(parity_prob, "parity_frequencies", planted)
+    rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
+                      "--quiet"], capsys)
+    assert rc == 1
+    lines = err.splitlines()
+    assert "validation: row 0: emp_alpha1 deviates from model by >5 se" in lines
+    assert not [line for line in lines if "emp_alpha2" in line or "emp_alpha11" in line]
 
 
 def test_simulate_empty_grid_is_header_only(capsys):
@@ -796,7 +814,7 @@ ROUNDTRIP_ERROR = "validation: CSV does not round-trip through parse/emit\n"
 
 def emitting(monkeypatch, columns, rows, validators):
     """Make `search` emit these columns and rows under these validators."""
-    monkeypatch.setattr(cli, "run_search", lambda args: (columns, rows, validators, None))
+    monkeypatch.setattr(cli, "run_search", lambda args: (columns, rows, validators))
 
 
 @pytest.mark.parametrize("columns, cell, rc", [

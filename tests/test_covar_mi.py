@@ -323,9 +323,10 @@ def test_sample_sigma_r_se_matches_the_replicate_spread(db):
     gen = channel.make_rng(2024)
     v = parity_prob.error_window_parities(*supports, pt.epsilon, reps * n, gen)
     w = channel.standard_normals(gen, (reps * n, 2))
-    hats = [sample_sigma_r(v[k:k + n], w[k:k + n], pt, supports)[0]
+    probs = parity_prob.branch_stats(*supports, pt.epsilon)[:3]
+    hats = [sample_sigma_r(v[k:k + n], w[k:k + n], pt, probs)[0]
             for k in range(0, reps * n, n)]
-    se = sample_sigma_r(v[:n], w[:n], pt, supports)[1]
+    se = sample_sigma_r(v[:n], w[:n], pt, probs)[1]
     assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
 
 
@@ -337,7 +338,8 @@ def test_sigma_r_given_parities_matches_the_spread_over_w(db):
     gen = channel.make_rng(2025)
     v = parity_prob.error_window_parities(*supports, pt.epsilon, n, gen)
     w = channel.standard_normals(gen, (reps * n, 2))
-    hats = [sample_sigma_r(v, w[k:k + n], pt, supports)[0] for k in range(0, reps * n, n)]
+    probs = parity_prob.branch_stats(*supports, pt.epsilon)[:3]
+    hats = [sample_sigma_r(v, w[k:k + n], pt, probs)[0] for k in range(0, reps * n, n)]
     a1, a2 = v.mean(axis=0)
     mean, se = sigma_r_given_parities(a1, a2, (v[:, 0] & v[:, 1]).mean(), n, pt.rho)
     assert np.all(np.abs(np.mean(hats, axis=0) - mean) < 4 * se / np.sqrt(reps))
@@ -358,6 +360,6 @@ def test_sample_sigma_r_equals_the_broadcast_centring_bit_for_bit(n, rates, db, 
     pt = channel.snr_point(db)
     xt = 1.0 - 2.0 * v.astype(np.float64)
     centered = pt.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
-    supports = parity_prob.code_supports(get_code("c1"), "general")
-    hat = sample_sigma_r(v, w, pt, supports)[0]
+    probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c1")), pt.epsilon)
+    hat = sample_sigma_r(v, w, pt, probs[:3])[0]
     assert hat.tobytes() == ((centered.T @ centered) / (n - 1)).tobytes()

@@ -5,13 +5,14 @@ import platform
 import subprocess
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from sstkalman import channel, parity_prob, sstdec
+from sstkalman import channel, covar_mi, parity_prob, sstdec
 from sstkalman.cli import main
 from sstkalman.convcode import (ConvCode, encode, get_code, main_encoded_block_map, make_qli,
                                 predecoder)
@@ -495,6 +496,48 @@ def test_simulate_of_no_points_draws_nothing(monkeypatch):
     counts = _count_draws(monkeypatch)
     assert sstdec.simulate(get_code("c1"), [], 1000, 1) == []
     assert counts == {"make_rng": 0, "standard_normals": 0}
+
+
+@pytest.mark.parametrize("code_name,mode", [("c1", "general"), ("c2", "qli")])
+def test_simulate_holds_the_exact_values_at_each_point(code_name, mode):
+    code = get_code(code_name)
+    points = [channel.snr_point(db) for db in (-10.0, 0.0, 4.0, 9.0)]
+    supports = parity_prob.code_supports(code, mode)
+    for res, pt in zip(sstdec.simulate(code, points, 1000, 2, mode=mode), points):
+        a1, a2, a11, th = parity_prob.branch_stats(*supports, pt.epsilon)
+        ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), pt.rho)
+        assert (res.epsilon, res.rho) == (pt.epsilon, pt.rho)
+        assert (res.alpha1_ref, res.alpha2_ref, res.alpha11_ref) == (a1, a2, a11)
+        assert res.sigma_r_ref == tuple(map(tuple, ref.tolist()))
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("branches", [1000, 3000, 20_000])
+def test_simulate_peak_memory_is_within_its_estimate(code_name, mode, branches):
+    code, points = get_code(code_name), [channel.snr_point(db) for db in (-2.0, 8.0)]
+    # the kernel's build and scipy's import allocate once per process, not per run
+    sstdec.simulate(code, points, 1000, 1, mode=mode)
+    tracemalloc.start()
+    try:
+        sstdec.simulate(code, points, branches, 1, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sstdec.SIMULATE_BRANCH_BYTES * branches
+
+
+def test_branches_past_the_memory_cap_exit_2_before_any_draw(monkeypatch, capsys):
+    def refuse(seed):
+        raise AssertionError("simulate drew a stream past its memory cap")
+
+    monkeypatch.setattr(channel, "make_rng", refuse)
+    branches = sstdec.SIMULATE_BYTES // sstdec.SIMULATE_BRANCH_BYTES + 1
+    assert main(["simulate", "--branches", str(branches), "--quiet"]) == 2
+    size = sstdec.SIMULATE_BRANCH_BYTES * branches
+    assert capsys.readouterr().err == (
+        f"error: --branches {branches}: simulate would take about {size} bytes, "
+        f"over its cap of {sstdec.SIMULATE_BYTES} bytes\n")
 
 
 def test_soft_input_validates_shape():
