@@ -159,19 +159,6 @@ def eigen_track(provider, rho):
                       d_rho_lambda=tuple(float(v) for v in d))
 
 
-def fixed_eps_provider(code, eps, mode="general"):
-    """Provider that holds the crossover probability fixed as rho varies."""
-    const = code_sigma_x(code, eps, mode)
-    return lambda rho: const
-
-
-def coupled_provider(code, mode="general"):
-    """Provider that couples eps = Q(sqrt(rho)) to rho, as on the Eb/N0 grid."""
-    def prov(rho):
-        return code_sigma_x(code, channel.q_function(math.sqrt(rho)), mode)
-    return prov
-
-
 # ------------------------------------------------------------------ MI bounds
 
 def mi_gauss_bound(sigma_x, rho):

@@ -11,11 +11,19 @@ w_k ~ N(0, W_k), x_0 ~ N(0, X0), all independent.  Conventions:
 No covariance reads an observation, so the data-free covariance recursion
 is the filter run on zero observations.  The Gaussian mutual information
 between the state path and z^k is (1/2) sum_j log(det R_j / det W_j), which
-only needs that recursion, never data.  The smoother uses the filter-to-future
-cross-covariances P(k, l+1) = P(k, l) (I - K_l H_l)^T F_l^T seeded by
-P(k, k+1) = P_k F_k^T; everything here is checked against direct
-joint-Gaussian conditioning of the stacked states and observations (the
-projection forms below), which reads only the model.
+only needs that recursion, never data.  The smoother is one backward pass
+from b, the Bryson-Frazier adjoint recursion (Bierman's modified form):
+with Phi_k = I - K_k H_k, nu_k the innovation and lambda_b = 0, Lambda_b = 0,
+
+    Lambda_{k-1} = F_{k-1}^T (H_k^T R_k^-1 H_k + Phi_k^T Lambda_k Phi_k) F_{k-1}
+    lambda_{k-1} = F_{k-1}^T (H_k^T R_k^-1 nu_k + Phi_k^T lambda_k)
+
+gives xhat_{k|b} = xhat_k + P_k lambda_k and Cov(x_k | z^b) = P_k - P_k
+Lambda_k P_k for every k <= b at once.  Unlike the Rauch-Tung-Striebel form
+it never inverts M_{k+1}, which is singular for an encoder's shift register.
+Everything here is checked against direct joint-Gaussian conditioning of the
+stacked states and observations (the projection forms below), which reads
+only the model.
 """
 
 from __future__ import annotations
@@ -194,21 +202,26 @@ def _logdet(mat):
     return float(val)
 
 
-def gaussian_mi(model, k, trace=None):
-    """I(x^k; z^k) in nats: (1/2) sum_{j<=k} log(det R_j / det W_j)."""
+def _mi_trace(model, k, trace):
+    """The covariance trace covering 0..k that both MI forms sum over."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if trace is None:
         trace = covariance_recursion(model, k + 1)
     if len(trace) <= k:
         raise ValueError("trace too short")
+    return trace
+
+
+def gaussian_mi(model, k, trace=None):
+    """I(x^k; z^k) in nats: (1/2) sum_{j<=k} log(det R_j / det W_j)."""
+    trace = _mi_trace(model, k, trace)
     return 0.5 * sum(_logdet(trace[j].R_k) - _logdet(model.W(j)) for j in range(k + 1))
 
 
 def gaussian_mi_prediction_form(model, k, trace=None):
     """Same quantity as (1/2) sum log(det M_j / det P_j); needs M_j nonsingular."""
-    if trace is None:
-        trace = covariance_recursion(model, k + 1)
+    trace = _mi_trace(model, k, trace)
     return 0.5 * sum(_logdet(trace[j].M_k) - _logdet(trace[j].P_k) for j in range(k + 1))
 
 
@@ -223,40 +236,44 @@ def information_form_inverse(a, b, c):
 
 # ----------------------------------------------------------------- smoothing
 
-def _smoother_gains(model, steps, k, b):
-    """(step l, P(k, l) H_l^T) for l = k+1..b, from filter steps covering 0..b."""
-    if k < 0 or b < k:
-        raise ValueError("need 0 <= k <= b")
+def _backward_pass(model, steps, b):
+    """(k, xhat_{k|b}, Cov(x_k | z^b)) for k = b down to 0, from filter steps
+    covering 0..b, by the adjoint recursion (one solve per step)."""
     if len(steps) <= b:
         raise ValueError("filter steps must cover 0..b")
-    if b == k:
-        return []
-    gains = []
-    p_kl = steps[k].P_k @ model.F(k).T
-    for l in range(k + 1, b + 1):
-        h = model.H(l)
-        gains.append((steps[l], p_kl @ h.T))
-        if l < b:
-            p_kl = p_kl @ (np.eye(model.n) - steps[l].K_k @ h).T @ model.F(l).T
-    return gains
+    lam = np.zeros(model.n)
+    lam_cov = np.zeros((model.n, model.n))
+    for k in range(b, -1, -1):
+        step = steps[k]
+        sigma = step.P_k - step.P_k @ lam_cov @ step.P_k
+        yield k, step.xhat_filt + step.P_k @ lam, 0.5 * (sigma + sigma.T)
+        if k == 0:
+            return
+        h, f = model.H(k), model.F(k - 1)
+        phi = np.eye(model.n) - step.K_k @ h
+        # R_k^-1 [H_k | nu_k] in one solve
+        rinv = np.linalg.solve(step.R_k, np.column_stack((h, step.innovation)))
+        lam_cov = f.T @ (h.T @ rinv[:, :-1] + phi.T @ lam_cov @ phi) @ f
+        lam = f.T @ (h.T @ rinv[:, -1] + phi.T @ lam)
+
+
+def _smoothed(model, steps, k, b):
+    """(xhat_{k|b}, Cov(x_k | z^b)): the backward pass from b, stopped at k."""
+    if k < 0 or b < k:
+        raise ValueError("need 0 <= k <= b")
+    for j, xhat, sigma in _backward_pass(model, steps, b):
+        if j == k:
+            return xhat, sigma
 
 
 def smoother_cov(model, trace, k, b):
     """Fixed-interval smoothing covariance Cov(x_k | z^b), k <= b."""
-    gains = _smoother_gains(model, trace, k, b)
-    sigma = trace[k].P_k
-    for step, g in gains:
-        sigma = sigma - g @ np.linalg.solve(step.R_k, g.T)
-    return 0.5 * (sigma + sigma.T)
+    return _smoothed(model, trace, k, b)[1]
 
 
 def smoothed_estimate(model, states, k, b):
     """Fixed-interval smoothed mean xhat_{k|b} from stored filter states."""
-    gains = _smoother_gains(model, states, k, b)
-    xhat = states[k].xhat_filt.copy()
-    for step, g in gains:
-        xhat = xhat + g @ np.linalg.solve(step.R_k, step.innovation)
-    return xhat
+    return _smoothed(model, states, k, b)[0]
 
 
 # ----------------------------------------------- direct joint-Gaussian oracle
@@ -429,21 +446,17 @@ def identity_report(seed, states, steps):
 
     add("filtering-below-prediction", max(_neg_eig(s.M_k - s.P_k) for s in fs))
 
-    dev = 0.0
-    for k in (0, steps // 2, b):
-        dev = max(dev, np.abs(smoother_cov(model, trace, k, b)
-                              - projection_smoother_cov(model, k, b)).max())
-    add("smoother-matches-projection", dev)
-
-    dev = 0.0
-    for k in (0, steps // 2, b):
-        dev = max(dev, np.abs(smoothed_estimate(model, fs, k, b)
-                              - projection_smoothed_estimate(model, zs, k, b)).max())
-    add("smoothed-estimate-matches-projection", dev)
-
+    # every smoothed (xhat_{k|b}, Cov(x_k | z^b)) from one pass; fs's
+    # covariances are trace's, bit for bit
+    smoothed = {k: (xhat, sigma) for k, xhat, sigma in _backward_pass(model, fs, b)}
+    add("smoother-matches-projection",
+        max(np.abs(smoothed[k][1] - projection_smoother_cov(model, k, b)).max()
+            for k in (0, steps // 2, b)))
+    add("smoothed-estimate-matches-projection",
+        max(np.abs(smoothed[k][0] - projection_smoothed_estimate(model, zs, k, b)).max()
+            for k in (0, steps // 2, b)))
     add("smoothing-never-hurts",
-        max(_neg_eig(trace[k].P_k - smoother_cov(model, trace, k, b))
-            for k in range(steps)))
+        max(_neg_eig(fs[k].P_k - sigma) for k, (_, sigma) in smoothed.items()))
 
     # lag 2 needs k_mid + 2 <= b; at steps >= 5 this is steps // 2
     k_mid = min(steps // 2, steps - 3)

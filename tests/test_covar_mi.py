@@ -1,5 +1,7 @@
 """Covariance pipeline: Sigma_x -> Sigma_r -> Sigma_c, eigenvalues, MI bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,10 +14,8 @@ from sstkalman.covar_mi import (
     binary_input_mi,
     bound_chain,
     code_sigma_x,
-    coupled_provider,
     cov_pair,
     eigen_track,
-    fixed_eps_provider,
     mi_gauss_bound,
     mi_gauss_bound_per_rho,
     mi_per_branch_bound,
@@ -102,6 +102,19 @@ def test_cov_pair_bundles_the_pipeline():
     assert_allclose(pair.sigma_c, sigma_c_general(sx, 4.0), atol=1e-12)
     assert_allclose(pair.delta_x, np.linalg.det(sx))
     assert pair.rho == 4.0
+
+
+def fixed_eps_provider(code, eps, mode="general"):
+    """Provider that holds the crossover probability fixed as rho varies."""
+    const = code_sigma_x(code, eps, mode)
+    return lambda rho: const
+
+
+def coupled_provider(code, mode="general"):
+    """Provider that couples eps = Q(sqrt(rho)) to rho, as on the Eb/N0 grid."""
+    def prov(rho):
+        return code_sigma_x(code, channel.q_function(math.sqrt(rho)), mode)
+    return prov
 
 
 def test_eigen_track_trace_identity():

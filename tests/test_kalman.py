@@ -94,6 +94,19 @@ def test_gaussian_mi_three_forms_agree():
         assert mi > 0
 
 
+@pytest.mark.parametrize("mi", [kalman.gaussian_mi, kalman.gaussian_mi_prediction_form],
+                         ids=["innovations", "prediction"])
+@pytest.mark.parametrize("k, match", [(-1, "k must be non-negative"),
+                                      (4, "trace too short")],
+                         ids=["negative_k", "k_past_trace"])
+def test_both_mi_forms_check_k_against_the_trace(mi, k, match):
+    # four trace steps cover 0..3
+    model = kalman.random_model(1, 2)
+    trace = kalman.covariance_recursion(model, 4)
+    with pytest.raises(ValueError, match=match):
+        mi(model, k, trace)
+
+
 def test_gaussian_mi_monotone_in_k():
     model = kalman.random_model(2, 3)
     values = [kalman.gaussian_mi(model, k) for k in range(6)]
@@ -244,6 +257,38 @@ def test_identity_report_builds_the_stacked_joint_once(monkeypatch):
     monkeypatch.setattr(kalman, "_stacked_joint", counting)
     assert all(chk.passed for chk in kalman.identity_report(seed=3, states=3, steps=8))
     assert horizons == [7]
+
+
+def test_identity_report_runs_one_backward_pass_per_horizon(monkeypatch):
+    # horizon b for every smoothed state, then the lag-1 and lag-2 checks
+    horizons = []
+    original = kalman._backward_pass
+
+    def counting(model, steps, b):
+        horizons.append(b)
+        return original(model, steps, b)
+
+    monkeypatch.setattr(kalman, "_backward_pass", counting)
+    assert all(chk.passed for chk in kalman.identity_report(seed=3, states=3, steps=8))
+    assert horizons == [7, 5, 6]
+
+
+def test_identity_report_solves_grow_linearly_in_steps(monkeypatch):
+    calls = [0]
+    original = np.linalg.solve
+
+    def counting(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    counts = {}
+    for steps in (16, 32, 64):
+        calls[0] = 0
+        assert all(chk.passed for chk in kalman.identity_report(seed=3, states=1, steps=steps))
+        counts[steps] = calls[0]
+    assert counts[64] <= 300, counts
+    assert counts[64] - counts[32] <= 2 * (counts[32] - counts[16]), counts
 
 
 def test_simulate_observations_deterministic():
