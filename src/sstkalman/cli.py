@@ -243,7 +243,11 @@ def run_tables(args):
 def run_curves(args):
     code = convcode.load_code(args.code)
     db_values = parse_db_values(args.ebn0_db)
-    rows = _select(_sweep_rows(code, db_values, args.mode), CURVES, CURVES)
+    # two_I_over_rho, the binary-input curve, depends on rho alone and is
+    # not a SweepRow field: only curves prints it, so only curves computes it
+    rows = [{c: 2.0 * covar_mi.binary_input_mi(r.rho) / r.rho if c == "two_I_over_rho"
+             else getattr(r, c) for c in CURVES}
+            for r in _sweep_rows(code, db_values, args.mode)]
     return (list(CURVES), rows,
             [validate_finite, validate_bound_chain, validate_lambda])
 

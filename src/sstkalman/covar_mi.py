@@ -30,12 +30,15 @@ from .parity_prob import code_supports
 
 # ---------------------------------------------------------------- covariances
 
+def _sigma_x_entries(alpha1, alpha2, theta12):
+    """(s1, s2, s12) of Sigma_x: the variances 4 a (1 - a) of xt and 4 theta."""
+    return 4.0 * alpha1 * (1.0 - alpha1), 4.0 * alpha2 * (1.0 - alpha2), 4.0 * theta12
+
+
 def sigma_x_from_probs(alpha1, alpha2, theta12):
     """Covariance of xt = 1 - 2v from the two marginals and theta."""
-    return np.array([
-        [4.0 * alpha1 * (1.0 - alpha1), 4.0 * theta12],
-        [4.0 * theta12, 4.0 * alpha2 * (1.0 - alpha2)],
-    ])
+    s1, s2, s12 = _sigma_x_entries(alpha1, alpha2, theta12)
+    return np.array([[s1, s12], [s12, s2]])
 
 
 def code_sigma_x(code, eps, mode="general"):
@@ -71,16 +74,42 @@ def sigma_c_general(sigma_x, rho):
     return 0.5 * (out + out.T)
 
 
-def _closed_2x2(sigma_x, rho):
-    """(s1, s2, s12, delta_x, excess) of a 2x2 Sigma_x, where delta_x =
-    det Sigma_x and excess = det(I + rho Sigma_x) - 1
-    = rho (s1 + s2 + rho delta_x)."""
+def _closed_2x2(s1, s2, s12, rho):
+    """The closed form at rho of Sigma_x = [[s1, s12], [s12, s2]], in floats:
+    (c11, c22, c12, delta_x, delta_r, half_log_det), where c = Sigma_c,
+    delta_x = det Sigma_x, delta_r = det(I + rho Sigma_x) and half_log_det
+    = (1/2) log delta_r.
+
+    delta_r = 1 + excess with excess = rho (s1 + s2 + rho delta_x); taking
+    log1p of the excess keeps full precision at tiny rho, where a
+    log-determinant rounds to 0.
+    """
+    delta_x = s1 * s2 - s12 * s12
+    excess = rho * (s1 + s2 + rho * delta_x)
+    if excess <= -1.0:
+        raise ValueError("I + rho Sigma_x must be positive definite")
+    delta_r = 1.0 + excess
+    return ((s1 + rho * delta_x) / delta_r, (s2 + rho * delta_x) / delta_r,
+            s12 / delta_r, delta_x, delta_r, 0.5 * math.log1p(excess))
+
+
+def _checked_entries(sigma_x, rho):
+    """(s1, s2, s12) of a 2x2 Sigma_x as floats, once it and rho are checked:
+    Sigma_x finite and symmetric with a non-negative diagonal, rho finite
+    and non-negative."""
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
     if sigma_x.shape != (2, 2):
         raise ValueError("Sigma_x must be 2x2")
-    s1, s2, s12 = sigma_x[0, 0], sigma_x[1, 1], sigma_x[0, 1]
-    delta_x = s1 * s2 - s12 * s12
-    return s1, s2, s12, delta_x, rho * (s1 + s2 + rho * delta_x)
+    if not np.isfinite(sigma_x).all():
+        raise ValueError("Sigma_x must be finite")
+    (s1, s12), (s21, s2) = sigma_x.tolist()
+    if s12 != s21:
+        raise ValueError("Sigma_x must be symmetric")
+    if s1 < 0.0 or s2 < 0.0:
+        raise ValueError("Sigma_x must have a non-negative diagonal")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError("rho must be finite and non-negative")
+    return s1, s2, s12
 
 
 def sigma_c_closed_2x2(sigma_x, rho):
@@ -89,13 +118,8 @@ def sigma_c_closed_2x2(sigma_x, rho):
     delta_x = det Sigma_x and delta_r = det(I + rho Sigma_x)
             = 1 + rho (s1 + s2 + rho delta_x).
     """
-    s1, s2, s12, delta_x, excess = _closed_2x2(sigma_x, rho)
-    delta_r = 1.0 + excess
-    mat = np.array([
-        [s1 + rho * delta_x, s12],
-        [s12, s2 + rho * delta_x],
-    ]) / delta_r
-    return mat, delta_x, delta_r
+    c11, c22, c12, delta_x, delta_r, _ = _closed_2x2(*_checked_entries(sigma_x, rho), rho)
+    return np.array([[c11, c12], [c12, c22]]), delta_x, delta_r
 
 
 @dataclass(frozen=True)
@@ -130,10 +154,11 @@ class EigenTrack:
     d_rho_lambda: tuple
 
 
-def _lambda_tilde(sigma_c):
-    """Trace-form eigenvalue approximations of a 2x2 Sigma_c: half trace -/+ off-diagonal."""
-    half_tr = 0.5 * (sigma_c[0, 0] + sigma_c[1, 1])
-    return float(half_tr - sigma_c[0, 1]), float(half_tr + sigma_c[0, 1])
+def _lambda_tilde(c11, c22, c12):
+    """Trace-form eigenvalue approximations of Sigma_c = [[c11, c12], [c12, c22]]:
+    half trace -/+ off-diagonal."""
+    half_tr = 0.5 * (c11 + c22)
+    return float(half_tr - c12), float(half_tr + c12)
 
 
 def eigen_track(provider, rho):
@@ -151,7 +176,7 @@ def eigen_track(provider, rho):
 
     sig_c = sigma_c_closed_2x2(provider(rho), rho)[0]
     lam = tuple(float(v) for v in np.linalg.eigvalsh(sig_c))
-    lt1, lt2 = _lambda_tilde(sig_c)
+    lt1, lt2 = _lambda_tilde(sig_c[0, 0], sig_c[1, 1], sig_c[0, 1])
     delta = 1e-4 * rho
     d = (rho_lambdas(rho + delta) - rho_lambdas(rho - delta)) / (2.0 * delta)
     return EigenTrack(rho=float(rho), lambdas=lam,
@@ -162,15 +187,9 @@ def eigen_track(provider, rho):
 # ------------------------------------------------------------------ MI bounds
 
 def mi_gauss_bound(sigma_x, rho):
-    """(1/2) log det(I + rho Sigma_x), nats per branch (Gaussian input).
-
-    Taking log1p of the closed form's excess det(I + rho Sigma_x) - 1 keeps
-    full precision at tiny rho, where a log-determinant rounds to 0.
-    """
-    excess = _closed_2x2(sigma_x, rho)[4]
-    if excess <= -1.0:
-        raise ValueError("I + rho Sigma_x must be positive definite")
-    return 0.5 * math.log1p(excess)
+    """(1/2) log det(I + rho Sigma_x), nats per branch (Gaussian input), by
+    the closed form's log1p, which keeps full precision at tiny rho."""
+    return _closed_2x2(*_checked_entries(sigma_x, rho), rho)[5]
 
 
 def mi_gauss_bound_per_rho(sigma_x, rho):
@@ -197,16 +216,20 @@ class BoundChain:
     sigma_c: np.ndarray = field(compare=False)
 
 
+def _chain(s1, s2, s12, rho):
+    """The BoundChain of [[s1, s12], [s12, s2]] at rho > 0 in floats: its
+    five bounds, then Sigma_c's (c11, c22, c12)."""
+    c11, c22, c12, _, _, half_log_det = _closed_2x2(s1, s2, s12, rho)
+    return ((0.5 * (c11 + c22), half_log_det / rho, 0.5 * (s1 + s2),
+             1.0 / (1.0 + rho), math.log1p(rho) / rho), (c11, c22, c12))
+
+
 def bound_chain(sigma_x, rho):
-    sigma_c = sigma_c_closed_2x2(sigma_x, rho)[0]
-    return BoundChain(
-        half_tr_sigma_c=0.5 * float(np.trace(sigma_c)),
-        gauss_per_rho=mi_gauss_bound_per_rho(sigma_x, rho),
-        half_tr_sigma_x=0.5 * float(np.trace(sigma_x)),
-        inv_one_plus_rho=1.0 / (1.0 + rho),
-        log1p_rho_over_rho=math.log1p(rho) / rho,
-        sigma_c=sigma_c,
-    )
+    s1, s2, s12 = _checked_entries(sigma_x, rho)
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
+    bounds, (c11, c22, c12) = _chain(s1, s2, s12, rho)
+    return BoundChain(*bounds, sigma_c=np.array([[c11, c12], [c12, c22]]))
 
 
 @cache
@@ -322,6 +345,8 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
 class SweepRow:
     """Everything the tables and curves need at one SNR point, for one
     arrangement: the general SST map (Sigma_x) or the QLI one (Sigma_x').
+    The binary-input curve depends on rho alone and is not a field: `curves`
+    adds it to the rows it prints.
 
     Field names are the CSV column names.  In qli mode the statistics
     alpha1 ... half_tr_sigma_x are those of Sigma_x' (the paper's beta1,
@@ -342,7 +367,6 @@ class SweepRow:
     gauss_bound: float
     inv_1p_rho: float
     log1p_rho_over_rho: float
-    two_I_over_rho: float
     lambda_t1: float
     lambda_t2: float
     rho_lambda_t1: float
@@ -350,12 +374,13 @@ class SweepRow:
 
 
 def _sweep_row(point, supports):
-    """One SweepRow from the error supports of one arrangement."""
+    """One SweepRow from the error supports of one arrangement, in floats."""
     rho = point.rho
     a1, a2, a11, th = parity_prob.branch_stats(*supports, point.epsilon)
-    sig_x = sigma_x_from_probs(a1, a2, th)
-    chain = bound_chain(sig_x, rho)
-    lt1, lt2 = _lambda_tilde(chain.sigma_c)
+    s1, s2, s12 = _sigma_x_entries(a1, a2, th)
+    bounds, sigma_c = _chain(s1, s2, s12, rho)
+    half_tr_c, gauss, half_tr_x, inv_1p_rho, log1p_over_rho = bounds
+    lt1, lt2 = _lambda_tilde(*sigma_c)
     return SweepRow(
         ebn0_db=point.ebn0_db,
         rho=rho,
@@ -364,15 +389,14 @@ def _sweep_row(point, supports):
         alpha2=a2,
         alpha11=a11,
         theta12=th,
-        sigma1_sq=sig_x[0, 0],
-        sigma2_sq=sig_x[1, 1],
-        half_tr_sigma_x=chain.half_tr_sigma_x,
-        half_tr_sigma_c=chain.half_tr_sigma_c,
-        half_rho_tr_sigma_c=rho * chain.half_tr_sigma_c,
-        gauss_bound=chain.gauss_per_rho,
-        inv_1p_rho=chain.inv_one_plus_rho,
-        log1p_rho_over_rho=chain.log1p_rho_over_rho,
-        two_I_over_rho=2.0 * binary_input_mi(rho) / rho,
+        sigma1_sq=s1,
+        sigma2_sq=s2,
+        half_tr_sigma_x=half_tr_x,
+        half_tr_sigma_c=half_tr_c,
+        half_rho_tr_sigma_c=rho * half_tr_c,
+        gauss_bound=gauss,
+        inv_1p_rho=inv_1p_rho,
+        log1p_rho_over_rho=log1p_over_rho,
         lambda_t1=lt1,
         lambda_t2=lt2,
         rho_lambda_t1=rho * lt1,

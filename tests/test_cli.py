@@ -118,6 +118,31 @@ def test_curves_at_vanishing_snr_holds_the_bound_chain(capsys):
     assert float(row["gauss_bound"]) == pytest.approx(float(row["half_tr_sigma_x"]))
 
 
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("code", ["c1", "c2"])
+def test_curves_json_rows_keep_the_column_order(capsys, code, mode):
+    rc, out, err = run(["curves", "--code", code, "--mode", mode, "--format", "json"], capsys)
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["columns"] == list(cli.CURVES)
+    assert [list(row) for row in payload["rows"]] == [list(cli.CURVES)] * 21
+
+
+def test_only_curves_evaluates_the_binary_input_curve(capsys, monkeypatch):
+    # the tables print no two_I_over_rho, so they evaluate no quadrature
+    calls = []
+    original = covar_mi.binary_input_mi
+    monkeypatch.setattr(covar_mi, "binary_input_mi",
+                        lambda rho: calls.append(rho) or original(rho))
+    for table in range(1, 9):
+        rc, _, err = run(["tables", "--table", str(table), "--quiet"], capsys)
+        assert rc == 0, err
+    assert calls == []
+    rc, _, err = run(["curves", "--ebn0-db=-10..10", "--quiet"], capsys)
+    assert rc == 0, err
+    assert len(calls) == 21
+
+
 @pytest.mark.parametrize("content", [
     {"name": "x"},
     [1, 2],

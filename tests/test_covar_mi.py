@@ -1,5 +1,6 @@
 """Covariance pipeline: Sigma_x -> Sigma_r -> Sigma_c, eigenvalues, MI bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from sstkalman import channel, parity_prob
+from sstkalman import channel, cli, parity_prob
 from sstkalman.convcode import get_code
 from sstkalman.covar_mi import (
+    _lambda_tilde,
     binary_input_mi,
     bound_chain,
     code_sigma_x,
@@ -181,6 +183,40 @@ def test_mi_gauss_bound_rejects_non_2x2():
         mi_gauss_bound(np.eye(3), 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("entry", [sigma_c_closed_2x2, mi_gauss_bound, bound_chain],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("sigma_x, rho, message", [
+    (np.eye(2), -0.7, "rho must be finite and non-negative"),
+    (np.eye(2), NAN, "rho must be finite and non-negative"),
+    (np.eye(2), INF, "rho must be finite and non-negative"),
+    ([[NAN, 0.0], [0.0, 1.0]], 2.0, "Sigma_x must be finite"),
+    ([[1.0, INF], [INF, 1.0]], 2.0, "Sigma_x must be finite"),
+    ([[1.0, 0.5], [-3.0, 1.0]], 2.0, "Sigma_x must be symmetric"),
+    ([[-0.1, 0.0], [0.0, 1.0]], 2.0, "Sigma_x must have a non-negative diagonal"),
+    ([[1.0, 0.0], [0.0, -1e-300]], 2.0, "Sigma_x must have a non-negative diagonal"),
+    ([[0.0, 1.0], [1.0, 0.0]], 1.0, "I \\+ rho Sigma_x must be positive definite"),
+])
+def test_closed_form_entry_points_refuse_bad_arguments(entry, sigma_x, rho, message):
+    with pytest.raises(ValueError, match=message):
+        entry(sigma_x, rho)
+
+
+def test_closed_form_takes_rho_zero_and_a_rounded_singular_sigma_x():
+    sx = random_psd(np.random.default_rng(6), 2)
+    mat, _, delta_r = sigma_c_closed_2x2(sx, 0.0)
+    np.testing.assert_array_equal(mat, sx)
+    assert delta_r == 1.0 and mi_gauss_bound(sx, 0.0) == 0.0
+    # the rank-one v v^T, v = (0.7, 0.9), whose determinant rounds below 0
+    v = np.array([0.7, 0.9])
+    rank_one = np.outer(v, v)
+    assert rank_one[0, 0] * rank_one[1, 1] - rank_one[0, 1] ** 2 < 0.0
+    ch = bound_chain(rank_one, 2.0)
+    assert ch.half_tr_sigma_c < ch.gauss_per_rho < ch.half_tr_sigma_x
+
+
 def test_bound_chain_zero_matrix():
     chain = bound_chain(np.zeros((2, 2)), 2.0)
     assert_allclose(chain.half_tr_sigma_c, 0.0)
@@ -298,7 +334,7 @@ def test_sigma_x_prime_anchor():
                     0.9713, atol=1e-3)
 
 
-def test_sweep_row_consistency():
+def test_sweep_row_consistency(capsys):
     row = sweep_row(get_code("c1"), channel.snr_point(0.0))
     assert_allclose(row.rho, 1.0)
     assert_allclose(row.alpha1, 0.4259, atol=1e-3)
@@ -306,7 +342,11 @@ def test_sweep_row_consistency():
                     0.5 * (row.sigma1_sq + row.sigma2_sq), atol=1e-12)
     assert_allclose(row.rho_lambda_max, row.rho * row.lambda_t2, atol=1e-12)
     assert row.lambda_t1 <= row.lambda_t2
-    assert_allclose(row.two_I_over_rho, 2 * binary_input_mi(row.rho) / row.rho,
+    # 2 I(rho) / rho depends on rho alone: curves adds it to the row it prints
+    assert cli.main(["curves", "--code", "c1", "--ebn0-db=0", "--format", "json"]) == 0
+    [printed] = json.loads(capsys.readouterr().out)["rows"]
+    assert printed["rho"] == row.rho
+    assert_allclose(printed["two_I_over_rho"], 2 * binary_input_mi(row.rho) / row.rho,
                     atol=1e-12)
 
 
@@ -376,3 +416,39 @@ def test_sample_sigma_r_equals_the_broadcast_centring_bit_for_bit(n, rates, db, 
     probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c1")), pt.epsilon)
     hat = sample_sigma_r(v, w, pt, probs[:3])[0]
     assert hat.tobytes() == ((centered.T @ centered) / (n - 1)).tobytes()
+
+
+def assert_row_is_the_closed_form(code, mode, row):
+    """Every chain field of a SweepRow equals (==) the array entry points on
+    code_sigma_x at the row's point."""
+    pt = channel.snr_point(row.ebn0_db)
+    sx = code_sigma_x(code, pt.epsilon, mode)
+    ch = bound_chain(sx, pt.rho)
+    sigma_c = sigma_c_closed_2x2(sx, pt.rho)[0]
+    lt1, lt2 = _lambda_tilde(sigma_c[0, 0], sigma_c[1, 1], sigma_c[0, 1])
+    assert (row.sigma1_sq, row.sigma2_sq, 4.0 * row.theta12) == (sx[0, 0], sx[1, 1], sx[0, 1])
+    assert row.half_tr_sigma_x == ch.half_tr_sigma_x
+    assert row.half_tr_sigma_c == ch.half_tr_sigma_c == 0.5 * float(np.trace(sigma_c))
+    assert row.half_rho_tr_sigma_c == pt.rho * ch.half_tr_sigma_c
+    assert row.gauss_bound == ch.gauss_per_rho == mi_gauss_bound_per_rho(sx, pt.rho)
+    assert row.inv_1p_rho == ch.inv_one_plus_rho
+    assert row.log1p_rho_over_rho == ch.log1p_rho_over_rho
+    assert (row.lambda_t1, row.lambda_t2) == (lt1, lt2)
+    assert (row.rho_lambda_t1, row.rho_lambda_max) == (pt.rho * lt1, pt.rho * lt2)
+
+
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_sweep_rows_are_the_closed_form_bit_for_bit(name, mode):
+    code = get_code(name)
+    rows = sweep(code, (*channel.DB_GRID, -300.0, 300.0, -3076.5, 3076.5), mode)
+    for row in rows:
+        assert_row_is_the_closed_form(code, mode, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=st.floats(*channel._RHO_DB_RANGE), name=st.sampled_from(["c1", "c2"]),
+       mode=st.sampled_from(["general", "qli"]))
+def test_sweep_rows_are_the_closed_form_across_the_db_range(db, name, mode):
+    code = get_code(name)
+    assert_row_is_the_closed_form(code, mode, sweep(code, (db,), mode)[0])
