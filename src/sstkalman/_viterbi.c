@@ -1,4 +1,6 @@
-/* Add-compare-select and truncated traceback of the main Viterbi decoder.
+/* Add-compare-select and truncated traceback of the main Viterbi decoder,
+   and the two stream passes around it (sst_stream and sigma_r_rows, after
+   the kernel).
 
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
@@ -115,6 +117,86 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
 
     run[__builtin_ctz((unsigned)viterbi_width(nu)) - 1](r, n, nu, g0, g1, truncation, work,
                                                         choices, rows, path, plen, out);
+}
+
+/* The parity of the GF(2) filter with taps (lo, hi) at one step: lo is the
+   coefficient of D^0, bit j of hi that of D^(j+1) (so a tap mask of degree
+   up to 64 fits), cur the stream's bit now and bit j of past its bit j + 1
+   steps ago. */
+static inline uint64_t filter(uint64_t lo, uint64_t hi, uint64_t cur, uint64_t past)
+{
+    return (lo & cur) ^ (uint64_t)__builtin_parityll(hi & past);
+}
+
+/* the bits of *x with the sign bit set to s */
+static inline uint64_t signed_bits(const double *x, uint64_t s)
+{
+    uint64_t bits;
+    memcpy(&bits, x, sizeof bits);
+    return (bits & ~((uint64_t)1 << 63)) | s << 63;
+}
+
+/* The SST receiver from the received block z (n rows of 2) to the main
+   decoder's input, in one pass.  The hard decision of z is 1 where z < 0.
+   The pre-decoder stream ihat filters the two hard streams with the taps
+   (t[0], t[1]) and (t[2], t[3]); the re-encoder filters ihat with g_l,
+   (t[4 + 2l], t[5 + 2l]); every register starts at zero.  Row k < n - delay
+   of the outputs lines up with step k + delay of those streams:
+   pre[k] = ihat, r_hard[k, l] = y_l xor the hard decision of z[k, l], and
+   r[k, l] = +-|z[k, l]|, negative where r_hard is 1 (the sign bit alone
+   changes, so signed zeros and subnormals pass through exactly). */
+void sst_stream(const double *z, int64_t n, int64_t delay, const uint64_t *t, uint8_t *pre,
+                uint8_t *r_hard, double *r)
+{
+    uint64_t past0 = 0, past1 = 0, pasti = 0;
+    int64_t k;
+
+    for (k = 0; k < n; k++) {
+        const uint64_t b0 = z[2 * k] < 0.0, b1 = z[2 * k + 1] < 0.0;
+        const uint64_t i = filter(t[0], t[1], b0, past0) ^ filter(t[2], t[3], b1, past1);
+        const uint64_t y0 = filter(t[4], t[5], i, pasti), y1 = filter(t[6], t[7], i, pasti);
+        past0 = past0 << 1 | b0;
+        past1 = past1 << 1 | b1;
+        pasti = pasti << 1 | i;
+        if (k >= delay) {
+            const int64_t at = 2 * (k - delay);
+            const uint64_t h0 = y0 ^ (z[at] < 0.0), h1 = y1 ^ (z[at + 1] < 0.0);
+            const uint64_t s0 = signed_bits(z + at, h0), s1 = signed_bits(z + at + 1, h1);
+            pre[k - delay] = (uint8_t)i;
+            r_hard[at] = (uint8_t)h0;
+            r_hard[at + 1] = (uint8_t)h1;
+            memcpy(r + at, &s0, sizeof s0);
+            memcpy(r + at + 1, &s1, sizeof s1);
+        }
+    }
+}
+
+/* The centred rows of the Sigma_r sample c (1 - 2v) + w: v is n rows of 2
+   bytes, row i column l at v[i * row + l * col], and w is n contiguous rows
+   of 2 doubles.  The mean of xt = 1 - 2v is the exact count (n - 2k) / n,
+   and that of w its sum in row order divided by n, as numpy's mean over the
+   rows of a C-ordered array takes it.  Row i of out is
+   (v ? c (-1 - m) : c (1 - m)) + (w - mean of w), per column. */
+void sigma_r_rows(const uint8_t *v, int64_t n, int64_t row, int64_t col, const double *w,
+                  double c, double *out)
+{
+    int64_t ones[2] = {0, 0}, i, l;
+    double sum[2] = {0.0, 0.0}, mean[2], one[2], zero[2];
+
+    for (i = 0; i < n; i++)
+        for (l = 0; l < 2; l++) {
+            ones[l] += v[i * row + l * col] != 0;
+            sum[l] += w[2 * i + l];
+        }
+    for (l = 0; l < 2; l++) {
+        const double m = (double)(n - 2 * ones[l]) / (double)n;
+        one[l] = c * (-1.0 - m);
+        zero[l] = c * (1.0 - m);
+        mean[l] = sum[l] / (double)n;
+    }
+    for (i = 0; i < n; i++)
+        for (l = 0; l < 2; l++)
+            out[2 * i + l] = (v[i * row + l * col] ? one[l] : zero[l]) + (w[2 * i + l] - mean[l]);
 }
 
 #else /* the kernel at width W */

@@ -8,7 +8,9 @@ information sequence is recovered from hard decisions by adding the two
 received streams.  QLI-ness is read from g alone: ConvCode.L gives the
 look-in delay and raises ValueError for any other code.  The SST
 pre-decoder of either arrangement is one value, `predecoder(code, mode)`;
-`syndrome` and the pre-decoder both run through `column_filter`.
+`syndrome` and the pre-decoder's numpy form (`sstdec.predecode`) both run
+through `column_filter`, and decoding runs the same taps in C
+(`sstdec.stream_pass`).
 
 Polynomials are int masks (see `gf2`): bit j is the coefficient of D^j.
 Encoded streams are numpy bit arrays; polynomials only describe codes.

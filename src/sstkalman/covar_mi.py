@@ -289,18 +289,24 @@ def sample_sigma_r(v, w, point, probs):
 
     `simulate` feeds it the decoder's own stream, `monte_carlo_sigma_r`
     fresh error windows; returns (Sigma_r_hat, se)."""
+    # the rows come from the decoder's C library, loaded on its first call
+    from .sstdec import kernel
+
     n = len(v)
     if n < 2:
         raise ValueError("need at least two trials")
     v = np.asarray(v)
-    w_mean = w.mean(axis=0)
-    # centred apart: at large c the spacing of c*xt + w would swallow w
+    if v.dtype != np.uint8:
+        v = v.astype(bool).view(np.uint8)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if v.shape != (n, 2) or w.shape != (n, 2):
+        raise ValueError("v and w must have shape (n, 2)")
+    # c (xt - mean) and w - mean centred apart, where xt = 1 - 2v is +-1 and
+    # its mean the exact count (n - 2k) / n: at large c the spacing of
+    # c*xt + w would swallow w
     centered = np.empty((n, 2))
-    for j in range(2):
-        # xt = 1 - 2v is +-1, so its mean is the exact count (n - 2k) / n
-        m = (n - 2 * np.count_nonzero(v[:, j])) / n
-        centered[:, j] = (np.where(v[:, j], point.c * (-1.0 - m), point.c * (1.0 - m))
-                          + (w[:, j] - w_mean[j]))
+    kernel().sigma_r_rows(v.ctypes.data, n, *v.strides, w.ctypes.data, point.c,
+                          centered.ctypes.data)
     sigma_hat = (centered.T @ centered) / (n - 1)
     a1, a2, a11 = probs
     p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])

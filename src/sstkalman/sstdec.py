@@ -8,7 +8,9 @@ in the original channel errors e.  Both arrangements take one path,
 driven by the (taps, delay) value of `convcode.predecoder`.  At useful
 SNR v is mostly zero, which is the whole point of the construction.  The
 final output is the pre-decoder stream corrected by the main decoder's
-estimate.
+estimate.  Pre-decoding, re-encoding and re-signing run as one pass of
+the C library below (`stream_pass`), and only the re-signed stream
+reaches the main decoder.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
@@ -31,21 +33,50 @@ import numpy as np
 from . import channel, convcode, covar_mi, parity_prob
 
 
-def predecode(z_hard, code, mode="general"):
-    """Pre-decoder stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1].
+def stream_pass(z, code, mode="general"):
+    """The receiver from a received block z, shape (n, 2), to the main
+    decoder's input, in one pass of the C kernel: (pre, r_hard, r).
 
-    general: ihat = z_hard Ginv (exact inverse, zero delay on clean input).
-    qli:     adds the two streams; estimates i delayed by L.
+    The pre-decoder stream ihat is z_hard[:, 0] taps[0] + z_hard[:, 1]
+    taps[1], with (taps, delay) = `convcode.predecoder(code, mode)`: in
+    general mode ihat = z_hard Ginv (exact inverse, zero delay on clean
+    input); in qli mode it adds the two streams and estimates i delayed by
+    L.  The rows line up with the estimated information bits, so each
+    output has n - delay rows: pre = ihat[delay:], the hard part
+    r_hard = encode(ihat)[delay:] XOR z_hard (the re-encoder starts at
+    zero, before ihat[0]), and r = +-|z|, negative where r_hard is 1.
+    ValueError in qli mode when n <= L.
     """
+    taps, delay = convcode.predecoder(code, mode)
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != 2:
+        raise ValueError("z must have shape (n, 2)")
+    n = z.shape[0]
+    if delay and n <= delay:
+        raise ValueError("block shorter than the look-in delay")
+    # each tap mask of degree up to gf2.MAX_DEGREE = 64 as (D^0, D^1 .. D^64)
+    masks = np.array([part for p in (*taps, *code.g) for part in (p & 1, p >> 1)],
+                     dtype=np.uint64)
+    pre = np.empty(n - delay, dtype=np.uint8)
+    r_hard = np.empty((n - delay, 2), dtype=np.uint8)
+    r = np.empty((n - delay, 2))
+    kernel().sst_stream(z.ctypes.data, n, delay, masks.ctypes.data, pre.ctypes.data,
+                        r_hard.ctypes.data, r.ctypes.data)
+    return pre, r_hard, r
+
+
+# The numpy composition that `stream_pass` replaces, step by step.  No
+# package function calls these; the tests take them as the stream pass's
+# oracle, and the benchmark's tracer (perfbench/tracing.py) lists them by name.
+
+def predecode(z_hard, code, mode="general"):
+    """Pre-decoder stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1], all n steps."""
     return convcode.column_filter(z_hard, convcode.predecoder(code, mode)[0])
 
 
 def _main_input(z, code, ihat, delay):
-    """Re-signed main-decoder input (r, r_hard), each (n - delay, 2).
-
-    The hard part r_hard is the re-encoded pre-decoder stream ihat,
-    advanced by the pre-decoder delay, XOR z_hard.
-    """
+    """Re-signed main-decoder input (r, r_hard), each (n - delay, 2), of a
+    `channel.ReceivedSequence` z and its pre-decoder stream ihat."""
     n = len(z)
     if delay and n <= delay:
         raise ValueError("block shorter than the look-in delay")
@@ -114,7 +145,7 @@ def _kernel_path():
 
 def _build_kernel():
     """Compile _viterbi.c into __pycache__ (once per _kernel_path) and load it."""
-    # imported here, on the first decoder call, so no other command pays for it
+    # imported here, on the first kernel call, so no other command pays for it
     import subprocess
 
     lib = _kernel_path()
@@ -130,17 +161,33 @@ def _build_kernel():
             partial.unlink(missing_ok=True)
             raise OSError(f"cannot build the Viterbi kernel: {proc.stderr.strip()}")
         os.replace(partial, lib)
-    kernel = ctypes.CDLL(str(lib))
-    kernel.viterbi_width.restype = ctypes.c_int
-    kernel.viterbi_width.argtypes = [ctypes.c_int]
-    kernel.viterbi_lanes.restype = ctypes.c_int64
-    kernel.viterbi_lanes.argtypes = [ctypes.c_int]
-    kernel.viterbi.restype = None
-    kernel.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
-                               ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p,
-                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                               ctypes.c_int64, ctypes.c_void_p]
-    return kernel
+    dll = ctypes.CDLL(str(lib))
+    dll.viterbi_width.restype = ctypes.c_int
+    dll.viterbi_width.argtypes = [ctypes.c_int]
+    dll.viterbi_lanes.restype = ctypes.c_int64
+    dll.viterbi_lanes.argtypes = [ctypes.c_int]
+    dll.viterbi.restype = None
+    dll.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
+                            ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    dll.sst_stream.restype = None
+    dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    dll.sigma_r_rows.restype = None
+    dll.sigma_r_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    return dll
+
+
+def kernel():
+    """The loaded `_viterbi.c` library, built on the first call of the process."""
+    global _kernel
+    if _kernel is None:
+        # two threads making their first kernel call build into one temp file
+        with _kernel_lock:
+            if _kernel is None:
+                _kernel = _build_kernel()
+    return _kernel
 
 
 def viterbi_main(r, code, truncation=None):
@@ -157,7 +204,6 @@ def viterbi_main(r, code, truncation=None):
     nu, the truncation and n, may take at most DECODER_BYTES (ValueError
     otherwise, before they are allocated).
     """
-    global _kernel
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] != 2:
         raise ValueError("r must have shape (n, 2)")
@@ -173,13 +219,9 @@ def viterbi_main(r, code, truncation=None):
     out = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return out
-    if _kernel is None:
-        # two threads making their first decoder call build into one temp file
-        with _kernel_lock:
-            if _kernel is None:
-                _kernel = _build_kernel()
+    lib = kernel()
     # the kernel's per-lane planes: 2^(nu-1) lanes, at least one vector of 2
-    lanes = _kernel.viterbi_lanes(code.nu)
+    lanes = lib.viterbi_lanes(code.nu)
     # the survivor decisions of the last min(truncation, n) steps, in a ring
     rows = 1 << (min(truncation, n) - 1).bit_length()
     # the previous step's survivor, one state per time, over more than that
@@ -191,9 +233,8 @@ def viterbi_main(r, code, truncation=None):
     work = np.empty(12 * lanes)
     choices = np.empty(rows * 2 * lanes, dtype=np.uint8)
     path = np.empty(plen, dtype=np.int64)
-    _kernel.viterbi(r.ctypes.data, n, code.nu, *code.g, truncation,
-                    work.ctypes.data, choices.ctypes.data, rows, path.ctypes.data, plen,
-                    out.ctypes.data)
+    lib.viterbi(r.ctypes.data, n, code.nu, *code.g, truncation, work.ctypes.data,
+                choices.ctypes.data, rows, path.ctypes.data, plen, out.ctypes.data)
     return out
 
 
@@ -203,15 +244,13 @@ def classical_viterbi(z, code):
 
 
 def _sst_streams(z, code, mode):
-    """Pre-decoder stream, main-decoder hard input and SST output of one block.
+    """Pre-decoder stream, main-decoder hard input and SST output of one
+    received block z, shape (n, 2).
 
     Both bit streams estimate the information bits they line up with:
     i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
     """
-    _, delay = convcode.predecoder(code, mode)
-    ihat = predecode(z.z_hard, code, mode)
-    r, r_hard = (main_input_qli if delay else main_input_general)(z, code, ihat)
-    pre = ihat[delay:]
+    pre, r_hard, r = stream_pass(z, code, mode)
     return pre, r_hard, pre ^ viterbi_main(r, code)
 
 
@@ -221,7 +260,7 @@ def sst_decode(z, code, mode="general"):
     general mode returns n bits; qli mode returns n - L bits (estimates
     of i_0 .. i_{n-L-1}).
     """
-    return _sst_streams(z, code, mode)[2]
+    return _sst_streams(z.z, code, mode)[2]
 
 
 # ----------------------------------------------------------------- simulation
@@ -229,7 +268,8 @@ def sst_decode(z, code, mode="general"):
 # simulate's arrays take at most this many bytes per branch: the block
 # (bits, codeword, x and noise, ~35 bytes) for the whole call, and one
 # point's received block, main-decoder input and their temporaries
-# (tracemalloc peaks at 113-126 for c1 and c2 from 1000 to 400 000 branches)
+# (tracemalloc peaks at 81-92 for c1 and c2, both modes, from 1000 to
+# 400 000 branches)
 SIMULATE_BRANCH_BYTES = 128
 # the most that they may take; the main decoder's own arrays are capped
 # apart, by DECODER_BYTES
@@ -310,8 +350,8 @@ def simulate(code, points, branches, seed, mode="general"):
 
     results = []
     for point in points:
-        z = channel.receive(x, noise, point)
-        e = z.z_hard ^ y
+        z = point.c * x + noise
+        e = (z < 0.0).view(np.uint8) ^ y
         pre_stream, r_hard, post_stream = _sst_streams(z, code, mode)
         # one point's received block at a time
         del z
@@ -338,23 +378,36 @@ def simulate(code, points, branches, seed, mode="general"):
     return results
 
 
-def simulation_errors(columns, rows):
-    """CLI validator: the errors of `simulate`'s rows against their exact values."""
-    # simulate has loaded scipy.special already, on its noise draw, unless
-    # the grid is empty
+PARITY_STATS = ("alpha1", "alpha2", "alpha11")
+
+
+def binomial_tails(k, n, p):
+    """The smaller exact binomial tail, min(P(K <= k), P(K >= k)) for
+    K ~ Bin(n, p), elementwise over broadcast arrays of counts k, trials n
+    and probabilities p."""
+    # simulate has loaded scipy.special already, on its noise draw
     from scipy.special import bdtr, bdtrc
 
+    return np.minimum(bdtr(k, n, p), bdtrc(k - 1, n, p))
+
+
+def simulation_errors(columns, rows):
+    """CLI validator: the errors of `simulate`'s rows against their exact values."""
+    if not rows:
+        return []
+    n = np.array([[row["n_eff"]] for row in rows])
+    # the exact binomial tail of each count, at the normal 5 se level
+    k = np.array([[round(row[f"emp_{name}"] * row["n_eff"]) for name in PARITY_STATS]
+                  for row in rows])
+    ref = np.array([[row[f"{name}_ref"] for name in PARITY_STATS] for row in rows])
+    far = binomial_tails(k, n, ref) < FIVE_SIGMA_TAIL
     errors = []
     for i, row in enumerate(rows):
-        n = row["n_eff"]
-        for name in ("alpha1", "alpha2", "alpha11"):
-            # the exact binomial tail of the count, at the normal 5 se level
-            k, ref = round(row[f"emp_{name}"] * n), row[f"{name}_ref"]
-            if min(bdtr(k, n, ref), bdtrc(k - 1, n, ref)) < FIVE_SIGMA_TAIL:
-                errors.append(f"row {i}: emp_{name} deviates from model by >5 se")
+        errors += [f"row {i}: emp_{name} deviates from model by >5 se"
+                   for name, bad in zip(PARITY_STATS, far[i]) if bad]
         # the rule above tests the counts; given them, only the check's w is random
         mean, se = covar_mi.sigma_r_given_parities(
-            row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], n, row["rho"])
+            row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], row["n_eff"], row["rho"])
         if np.any(np.abs(row["sigma_r_hat"] - mean) > 5.0 * se + 1e-9):
             errors.append(f"row {i}: empirical received covariance off model by >5 se")
         if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):

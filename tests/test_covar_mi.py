@@ -1,5 +1,6 @@
 """Covariance pipeline: Sigma_x -> Sigma_r -> Sigma_c, eigenvalues, MI bounds."""
 
+import itertools
 import json
 import math
 
@@ -32,6 +33,9 @@ from sstkalman.covar_mi import (
     sweep,
     sweep_row,
 )
+
+
+RHO_ENDS_DB = tuple(10.0 * np.log10(channel.RHO_RANGE))
 
 
 def random_psd(rng, n, jitter=1e-3):
@@ -416,6 +420,49 @@ def test_sample_sigma_r_equals_the_broadcast_centring_bit_for_bit(n, rates, db, 
     probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c1")), pt.epsilon)
     hat = sample_sigma_r(v, w, pt, probs[:3])[0]
     assert hat.tobytes() == ((centered.T @ centered) / (n - 1)).tobytes()
+
+
+def numpy_sample_sigma_r(v, w, point, probs):
+    """Oracle of `sample_sigma_r`: its numpy form before the C row pass,
+    which centres one strided column at a time."""
+    n = len(v)
+    w_mean = w.mean(axis=0)
+    centered = np.empty((n, 2))
+    for j in range(2):
+        m = (n - 2 * np.count_nonzero(v[:, j])) / n
+        centered[:, j] = (np.where(v[:, j], point.c * (-1.0 - m), point.c * (1.0 - m))
+                          + (w[:, j] - w_mean[j]))
+    sigma_hat = (centered.T @ centered) / (n - 1)
+    a1, a2, a11 = probs
+    p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
+    x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
+    p = p[p > 0.0]
+    u = point.c * (x - p @ x)
+    cov, fourth = (u.T * p) @ u, ((u * u).T * p) @ (u * u)
+    m2 = np.diag(cov)
+    var = fourth - cov * cov + (1.0 + np.eye(2)) * (m2[:, None] + m2 + 1.0)
+    return sigma_hat, np.sqrt(var / n)
+
+
+# simulate's rows are v[stride::stride] of a C-ordered (m, 2) uint8 block
+@pytest.mark.parametrize("stride", range(1, 13))
+def test_sample_sigma_r_equals_the_numpy_centring_bit_for_bit(stride):
+    gen = np.random.default_rng(stride)
+    for n, rate, db in itertools.product([2, 3, 40, 1249, 4999, 25_000],
+                                         [0.0, 0.003, 0.2, 0.5, 1.0],
+                                         [*RHO_ENDS_DB, -10.0, 4.0, 300.0]):
+        # at the top end eps is 0, so v is constant; c (1 - 2v) of any other
+        # v would square past the largest double in both forms
+        if db > 1000.0 and rate not in (0.0, 1.0):
+            continue
+        block = (gen.random((n * stride + stride, 2)) < rate).astype(np.uint8)
+        v = block[stride::stride]
+        w = channel.standard_normals(gen, (n, 2))
+        pt = channel.snr_point(db)
+        probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c2")),
+                                         pt.epsilon)[:3]
+        got, want = sample_sigma_r(v, w, pt, probs), numpy_sample_sigma_r(v, w, pt, probs)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, rate, db)
 
 
 def assert_row_is_the_closed_form(code, mode, row):

@@ -372,16 +372,71 @@ def test_main_input_hard_part_is_mapped_errors_xor_errors():
             assert (v_poly >> delay) & (keep >> delay) == got, (name, mode, stream)
 
 
+def numpy_stream_pass(z, code, mode):
+    """Oracle of `sstdec.stream_pass`: the numpy pre-decoder, re-encoder and
+    re-signing, one array step at a time; (pre, r_hard, r)."""
+    recv = channel.ReceivedSequence(z)
+    ihat = sstdec.predecode(recv.z_hard, code, mode)
+    _, delay = predecoder(code, mode)
+    main_input = sstdec.main_input_qli if delay else sstdec.main_input_general
+    r, r_hard = main_input(recv, code, ihat)
+    return ihat[delay:], r_hard, r
+
+
+# nu = 1 with taps of degree 64: g = (1 + D, 1), ginv = (D^63, 1 + D^63 + D^64)
+WIDE_TAPS = ConvCode(name="wide", g=(3, 1), ginv=(1 << 63, 1 | 3 << 63))
+STREAM_CODES = [get_code("c1"), get_code("c2"), ConvCode(name="nu1", g=(1, 3), ginv=(1, 0)),
+                WIDE_TAPS, *(make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
+                             for nu in range(2, 10))]
+# exact zeros of either sign and the least subnormals, beside Gaussian values
+SPECIAL_Z = (0.0, -0.0, 5e-324, -5e-324)
+
+
+@st.composite
+def received_blocks(draw):
+    code = draw(st.sampled_from(STREAM_CODES))
+    # from empty to past two truncation windows and the 64-step registers
+    n = draw(st.integers(0, max(2 * sstdec.default_truncation(code), 64) + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(draw(st.sampled_from([0.0, 1.0, 3.0])), 1.0, (n, 2))
+    special = rng.random((n, 2)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    z[special] = rng.choice(SPECIAL_Z, size=int(special.sum()))
+    return code, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=received_blocks(), mode=st.sampled_from(["general", "qli"]))
+@example(block=(WIDE_TAPS, np.tile([[-5e-324, 0.0]], (140, 1))), mode="general")
+@example(block=(get_code("c2"), np.tile([[-0.0, 5e-324]], (2, 1))), mode="qli")
+def test_stream_pass_equals_the_numpy_composition(block, mode):
+    code, z = block
+    if mode == "qli" and len(z) <= code.L:
+        for run in (sstdec.stream_pass, numpy_stream_pass):
+            with pytest.raises(ValueError, match="block shorter than the look-in delay"):
+                run(z, code, mode)
+        return
+    pre, r_hard, r = sstdec.stream_pass(z, code, mode)
+    want_pre, want_hard, want_r = numpy_stream_pass(z, code, mode)
+    assert pre.dtype == r_hard.dtype == np.uint8 and r.dtype == np.float64
+    assert np.array_equal(pre, want_pre) and np.array_equal(r_hard, want_hard)
+    assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
+
+
+def test_stream_pass_refuses_other_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        sstdec.stream_pass(np.zeros((4, 3)), get_code("c1"))
+
+
 @pytest.mark.parametrize("name, mode", itertools.product(("c1", "c2"), ("general", "qli")))
 def test_sst_decode_predecodes_each_block_once(name, mode, monkeypatch):
     calls = []
-    original = sstdec.predecode
+    original = sstdec.stream_pass
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(sstdec, "predecode", counting)
+    monkeypatch.setattr(sstdec, "stream_pass", counting)
     code = get_code(name)
     info = np.random.default_rng(8).integers(0, 2, 200)
     recv = channel.transmit(encode(code, info), channel.snr_point(3.0), seed=4)
@@ -421,6 +476,23 @@ def test_viterbi_is_maximum_correlation():
             float(np.sum(recv.z * (1 - 2 * encode(code, np.array(cand)).astype(float))))
             for cand in itertools.product((0, 1), repeat=10))
         assert_allclose(decoded_metric, best, atol=1e-12)
+
+
+def test_binomial_tails_equal_the_scalar_tails():
+    from scipy.special import bdtr, bdtrc
+
+    rng = np.random.default_rng(12)
+    n = rng.integers(1, 30_000, size=(40, 1))
+    # k = 0 and k = n in every row, then counts near n p and anywhere
+    p = np.concatenate([rng.random((30, 3)), [[0.0, 1.0, 0.5]] * 5,
+                        [[1e-300, 1.0 - 1e-16, 0.25]] * 5])
+    k = np.concatenate([np.zeros((40, 1), int), n, np.rint(n * p[:, 2:]).astype(int),
+                        rng.integers(0, n + 1, size=(40, 2))], axis=1)
+    p = np.concatenate([p, p[:, :2]], axis=1)
+    scalar = [[min(bdtr(int(k[i, j]), int(n[i, 0]), float(p[i, j])),
+                   bdtrc(int(k[i, j]) - 1, int(n[i, 0]), float(p[i, j])))
+               for j in range(k.shape[1])] for i in range(len(k))]
+    assert sstdec.binomial_tails(k, n, p).tobytes() == np.array(scalar).tobytes()
 
 
 def test_simulate_rejects_tiny_runs():
