@@ -93,15 +93,11 @@ class ReceivedSequence:
         return self.z.shape[0]
 
 
-def receive(x, w, point):
-    """The receiver's view z = c x + w of BPSK symbols x under unit noise w."""
-    return ReceivedSequence(point.c * x + w)
-
-
 def transmit(code_bits, point, seed):
-    """Send code bits through the channel at one SNR point; returns a ReceivedSequence."""
+    """Send code bits through the channel at one SNR point: the receiver's view
+    z = c x + w of their BPSK symbols x under unit noise w, as a ReceivedSequence."""
     code_bits = np.asarray(code_bits, dtype=np.uint8)
     if code_bits.ndim != 2 or code_bits.shape[1] != 2:
         raise ValueError("code_bits must have shape (n, 2)")
     x = bpsk_map(code_bits)
-    return receive(x, standard_normals(make_rng(seed), x.shape), point)
+    return ReceivedSequence(point.c * x + standard_normals(make_rng(seed), x.shape))

@@ -430,12 +430,6 @@ ARG_RANGES = {"branches": (1000, None), "seed": (0, 2**62), "states": (1, None),
               "steps": (4, None)}
 
 
-# kalman-check's projection oracle stacks every step's states into square
-# float64 covariances of side states x steps (kalman._stacked_joint); one of
-# them may take at most this many bytes, a side of 1024
-KALMAN_JOINT_BYTES = 2**23
-
-
 def check_ranges(args):
     """Reject an integer option outside its range, naming the option."""
     for name, (low, high) in ARG_RANGES.items():
@@ -444,12 +438,6 @@ def check_ranges(args):
             raise ValueError(f"--{name} must be at least {low}")
         if high is not None and value > high:
             raise ValueError(f"--{name} must be at most {high}")
-    if args.command == "kalman-check":
-        joint_bytes = 8 * (args.states * args.steps) ** 2
-        if joint_bytes > KALMAN_JOINT_BYTES:
-            raise ValueError(f"--states {args.states} x --steps {args.steps}: the projection "
-                             f"oracle's joint covariance would take {joint_bytes} bytes, "
-                             f"over its cap of {KALMAN_JOINT_BYTES} bytes")
 
 
 def main(argv=None):

@@ -400,10 +400,24 @@ def _neg_eig(mat):
     return max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
 
 
+# the projection oracle stacks every step's states into square float64
+# covariances of side states x steps (_stacked_joint); one of them may take
+# at most this many bytes, a side of 1024
+KALMAN_JOINT_BYTES = 2**23
+
+
 def identity_report(seed, states, steps):
-    """Run every filter/smoother identity on a random model; returns checks."""
+    """Run every filter/smoother identity on a random model; returns checks.
+
+    ValueError, before any model is built, when the projection oracle's
+    joint covariance would pass KALMAN_JOINT_BYTES."""
     if steps < 4:
         raise ValueError("need at least 4 steps")
+    joint_bytes = 8 * (states * steps) ** 2
+    if joint_bytes > KALMAN_JOINT_BYTES:
+        raise ValueError(f"--states {states} x --steps {steps}: the projection "
+                         f"oracle's joint covariance would take {joint_bytes} bytes, "
+                         f"over its cap of {KALMAN_JOINT_BYTES} bytes")
     model = random_model(seed, states)
     zs = simulate_observations(model, steps, seed)
     fs = run_filter(model, zs)

@@ -10,11 +10,12 @@ finite SNR, which contradicts the usual reading that QLI pre-decoding is
 the safer choice.  Rows where neither pairing works are flagged
 indeterminate and deserve the trace comparison.
 
-The counts are popcounts of carry-less products of masks.  One code
-(`family_counts`) takes them from int masks (`gf2.clmul`), at any degree.
-`enumerate_qli` forms the whole family at once: its masks are numpy
-uint64 arrays, the four products and the g ginv = 1 check run by
-shift-and-XOR over every member together, and `classify_counts` runs
+The counts are the sizes of the code's error supports.  For one code
+(`family_counts`) they are read from `parity_prob.code_supports` in both
+arrangements, at any degree.  `enumerate_qli` forms the whole family at
+once: its masks are numpy uint64 arrays, the four carry-less products
+and the g ginv = 1 check run by shift-and-XOR over every member
+together, the counts are their popcounts, and `classify_counts` runs
 once per distinct count tuple.  No member builds a `ConvCode` or a
 polynomial matrix.  The rows it hands out hold plain Python ints, bools
 and tuples.
@@ -27,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel
-from .gf2 import clmul
+from . import channel, parity_prob
 
 
 class QliSearchRow(NamedTuple):
@@ -62,32 +62,23 @@ def classify_counts(m_alpha, m_beta):
     return counterexample, (not counterexample and not expected)
 
 
-def _term_counts(g1, g2, i1, i2):
-    """(m1_alpha, m2_alpha, m1_beta, m2_beta) from the masks of g and ginv.
-
-    Column l of Ginv G is (i1 g_l, i2 g_l), so m_l^alpha = |i1 g_l| + |i2 g_l|;
-    the QLI pre-decoder adds both streams, so m_l^beta = 2 |g_l|.  ValueError
-    unless g ginv = 1."""
-    if clmul(g1, i1) ^ clmul(g2, i2) != 1:
-        raise ValueError("ginv is not a right inverse of g")
-    return (clmul(i1, g1).bit_count() + clmul(i2, g1).bit_count(),
-            clmul(i1, g2).bit_count() + clmul(i2, g2).bit_count(),
-            2 * g1.bit_count(), 2 * g2.bit_count())
-
-
 def family_counts(code):
-    """Term counts (m1_alpha, m2_alpha, m1_beta, m2_beta) for one code."""
-    code.L  # the beta counts hold only for QLI codes
-    return _term_counts(*code.g, *code.ginv)
+    """Term counts (m1_alpha, m2_alpha, m1_beta, m2_beta) for one code: the
+    sizes of its general and QLI error supports.  ValueError unless the code
+    is QLI."""
+    return tuple(len(s) for mode in ("general", "qli")
+                 for s in parity_prob.code_supports(code, mode))
 
 
 def _family_term_counts(g1, g2, i1, i2):
-    """_term_counts for every member at once: uint64 arrays of masks in,
-    four uint8 arrays of counts out.
+    """family_counts for every member at once: uint64 arrays of the masks of
+    g and ginv in, four uint8 arrays of counts out.
 
-    The products are formed by shift-and-XOR over the bits of i1 and i2,
-    so each must fit in 64 bits; at nu <= 12 they have degree at most 23.
-    ValueError unless g ginv = 1 for every member."""
+    Column l of Ginv G is (i1 g_l, i2 g_l), so m_l^alpha = |i1 g_l| + |i2 g_l|;
+    the QLI pre-decoder adds both streams, so m_l^beta = 2 |g_l|.  The
+    products are formed by shift-and-XOR over the bits of i1 and i2, so each
+    must fit in 64 bits; at nu <= 12 they have degree at most 23.  ValueError
+    unless g ginv = 1 for every member."""
     p11 = p12 = p21 = p22 = np.zeros_like(g1)
     for k in range(int(i1.max() | i2.max()).bit_length()):
         b1, b2 = (i1 >> k) & 1, (i2 >> k) & 1

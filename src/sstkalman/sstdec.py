@@ -268,8 +268,8 @@ def sst_decode(z, code, mode="general"):
 # simulate's arrays take at most this many bytes per branch: the block
 # (bits, codeword, x and noise, ~35 bytes) for the whole call, and one
 # point's received block, main-decoder input and their temporaries
-# (tracemalloc peaks at 81-92 for c1 and c2, both modes, from 1000 to
-# 400 000 branches)
+# (tracemalloc peaks at 75-95 for c1 and c2, both modes, one to four dB
+# points, from 1000 to 400 000 branches)
 SIMULATE_BRANCH_BYTES = 128
 # the most that they may take; the main decoder's own arrays are capped
 # apart, by DECODER_BYTES

@@ -604,7 +604,7 @@ def test_kalman_check_past_its_joint_cap_exits_2_before_building(capsys, monkeyp
                                                                  states, steps):
     # a side of states x steps = 1024 fills the cap, so each of these is the
     # first value past it (or far past it); none of them is run
-    assert 8 * (states * steps) ** 2 > cli.KALMAN_JOINT_BYTES == 8 * 1024 ** 2
+    assert 8 * (states * steps) ** 2 > kalman.KALMAN_JOINT_BYTES == 8 * 1024 ** 2
 
     def refuse(*args, **kwargs):
         raise AssertionError("a model was built past the cap")
@@ -615,16 +615,7 @@ def test_kalman_check_past_its_joint_cap_exits_2_before_building(capsys, monkeyp
     assert (rc, out) == (2, "")
     assert err == (f"error: --states {states} x --steps {steps}: the projection oracle's "
                    f"joint covariance would take {8 * (states * steps) ** 2} bytes, "
-                   f"over its cap of {cli.KALMAN_JOINT_BYTES} bytes\n")
-
-
-def test_kalman_check_cap_admits_the_defaults_and_ci_sizes():
-    parser = build_parser()
-    for argv in (["kalman-check"], ["kalman-check", "--states", "4", "--steps", "24"],
-                 ["kalman-check", "--states", "1", "--steps", "1024"],
-                 ["kalman-check", "--states", "4", "--steps", "256"],
-                 ["kalman-check", "--states", "256", "--steps", "4"]):
-        cli.check_ranges(parser.parse_args(argv))
+                   f"over its cap of {kalman.KALMAN_JOINT_BYTES} bytes\n")
 
 
 # recorded from the joint polynomial minus the product of the marginals

@@ -65,6 +65,14 @@ def test_constructor_rejects_wrong_inverse():
         ConvCode("bad", g, (1, 1))
 
 
+@given(st.integers(min_value=1, max_value=(1 << 11) - 1))
+def test_constructor_rejects_a_swapped_family_inverse(c):
+    code = make_qli(c << 1)  # the family's own ginv (1 + g', g')
+    # the swapped pair gives g ginv = 1 + D
+    with pytest.raises(ValueError, match="^ginv is not a right inverse of g$"):
+        ConvCode("swapped", code.g, code.ginv[::-1])
+
+
 def test_look_in_delay_rejects_non_qli():
     code = _nonqli_code()
     with pytest.raises(ValueError):

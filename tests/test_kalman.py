@@ -291,6 +291,36 @@ def test_identity_report_solves_grow_linearly_in_steps(monkeypatch):
     assert counts[64] - counts[32] <= 2 * (counts[32] - counts[16]), counts
 
 
+class ModelBuilt(Exception):
+    pass
+
+
+def _refuse_models(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ModelBuilt
+
+    monkeypatch.setattr(kalman, "random_model", refuse)
+
+
+def test_identity_report_refuses_a_joint_past_its_cap(monkeypatch):
+    # 64 states x 1024 steps is a ~34 GB joint; the cap stops it before any
+    # model is built, so a library call fails as the CLI does
+    _refuse_models(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        kalman.identity_report(3, 64, 1024)
+    assert str(info.value) == ("--states 64 x --steps 1024: the projection oracle's joint "
+                               "covariance would take 34359738368 bytes, over its cap of "
+                               "8388608 bytes")
+
+
+def test_identity_report_cap_admits_the_defaults_and_ci_sizes(monkeypatch):
+    # each of these reaches random_model, past the cap check
+    _refuse_models(monkeypatch)
+    for states, steps in ((3, 8), (4, 24), (1, 1024), (4, 256), (256, 4)):
+        with pytest.raises(ModelBuilt):
+            kalman.identity_report(3, states, steps)
+
+
 def test_simulate_observations_deterministic():
     model = kalman.random_model(4, 2)
     a = kalman.simulate_observations(model, 5, seed=7)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sstkalman import channel, parity_prob, qli_search
+from sstkalman import channel, covar_mi, parity_prob, qli_search
 from sstkalman.convcode import ConvCode, get_code, main_encoded_block_map, make_qli
 from sstkalman.gf2 import column_term_count, from_string
 
@@ -84,15 +84,6 @@ def test_builtin_c2_never_reverses():
     assert qli_search.exact_counterexample_snrs(get_code("c2")) == []
 
 
-@pytest.mark.parametrize("nu", range(3, 9))
-def test_family_counts_are_support_sizes(nu):
-    for row in qli_search.enumerate_qli(nu):
-        code = make_qli(row.gprime)
-        sizes = tuple(len(s) for mode in ("general", "qli")
-                      for s in parity_prob.code_supports(code, mode))
-        assert qli_search.family_counts(code) == sizes == row.counts
-
-
 @pytest.mark.parametrize("nu", range(3, 13))
 def test_integer_counts_match_the_block_map_of_each_built_code(nu):
     # make_qli runs every ConvCode check (g ginv = 1, h g = 0, g and h
@@ -107,23 +98,22 @@ def test_integer_counts_match_the_block_map_of_each_built_code(nu):
                 == (row.heuristic_counterexample, row.indeterminate))
 
 
-@given(st.integers(min_value=1, max_value=(1 << 11) - 1))
-def test_term_counts_reject_a_false_right_inverse(c):
-    gp = c << 1
-    g1, g2 = 1 ^ (gp << 1), 3 ^ (gp << 1)
-    qli_search._term_counts(g1, g2, 1 ^ gp, gp)  # the family's own ginv
-    # the swapped pair gives g ginv = 1 + D
-    with pytest.raises(ValueError, match="not a right inverse"):
-        qli_search._term_counts(g1, g2, gp, 1 ^ gp)
+def test_family_counts_are_support_sizes_at_any_degree():
+    # make_qli((1 << 17) - 2) has memory 17, past the array path's nu <= 12
+    for code in (get_code("c1"), get_code("c2"), make_qli((1 << 17) - 2)):
+        sizes = tuple(len(s) for mode in ("general", "qli")
+                      for s in parity_prob.code_supports(code, mode))
+        assert qli_search.family_counts(code) == sizes
 
 
 def per_member_rows(nu):
-    """enumerate_qli's rows as fields, one member at a time through the
-    int-mask _term_counts and classify_counts: the oracle for the array path."""
+    """enumerate_qli's rows as fields, one built code at a time through its
+    support sizes (family_counts) and classify_counts: the oracle for the
+    array path."""
     rows = []
     for bits in product((0, 1), repeat=nu - 2):
         gp = 1 << (nu - 1) | sum(c << j for j, c in enumerate(bits, start=1))
-        counts = qli_search._term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)
+        counts = qli_search.family_counts(make_qli(gp))
         rows.append((bits, *counts, *qli_search.classify_counts(counts[:2], counts[2:]), gp))
     return rows
 
@@ -178,20 +168,19 @@ def test_family_counts_rejects_a_non_qli_code():
         qli_search.family_counts(ConvCode("nonqli", g, ginv))
 
 
-def test_trace_compare_from_counts_matches_supports():
-    def half_tr(s1, s2, eps):
-        a1, a2, _, _ = parity_prob.branch_stats(s1, s2, eps)
-        return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
-
-    for row in qli_search.enumerate_qli(8):
+@pytest.mark.parametrize("nu", range(3, 13))
+def test_trace_compare_half_traces_are_the_sweep_values(nu):
+    # bit for bit: the float arithmetic of trace_compare is its own, but each
+    # half trace must be the sweep's (1/2) tr Sigma_x of that arrangement
+    points = channel.grid_points()
+    assert [p.ebn0_db for p in points] == [float(db) for db in channel.DB_GRID]
+    for row in qli_search.enumerate_qli(nu):
         code = make_qli(row.gprime)
-        general = parity_prob.code_supports(code, "general")
-        qli = parity_prob.code_supports(code, "qli")
-        points = qli_search.trace_compare(row.counts, channel.grid_points())
-        assert [p.ebn0_db for p in points] == [float(db) for db in channel.DB_GRID]
-        for p in points:
-            assert p.half_tr_sigma_x == half_tr(*general, p.epsilon)
-            assert p.half_tr_sigma_x_prime == half_tr(*qli, p.epsilon)
+        compared = qli_search.trace_compare(row.counts, points)
+        for mode, field in (("general", "half_tr_sigma_x"),
+                            ("qli", "half_tr_sigma_x_prime")):
+            assert ([r.half_tr_sigma_x for r in covar_mi.sweep(code, channel.DB_GRID, mode)]
+                    == [getattr(p, field) for p in compared]), (row.c_bits, mode)
 
 
 @pytest.mark.parametrize("nu", range(7, 13))
