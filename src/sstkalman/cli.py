@@ -81,6 +81,9 @@ def parse_db_values(text):
     range (which also rejects inf and nan) raise a ValueError that names
     --ebn0-db.
     """
+    # int and float also read '_' separators and non-ASCII digits
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"--ebn0-db: cannot read {text.strip()!r} as dB values")
     text = text.strip()
     if not text:
         return []
@@ -255,8 +258,8 @@ def run_curves(args):
 def run_alpha(args):
     code = convcode.load_code(args.code)
     db_values = parse_db_values(args.ebn0_db)
-    s1, s2 = covar_mi.code_supports(code, args.mode)
     if args.emit == "polynomial":
+        s1, s2 = covar_mi.code_supports(code, args.mode)
         p1 = parity_prob.marginal_polynomial(len(s1))
         p2 = parity_prob.marginal_polynomial(len(s2))
         p11 = parity_prob.joint_polynomial(s1, s2)
@@ -267,12 +270,9 @@ def run_alpha(args):
             payload[name] = list(poly.coefficients)
         return None, payload, []
 
-    columns = column_names(("ebn0_db", "epsilon") + STATS, args.mode)
-    rows = []
-    for db in db_values:
-        point = channel.snr_point(db)
-        stats = parity_prob.branch_stats(s1, s2, point.epsilon)
-        rows.append(dict(zip(columns, (point.ebn0_db, point.epsilon) + stats)))
+    fields = ("ebn0_db", "epsilon") + STATS
+    columns = column_names(fields, args.mode)
+    rows = _select(_sweep_rows(code, db_values, args.mode), fields, columns)
 
     def probs_in_range(cols, rws):
         errors = []

@@ -13,6 +13,10 @@ lower-bounds the per-branch Gaussian mutual information
 (1/2) tr(Sigma_x).  Channel-side outer bounds log(1+rho)/rho and
 1/(1+rho) plus the binary-input AWGN curve complete the chain.  All
 information quantities are in nats.
+
+Everything here is exact but one test oracle: `monte_carlo_sigma_r`
+draws fresh error windows and measures them with `sstdec.sample_sigma_r`,
+the Sigma_r sample that `simulate` reports.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from . import channel, parity_prob
+from . import channel, kalman, parity_prob
 from .parity_prob import code_supports
 
 
@@ -66,11 +71,12 @@ def sigma_r(sigma_x, rho):
 
 def sigma_c_general(sigma_x, rho):
     """Filtering covariance Sigma_x - rho Sigma_x (I + rho Sigma_x)^-1 Sigma_x
-    for any n, by the n x n solve: the reference form of `sigma_c_closed_2x2`."""
+    for any n: the Kalman filter's information-form update of prior Sigma_x
+    by the observation sqrt(rho) I plus white noise, the reference form of
+    `sigma_c_closed_2x2`."""
     sigma_x = _check_square(sigma_x)
-    n = sigma_x.shape[0]
-    core = np.linalg.solve(np.eye(n) + rho * sigma_x, sigma_x)
-    out = sigma_x - rho * sigma_x @ core
+    eye = np.eye(sigma_x.shape[0])
+    out = kalman.information_form_inverse(sigma_x, eye, math.sqrt(rho) * eye)
     return 0.5 * (out + out.T)
 
 
@@ -282,62 +288,13 @@ def mi_per_branch_bound(sigma_x, rho):
 
 # ------------------------------------------------------------------ MC oracle
 
-def sample_sigma_r(v, w, point, probs):
-    """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
-    w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
-    on four points of exact alpha1, alpha2, alpha11 (probs), w white N(0, 1).
-
-    `simulate` feeds it the decoder's own stream, `monte_carlo_sigma_r`
-    fresh error windows; returns (Sigma_r_hat, se)."""
-    # the rows come from the decoder's C library, loaded on its first call
-    from .sstdec import kernel
-
-    n = len(v)
-    if n < 2:
-        raise ValueError("need at least two trials")
-    v = np.asarray(v)
-    if v.dtype != np.uint8:
-        v = v.astype(bool).view(np.uint8)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if v.shape != (n, 2) or w.shape != (n, 2):
-        raise ValueError("v and w must have shape (n, 2)")
-    # c (xt - mean) and w - mean centred apart, where xt = 1 - 2v is +-1 and
-    # its mean the exact count (n - 2k) / n: at large c the spacing of
-    # c*xt + w would swallow w
-    centered = np.empty((n, 2))
-    kernel().sigma_r_rows(v.ctypes.data, n, *v.strides, w.ctypes.data, point.c,
-                          centered.ctypes.data)
-    sigma_hat = (centered.T @ centered) / (n - 1)
-    a1, a2, a11 = probs
-    p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
-    x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
-    p = p[p > 0.0]
-    # moments of u = c (xt - E xt) on the points that occur: no 0 * inf at huge c
-    u = point.c * (x - p @ x)
-    cov, fourth = (u.T * p) @ u, ((u * u).T * p) @ (u * u)
-    m2 = np.diag(cov)
-    # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]
-    var = fourth - cov * cov + (1.0 + np.eye(2)) * (m2[:, None] + m2 + 1.0)
-    return sigma_hat, np.sqrt(var / n)
-
-
-def sigma_r_given_parities(a1, a2, a11, n, rho):
-    """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
-    of column frequencies a1 and a2 and joint frequency a11.
-
-    The rows fix the sample covariance S of xt = 1 - 2v, so only w is
-    random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
-    (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
-    off it.  Returns (mean, se), both 2x2."""
-    s = n / (n - 1) * sigma_x_from_probs(a1, a2, a11 - a1 * a2)
-    d = np.diag(s)
-    var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
-    return sigma_r(s, rho), np.sqrt(var)
-
-
 def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
     """Sigma_r of the branch model r = c(1-2v) + w, one fresh error window
-    per trial; returns `sample_sigma_r`'s (Sigma_r_hat, se)."""
+    per trial; returns `sstdec.sample_sigma_r`'s (Sigma_r_hat, se)."""
+    # imported here: sstdec imports this module, and only this oracle reads
+    # a sample from the decoder's C library
+    from .sstdec import sample_sigma_r
+
     supports = code_supports(code, mode)
     gen = channel.make_rng(seed)
     v = parity_prob.error_window_parities(*supports, point.epsilon, trials, gen)
@@ -347,12 +304,11 @@ def monte_carlo_sigma_r(code, point, trials, seed, mode="general"):
 
 # ---------------------------------------------------------------------- sweep
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Everything the tables and curves need at one SNR point, for one
-    arrangement: the general SST map (Sigma_x) or the QLI one (Sigma_x').
-    The binary-input curve depends on rho alone and is not a field: `curves`
-    adds it to the rows it prints.
+class SweepRow(NamedTuple):
+    """Everything the tables, curves and alpha need at one SNR point, for
+    one arrangement: the general SST map (Sigma_x) or the QLI one
+    (Sigma_x').  The binary-input curve depends on rho alone and is not a
+    field: `curves` adds it to the rows it prints.
 
     Field names are the CSV column names.  In qli mode the statistics
     alpha1 ... half_tr_sigma_x are those of Sigma_x' (the paper's beta1,
@@ -387,27 +343,10 @@ def _sweep_row(point, supports):
     bounds, sigma_c = _chain(s1, s2, s12, rho)
     half_tr_c, gauss, half_tr_x, inv_1p_rho, log1p_over_rho = bounds
     lt1, lt2 = _lambda_tilde(*sigma_c)
-    return SweepRow(
-        ebn0_db=point.ebn0_db,
-        rho=rho,
-        epsilon=point.epsilon,
-        alpha1=a1,
-        alpha2=a2,
-        alpha11=a11,
-        theta12=th,
-        sigma1_sq=s1,
-        sigma2_sq=s2,
-        half_tr_sigma_x=half_tr_x,
-        half_tr_sigma_c=half_tr_c,
-        half_rho_tr_sigma_c=rho * half_tr_c,
-        gauss_bound=gauss,
-        inv_1p_rho=inv_1p_rho,
-        log1p_rho_over_rho=log1p_over_rho,
-        lambda_t1=lt1,
-        lambda_t2=lt2,
-        rho_lambda_t1=rho * lt1,
-        rho_lambda_max=rho * lt2,
-    )
+    # in field order: positional arguments build a NamedTuple fastest
+    return SweepRow(point.ebn0_db, rho, point.epsilon, a1, a2, a11, th, s1, s2,
+                    half_tr_x, half_tr_c, rho * half_tr_c, gauss, inv_1p_rho,
+                    log1p_over_rho, lt1, lt2, rho * lt1, rho * lt2)
 
 
 def sweep(code, db_values=channel.DB_GRID, mode="general"):

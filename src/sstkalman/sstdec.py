@@ -277,6 +277,43 @@ SIMULATE_BYTES = 1 << 30
 FIVE_SIGMA_TAIL = channel.q_function(5.0)
 
 
+def sample_sigma_r(v, w, point, probs):
+    """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
+    w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
+    on four points of exact alpha1, alpha2, alpha11 (probs), w white N(0, 1).
+
+    `simulate` feeds it the decoder's own stream and
+    `covar_mi.monte_carlo_sigma_r` fresh error windows; the centred rows
+    come from one pass of the C library.  Returns (Sigma_r_hat, se)."""
+    n = len(v)
+    if n < 2:
+        raise ValueError("need at least two trials")
+    v = np.asarray(v)
+    if v.dtype != np.uint8:
+        v = v.astype(bool).view(np.uint8)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if v.shape != (n, 2) or w.shape != (n, 2):
+        raise ValueError("v and w must have shape (n, 2)")
+    # c (xt - mean) and w - mean centred apart, where xt = 1 - 2v is +-1 and
+    # its mean the exact count (n - 2k) / n: at large c the spacing of
+    # c*xt + w would swallow w
+    centered = np.empty((n, 2))
+    kernel().sigma_r_rows(v.ctypes.data, n, *v.strides, w.ctypes.data, point.c,
+                          centered.ctypes.data)
+    sigma_hat = (centered.T @ centered) / (n - 1)
+    a1, a2, a11 = probs
+    p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
+    x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
+    p = p[p > 0.0]
+    # moments of u = c (xt - E xt) on the points that occur: no 0 * inf at huge c
+    u = point.c * (x - p @ x)
+    cov, fourth = (u.T * p) @ u, ((u * u).T * p) @ (u * u)
+    m2 = np.diag(cov)
+    # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]
+    var = fourth - cov * cov + (1.0 + np.eye(2)) * (m2[:, None] + m2 + 1.0)
+    return sigma_hat, np.sqrt(var / n)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     ebn0_db: float
@@ -320,7 +357,7 @@ def simulate(code, points, branches, seed, mode="general"):
     binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
     c(1 - 2v) + w on the same rows, with w from the third seed stream,
     and sigma_r_se its standard error under the paper's model
-    (`covar_mi.sample_sigma_r`).  epsilon, rho, alpha*_ref and sigma_r_ref
+    (`sample_sigma_r`).  epsilon, rho, alpha*_ref and sigma_r_ref
     (I + rho Sigma_x) are the point's exact values, from one branch_stats
     call, for `simulation_errors`.  The sigma_r_* are 2x2 nested tuples.
 
@@ -360,7 +397,7 @@ def simulate(code, points, branches, seed, mode="general"):
         vs = (r_hard ^ e[:m])[stride::stride]
         (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
         ref1, ref2, ref11, th = parity_prob.branch_stats(s1, s2, point.epsilon)
-        sig_hat, sig_se = covar_mi.sample_sigma_r(vs, w, point, (ref1, ref2, ref11))
+        sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref1, ref2, ref11))
         sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(ref1, ref2, th), point.rho)
         results.append(SimulationResult(
             ebn0_db=point.ebn0_db,
@@ -379,6 +416,20 @@ def simulate(code, points, branches, seed, mode="general"):
 
 
 PARITY_STATS = ("alpha1", "alpha2", "alpha11")
+
+
+def sigma_r_given_parities(a1, a2, a11, n, rho):
+    """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
+    of column frequencies a1 and a2 and joint frequency a11.
+
+    The rows fix the sample covariance S of xt = 1 - 2v, so only w is
+    random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
+    (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
+    off it.  Returns (mean, se), both 2x2."""
+    s = n / (n - 1) * covar_mi.sigma_x_from_probs(a1, a2, a11 - a1 * a2)
+    d = np.diag(s)
+    var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
+    return covar_mi.sigma_r(s, rho), np.sqrt(var)
 
 
 def binomial_tails(k, n, p):
@@ -406,7 +457,7 @@ def simulation_errors(columns, rows):
         errors += [f"row {i}: emp_{name} deviates from model by >5 se"
                    for name, bad in zip(PARITY_STATS, far[i]) if bad]
         # the rule above tests the counts; given them, only the check's w is random
-        mean, se = covar_mi.sigma_r_given_parities(
+        mean, se = sigma_r_given_parities(
             row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], row["n_eff"], row["rho"])
         if np.any(np.abs(row["sigma_r_hat"] - mean) > 5.0 * se + 1e-9):
             errors.append(f"row {i}: empirical received covariance off model by >5 se")

@@ -222,6 +222,10 @@ def test_simulate_refuses_a_decoder_past_its_memory_cap(capsys, tmp_path):
     (["alpha", "--emit", "polynomial", "--ebn0-db=nan"], "--ebn0-db"),
     (["alpha", "--emit", "polynomial", "--ebn0-db=9999"], "--ebn0-db"),
     (["alpha", "--emit", "polynomial", "--ebn0-db=a,b"], "--ebn0-db"),
+    # int and float read digit separators and non-ASCII digits
+    (["curves", "--ebn0-db=1_0"], "--ebn0-db"),
+    (["curves", "--ebn0-db=1_0..1_2"], "--ebn0-db"),
+    (["alpha", "--ebn0-db=\u0663"], "--ebn0-db"),
 ])
 def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -427,6 +431,45 @@ def test_alpha_values_anchor_row(capsys):
     assert round(float(cells["theta12"]), 4) == 0.0758
 
 
+ALPHA_DB = (*channel.DB_GRID, -3076.5, -300, -60, 16, 18, 20, 30, 300, 3076.5)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("code", ["c1", "c2"])
+def test_alpha_values_are_branch_stats_bit_for_bit(capsys, code, mode, fmt):
+    """alpha selects the sweep rows' statistics; each equals the one
+    branch_stats call at its point."""
+    rc, out, err = run(["alpha", "--code", code, "--mode", mode, "--format", fmt,
+                        "--ebn0-db=" + ",".join(map(str, ALPHA_DB))], capsys)
+    assert (rc, err) == (0, "")
+    supports = code_supports(convcode.get_code(code), mode)
+    columns = cli.column_names(("ebn0_db", "epsilon") + cli.STATS, mode)
+    want = []
+    for db in ALPHA_DB:
+        pt = channel.snr_point(db)
+        want.append(dict(zip(columns, (pt.ebn0_db, pt.epsilon,
+                                       *parity_prob.branch_stats(*supports, pt.epsilon)))))
+    if fmt == "json":
+        assert json.loads(out) == {"columns": columns, "rows": want}
+    else:
+        assert out == csv_text(columns, want)
+
+
+def test_exact_commands_never_load_the_decoder_library(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the C library was loaded")
+
+    monkeypatch.setattr(sstdec, "kernel", refuse)
+    for argv in ([["tables", "--table", str(t)] for t in range(1, 11)]
+                 + [["curves"], ["curves", "--code", "c2", "--mode", "qli"], ["alpha"],
+                    ["alpha", "--code", "c2", "--mode", "qli"],
+                    ["alpha", "--emit", "polynomial"], ["search", "--nu", "6"],
+                    ["kalman-check"]]):
+        rc, _, err = run([*argv, "--quiet"], capsys)
+        assert rc == 0, (argv, err)
+
+
 def test_alpha_polynomial_emit(capsys):
     rc, out, _ = run(["alpha", "--code", "c1", "--emit", "polynomial",
                       "--quiet"], capsys)
@@ -498,14 +541,14 @@ def test_simulate_decodes_on_the_calling_thread_in_db_order(capsys, monkeypatch)
 
 
 def test_failed_covariance_draw_exits_2_without_traceback(capsys, monkeypatch):
-    original = covar_mi.sample_sigma_r
+    original = sstdec.sample_sigma_r
 
     def failing_at_second_point(v, w, point, probs):
         if point.ebn0_db == SIM_DB[1]:
             raise ValueError("planted draw failure")
         return original(v, w, point, probs)
 
-    monkeypatch.setattr(covar_mi, "sample_sigma_r", failing_at_second_point)
+    monkeypatch.setattr(sstdec, "sample_sigma_r", failing_at_second_point)
     rc, out, err = run(SIM_ARGV, capsys)
     assert (rc, out, err) == (2, "", "error: planted draw failure\n")
 
@@ -546,12 +589,12 @@ def test_simulate_sigma_r_check_passes_long_runs(capsys, code_name, mode):
 
 
 def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
-    original = covar_mi.sample_sigma_r
+    original = sstdec.sample_sigma_r
 
     def scaled(v, w, point, probs):
         return original(v, 1.2 * w, point, probs)
 
-    monkeypatch.setattr(covar_mi, "sample_sigma_r", scaled)
+    monkeypatch.setattr(sstdec, "sample_sigma_r", scaled)
     rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
                       "--quiet"], capsys)
     assert rc == 1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from sstkalman import channel, cli, parity_prob
+from sstkalman import channel, cli, kalman, parity_prob
 from sstkalman.convcode import get_code
 from sstkalman.covar_mi import (
     _lambda_tilde,
@@ -23,16 +23,15 @@ from sstkalman.covar_mi import (
     mi_gauss_bound_per_rho,
     mi_per_branch_bound,
     monte_carlo_sigma_r,
-    sample_sigma_r,
     sigma_c_closed_2x2,
     sigma_c_general,
     sigma_r,
-    sigma_r_given_parities,
     sigma_x_from_probs,
     sigma_x_prime,
     sweep,
     sweep_row,
 )
+from sstkalman.sstdec import sample_sigma_r, sigma_r_given_parities
 
 
 RHO_ENDS_DB = tuple(10.0 * np.log10(channel.RHO_RANGE))
@@ -499,3 +498,22 @@ def test_sweep_rows_are_the_closed_form_bit_for_bit(name, mode):
 def test_sweep_rows_are_the_closed_form_across_the_db_range(db, name, mode):
     code = get_code(name)
     assert_row_is_the_closed_form(code, mode, sweep(code, (db,), mode)[0])
+
+
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_one_kalman_step_reproduces_the_sweep_rows(name, mode):
+    """The sweep's chain is one measurement update of the Kalman filter:
+    prior Sigma_x, observation c xt + w.  R_0 is Sigma_r, (1/2) tr P_0 the
+    half trace of Sigma_c and I(x_0; z_0) / rho the Gaussian bound."""
+    for row in sweep(get_code(name), channel.DB_GRID, mode):
+        pt = channel.snr_point(row.ebn0_db)
+        sx = sigma_x_from_probs(row.alpha1, row.alpha2, row.theta12)
+        zero = np.zeros((2, 2))
+        model = kalman.state_space_model(F=zero, H=pt.c * np.eye(2), U=zero, W=np.eye(2),
+                                         X0=sx)
+        step = kalman.covariance_recursion(model, 1)[0]
+        assert_allclose(step.R_k, sigma_r(sx, pt.rho), rtol=1e-14, atol=0)
+        assert_allclose(0.5 * np.trace(step.P_k), row.half_tr_sigma_c, rtol=1e-14, atol=0)
+        assert_allclose(kalman.gaussian_mi(model, 0) / pt.rho, row.gauss_bound, rtol=1e-14,
+                        atol=0)
