@@ -103,7 +103,8 @@ def parse_db_values(text):
             channel.snr_point(db)
         except ValueError as exc:
             raise ValueError(f"--ebn0-db: {exc}") from None
-    return [float(v) for v in values]
+    # + 0.0 turns the -0.0 of '-0' and '-0.0' into 0.0, as in '-0..0'
+    return [float(v) + 0.0 for v in values]
 
 
 # ------------------------------------------------------------------- validators
@@ -290,16 +291,13 @@ def run_simulate(args):
     points = [channel.snr_point(db) for db in parse_db_values(args.ebn0_db)]
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
-    results = sstdec.simulate(code, points, args.branches, args.seed, mode=args.mode)
-    return columns, [vars(r) for r in results], [validate_finite, sstdec.simulation_errors]
+    rows = sstdec.simulate(code, points, args.branches, args.seed, mode=args.mode)
+    return columns, rows, [validate_finite, sstdec.simulation_errors]
 
 
 def run_kalman_check(args):
-    checks = kalman.identity_report(seed=args.seed, states=args.states,
-                                    steps=args.steps)
+    rows = kalman.identity_report(seed=args.seed, states=args.states, steps=args.steps)
     columns = ["check", "max_dev", "tol", "passed"]
-    rows = [{"check": c.name, "max_dev": c.max_dev, "tol": c.tol,
-             "passed": c.passed} for c in checks]
 
     def all_passed(cols, rws):
         return [f"identity failed: {r['check']} (max dev {r['max_dev']:.3e})"

@@ -356,4 +356,5 @@ def sweep(code, db_values=channel.DB_GRID, mode="general"):
 
 
 def sweep_row(code, point, mode="general"):
-    return sweep(code, (point.ebn0_db,), mode)[0]
+    """The SweepRow of one arrangement at one `channel.SnrPoint`."""
+    return _sweep_row(point, code_supports(code, mode))

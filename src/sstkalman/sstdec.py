@@ -25,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -314,41 +313,17 @@ def sample_sigma_r(v, w, point, probs):
     return sigma_hat, np.sqrt(var / n)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    ebn0_db: float
-    branches: int
-    pre_ber: float
-    post_ber: float
-    emp_alpha1: float
-    emp_alpha2: float
-    emp_alpha11: float
-    se_alpha1: float
-    se_alpha2: float
-    se_alpha11: float
-    stride: int
-    n_eff: int
-    sigma_r_hat: tuple
-    sigma_r_se: tuple
-    epsilon: float
-    rho: float
-    alpha1_ref: float
-    alpha2_ref: float
-    alpha11_ref: float
-    sigma_r_ref: tuple
-
-
 def simulate(code, points, branches, seed, mode="general"):
-    """End-to-end Monte Carlo runs of one block, one result per SNR point.
+    """End-to-end Monte Carlo runs of one block, one row per SNR point.
 
     None of the call's three seed streams depends on the point, so each is
     drawn once: the information bits from (seed, 1), with their codeword
     and BPSK symbols x, the channel noise w from `seed`, and the white
     noise of the Sigma_r check from (seed, 2).  Each point of `points`
     receives c x + w and decodes it on its own, so the points share common
-    random numbers and each result equals simulate(code, [point], ...)[0].
-    `points` is a sequence of `channel.SnrPoint`; returns a list of
-    SimulationResult in its order.
+    random numbers and each row equals simulate(code, [point], ...)[0].
+    `points` is a sequence of `channel.SnrPoint`; returns one dict per
+    point, in its order, which is the row that the CLI prints.
 
     pre_ber is the pre-decoder's raw error rate, post_ber the full SST
     error rate.  emp_alpha* are frequencies of the main-encoded stream v
@@ -358,8 +333,9 @@ def simulate(code, points, branches, seed, mode="general"):
     c(1 - 2v) + w on the same rows, with w from the third seed stream,
     and sigma_r_se its standard error under the paper's model
     (`sample_sigma_r`).  epsilon, rho, alpha*_ref and sigma_r_ref
-    (I + rho Sigma_x) are the point's exact values, from one branch_stats
-    call, for `simulation_errors`.  The sigma_r_* are 2x2 nested tuples.
+    (I + rho Sigma_x) are the point's exact values, read from its
+    `covar_mi.sweep_row`, for `simulation_errors`.  The sigma_r_* are 2x2
+    nested tuples.
 
     ValueError, before anything is drawn, under 100 branches or when
     SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES.
@@ -396,22 +372,25 @@ def simulate(code, points, branches, seed, mode="general"):
         truth = info[:m]
         vs = (r_hard ^ e[:m])[stride::stride]
         (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
-        ref1, ref2, ref11, th = parity_prob.branch_stats(s1, s2, point.epsilon)
-        sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref1, ref2, ref11))
-        sig_ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(ref1, ref2, th), point.rho)
-        results.append(SimulationResult(
-            ebn0_db=point.ebn0_db,
-            branches=branches,
-            pre_ber=np.count_nonzero(pre_stream != truth) / m,
-            post_ber=np.count_nonzero(post_stream != truth) / m,
-            emp_alpha1=a1, emp_alpha2=a2, emp_alpha11=a11,
-            se_alpha1=ses[0], se_alpha2=ses[1], se_alpha11=ses[2],
-            stride=stride, n_eff=n_eff,
-            sigma_r_hat=tuple(map(tuple, sig_hat.tolist())),
-            sigma_r_se=tuple(map(tuple, sig_se.tolist())),
-            epsilon=point.epsilon, rho=point.rho, alpha1_ref=ref1, alpha2_ref=ref2,
-            alpha11_ref=ref11, sigma_r_ref=tuple(map(tuple, sig_ref.tolist())),
-        ))
+        ref = covar_mi.sweep_row(code, point, mode)
+        sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
+        # I + rho Sigma_x, whose off-diagonal is rho 4 theta12
+        s12 = ref.rho * (4.0 * ref.theta12)
+        results.append({
+            "ebn0_db": point.ebn0_db,
+            "branches": branches,
+            "pre_ber": np.count_nonzero(pre_stream != truth) / m,
+            "post_ber": np.count_nonzero(post_stream != truth) / m,
+            "emp_alpha1": a1, "emp_alpha2": a2, "emp_alpha11": a11,
+            "se_alpha1": ses[0], "se_alpha2": ses[1], "se_alpha11": ses[2],
+            "stride": stride, "n_eff": n_eff,
+            "sigma_r_hat": tuple(map(tuple, sig_hat.tolist())),
+            "sigma_r_se": tuple(map(tuple, sig_se.tolist())),
+            "epsilon": ref.epsilon, "rho": ref.rho, "alpha1_ref": ref.alpha1,
+            "alpha2_ref": ref.alpha2, "alpha11_ref": ref.alpha11,
+            "sigma_r_ref": ((1.0 + ref.rho * ref.sigma1_sq, s12),
+                            (s12, 1.0 + ref.rho * ref.sigma2_sq)),
+        })
     return results
 
 

@@ -1,9 +1,9 @@
 """Command line interface: output contracts, validators, exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -514,7 +514,7 @@ def test_simulate_rows_equal_the_point_by_point_composition(capsys):
     for row, db in zip(rows, SIM_DB):
         res = sstdec.simulate(code, [channel.snr_point(db)], 3000, 11, mode="qli")[0]
         # JSON turns the nested sigma_r_* tuples into lists
-        expected = json.loads(json.dumps(dataclasses.asdict(res)))
+        expected = json.loads(json.dumps(res))
         assert {k: row[k] for k in expected} == expected
 
 
@@ -623,6 +623,22 @@ def test_simulate_empty_grid_is_header_only(capsys):
                         "--quiet"], capsys)
     assert (rc, out, err) == (0, "ebn0_db,branches,pre_ber,post_ber,emp_alpha1,"
                                  "emp_alpha2,emp_alpha11\n", "")
+
+
+SIM_KEYS = ["ebn0_db", "branches", "pre_ber", "post_ber", "emp_alpha1", "emp_alpha2",
+            "emp_alpha11", "se_alpha1", "se_alpha2", "se_alpha11", "stride", "n_eff",
+            "sigma_r_hat", "sigma_r_se", "epsilon", "rho", "alpha1_ref", "alpha2_ref",
+            "alpha11_ref", "sigma_r_ref"]
+
+
+def test_simulate_and_kalman_check_json_rows_keep_their_key_order(capsys):
+    rc, out, err = run(SIM_ARGV, capsys)
+    assert rc == 0, err
+    assert [list(row) for row in json.loads(out)["rows"]] == [SIM_KEYS] * len(SIM_DB)
+    rc, out, err = run(["kalman-check", "--format", "json", "--quiet"], capsys)
+    assert rc == 0, err
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == ["check", "max_dev", "tol", "passed"] for row in rows)
 
 
 def test_kalman_check_passes(capsys):
@@ -851,12 +867,23 @@ def test_parse_db_values():
     assert parse_db_values("-2..2") == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert parse_db_values("") == []
     assert parse_db_values("3") == [3.0]
+    # every spelling of zero reads as +0.0, which prints as 0, never -0
+    for text in ("-0", "-0.0", "-0..0", "0"):
+        assert [math.copysign(1.0, v) for v in parse_db_values(text)] == [1.0]
     with pytest.raises(ValueError):
         parse_db_values("5..1")
     with pytest.raises(ValueError, match="--ebn0-db"):
         parse_db_values("a,b")
     with pytest.raises(ValueError, match="--ebn0-db.*finite"):
         parse_db_values("0,inf")
+
+
+@pytest.mark.parametrize("db", ["-0", "-0.0", "-0..0"])
+def test_negative_zero_db_reads_back_as_a_number(capsys, db):
+    rc, out, err = run(["alpha", f"--ebn0-db={db}"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.split("\n")[1].startswith("0,")
+    assert parse_csv(out)[1][0]["ebn0_db"] == 0
 
 
 def test_validate_bound_chain_flags_violations():

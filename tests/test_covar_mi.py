@@ -492,6 +492,14 @@ def test_sweep_rows_are_the_closed_form_bit_for_bit(name, mode):
         assert_row_is_the_closed_form(code, mode, row)
 
 
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_sweep_row_is_the_sweeps_row_at_its_point(name, mode):
+    code = get_code(name)
+    for db in (*channel.DB_GRID, -3076.5, 3076.5):
+        assert sweep_row(code, channel.snr_point(db), mode) == sweep(code, (db,), mode)[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(db=st.floats(*channel._RHO_DB_RANGE), name=st.sampled_from(["c1", "c2"]),
        mode=st.sampled_from(["general", "qli"]))

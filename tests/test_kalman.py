@@ -16,8 +16,8 @@ def test_identity_report_passes_across_models():
     for seed, states, steps in [(3, 3, 8), (0, 1, 6), (11, 4, 10), (42, 2, 7),
                                 (3, 1, 4), (3, 3, 4)]:
         report = kalman.identity_report(seed=seed, states=states, steps=steps)
-        assert all(chk.passed for chk in report), [
-            (chk.name, chk.max_dev) for chk in report if not chk.passed
+        assert all(chk["passed"] for chk in report), [
+            (chk["check"], chk["max_dev"]) for chk in report if not chk["passed"]
         ]
 
 
@@ -255,7 +255,7 @@ def test_identity_report_builds_the_stacked_joint_once(monkeypatch):
         return original(model, b)
 
     monkeypatch.setattr(kalman, "_stacked_joint", counting)
-    assert all(chk.passed for chk in kalman.identity_report(seed=3, states=3, steps=8))
+    assert all(chk["passed"] for chk in kalman.identity_report(seed=3, states=3, steps=8))
     assert horizons == [7]
 
 
@@ -269,7 +269,7 @@ def test_identity_report_runs_one_backward_pass_per_horizon(monkeypatch):
         return original(model, steps, b)
 
     monkeypatch.setattr(kalman, "_backward_pass", counting)
-    assert all(chk.passed for chk in kalman.identity_report(seed=3, states=3, steps=8))
+    assert all(chk["passed"] for chk in kalman.identity_report(seed=3, states=3, steps=8))
     assert horizons == [7, 5, 6]
 
 
@@ -285,7 +285,7 @@ def test_identity_report_solves_grow_linearly_in_steps(monkeypatch):
     counts = {}
     for steps in (16, 32, 64):
         calls[0] = 0
-        assert all(chk.passed for chk in kalman.identity_report(seed=3, states=1, steps=steps))
+        assert all(chk["passed"] for chk in kalman.identity_report(seed=3, states=1, steps=steps))
         counts[steps] = calls[0]
     assert counts[64] <= 300, counts
     assert counts[64] - counts[32] <= 2 * (counts[32] - counts[16]), counts

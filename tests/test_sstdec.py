@@ -504,27 +504,27 @@ def test_simulate_matches_parity_statistics():
     pt = channel.snr_point(2.0)
     res = sstdec.simulate(get_code("c1"), [pt], branches=60_000, seed=5)[0]
     eps = pt.epsilon
-    assert abs(res.emp_alpha1 - parity_prob.parity_one_prob(5, eps)) < 4 * res.se_alpha1
-    assert abs(res.emp_alpha2 - parity_prob.parity_one_prob(6, eps)) < 4 * res.se_alpha2
+    assert abs(res["emp_alpha1"] - parity_prob.parity_one_prob(5, eps)) < 4 * res["se_alpha1"]
+    assert abs(res["emp_alpha2"] - parity_prob.parity_one_prob(6, eps)) < 4 * res["se_alpha2"]
     # raw pre-decoder stream flips with the parity of three channel errors
-    se_pre = np.sqrt(res.pre_ber * (1 - res.pre_ber) / res.branches)
-    assert abs(res.pre_ber - parity_prob.parity_one_prob(3, eps)) < 5 * se_pre
-    assert res.stride == 4
-    assert res.n_eff == pytest.approx(res.branches / res.stride, rel=0.01)
+    se_pre = np.sqrt(res["pre_ber"] * (1 - res["pre_ber"]) / res["branches"])
+    assert abs(res["pre_ber"] - parity_prob.parity_one_prob(3, eps)) < 5 * se_pre
+    assert res["stride"] == 4
+    assert res["n_eff"] == pytest.approx(res["branches"] / res["stride"], rel=0.01)
 
 
 def test_simulate_qli_predecoder_rate():
     pt = channel.snr_point(4.0)
     res = sstdec.simulate(get_code("c1"), [pt], branches=40_000, seed=9, mode="qli")[0]
     expect = parity_prob.parity_one_prob(2, pt.epsilon)
-    se = np.sqrt(expect * (1 - expect) / res.branches)
-    assert abs(res.pre_ber - expect) < 5 * se
+    se = np.sqrt(expect * (1 - expect) / res["branches"])
+    assert abs(res["pre_ber"] - expect) < 5 * se
 
 
 def test_decoding_beats_the_predecoder():
     res = sstdec.simulate(get_code("c1"), [channel.snr_point(4.0)],
                           branches=30_000, seed=9)[0]
-    assert res.post_ber < res.pre_ber / 10
+    assert res["post_ber"] < res["pre_ber"] / 10
 
 
 RHO_ENDS_DB = tuple(10.0 * np.log10(channel.RHO_RANGE))
@@ -536,7 +536,7 @@ RHO_ENDS_DB = tuple(10.0 * np.log10(channel.RHO_RANGE))
 def test_simulate_batch_rows_equal_the_one_point_calls(code_name, mode, dbs):
     code, points = get_code(code_name), [channel.snr_point(db) for db in dbs]
     batch = sstdec.simulate(code, points, 1000, 3, mode=mode)
-    assert [res.ebn0_db for res in batch] == [pt.ebn0_db for pt in points]
+    assert [res["ebn0_db"] for res in batch] == [pt.ebn0_db for pt in points]
     assert batch == [sstdec.simulate(code, [pt], 1000, 3, mode=mode)[0] for pt in points]
 
 
@@ -570,17 +570,30 @@ def test_simulate_of_no_points_draws_nothing(monkeypatch):
     assert counts == {"make_rng": 0, "standard_normals": 0}
 
 
-@pytest.mark.parametrize("code_name,mode", [("c1", "general"), ("c2", "qli")])
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
 def test_simulate_holds_the_exact_values_at_each_point(code_name, mode):
     code = get_code(code_name)
-    points = [channel.snr_point(db) for db in (-10.0, 0.0, 4.0, 9.0)]
+    points = [channel.snr_point(db)
+              for db in (RHO_ENDS_DB[0], -10.0, 0.0, 4.0, 9.0, RHO_ENDS_DB[1])]
     supports = parity_prob.code_supports(code, mode)
     for res, pt in zip(sstdec.simulate(code, points, 1000, 2, mode=mode), points):
         a1, a2, a11, th = parity_prob.branch_stats(*supports, pt.epsilon)
         ref = covar_mi.sigma_r(covar_mi.sigma_x_from_probs(a1, a2, th), pt.rho)
-        assert (res.epsilon, res.rho) == (pt.epsilon, pt.rho)
-        assert (res.alpha1_ref, res.alpha2_ref, res.alpha11_ref) == (a1, a2, a11)
-        assert res.sigma_r_ref == tuple(map(tuple, ref.tolist()))
+        assert (res["epsilon"], res["rho"]) == (pt.epsilon, pt.rho)
+        assert (res["alpha1_ref"], res["alpha2_ref"], res["alpha11_ref"]) == (a1, a2, a11)
+        assert res["sigma_r_ref"] == tuple(map(tuple, ref.tolist()))
+        # bit for bit the point's sweep row, and I + rho Sigma_x of its floats
+        row = covar_mi.sweep_row(code, pt, mode)
+        s12 = row.rho * (4.0 * row.theta12)
+        assert _bits([res["epsilon"], res["rho"], res["alpha1_ref"], res["alpha2_ref"],
+                      res["alpha11_ref"], *res["sigma_r_ref"][0], *res["sigma_r_ref"][1]]) == \
+            _bits([row.epsilon, row.rho, row.alpha1, row.alpha2, row.alpha11,
+                   1.0 + row.rho * row.sigma1_sq, s12, s12, 1.0 + row.rho * row.sigma2_sq])
 
 
 @pytest.mark.parametrize("code_name", ["c1", "c2"])
