@@ -1,6 +1,7 @@
 /* Add-compare-select and truncated traceback of the main Viterbi decoder,
-   and the two stream passes around it (sst_stream and sigma_r_rows, after
-   the kernel).
+   and the passes around it (after the kernel): simulate's draw from numpy's
+   Philox streams (draw_block), the receiver's stream pass (sst_stream) and
+   the Sigma_r rows (sigma_r_rows).
 
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
@@ -136,39 +137,147 @@ static inline uint64_t signed_bits(const double *x, uint64_t s)
     return (bits & ~((uint64_t)1 << 63)) | s << 63;
 }
 
+/* Value i of the received block: x[i] itself where noise is NULL, else
+   c x[i] + noise[i], rounded after each operation as numpy evaluates it. */
+static inline double received(const double *x, const double *noise, double c, int64_t i)
+{
+    return noise ? c * x[i] + noise[i] : x[i];
+}
+
 /* The SST receiver from the received block z (n rows of 2) to the main
-   decoder's input, in one pass.  The hard decision of z is 1 where z < 0.
-   The pre-decoder stream ihat filters the two hard streams with the taps
-   (t[0], t[1]) and (t[2], t[3]); the re-encoder filters ihat with g_l,
-   (t[4 + 2l], t[5 + 2l]); every register starts at zero.  Row k < n - delay
-   of the outputs lines up with step k + delay of those streams:
-   pre[k] = ihat, r_hard[k, l] = y_l xor the hard decision of z[k, l], and
-   r[k, l] = +-|z[k, l]|, negative where r_hard is 1 (the sign bit alone
-   changes, so signed zeros and subnormals pass through exactly). */
-void sst_stream(const double *z, int64_t n, int64_t delay, const uint64_t *t, uint8_t *pre,
-                uint8_t *r_hard, double *r)
+   decoder's input, in one pass.  z is x itself where noise is NULL (a block
+   to decode), else c x + noise with x = 1 - 2y the BPSK symbols of the
+   codeword y of info (simulate's points).  The hard decision of z is 1
+   where z < 0.  The pre-decoder stream ihat filters the two hard streams
+   with the taps (t[0], t[1]) and (t[2], t[3]); the re-encoder filters ihat
+   with g_l, (t[4 + 2l], t[5 + 2l]); every register starts at zero.  Row
+   k < n - delay of the outputs lines up with step k + delay of those
+   streams: pre[k] = ihat, and r[k, l] = +-|z[k, l]|, negative where
+   y_l xor the hard decision of z[k, l] is 1 (the sign bit alone changes, so
+   signed zeros and subnormals pass through exactly).  With noise, v gets
+   the main-encoded stream y_l xor y[k, l] on the rows k = stride,
+   2 stride, ... below n - delay, and the pass returns the number of rows
+   where pre differs from info; without, info and v are not read and it
+   returns 0. */
+int64_t sst_stream(const double *x, const double *noise, double c, const uint8_t *info,
+                   int64_t n, int64_t delay, const uint64_t *t, int64_t stride, uint8_t *pre,
+                   double *r, uint8_t *v)
 {
     uint64_t past0 = 0, past1 = 0, pasti = 0;
-    int64_t k;
+    int64_t k, errors = 0, next = stride;
+    uint8_t *row = v;
 
     for (k = 0; k < n; k++) {
-        const uint64_t b0 = z[2 * k] < 0.0, b1 = z[2 * k + 1] < 0.0;
+        const uint64_t b0 = received(x, noise, c, 2 * k) < 0.0,
+                       b1 = received(x, noise, c, 2 * k + 1) < 0.0;
         const uint64_t i = filter(t[0], t[1], b0, past0) ^ filter(t[2], t[3], b1, past1);
         const uint64_t y0 = filter(t[4], t[5], i, pasti), y1 = filter(t[6], t[7], i, pasti);
         past0 = past0 << 1 | b0;
         past1 = past1 << 1 | b1;
         pasti = pasti << 1 | i;
         if (k >= delay) {
-            const int64_t at = 2 * (k - delay);
-            const uint64_t h0 = y0 ^ (z[at] < 0.0), h1 = y1 ^ (z[at + 1] < 0.0);
-            const uint64_t s0 = signed_bits(z + at, h0), s1 = signed_bits(z + at + 1, h1);
-            pre[k - delay] = (uint8_t)i;
-            r_hard[at] = (uint8_t)h0;
-            r_hard[at + 1] = (uint8_t)h1;
-            memcpy(r + at, &s0, sizeof s0);
-            memcpy(r + at + 1, &s1, sizeof s1);
+            const int64_t at = k - delay;
+            const double z0 = received(x, noise, c, 2 * at), z1 = received(x, noise, c, 2 * at + 1);
+            const uint64_t s0 = signed_bits(&z0, y0 ^ (z0 < 0.0)),
+                           s1 = signed_bits(&z1, y1 ^ (z1 < 0.0));
+            pre[at] = (uint8_t)i;
+            memcpy(r + 2 * at, &s0, sizeof s0);
+            memcpy(r + 2 * at + 1, &s1, sizeof s1);
+            if (noise) {
+                errors += i != info[at];
+                if (at == next) {
+                    row[0] = (uint8_t)(y0 ^ (x[2 * at] < 0.0));
+                    row[1] = (uint8_t)(y1 ^ (x[2 * at + 1] < 0.0));
+                    row += 2;
+                    next += stride;
+                }
+            }
         }
     }
+    return errors;
+}
+
+/* Block b of the stream Philox4x64-10 (Salmon et al., "Parallel random
+   numbers: as easy as 1, 2, 3", SC 2011) under the key (k0, k1), as numpy's
+   Philox(key=(k0, k1)) makes it: the cipher of the counter (b + 1, 0, 0, 0),
+   since numpy steps its counter from zero before each block of four words.
+   No stream here passes 2^64 blocks, so the counter's upper words stay
+   zero. */
+static inline void philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t out[4])
+{
+    uint64_t v0 = b + 1, v1 = 0, v2 = 0, v3 = 0;
+    int i;
+
+    for (i = 0; i < 10; i++) {
+        const unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93u * v0,
+                                p2 = (unsigned __int128)0xCA5A826395121157u * v2;
+        v0 = (uint64_t)(p2 >> 64) ^ v1 ^ k0;
+        v2 = (uint64_t)(p0 >> 64) ^ v3 ^ k1;
+        v1 = (uint64_t)p2;
+        v3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    out[0] = v0;
+    out[1] = v1;
+    out[2] = v2;
+    out[3] = v3;
+}
+
+/* The first n words of Philox(key=(k0, k1)), as its random_raw(n) gives them. */
+void philox_words(uint64_t k0, uint64_t k1, int64_t n, uint64_t *out)
+{
+    uint64_t w[4];
+    int64_t k, j;
+
+    for (k = 0; k < n; k += 4) {
+        philox_block(k0, k1, (uint64_t)k / 4, w);
+        for (j = 0; j < 4 && k + j < n; j++)
+            out[k + j] = w[j];
+    }
+}
+
+/* The mid-interval uniforms ((k >> 11) + 0.5) / 2^53 of the first n words k
+   of the stream (k0, k1), as (Generator.integers(0, 2^53) + 0.5) / 2^53
+   forms them: for that range numpy's bounded draw takes one word a value
+   and keeps its top 53 bits. */
+static void mid_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *u)
+{
+    uint64_t w[4];
+    int64_t k, j;
+
+    for (k = 0; k < n; k += 4) {
+        philox_block(k0, k1, (uint64_t)k / 4, w);
+        for (j = 0; j < 4 && k + j < n; j++)
+            u[k + j] = ((double)(int64_t)(w[j] >> 11) + 0.5) / 9007199254740992.0;
+    }
+}
+
+/* simulate's block from its seed, in one pass over the three Philox streams.
+   The information bits come from the key (seed, 1): info[k] = 1 where word k's
+   top bit is clear, as Generator.random() < 0.5 reads it.  Their codeword
+   through g_l, (g[2l], g[2l + 1]) as t[4..7] of sst_stream, gives
+   x = 1 - 2y (n rows of 2).  u (n rows of 2) takes the mid-interval uniforms
+   of the key (seed, 0) and uw (nw rows of 2) those of (seed, 2), for the
+   caller's inverse normal CDF. */
+void draw_block(uint64_t seed, int64_t n, int64_t nw, const uint64_t *g, uint8_t *info,
+                double *x, double *u, double *uw)
+{
+    uint64_t w[4], past = 0;
+    int64_t k, j;
+
+    for (k = 0; k < n; k += 4) {
+        philox_block(seed, 1, (uint64_t)k / 4, w);
+        for (j = 0; j < 4 && k + j < n; j++) {
+            const uint64_t i = ~w[j] >> 63;
+            info[k + j] = (uint8_t)i;
+            x[2 * (k + j)] = 1.0 - 2.0 * (double)filter(g[0], g[1], i, past);
+            x[2 * (k + j) + 1] = 1.0 - 2.0 * (double)filter(g[2], g[3], i, past);
+            past = past << 1 | i;
+        }
+    }
+    mid_uniforms(seed, 0, 2 * n, u);
+    mid_uniforms(seed, 2, 2 * nw, uw);
 }
 
 /* The centred rows of the Sigma_r sample c (1 - 2v) + w: v is n rows of 2

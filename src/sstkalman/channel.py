@@ -7,7 +7,9 @@ when z >= 0, and the crossover probability is eps = Q(c).
 
 Noise is drawn from a counter-based Philox generator through the inverse
 normal CDF, so a (seed, length) pair fixes the stream exactly, with no
-rejection steps.
+rejection steps.  `simulate` draws the same Philox streams in C
+(`sstdec._draw_block`), word for word as `make_rng` and `standard_normals`
+draw them here, and keeps scipy's inverse CDF.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def snr_point(ebn0_db):
                          f"where rho and 1/rho are normal doubles; got {ebn0_db!r}")
     rho = 10.0 ** (ebn0_db / 10.0)
     c = math.sqrt(rho)
-    return SnrPoint(ebn0_db=float(ebn0_db), rho=rho, c=c, epsilon=q_function(c))
+    # + 0.0 folds -0.0 to 0.0, which prints as 0, never -0
+    return SnrPoint(ebn0_db=float(ebn0_db) + 0.0, rho=rho, c=c, epsilon=q_function(c))
 
 
 def grid_points():

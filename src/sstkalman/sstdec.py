@@ -10,7 +10,10 @@ SNR v is mostly zero, which is the whole point of the construction.  The
 final output is the pre-decoder stream corrected by the main decoder's
 estimate.  Pre-decoding, re-encoding and re-signing run as one pass of
 the C library below (`stream_pass`), and only the re-signed stream
-reaches the main decoder.
+reaches the main decoder.  `simulate` draws its block in the same
+library, from numpy's own Philox streams (`_draw_block`), and runs each
+point's received block c x + noise through that pass, which also writes
+the point's strided v rows and counts the pre-decoder's bit errors.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
@@ -32,19 +35,25 @@ import numpy as np
 from . import channel, convcode, covar_mi, parity_prob
 
 
+def _tap_masks(taps):
+    """Each tap mask of degree up to gf2.MAX_DEGREE = 64 as the C library
+    reads it, (D^0, D^1 .. D^64), in one uint64 array."""
+    return np.array([part for p in taps for part in (p & 1, p >> 1)], dtype=np.uint64)
+
+
 def stream_pass(z, code, mode="general"):
     """The receiver from a received block z, shape (n, 2), to the main
-    decoder's input, in one pass of the C kernel: (pre, r_hard, r).
+    decoder's input, in one pass of the C kernel: (pre, r).
 
     The pre-decoder stream ihat is z_hard[:, 0] taps[0] + z_hard[:, 1]
     taps[1], with (taps, delay) = `convcode.predecoder(code, mode)`: in
     general mode ihat = z_hard Ginv (exact inverse, zero delay on clean
     input); in qli mode it adds the two streams and estimates i delayed by
     L.  The rows line up with the estimated information bits, so each
-    output has n - delay rows: pre = ihat[delay:], the hard part
-    r_hard = encode(ihat)[delay:] XOR z_hard (the re-encoder starts at
-    zero, before ihat[0]), and r = +-|z|, negative where r_hard is 1.
-    ValueError in qli mode when n <= L.
+    output has n - delay rows: pre = ihat[delay:], and r = +-|z|, negative
+    where its hard part r_hard = encode(ihat)[delay:] XOR z_hard is 1 (the
+    re-encoder starts at zero, before ihat[0]).  ValueError in qli mode
+    when n <= L.
     """
     taps, delay = convcode.predecoder(code, mode)
     z = np.ascontiguousarray(z, dtype=np.float64)
@@ -53,15 +62,12 @@ def stream_pass(z, code, mode="general"):
     n = z.shape[0]
     if delay and n <= delay:
         raise ValueError("block shorter than the look-in delay")
-    # each tap mask of degree up to gf2.MAX_DEGREE = 64 as (D^0, D^1 .. D^64)
-    masks = np.array([part for p in (*taps, *code.g) for part in (p & 1, p >> 1)],
-                     dtype=np.uint64)
+    masks = _tap_masks((*taps, *code.g))
     pre = np.empty(n - delay, dtype=np.uint8)
-    r_hard = np.empty((n - delay, 2), dtype=np.uint8)
     r = np.empty((n - delay, 2))
-    kernel().sst_stream(z.ctypes.data, n, delay, masks.ctypes.data, pre.ctypes.data,
-                        r_hard.ctypes.data, r.ctypes.data)
-    return pre, r_hard, r
+    kernel().sst_stream(z.ctypes.data, None, 1.0, None, n, delay, masks.ctypes.data, 1,
+                        pre.ctypes.data, r.ctypes.data, None)
+    return pre, r
 
 
 # The numpy composition that `stream_pass` replaces, step by step.  No
@@ -169,9 +175,17 @@ def _build_kernel():
     dll.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
                             ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                             ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    dll.sst_stream.restype = None
-    dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    dll.sst_stream.restype = ctypes.c_int64
+    dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
+                               ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    dll.philox_words.restype = None
+    dll.philox_words.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
+                                 ctypes.c_void_p]
+    dll.draw_block.restype = None
+    dll.draw_block.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                               ctypes.c_void_p]
     dll.sigma_r_rows.restype = None
     dll.sigma_r_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                                  ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
@@ -242,33 +256,24 @@ def classical_viterbi(z, code):
     return viterbi_main(z.z, code)
 
 
-def _sst_streams(z, code, mode):
-    """Pre-decoder stream, main-decoder hard input and SST output of one
-    received block z, shape (n, 2).
-
-    Both bit streams estimate the information bits they line up with:
-    i_0 .. i_{n-1} in general mode, i_0 .. i_{n-L-1} in qli mode.
-    """
-    pre, r_hard, r = stream_pass(z, code, mode)
-    return pre, r_hard, pre ^ viterbi_main(r, code)
-
-
 def sst_decode(z, code, mode="general"):
     """Full SST decode: pre-decode, main decode, recombine.
 
     general mode returns n bits; qli mode returns n - L bits (estimates
     of i_0 .. i_{n-L-1}).
     """
-    return _sst_streams(z.z, code, mode)[2]
+    pre, r = stream_pass(z.z, code, mode)
+    return pre ^ viterbi_main(r, code)
 
 
 # ----------------------------------------------------------------- simulation
 
 # simulate's arrays take at most this many bytes per branch: the block
-# (bits, codeword, x and noise, ~35 bytes) for the whole call, and one
-# point's received block, main-decoder input and their temporaries
-# (tracemalloc peaks at 75-95 for c1 and c2, both modes, one to four dB
-# points, from 1000 to 400 000 branches)
+# (bits, x and noise, 33 bytes, and the check's w) for the whole call, the
+# buffers that each point's stream pass writes over (main-decoder input,
+# pre-decoder stream and v rows, ~17 bytes), and one point's decoder output
+# and temporaries (tracemalloc peaks at 54-73 for c1 and c2, both modes,
+# one to four dB points, from 1000 to 400 000 branches)
 SIMULATE_BRANCH_BYTES = 128
 # the most that they may take; the main decoder's own arrays are capped
 # apart, by DECODER_BYTES
@@ -313,32 +318,55 @@ def sample_sigma_r(v, w, point, probs):
     return sigma_hat, np.sqrt(var / n)
 
 
+def _draw_block(code, branches, rows, seed):
+    """simulate's block, in one pass of the C library over numpy's Philox
+    streams: (info, x, noise, w) for a seed in [0, 2^64).
+
+    The information bits come from Philox(key=(seed, 1)), info[k] = 1 where
+    the stream's random() < 0.5, and x = 1 - 2 encode(code, info), shape
+    (branches, 2).  noise (branches, 2) from `seed` and w (rows, 2) from
+    (seed, 2) are `channel.standard_normals(channel.make_rng(key), shape)`:
+    the C pass writes the mid-interval uniforms of each stream, and
+    scipy's ndtri maps them in place."""
+    # simulate has checked the seed: ctypes would wrap one outside the range
+    from scipy.special import ndtri
+
+    info = np.empty(branches, dtype=np.uint8)
+    x, noise, w = np.empty((branches, 2)), np.empty((branches, 2)), np.empty((rows, 2))
+    kernel().draw_block(seed, branches, rows, _tap_masks(code.g).ctypes.data, info.ctypes.data,
+                        x.ctypes.data, noise.ctypes.data, w.ctypes.data)
+    ndtri(noise, out=noise)
+    ndtri(w, out=w)
+    return info, x, noise, w
+
+
 def simulate(code, points, branches, seed, mode="general"):
     """End-to-end Monte Carlo runs of one block, one row per SNR point.
 
     None of the call's three seed streams depends on the point, so each is
-    drawn once: the information bits from (seed, 1), with their codeword
-    and BPSK symbols x, the channel noise w from `seed`, and the white
-    noise of the Sigma_r check from (seed, 2).  Each point of `points`
-    receives c x + w and decodes it on its own, so the points share common
-    random numbers and each row equals simulate(code, [point], ...)[0].
-    `points` is a sequence of `channel.SnrPoint`; returns one dict per
-    point, in its order, which is the row that the CLI prints.
+    drawn once (`_draw_block`): the information bits from (seed, 1), with
+    their codeword and BPSK symbols x, the channel noise from `seed`, and
+    the white noise w of the Sigma_r check from (seed, 2).  Each point of
+    `points` receives c x + noise and decodes it on its own, so the points
+    share common random numbers and each row equals
+    simulate(code, [point], ...)[0].  `points` is a sequence of
+    `channel.SnrPoint`; returns one dict per point, in its order, which is
+    the row that the CLI prints.
 
     pre_ber is the pre-decoder's raw error rate, post_ber the full SST
     error rate.  emp_alpha* are frequencies of the main-encoded stream v
     (recovered exactly as hard-part XOR e), subsampled at a stride wider
     than the support depth so the estimates are independent and the
     binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
-    c(1 - 2v) + w on the same rows, with w from the third seed stream,
-    and sigma_r_se its standard error under the paper's model
-    (`sample_sigma_r`).  epsilon, rho, alpha*_ref and sigma_r_ref
-    (I + rho Sigma_x) are the point's exact values, read from its
-    `covar_mi.sweep_row`, for `simulation_errors`.  The sigma_r_* are 2x2
-    nested tuples.
+    c(1 - 2v) + w on the same rows, and sigma_r_se its standard error
+    under the paper's model (`sample_sigma_r`).  epsilon, rho, alpha*_ref
+    and sigma_r_ref (I + rho Sigma_x) are the point's exact values, read
+    from its `covar_mi.sweep_row`, for `simulation_errors`.  The
+    sigma_r_* are 2x2 nested tuples.
 
-    ValueError, before anything is drawn, under 100 branches or when
-    SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES.
+    ValueError, before anything is drawn, under 100 branches, when
+    SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES, or for a
+    seed outside [0, 2^64).
     """
     if branches < 100:
         raise ValueError("need at least 100 branches")
@@ -346,31 +374,31 @@ def simulate(code, points, branches, seed, mode="general"):
     if size > SIMULATE_BYTES:
         raise ValueError(f"--branches {branches}: simulate would take about {size} bytes, "
                          f"over its cap of {SIMULATE_BYTES} bytes")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64); got {seed}")
     if not points:
         return []
-    info = (channel.make_rng((seed, 1)).random(branches) < 0.5).astype(np.uint8)
-    y = convcode.encode(code, info)
-    x = channel.bpsk_map(y)
-    noise = channel.standard_normals(channel.make_rng(seed), x.shape)
-
     s1, s2 = parity_prob.code_supports(code, mode)
     stride = max(s1.max_delay, s2.max_delay) + 1
-    _, delay = convcode.predecoder(code, mode)
-    # v[stride::stride] below, over the m = branches - delay decoded steps;
-    # the warmup window, where v's support sticks out of the block, is dropped
-    n_eff = len(range(stride, branches - delay, stride))
-    w = channel.standard_normals(channel.make_rng((seed, 2)), (n_eff, 2))
+    taps, delay = convcode.predecoder(code, mode)
+    # v[stride::stride] over the m = branches - delay decoded steps; the
+    # warmup window, where v's support sticks out of the block, is dropped
+    m = branches - delay
+    n_eff = len(range(stride, m, stride))
+    info, x, noise, w = _draw_block(code, branches, n_eff, seed)
 
+    # one point's outputs at a time, each pass writing over the last
+    masks = _tap_masks((*taps, *code.g))
+    pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
+    vs = np.empty((n_eff, 2), dtype=np.uint8)
+    truth = info[:m]
     results = []
     for point in points:
-        z = point.c * x + noise
-        e = (z < 0.0).view(np.uint8) ^ y
-        pre_stream, r_hard, post_stream = _sst_streams(z, code, mode)
-        # one point's received block at a time
-        del z
-        m = len(post_stream)
-        truth = info[:m]
-        vs = (r_hard ^ e[:m])[stride::stride]
+        pre_errors = kernel().sst_stream(x.ctypes.data, noise.ctypes.data, point.c,
+                                         info.ctypes.data, branches, delay, masks.ctypes.data,
+                                         stride, pre.ctypes.data, r.ctypes.data,
+                                         vs.ctypes.data)
+        post_errors = np.count_nonzero(pre ^ viterbi_main(r, code) ^ truth)
         (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
         ref = covar_mi.sweep_row(code, point, mode)
         sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
@@ -379,8 +407,8 @@ def simulate(code, points, branches, seed, mode="general"):
         results.append({
             "ebn0_db": point.ebn0_db,
             "branches": branches,
-            "pre_ber": np.count_nonzero(pre_stream != truth) / m,
-            "post_ber": np.count_nonzero(post_stream != truth) / m,
+            "pre_ber": pre_errors / m,
+            "post_ber": post_errors / m,
             "emp_alpha1": a1, "emp_alpha2": a2, "emp_alpha11": a11,
             "se_alpha1": ses[0], "se_alpha2": ses[1], "se_alpha11": ses[2],
             "stride": stride, "n_eff": n_eff,

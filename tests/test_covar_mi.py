@@ -362,6 +362,13 @@ def test_sweep_grid_shape():
         assert r.half_tr_sigma_x == 0.5 * np.trace(sigma_x_prime(code, r.epsilon))
 
 
+def test_sweep_at_negative_zero_db_prints_0():
+    [row] = sweep(get_code("c1"), (-0.0,))
+    assert math.copysign(1.0, row.ebn0_db) == 1.0
+    assert cli.format_cell(row.ebn0_db) == "0"
+    assert row == sweep(get_code("c1"), (0.0,))[0]
+
+
 def test_monte_carlo_sigma_r_agrees_with_analytic():
     code = get_code("c1")
     pt = channel.snr_point(4.0)

@@ -415,10 +415,11 @@ def test_stream_pass_equals_the_numpy_composition(block, mode):
             with pytest.raises(ValueError, match="block shorter than the look-in delay"):
                 run(z, code, mode)
         return
-    pre, r_hard, r = sstdec.stream_pass(z, code, mode)
+    pre, r = sstdec.stream_pass(z, code, mode)
     want_pre, want_hard, want_r = numpy_stream_pass(z, code, mode)
-    assert pre.dtype == r_hard.dtype == np.uint8 and r.dtype == np.float64
-    assert np.array_equal(pre, want_pre) and np.array_equal(r_hard, want_hard)
+    assert pre.dtype == np.uint8 and r.dtype == np.float64
+    # the hard part is r's sign bit
+    assert np.array_equal(pre, want_pre) and np.array_equal(np.signbit(r), want_hard == 1)
     assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
 
 
@@ -541,18 +542,21 @@ def test_simulate_batch_rows_equal_the_one_point_calls(code_name, mode, dbs):
 
 
 def _count_draws(monkeypatch):
-    counts = {"make_rng": 0, "standard_normals": 0}
+    """Count simulate's draws: its C pass, and numpy's seed streams, which it
+    must not read."""
+    counts = {"_draw_block": 0, "make_rng": 0, "standard_normals": 0}
 
-    def counting(name):
-        original = getattr(channel, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(channel, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counting("make_rng")
-    counting("standard_normals")
+    counting(sstdec, "_draw_block")
+    counting(channel, "make_rng")
+    counting(channel, "standard_normals")
     return counts
 
 
@@ -561,13 +565,135 @@ def test_simulate_draws_its_streams_once_per_call(monkeypatch, k):
     counts = _count_draws(monkeypatch)
     points = [channel.snr_point(db) for db in (0.0, 2.0, 4.0, 6.0)[:k]]
     assert len(sstdec.simulate(get_code("c2"), points, 1000, 1, mode="qli")) == k
-    assert counts == {"make_rng": 3, "standard_normals": 2}
+    assert counts == {"_draw_block": 1, "make_rng": 0, "standard_normals": 0}
 
 
 def test_simulate_of_no_points_draws_nothing(monkeypatch):
     counts = _count_draws(monkeypatch)
     assert sstdec.simulate(get_code("c1"), [], 1000, 1) == []
-    assert counts == {"make_rng": 0, "standard_normals": 0}
+    assert counts == {"_draw_block": 0, "make_rng": 0, "standard_normals": 0}
+
+
+def _refuse_draws(monkeypatch, why):
+    def refuse(*args):
+        raise AssertionError(f"simulate drew a stream {why}")
+
+    monkeypatch.setattr(sstdec, "_draw_block", refuse)
+    monkeypatch.setattr(channel, "make_rng", refuse)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_refuses_a_seed_outside_64_bits_before_any_draw(monkeypatch, seed):
+    _refuse_draws(monkeypatch, "for a seed outside [0, 2^64)")
+    for points in ([channel.snr_point(4.0)], []):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            sstdec.simulate(get_code("c1"), points, 1000, seed)
+
+
+def test_simulate_takes_both_ends_of_the_seed_range():
+    pt = channel.snr_point(4.0)
+    low, high = (sstdec.simulate(get_code("c1"), [pt], 1000, seed)[0] for seed in (0, 2**64 - 1))
+    assert low["branches"] == high["branches"] == 1000 and low != high
+
+
+# numpy's draw, for the C draw's oracle: nu = 7 beside c1 and c2, and a
+# generator of degree 64, the most a tap mask holds
+DRAW_CODES = [get_code("c1"), get_code("c2"), make_qli(0b1010110),
+              ConvCode(name="deg64", g=(1 | 1 << 64, 1), ginv=(0, 1))]
+
+
+def numpy_draw_block(code, branches, rows, seed):
+    """Oracle of `sstdec._draw_block`: numpy's Generator draw of the three
+    seed streams, the codeword and its BPSK symbols; (info, x, noise, w)."""
+    info = (channel.make_rng((seed, 1)).random(branches) < 0.5).astype(np.uint8)
+    x = channel.bpsk_map(encode(code, info))
+    noise = channel.standard_normals(channel.make_rng(seed), x.shape)
+    w = channel.standard_normals(channel.make_rng((seed, 2)), (rows, 2))
+    return info, x, noise, w
+
+
+@pytest.mark.parametrize("s", [0, 1, 7, 2**62])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 4097])
+def test_philox_words_equal_numpy_philox(s, n):
+    for j in (0, 1, 2):
+        words = np.empty(n, dtype=np.uint64)
+        sstdec.kernel().philox_words(s, j, n, words.ctypes.data)
+        want = np.random.Philox(key=(s, j)).random_raw(n)
+        assert words.tobytes() == want.tobytes(), j
+
+
+@pytest.mark.parametrize("code", DRAW_CODES, ids=lambda c: c.name)
+@pytest.mark.parametrize("branches, rows", [(100, 0), (1001, 37), (5003, 1250)])
+@pytest.mark.parametrize("seed", [0, 7, 2**62])
+def test_draw_block_equals_the_numpy_draw(code, branches, rows, seed):
+    got = sstdec._draw_block(code, branches, rows, seed)
+    for a, b in zip(got, numpy_draw_block(code, branches, rows, seed)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("code", STREAM_CODES, ids=lambda c: c.name)
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_stream_pass_of_a_point_equals_the_numpy_composition(code, mode):
+    # simulate's form of the pass: z = c x + noise formed in C, with the v
+    # rows and the pre-decoder's error count
+    n, stride = 300, 7
+    info, x, noise, _ = numpy_draw_block(code, n, 0, 3)
+    taps, delay = predecoder(code, mode)
+    masks, m = sstdec._tap_masks((*taps, *code.g)), n - delay
+    for c in (0.5, 1.0, 3.0, 2.0**511):
+        z = c * x + noise
+        want_pre, want_hard, want_r = numpy_stream_pass(z, code, mode)
+        e = (z < 0.0).view(np.uint8) ^ (x < 0.0).view(np.uint8)
+        want_v = (want_hard ^ e[:m])[stride::stride]
+        pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
+        v = np.empty_like(want_v)
+        errors = sstdec.kernel().sst_stream(x.ctypes.data, noise.ctypes.data, c, info.ctypes.data,
+                                            n, delay, masks.ctypes.data, stride, pre.ctypes.data,
+                                            r.ctypes.data, v.ctypes.data)
+        assert errors == np.count_nonzero(want_pre != info[:m])
+        assert np.array_equal(pre, want_pre) and np.array_equal(v, want_v)
+        assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
+
+
+# the rows that simulate estimates; its exact values come from the sweep row
+ESTIMATES = ("pre_ber", "post_ber", "emp_alpha1", "emp_alpha2", "emp_alpha11", "se_alpha1",
+             "se_alpha2", "se_alpha11", "stride", "n_eff", "sigma_r_hat", "sigma_r_se")
+
+
+def numpy_simulate(code, points, branches, seed, mode):
+    """Oracle of `sstdec.simulate`'s estimates: the numpy draw, received
+    block, stream pass and v rows, one array step at a time, with the same
+    decoder and statistics."""
+    s1, s2 = parity_prob.code_supports(code, mode)
+    stride = max(s1.max_delay, s2.max_delay) + 1
+    n_eff = len(range(stride, branches - predecoder(code, mode)[1], stride))
+    info, x, noise, w = numpy_draw_block(code, branches, n_eff, seed)
+    rows = []
+    for point in points:
+        z = point.c * x + noise
+        e = (z < 0.0).view(np.uint8) ^ encode(code, info)
+        pre, r_hard, r = numpy_stream_pass(z, code, mode)
+        m = len(pre)
+        vs = (r_hard ^ e[:m])[stride::stride]
+        (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
+        ref = covar_mi.sweep_row(code, point, mode)
+        sig_hat, sig_se = sstdec.sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
+        rows.append(dict(zip(ESTIMATES, (
+            np.count_nonzero(pre != info[:m]) / m,
+            np.count_nonzero(pre ^ sstdec.viterbi_main(r, code) != info[:m]) / m,
+            a1, a2, a11, *ses, stride, n_eff,
+            tuple(map(tuple, sig_hat.tolist())), tuple(map(tuple, sig_se.tolist()))))))
+    return rows
+
+
+@pytest.mark.parametrize("code", DRAW_CODES[:3], ids=lambda c: c.name)
+@pytest.mark.parametrize("mode", ["general", "qli"])
+@pytest.mark.parametrize("branches", [1000, 1001, 5003])
+def test_simulate_rows_equal_the_numpy_draw_and_receiver(code, mode, branches):
+    points = [channel.snr_point(db) for db in (-2.0, 4.0, 7.0)]
+    rows = sstdec.simulate(code, points, branches, 42, mode=mode)
+    assert [{k: row[k] for k in ESTIMATES} for row in rows] == \
+        numpy_simulate(code, points, branches, 42, mode)
 
 
 def _bits(values):
@@ -613,10 +739,7 @@ def test_simulate_peak_memory_is_within_its_estimate(code_name, mode, branches):
 
 
 def test_branches_past_the_memory_cap_exit_2_before_any_draw(monkeypatch, capsys):
-    def refuse(seed):
-        raise AssertionError("simulate drew a stream past its memory cap")
-
-    monkeypatch.setattr(channel, "make_rng", refuse)
+    _refuse_draws(monkeypatch, "past its memory cap")
     branches = sstdec.SIMULATE_BYTES // sstdec.SIMULATE_BRANCH_BYTES + 1
     assert main(["simulate", "--branches", str(branches), "--quiet"]) == 2
     size = sstdec.SIMULATE_BRANCH_BYTES * branches
