@@ -331,9 +331,10 @@ def _draw_block(code, branches, rows, seed):
     # simulate has checked the seed: ctypes would wrap one outside the range
     from scipy.special import ndtri
 
-    info = np.empty(branches, dtype=np.uint8)
+    # a name keeps each array alive through the C call that reads its pointer
+    masks, info = _tap_masks(code.g), np.empty(branches, dtype=np.uint8)
     x, noise, w = np.empty((branches, 2)), np.empty((branches, 2)), np.empty((rows, 2))
-    kernel().draw_block(seed, branches, rows, _tap_masks(code.g).ctypes.data, info.ctypes.data,
+    kernel().draw_block(seed, branches, rows, masks.ctypes.data, info.ctypes.data,
                         x.ctypes.data, noise.ctypes.data, w.ctypes.data)
     ndtri(noise, out=noise)
     ndtri(w, out=w)
