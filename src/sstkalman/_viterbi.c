@@ -1,4 +1,4 @@
-/* Add-compare-select and truncated traceback of the main Viterbi decoder,
+/* Add-compare-select of the main Viterbi decoder with survivor registers,
    and the passes around it (after the kernel): simulate's draw from numpy's
    Philox streams (draw_block), the receiver's stream pass (sst_stream) and
    the Sigma_r rows (sigma_r_rows).
@@ -27,21 +27,27 @@
    lowest one with the top metric, kept per lane through the ACS and then
    reduced across the lanes.
 
-   work holds 12 * lanes doubles: the metrics and the next metrics (2 *
-   lanes each, in state order; entries from 2^nu on are NaN) and the signs,
-   eight vectors per W lanes.  choices is a ring of `rows` rows of 2 *
-   lanes bytes (rows a power of two, at least min(truncation, n)); a row
-   holds the decisions of the even states, then those of the odd states,
-   so state s has entry (s & 1) * lanes + (s >> 1).  Bit t of out is read
-   T = truncation steps later from the best state's survivor; the last T
-   bits come from the final best state.
+   work is the caller's buffer of 8 * (12 + 4 * words) * lanes bytes (words
+   below) and 64 more: the kernel starts its planes on the buffer's first
+   64-byte boundary, since numpy aligns to 16 bytes only and a vector load
+   across two cache lines is slow (at nu = 10, 1.3-1.5x the time a step).
+   From there it holds 12 * lanes doubles, the metrics and the next metrics
+   (2 * lanes each, in state order; entries from 2^nu on are NaN) and the
+   signs, eight vectors per W lanes, and then reg, the survivor registers.
 
-   path is a ring of `plen` states (plen a power of two above
-   min(truncation, n)) holding the survivor traced at the previous step,
-   state at time t in entry t.  Each traceback stops at the first time
-   where it meets that survivor: a walk back from (state, t) reads only
-   choices rows at or before t, and those rows do not change while they
-   are in the ring, so from there on both survivors are the same. */
+   Survivors are kept by register exchange (Feygin and Gulak, IEEE Trans.
+   Commun. 41(3), 1993), not traced back: every state holds its survivor's
+   inputs, bit i of its register being the input i steps back.  With
+   T = truncation a register takes words = T / 64 + 1 uint64 words, so bit
+   T is always held.  reg holds two planes of words * 2 * lanes words, the
+   registers and the next ones, swapped each step like the metrics; in a
+   plane, word w of state s is entry w * 2 * lanes + s, so one vector
+   loads word w of W states.  The ACS picks each state's predecessor words
+   with the masks that pick its metric, shifts in the input bit (word w
+   takes the top bit of word w - 1) and interleaves them into state order
+   with the shuffles of the metrics.  Bit t of out is bit T of the best
+   state's register T = truncation steps later; the last T bits come from
+   the final best state's register. */
 
 #ifndef W
 
@@ -62,11 +68,14 @@
 /* the types and helpers of the kernel at width W take the suffix W */
 #define vd JOIN(vd, W)
 #define vi JOIN(vi, W)
-#define vb JOIN(vb, W)
+#define vu JOIN(vu, W)
 #define load JOIN(load, W)
 #define store JOIN(store, W)
+#define load_u JOIN(load_u, W)
+#define store_u JOIN(store_u, W)
 #define pick_i JOIN(pick_i, W)
 #define pick JOIN(pick, W)
+#define pick_u JOIN(pick_u, W)
 
 static double sign_of(uint64_t g, uint64_t reg)
 {
@@ -102,8 +111,7 @@ int64_t viterbi_lanes(int nu)
 }
 
 void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
-             int64_t truncation, double *work, uint8_t *choices, int64_t rows,
-             int64_t *path, int64_t plen, uint8_t *out)
+             int64_t truncation, void *work, uint8_t *out)
 {
     /* entry i is the kernel of width 2^(i+1) */
     static __typeof__(viterbi2) *const run[] = {
@@ -116,8 +124,10 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
 #endif
     };
 
-    run[__builtin_ctz((unsigned)viterbi_width(nu)) - 1](r, n, nu, g0, g1, truncation, work,
-                                                        choices, rows, path, plen, out);
+    double *const plane = (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63);
+
+    run[__builtin_ctz((unsigned)viterbi_width(nu)) - 1](
+        r, n, nu, g0, g1, truncation, plane, (uint64_t *)(plane + 12 * viterbi_lanes(nu)), out);
 }
 
 /* The parity of the GF(2) filter with taps (lo, hi) at one step: lo is the
@@ -320,7 +330,7 @@ void sigma_r_rows(const uint8_t *v, int64_t n, int64_t row, int64_t col, const d
 
 typedef double vd __attribute__((vector_size(8 * W)));
 typedef int64_t vi __attribute__((vector_size(8 * W)));
-typedef uint8_t vb __attribute__((vector_size(W)));
+typedef uint64_t vu __attribute__((vector_size(8 * W)));
 
 static inline vd load(const double *p)
 {
@@ -330,6 +340,18 @@ static inline vd load(const double *p)
 }
 
 static inline void store(double *p, vd v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+static inline vu load_u(const uint64_t *p)
+{
+    vu v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store_u(uint64_t *p, vu v)
 {
     memcpy(p, &v, sizeof v);
 }
@@ -345,39 +367,43 @@ static inline vd pick(vi mask, vd a, vd b)
     return (vd)pick_i(mask, (vi)a, (vi)b);
 }
 
+static inline vu pick_u(vi mask, vu a, vu b)
+{
+    return (vu)pick_i(mask, (vi)a, (vi)b);
+}
+
 static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
-                             int64_t truncation, double *work, uint8_t *choices, int64_t rows,
-                             int64_t *path, int64_t plen, uint8_t *out)
+                             int64_t truncation, double *work, uint64_t *reg, uint8_t *out)
 {
     const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = half > W ? half : W,
-                  row = 2 * lanes, ring = rows - 1, pmask = plen - 1;
-    const int top = nu - 1;
+                  row = 2 * lanes, words = truncation / 64 + 1,
+                  at = truncation / 64 * row;
+    const int shift = (int)(truncation % 64);
     const vi lane = LANE, nobody = lane + ns;
     /* lane i of the even then the odd next metrics goes to state 2i, 2i + 1 */
     const vi lo = (lane >> 1) + (lane & 1) * W, hi = lo + W / 2;
     const vd none = (vd){0} - INFINITY;
     double *m = work, *next = work + row, *tmp;
+    uint64_t *nreg = reg + words * row, *rtmp;
     /* block j / W holds the vectors 4p + q: state parity p; q = g0, g1 on the
        branch from lane j, then on the branch from j + 2^(nu-1) */
     double *const sign = work + 2 * row;
-    int64_t s, j, k, t, best = 0, state;
+    int64_t s, j, k, t, w, best = 0;
     int p, q;
 
     for (j = 0; j < lanes; j++)
         for (p = 0; p < 2; p++) {
-            const uint64_t s0 = (uint64_t)(2 * j + p), reg[2] = {s0, s0 | (uint64_t)1 << nu};
+            const uint64_t s0 = (uint64_t)(2 * j + p), br[2] = {s0, s0 | (uint64_t)1 << nu};
             for (q = 0; q < 4; q++)
                 sign[8 * (j - j % W) + (4 * p + q) * W + j % W] =
-                    j < half ? sign_of(q & 1 ? g1 : g0, reg[q >> 1]) : NAN;
+                    j < half ? sign_of(q & 1 ? g1 : g0, br[q >> 1]) : NAN;
         }
     for (s = 0; s < row; s++)
         m[s] = s == 0 ? 0.0 : s < ns ? -1e30 : NAN;
-    /* no state is -1, so the first traceback runs its full length */
-    for (t = 0; t < plen; t++)
-        path[t] = -1;
+    /* the bits before the first input are never read */
+    memset(reg, 0, (size_t)(words * row) * sizeof *reg);
     for (k = 0; k < n; k++) {
         const double r0 = r[2 * k], r1 = r[2 * k + 1];
-        uint8_t *take = choices + (k & ring) * row;
         /* per lane, the first best state among those it wrote */
         vd topv = none, u;
         vi topi = lane, gt;
@@ -390,9 +416,23 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
             const vd o1 = (b + r0 * load(sg + 6 * W)) + r1 * load(sg + 7 * W);
             const vi te = e1 > e0, to = o1 > o0;
             const vd ev = pick(te, e1, e0), od = pick(to, o1, o0);
-            const vb be = __builtin_convertvector(-te, vb), bo = __builtin_convertvector(-to, vb);
-            memcpy(take + j, &be, W);
-            memcpy(take + lanes + j, &bo, W);
+            /* the survivors' words, word 0 taking the input bit (0 into an
+               even state, 1 into an odd one), word w the top bit of w - 1 */
+            vu se = pick_u(te, load_u(reg + j + half), load_u(reg + j)),
+               so = pick_u(to, load_u(reg + j + half), load_u(reg + j));
+            store_u(nreg + 2 * j, __builtin_shuffle(se << 1, so << 1 | 1, lo));
+            store_u(nreg + 2 * j + W, __builtin_shuffle(se << 1, so << 1 | 1, hi));
+            for (w = 1; w < words; w++) {
+                const uint64_t *ra = reg + w * row + j;
+                const vu we = pick_u(te, load_u(ra + half), load_u(ra)),
+                         wo = pick_u(to, load_u(ra + half), load_u(ra));
+                store_u(nreg + w * row + 2 * j,
+                        __builtin_shuffle(we << 1 | se >> 63, wo << 1 | so >> 63, lo));
+                store_u(nreg + w * row + 2 * j + W,
+                        __builtin_shuffle(we << 1 | se >> 63, wo << 1 | so >> 63, hi));
+                se = we;
+                so = wo;
+            }
             gt = ev > topv;
             topv = pick(gt, ev, topv);
             topi = pick_i(gt, 2 * (lane + j), topi);
@@ -403,6 +443,7 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
             store(next + 2 * j + W, __builtin_shuffle(ev, od, hi));
         }
         tmp = m, m = next, next = tmp;
+        rtmp = reg, reg = nreg, nreg = rtmp;
         /* the best metric in every lane, then the lowest state that has it */
         u = topv;
 #pragma GCC unroll 3
@@ -419,24 +460,11 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
         /* no metric above -inf keeps the last best state */
         if (u[0] > -INFINITY)
             best = topi[0];
-        if (k >= truncation) {
-            path[k & pmask] = best;
-            for (state = best, t = k; t > k - truncation; t--) {
-                state = (state >> 1) |
-                        (int64_t)choices[(t & ring) * row + (state & 1) * lanes + (state >> 1)]
-                            << top;
-                if (path[(t - 1) & pmask] == state)
-                    break;
-                path[(t - 1) & pmask] = state;
-            }
-            out[k - truncation] = path[(k - truncation) & pmask] & 1;
-        }
+        if (k >= truncation)
+            out[k - truncation] = reg[at + best] >> shift & 1;
     }
-    for (state = best, t = n - 1; t >= 0 && t >= n - truncation; t--) {
-        out[t] = state & 1;
-        state = (state >> 1) |
-                (int64_t)choices[(t & ring) * row + (state & 1) * lanes + (state >> 1)] << top;
-    }
+    for (t = n - 1; t >= 0 && t >= n - truncation; t--)
+        out[t] = reg[(n - 1 - t) / 64 * row + best] >> (n - 1 - t) % 64 & 1;
 }
 
 #undef LANE

@@ -67,6 +67,12 @@ def bpsk_map(bits):
 
 
 def make_rng(seed):
+    """A Philox generator keyed by an int seed or a tuple of words.
+
+    A tuple is keyed as uint64 words: numpy would read (s, j) with s past
+    int64 as float64, so that nearby s shared one stream."""
+    if isinstance(seed, tuple):
+        seed = np.array(seed, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -27,7 +27,6 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import channel, kalman, parity_prob
 from .parity_prob import code_supports
@@ -240,6 +239,9 @@ def bound_chain(sigma_x, rho):
 
 @cache
 def _gh_nodes():
+    # imported here, on curves' first quadrature, so no other command pays for it
+    from numpy.polynomial.hermite import hermgauss
+
     return hermgauss(128)
 
 

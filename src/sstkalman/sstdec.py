@@ -16,11 +16,13 @@ point's received block c x + noise through that pass, which also writes
 the point's strided v rows and counts the pre-decoder's bit errors.
 
 The main decoder is a conventional max-correlation Viterbi over the
-2^nu-state trellis with truncated traceback, compiled from `_viterbi.c`
-on first use for the host CPU, whose add-compare-select runs in vectors
-of 2^(nu-1) doubles, at least 2 and at most that CPU's native width.
-Each step's traceback stops where it meets the survivor traced at the
-step before, from which point the two are the same.
+2^nu-state trellis with a truncated survivor memory, compiled from
+`_viterbi.c` on first use for the host CPU, whose add-compare-select runs
+in vectors of 2^(nu-1) doubles, at least 2 and at most that CPU's native
+width.  Survivors are kept by register exchange: each state carries its
+survivor's last T + 1 inputs in 64-bit words, updated inside the
+add-compare-select, so each decoded bit is one load from the best state's
+register and nothing is traced back.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_viterbi.c")
 # -march=native sets the widest ACS vector (see _viterbi.c)
 _KERNEL_FLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fno-fast-math", "-shared",
                  "-fPIC")
-# the most that the main decoder's work, choices and path arrays may take
+# the most that the main decoder's metrics, signs and survivor registers may take
 DECODER_BYTES = 1 << 30
 _kernel = None
 _kernel_lock = threading.Lock()
@@ -173,8 +175,7 @@ def _build_kernel():
     dll.viterbi_lanes.argtypes = [ctypes.c_int]
     dll.viterbi.restype = None
     dll.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
-                            ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+                            ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     dll.sst_stream.restype = ctypes.c_int64
     dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
@@ -213,9 +214,11 @@ def viterbi_main(r, code, truncation=None):
     Ties prefer the input-0 branch and the lowest-index state.  The
     trellis runs in the C kernel `_viterbi.c`, built on the first call.
     It indexes the states and shift register in 64-bit words, so the
-    code's memory must satisfy 1 <= nu <= 62, and its arrays, sized from
-    nu, the truncation and n, may take at most DECODER_BYTES (ValueError
-    otherwise, before they are allocated).
+    code's memory must satisfy 1 <= nu <= 62.  Its buffer does not grow
+    with n: with lanes = max(2^(nu-1), 2) and words = truncation // 64 + 1,
+    the metrics and signs take 8 * 12 * lanes bytes and the two planes of
+    survivor registers 8 * 4 * words * lanes, together at most
+    DECODER_BYTES (ValueError otherwise, before anything is allocated).
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] != 2:
@@ -235,19 +238,17 @@ def viterbi_main(r, code, truncation=None):
     lib = kernel()
     # the kernel's per-lane planes: 2^(nu-1) lanes, at least one vector of 2
     lanes = lib.viterbi_lanes(code.nu)
-    # the survivor decisions of the last min(truncation, n) steps, in a ring
-    rows = 1 << (min(truncation, n) - 1).bit_length()
-    # the previous step's survivor, one state per time, over more than that
-    plen = 1 << min(truncation, n).bit_length()
-    size = 8 * 12 * lanes + rows * 2 * lanes + 8 * plen
+    # two planes of 2 * lanes survivor registers, T + 1 bits each in 64-bit words
+    words = truncation // 64 + 1
+    size = 8 * 12 * lanes + 8 * 4 * words * lanes
     if size > DECODER_BYTES:
         raise ValueError(f"the main decoder would take {size} bytes for a code of memory "
                          f"nu = {code.nu}, over its cap of {DECODER_BYTES} bytes")
-    work = np.empty(12 * lanes)
-    choices = np.empty(rows * 2 * lanes, dtype=np.uint8)
-    path = np.empty(plen, dtype=np.int64)
+    # the metrics, signs and registers, with 64 bytes of slack: the kernel
+    # starts them on a 64-byte boundary
+    work = np.empty(size + 64, dtype=np.uint8)
     lib.viterbi(r.ctypes.data, n, code.nu, *code.g, truncation, work.ctypes.data,
-                choices.ctypes.data, rows, path.ctypes.data, plen, out.ctypes.data)
+                out.ctypes.data)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,3 +105,15 @@ def test_make_rng_tuple_seeds_differ():
     a = make_rng((5, 1)).random(8)
     b = make_rng((5, 2)).random(8)
     assert not np.array_equal(a, b)
+
+
+def test_make_rng_keys_tuples_past_int64_exactly():
+    # a float64 key would round 2^63 + 1 to 2^63, and 2^64 - 1 up out of range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = [make_rng((s, 1)).bit_generator.random_raw(4).tolist()
+                 for s in (2**63, 2**63 + 1, 2**64 - 1)]
+    assert len({tuple(w) for w in words}) == 3
+    # below 2^63 the key is numpy's own reading of the tuple
+    assert make_rng((2**62, 2)).bit_generator.random_raw(4).tolist() == \
+        np.random.Philox(key=(2**62, 2)).random_raw(4).tolist()

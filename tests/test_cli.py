@@ -276,6 +276,17 @@ def test_only_the_noise_draw_imports_scipy():
     assert proc.stdout == "ok\n"
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # only curves' binary-input quadrature reads it (covar_mi._gh_nodes)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    script = ("import sys, sstkalman.cli; "
+              "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
     first = run(["tables", "--table", "1"], capsys)

@@ -106,11 +106,12 @@ block_lengths = st.one_of(
 )
 
 
-# T + 1 a power of two (15, 31, 63) fills the survivor-path ring exactly, and
-# T itself one (16, 32, 64) the ring of decisions; c2's default T is 31
+# a survivor register holds bit T in word T // 64: T = 63 and 127 read the
+# top bit of the last word, and T = 64 and 128 the lowest bit of a word
+# whose bits come from the word below it; c2's default T is 31
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["c1", "c2"]),
-       truncation=st.sampled_from([None, 70, 15, 16, 31, 32, 63, 64]),
+       truncation=st.sampled_from([None, 70, 15, 16, 31, 32, 63, 64, 127, 128]),
        n=block_lengths, kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
 @example(name="c1", truncation=None, n=1, kind="grid", seed=0)
 @example(name="c1", truncation=None, n=11, kind="grid", seed=1)
@@ -127,6 +128,9 @@ block_lengths = st.one_of(
 @example(name="c2", truncation=32, n=33, kind="grid", seed=12)
 @example(name="c2", truncation=63, n=65, kind="grid", seed=13)
 @example(name="c1", truncation=64, n=64, kind="normal", seed=14)
+@example(name="c2", truncation=63, n=150, kind="grid", seed=15)
+@example(name="c1", truncation=64, n=200, kind="near_grid", seed=16)
+@example(name="c2", truncation=128, n=300, kind="grid", seed=17)
 def test_viterbi_main_matches_per_step_traceback(name, truncation, n, kind, seed):
     code = get_code(name)
     t = sstdec.default_truncation(code) if truncation is None else truncation
@@ -234,24 +238,28 @@ def test_viterbi_main_rejects_memory_zero():
         sstdec.viterbi_main(np.zeros((10, 2)), code)
 
 
-@pytest.mark.parametrize("nu", [23, 62])
+@pytest.mark.parametrize("nu", [24, 62])
 def test_viterbi_main_refuses_arrays_past_its_cap(nu):
-    # 2^(nu-1) lanes of 12 doubles and 128 ring rows of 2 bytes pass 1 GiB
-    # from nu = 23; nothing is allocated
+    # 2^(nu-1) lanes of 12 doubles and 4 register words per word of T + 1
+    # bits pass 1 GiB from nu = 24; nothing is allocated
     code = make_qli(1 << (nu - 1))
     with pytest.raises(ValueError, match=rf"bytes for a code of memory nu = {nu}, over its cap"):
         sstdec.viterbi_main(np.zeros((1000, 2)), code)
 
 
-def test_viterbi_main_cap_counts_work_choices_and_path(monkeypatch):
-    # c2 over 1000 steps: 12 x 32 doubles, 32 rows of 2 x 32 bytes, 32 states
+def test_viterbi_main_cap_counts_work_and_registers(monkeypatch):
+    # c2: 12 x 32 doubles and two planes of 64 registers, one 64-bit word
+    # each at T = 31 and two at T = 64, whatever n is
     code = get_code("c2")
-    r = soft_values(16, 1000, "normal")
-    monkeypatch.setattr(sstdec, "DECODER_BYTES", 8 * 12 * 32 + 32 * 2 * 32 + 8 * 32)
-    assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, 31))
-    monkeypatch.setattr(sstdec, "DECODER_BYTES", sstdec.DECODER_BYTES - 1)
-    with pytest.raises(ValueError, match="would take 5376 bytes .* nu = 6, over its cap of 5375"):
-        sstdec.viterbi_main(r, code)
+    for n, (t, size) in itertools.product([40, 1000], [(31, 4096), (64, 5120)]):
+        r = soft_values(16, n, "normal")
+        monkeypatch.setattr(sstdec, "DECODER_BYTES", size)
+        assert size == 8 * 12 * 32 + 8 * 4 * (t // 64 + 1) * 32
+        assert np.array_equal(sstdec.viterbi_main(r, code, t), per_step_viterbi(r, code, t))
+        monkeypatch.setattr(sstdec, "DECODER_BYTES", size - 1)
+        with pytest.raises(ValueError,
+                           match=f"would take {size} bytes .* nu = 6, over its cap of {size - 1}"):
+            sstdec.viterbi_main(r, code, t)
 
 
 def test_kernel_build_failure_is_an_os_error(monkeypatch, capsys):
@@ -622,6 +630,17 @@ def test_philox_words_equal_numpy_philox(s, n):
         assert words.tobytes() == want.tobytes(), j
 
 
+@pytest.mark.parametrize("s", [2**63, 2**63 + 1, 2**64 - 1])
+def test_philox_words_past_int64_equal_make_rng(s):
+    # make_rng keys (s, j) as uint64 words, which the C pass takes as is
+    n = 9
+    for j in (0, 1, 2):
+        words = np.empty(n, dtype=np.uint64)
+        sstdec.kernel().philox_words(s, j, n, words.ctypes.data)
+        want = channel.make_rng((s, j)).bit_generator.random_raw(n)
+        assert words.tobytes() == want.tobytes(), j
+
+
 @pytest.mark.parametrize("code", DRAW_CODES, ids=lambda c: c.name)
 @pytest.mark.parametrize("branches, rows", [(100, 0), (1001, 37), (5003, 1250)])
 @pytest.mark.parametrize("seed", [0, 7, 2**62])
@@ -694,6 +713,15 @@ def test_simulate_rows_equal_the_numpy_draw_and_receiver(code, mode, branches):
     rows = sstdec.simulate(code, points, branches, 42, mode=mode)
     assert [{k: row[k] for k in ESTIMATES} for row in rows] == \
         numpy_simulate(code, points, branches, 42, mode)
+
+
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_simulate_rows_equal_the_numpy_draw_at_the_top_seed(mode):
+    code, seed = get_code("c2"), 2**64 - 1
+    points = [channel.snr_point(db) for db in (-2.0, 7.0)]
+    rows = sstdec.simulate(code, points, 1000, seed, mode=mode)
+    assert [{k: row[k] for k in ESTIMATES} for row in rows] == \
+        numpy_simulate(code, points, 1000, seed, mode)
 
 
 def _bits(values):
