@@ -3,6 +3,12 @@
    Philox streams (draw_block), the receiver's stream pass (sst_stream) and
    the Sigma_r rows (sigma_r_rows).
 
+   The stream pass is bit-sliced: its GF(2) filters run on uint64 words of
+   64 steps, bit j for step j, so a tap costs one shift and one XOR per 64
+   branches, and it forms z, the hard decisions and the signs of r in GCC
+   vectors of NATIVE doubles (below), NATIVE / 2 branches at a time.  Its
+   counts of the strided v rows leave the caller no pass over them.
+
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
    (register s + 2^nu); output l of a branch is the parity of g_l AND its
@@ -139,6 +145,21 @@ static inline uint64_t filter(uint64_t lo, uint64_t hi, uint64_t cur, uint64_t p
     return (lo & cur) ^ (uint64_t)__builtin_parityll(hi & past);
 }
 
+/* The same filter on 64 steps at once, bit-sliced (Biham, FSE 1997): bit j
+   of a word is step j of its 64, now holds the stream's bits of these steps
+   and prev those of the 64 before.  Tap d in 1..63 reads
+   now << d | prev >> (64 - d), and tap 64 reads prev. */
+static inline uint64_t filter_word(uint64_t lo, uint64_t hi, uint64_t now, uint64_t prev)
+{
+    uint64_t out = (0 - lo) & now;
+
+    for (; hi; hi &= hi - 1) {
+        const int d = __builtin_ctzll(hi) + 1;
+        out ^= d == 64 ? prev : now << d | prev >> (64 - d);
+    }
+    return out;
+}
+
 /* the bits of *x with the sign bit set to s */
 static inline uint64_t signed_bits(const double *x, uint64_t s)
 {
@@ -154,6 +175,92 @@ static inline double received(const double *x, const double *noise, double c, in
     return noise ? c * x[i] + noise[i] : x[i];
 }
 
+/* The stream pass's vectors: NATIVE doubles, so BRANCHES = NATIVE / 2
+   branches of two columns, lane j holding column j & 1 of branch j / 2,
+   whose bit in a word of BRANCHES branches is LANE_BITS[j]. */
+#define BRANCHES (NATIVE / 2)
+#if NATIVE == 8
+#define LANE_BITS {1, 1, 2, 2, 4, 4, 8, 8}
+#elif NATIVE == 4
+#define LANE_BITS {1, 1, 2, 2}
+#else
+#define LANE_BITS {1, 1}
+#endif
+
+typedef double vnd __attribute__((vector_size(8 * NATIVE)));
+typedef int64_t vni __attribute__((vector_size(8 * NATIVE)));
+typedef uint64_t vnu __attribute__((vector_size(8 * NATIVE)));
+
+/* received() of the BRANCHES branches from value i on */
+static inline vnd received_v(const double *x, const double *noise, double c, int64_t i)
+{
+    vnd a, b;
+
+    memcpy(&a, x + i, sizeof a);
+    if (!noise)
+        return a;
+    memcpy(&b, noise + i, sizeof b);
+    return c * a + b;
+}
+
+/* The hard decisions z < 0 (so -0.0 reads 0) of the 64 steps from step s
+   on, one word per column, bit j for step s + j; a step outside [0, n)
+   reads 0. */
+static inline void hard_words(const double *x, const double *noise, double c, int64_t n,
+                              int64_t s, uint64_t h[2])
+{
+    int64_t j;
+
+    h[0] = h[1] = 0;
+    if (s >= 0 && s + 64 <= n) {
+        const vnu lane_bits = LANE_BITS;
+        const vnd zero = {0};
+        vnu acc = {0};
+        for (j = 0; j < 64; j += BRANCHES)
+            acc |= ((vnu)(received_v(x, noise, c, 2 * (s + j)) < zero) & lane_bits) << j;
+        for (j = 0; j < NATIVE; j++)
+            h[j & 1] |= acc[j];
+        return;
+    }
+    for (j = 0; j < 64; j++)
+        if (s + j >= 0 && s + j < n) {
+            h[0] |= (uint64_t)(received(x, noise, c, 2 * (s + j)) < 0.0) << j;
+            h[1] |= (uint64_t)(received(x, noise, c, 2 * (s + j) + 1) < 0.0) << j;
+        }
+}
+
+/* Bytes 0 .. count - 1 of out get bits 0 .. count - 1 of b, one 0/1 byte each. */
+static inline void spread_bits(uint64_t b, int64_t count, uint8_t *out)
+{
+    int64_t k;
+
+    for (k = 0; k + 8 <= count; k += 8) {
+        /* eight copies of the eight bits, byte j keeping bit j, then 1 in
+           every byte that is not 0 */
+        const uint64_t bytes = ((b >> k & 0xFF) * 0x0101010101010101u) & 0x8040201008040201u;
+        const uint64_t ones = (bytes + 0x7F7F7F7F7F7F7F7Fu) >> 7 & 0x0101010101010101u;
+        memcpy(out + k, &ones, sizeof ones);
+    }
+    for (; k < count; k++)
+        out[k] = (uint8_t)(b >> k & 1);
+}
+
+/* The number of the first count 0/1 bytes of a and b that differ. */
+static inline int64_t differing(const uint8_t *a, const uint8_t *b, int64_t count)
+{
+    uint64_t u, w;
+    int64_t k, d = 0;
+
+    for (k = 0; k + 8 <= count; k += 8) {
+        memcpy(&u, a + k, sizeof u);
+        memcpy(&w, b + k, sizeof w);
+        d += __builtin_popcountll(u ^ w);
+    }
+    for (; k < count; k++)
+        d += a[k] != b[k];
+    return d;
+}
+
 /* The SST receiver from the received block z (n rows of 2) to the main
    decoder's input, in one pass.  z is x itself where noise is NULL (a block
    to decode), else c x + noise with x = 1 - 2y the BPSK symbols of the
@@ -166,41 +273,75 @@ static inline double received(const double *x, const double *noise, double c, in
    y_l xor the hard decision of z[k, l] is 1 (the sign bit alone changes, so
    signed zeros and subnormals pass through exactly).  With noise, v gets
    the main-encoded stream y_l xor y[k, l] on the rows k = stride,
-   2 stride, ... below n - delay, and the pass returns the number of rows
-   where pre differs from info; without, info and v are not read and it
-   returns 0. */
+   2 stride, ... below n - delay, ones[0], ones[1] and ones[2] the numbers
+   of those rows whose column 0, column 1 and both columns are 1, and the
+   pass returns the number of rows where pre differs from info (0/1 bytes);
+   without, info, v and ones are not read and it returns 0.
+
+   The pass runs 64 rows at a time on words of 64 steps: window a holds
+   steps delay + 64 a on, the steps of rows 64 a on, so every filter is one
+   shift and XOR per tap on the words of window a and a - 1.  z and the
+   signs of r are formed in vectors of NATIVE doubles, and z twice: once
+   for the window's hard words, once for its rows' r. */
 int64_t sst_stream(const double *x, const double *noise, double c, const uint8_t *info,
                    int64_t n, int64_t delay, const uint64_t *t, int64_t stride, uint8_t *pre,
-                   double *r, uint8_t *v)
+                   double *r, uint8_t *v, int64_t *ones)
 {
-    uint64_t past0 = 0, past1 = 0, pasti = 0;
-    int64_t k, errors = 0, next = stride;
-    uint8_t *row = v;
+    const int64_t m = n - delay;
+    const vnu lane_bits = LANE_BITS, none = {0}, sign = none + ((uint64_t)1 << 63);
+    const vnd zero = {0};
+    uint64_t h[2], past[2], i, pasti, y[2];
+    int64_t row, k, errors = 0, next = stride;
+    uint8_t *vrow = v;
 
-    for (k = 0; k < n; k++) {
-        const uint64_t b0 = received(x, noise, c, 2 * k) < 0.0,
-                       b1 = received(x, noise, c, 2 * k + 1) < 0.0;
-        const uint64_t i = filter(t[0], t[1], b0, past0) ^ filter(t[2], t[3], b1, past1);
-        const uint64_t y0 = filter(t[4], t[5], i, pasti), y1 = filter(t[6], t[7], i, pasti);
-        past0 = past0 << 1 | b0;
-        past1 = past1 << 1 | b1;
-        pasti = pasti << 1 | i;
-        if (k >= delay) {
-            const int64_t at = k - delay;
-            const double z0 = received(x, noise, c, 2 * at), z1 = received(x, noise, c, 2 * at + 1);
-            const uint64_t s0 = signed_bits(&z0, y0 ^ (z0 < 0.0)),
-                           s1 = signed_bits(&z1, y1 ^ (z1 < 0.0));
-            pre[at] = (uint8_t)i;
-            memcpy(r + 2 * at, &s0, sizeof s0);
-            memcpy(r + 2 * at + 1, &s1, sizeof s1);
-            if (noise) {
-                errors += i != info[at];
-                if (at == next) {
-                    row[0] = (uint8_t)(y0 ^ (x[2 * at] < 0.0));
-                    row[1] = (uint8_t)(y1 ^ (x[2 * at + 1] < 0.0));
-                    row += 2;
-                    next += stride;
-                }
+    /* the windows before window 0, whose steps below 0 read 0 */
+    hard_words(x, noise, c, n, delay - 128, past);
+    hard_words(x, noise, c, n, delay - 64, h);
+    pasti = filter_word(t[0], t[1], h[0], past[0]) ^ filter_word(t[2], t[3], h[1], past[1]);
+    if (noise)
+        ones[0] = ones[1] = ones[2] = 0;
+    for (row = 0; row < m; row += 64) {
+        const int64_t rows = m - row < 64 ? m - row : 64;
+        past[0] = h[0];
+        past[1] = h[1];
+        hard_words(x, noise, c, n, delay + row, h);
+        i = filter_word(t[0], t[1], h[0], past[0]) ^ filter_word(t[2], t[3], h[1], past[1]);
+        y[0] = filter_word(t[4], t[5], i, pasti);
+        y[1] = filter_word(t[6], t[7], i, pasti);
+        pasti = i;
+        if (rows == 64) {
+            vnu ys = none;
+            for (k = 0; k < NATIVE; k++)
+                ys[k] = y[k & 1];
+            for (k = 0; k < 64; k += BRANCHES) {
+                const vnd z = received_v(x, noise, c, 2 * (row + k));
+                const vni neg = ((ys >> k & lane_bits) != none) ^ (z < zero);
+                vnu bits;
+                memcpy(&bits, &z, sizeof bits);
+                bits = (bits & ~sign) | ((vnu)neg & sign);
+                memcpy(r + 2 * (row + k), &bits, sizeof bits);
+            }
+        } else
+            for (k = 0; k < rows; k++) {
+                const double z0 = received(x, noise, c, 2 * (row + k)),
+                             z1 = received(x, noise, c, 2 * (row + k) + 1);
+                const uint64_t s0 = signed_bits(&z0, (y[0] >> k & 1) ^ (z0 < 0.0)),
+                               s1 = signed_bits(&z1, (y[1] >> k & 1) ^ (z1 < 0.0));
+                memcpy(r + 2 * (row + k), &s0, sizeof s0);
+                memcpy(r + 2 * (row + k) + 1, &s1, sizeof s1);
+            }
+        spread_bits(i, rows, pre + row);
+        if (noise) {
+            errors += differing(pre + row, info + row, rows);
+            for (; next < row + rows; next += stride) {
+                const uint64_t v0 = (y[0] >> (next - row) & 1) ^ (x[2 * next] < 0.0),
+                               v1 = (y[1] >> (next - row) & 1) ^ (x[2 * next + 1] < 0.0);
+                vrow[0] = (uint8_t)v0;
+                vrow[1] = (uint8_t)v1;
+                vrow += 2;
+                ones[0] += (int64_t)v0;
+                ones[1] += (int64_t)v1;
+                ones[2] += (int64_t)(v0 & v1);
             }
         }
     }

@@ -34,14 +34,14 @@ from .parity_prob import code_supports
 
 # ---------------------------------------------------------------- covariances
 
-def _sigma_x_entries(alpha1, alpha2, theta12):
+def sigma_x_entries(alpha1, alpha2, theta12):
     """(s1, s2, s12) of Sigma_x: the variances 4 a (1 - a) of xt and 4 theta."""
     return 4.0 * alpha1 * (1.0 - alpha1), 4.0 * alpha2 * (1.0 - alpha2), 4.0 * theta12
 
 
 def sigma_x_from_probs(alpha1, alpha2, theta12):
     """Covariance of xt = 1 - 2v from the two marginals and theta."""
-    s1, s2, s12 = _sigma_x_entries(alpha1, alpha2, theta12)
+    s1, s2, s12 = sigma_x_entries(alpha1, alpha2, theta12)
     return np.array([[s1, s12], [s12, s2]])
 
 
@@ -341,7 +341,7 @@ def _sweep_row(point, supports):
     """One SweepRow from the error supports of one arrangement, in floats."""
     rho = point.rho
     a1, a2, a11, th = parity_prob.branch_stats(*supports, point.epsilon)
-    s1, s2, s12 = _sigma_x_entries(a1, a2, th)
+    s1, s2, s12 = sigma_x_entries(a1, a2, th)
     bounds, sigma_c = _chain(s1, s2, s12, rho)
     half_tr_c, gauss, half_tr_x, inv_1p_rho, log1p_over_rho = bounds
     lt1, lt2 = _lambda_tilde(*sigma_c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -239,14 +239,20 @@ def error_window_parities(s1, s2, eps, trials, gen):
     return v
 
 
-def parity_frequencies(v):
-    """Frequencies alpha1, alpha2 and alpha11 of an (n, 2) parity array's
-    columns and of their AND, and their binomial standard errors
+def count_frequencies(counts, n):
+    """Frequencies k / n of the counts (k1, k2, k11) of n rows of parities,
+    of column 0, column 1 and both, and their binomial standard errors
     sqrt(p (1 - p) / n); returns (estimates, ses), each three floats."""
     # a float sum of 0/1 values is exact, so the mean is the count over n
-    est = [np.count_nonzero(x) / len(v) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])]
-    ses = [float(np.sqrt(p * (1.0 - p) / len(v))) for p in est]
-    return est, ses
+    est = [k / n for k in counts]
+    return est, [sqrt(p * (1.0 - p) / n) for p in est]
+
+
+def parity_frequencies(v):
+    """`count_frequencies` of an (n, 2) parity array: alpha1, alpha2 and
+    alpha11 are the frequencies of its columns and of their AND."""
+    return count_frequencies([np.count_nonzero(x) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])],
+                             len(v))
 
 
 def monte_carlo_probs(code, eps, trials, seed, mode="general"):

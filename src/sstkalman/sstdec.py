@@ -9,11 +9,14 @@ driven by the (taps, delay) value of `convcode.predecoder`.  At useful
 SNR v is mostly zero, which is the whole point of the construction.  The
 final output is the pre-decoder stream corrected by the main decoder's
 estimate.  Pre-decoding, re-encoding and re-signing run as one pass of
-the C library below (`stream_pass`), and only the re-signed stream
-reaches the main decoder.  `simulate` draws its block in the same
-library, from numpy's own Philox streams (`_draw_block`), and runs each
-point's received block c x + noise through that pass, which also writes
-the point's strided v rows and counts the pre-decoder's bit errors.
+the C library below (`stream_pass`), bit-sliced on 64-step words, and
+only the re-signed stream reaches the main decoder.  `simulate` draws its
+block in the same library, from numpy's own Philox streams
+(`_draw_block`), and runs each point's received block c x + noise through
+that pass, which also writes the point's strided v rows, counts their
+ones and counts the pre-decoder's bit errors.  The statistics around it
+(`sample_sigma_r`'s elementwise tail, `sigma_r_given_parities` and the
+frequencies) run on Python floats, rounded as their array forms round.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with a truncated survivor memory, compiled from
@@ -30,6 +33,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +58,11 @@ def stream_pass(z, code, mode="general"):
     L.  The rows line up with the estimated information bits, so each
     output has n - delay rows: pre = ihat[delay:], and r = +-|z|, negative
     where its hard part r_hard = encode(ihat)[delay:] XOR z_hard is 1 (the
-    re-encoder starts at zero, before ihat[0]).  ValueError in qli mode
-    when n <= L.
+    re-encoder starts at zero, before ihat[0]).  z_hard is z < 0, so -0.0
+    reads 0, and only r's sign bit is written, so signed zeros and
+    subnormals keep their magnitude.  The kernel filters 64 steps per
+    word and re-signs in vectors of the host's native width; `simulate`
+    calls the same pass.  ValueError in qli mode when n <= L.
     """
     taps, delay = convcode.predecoder(code, mode)
     z = np.ascontiguousarray(z, dtype=np.float64)
@@ -68,7 +75,7 @@ def stream_pass(z, code, mode="general"):
     pre = np.empty(n - delay, dtype=np.uint8)
     r = np.empty((n - delay, 2))
     kernel().sst_stream(z.ctypes.data, None, 1.0, None, n, delay, masks.ctypes.data, 1,
-                        pre.ctypes.data, r.ctypes.data, None)
+                        pre.ctypes.data, r.ctypes.data, None, None)
     return pre, r
 
 
@@ -137,17 +144,18 @@ def _host_cpu():
 
 
 def _kernel_path():
-    """The kernel's file in __pycache__, named by its source, flags and host CPU.
+    """The kernel's file in __pycache__, `_viterbi-<source>-<build>.so`: the
+    hash of its source, then that of its flags and the host CPU.
 
     A -march=native build runs on its own CPU alone, so a shared __pycache__
     must never hand it to another.
     """
     import hashlib
 
-    key = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(),
-                                      " ".join(_KERNEL_FLAGS).encode(),
-                                      _host_cpu().encode()])).hexdigest()[:16]
-    return _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{key}.so"
+    source = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    build = hashlib.sha256(b"\0".join([" ".join(_KERNEL_FLAGS).encode(),
+                                        _host_cpu().encode()])).hexdigest()[:16]
+    return _KERNEL_SOURCE.parent / "__pycache__" / f"_viterbi-{source}-{build}.so"
 
 
 def _build_kernel():
@@ -168,6 +176,12 @@ def _build_kernel():
             partial.unlink(missing_ok=True)
             raise OSError(f"cannot build the Viterbi kernel: {proc.stderr.strip()}")
         os.replace(partial, lib)
+        # builds of another source are never loaded again; those of this
+        # source for other flags or CPUs stay
+        source = lib.name.split("-")[1]
+        for old in lib.parent.glob("_viterbi-*.so"):
+            if old.name.split("-")[1] != source:
+                old.unlink(missing_ok=True)
     dll = ctypes.CDLL(str(lib))
     dll.viterbi_width.restype = ctypes.c_int
     dll.viterbi_width.argtypes = [ctypes.c_int]
@@ -179,7 +193,7 @@ def _build_kernel():
     dll.sst_stream.restype = ctypes.c_int64
     dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     dll.philox_words.restype = None
     dll.philox_words.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
                                  ctypes.c_void_p]
@@ -282,6 +296,10 @@ SIMULATE_BYTES = 1 << 30
 FIVE_SIGMA_TAIL = channel.q_function(5.0)
 
 
+# the four values of xt = 1 - 2v, in the order of sample_sigma_r's law
+_XT_POINTS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
 def sample_sigma_r(v, w, point, probs):
     """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
     w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
@@ -289,7 +307,11 @@ def sample_sigma_r(v, w, point, probs):
 
     `simulate` feeds it the decoder's own stream and
     `covar_mi.monte_carlo_sigma_r` fresh error windows; the centred rows
-    come from one pass of the C library.  Returns (Sigma_r_hat, se)."""
+    come from one pass of the C library.  The four matrix products stay
+    numpy's (BLAS rounds them its own way), and the elementwise tail after
+    them (the division by n - 1, the variance and the square root) runs on
+    Python floats in numpy's order of operations, so every bit is the
+    array form's.  Returns (Sigma_r_hat, se), both 2x2 arrays."""
     n = len(v)
     if n < 2:
         raise ValueError("need at least two trials")
@@ -305,18 +327,23 @@ def sample_sigma_r(v, w, point, probs):
     centered = np.empty((n, 2))
     kernel().sigma_r_rows(v.ctypes.data, n, *v.strides, w.ctypes.data, point.c,
                           centered.ctypes.data)
-    sigma_hat = (centered.T @ centered) / (n - 1)
+    scatter = (centered.T @ centered).tolist()
     a1, a2, a11 = probs
     p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
-    x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[p > 0.0]
-    p = p[p > 0.0]
+    occur = p > 0.0
+    x, p = _XT_POINTS[occur], p[occur]
     # moments of u = c (xt - E xt) on the points that occur: no 0 * inf at huge c
     u = point.c * (x - p @ x)
-    cov, fourth = (u.T * p) @ u, ((u * u).T * p) @ (u * u)
-    m2 = np.diag(cov)
-    # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]
-    var = fourth - cov * cov + (1.0 + np.eye(2)) * (m2[:, None] + m2 + 1.0)
-    return sigma_hat, np.sqrt(var / n)
+    uu = u * u
+    cov, fourth = ((u.T * p) @ u).tolist(), ((uu.T * p) @ uu).tolist()
+    # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]: the
+    # last term, (1 + I) (m2_i + m2_j + 1) with m2 = diag(cov), is at least
+    # 1, and fourth >= cov^2 up to rounding, so the root is real
+    sigma_hat = [[scatter[i][j] / (n - 1) for j in (0, 1)] for i in (0, 1)]
+    se = [[sqrt((fourth[i][j] - cov[i][j] * cov[i][j]
+                 + (2.0 if i == j else 1.0) * (cov[i][i] + cov[j][j] + 1.0)) / n)
+           for j in (0, 1)] for i in (0, 1)]
+    return np.array(sigma_hat), np.array(se)
 
 
 def _draw_block(code, branches, rows, seed):
@@ -359,12 +386,16 @@ def simulate(code, points, branches, seed, mode="general"):
     error rate.  emp_alpha* are frequencies of the main-encoded stream v
     (recovered exactly as hard-part XOR e), subsampled at a stride wider
     than the support depth so the estimates are independent and the
-    binomial standard errors honest.  sigma_r_hat is the sample Sigma_r of
-    c(1 - 2v) + w on the same rows, and sigma_r_se its standard error
-    under the paper's model (`sample_sigma_r`).  epsilon, rho, alpha*_ref
-    and sigma_r_ref (I + rho Sigma_x) are the point's exact values, read
-    from its `covar_mi.sweep_row`, for `simulation_errors`.  The
-    sigma_r_* are 2x2 nested tuples.
+    binomial standard errors honest; the C stream pass counts the strided
+    rows' ones, and `parity_prob.count_frequencies` turns the counts into
+    the frequencies and their standard errors.  sigma_r_hat is the sample
+    Sigma_r of c(1 - 2v) + w on the same rows, and sigma_r_se its
+    standard error under the paper's model (`sample_sigma_r`).  epsilon,
+    rho, alpha*_ref and sigma_r_ref (I + rho Sigma_x) are the point's
+    exact values, for `simulation_errors`: the rows of one
+    `covar_mi.sweep` over the points' dB values per call, which equal
+    each point's `covar_mi.sweep_row` for a point made by
+    `channel.snr_point`.  The sigma_r_* are 2x2 nested tuples.
 
     ValueError, before anything is drawn, under 100 branches, when
     SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES, or for a
@@ -392,17 +423,18 @@ def simulate(code, points, branches, seed, mode="general"):
     # one point's outputs at a time, each pass writing over the last
     masks = _tap_masks((*taps, *code.g))
     pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
-    vs = np.empty((n_eff, 2), dtype=np.uint8)
+    vs, ones = np.empty((n_eff, 2), dtype=np.uint8), np.empty(3, dtype=np.int64)
     truth = info[:m]
+    # the arrays above outlive the loop, so their addresses are read once
+    x_p, noise_p, info_p, masks_p, pre_p, r_p, vs_p, ones_p = (
+        a.ctypes.data for a in (x, noise, info, masks, pre, r, vs, ones))
+    refs = covar_mi.sweep(code, [point.ebn0_db for point in points], mode)
     results = []
-    for point in points:
-        pre_errors = kernel().sst_stream(x.ctypes.data, noise.ctypes.data, point.c,
-                                         info.ctypes.data, branches, delay, masks.ctypes.data,
-                                         stride, pre.ctypes.data, r.ctypes.data,
-                                         vs.ctypes.data)
+    for point, ref in zip(points, refs):
+        pre_errors = kernel().sst_stream(x_p, noise_p, point.c, info_p, branches, delay, masks_p,
+                                         stride, pre_p, r_p, vs_p, ones_p)
         post_errors = np.count_nonzero(pre ^ viterbi_main(r, code) ^ truth)
-        (a1, a2, a11), ses = parity_prob.parity_frequencies(vs)
-        ref = covar_mi.sweep_row(code, point, mode)
+        (a1, a2, a11), ses = parity_prob.count_frequencies(ones.tolist(), n_eff)
         sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
         # I + rho Sigma_x, whose off-diagonal is rho 4 theta12
         s12 = ref.rho * (4.0 * ref.theta12)
@@ -427,6 +459,20 @@ def simulate(code, points, branches, seed, mode="general"):
 PARITY_STATS = ("alpha1", "alpha2", "alpha11")
 
 
+def _given_parities(a1, a2, a11, n, rho):
+    """`sigma_r_given_parities` as two 2x2 nested lists of floats, each
+    entry rounded as the array form (I + rho S, with S = n / (n - 1)
+    Sigma_x) rounds it."""
+    f = n / (n - 1)
+    s1, s2, s12 = covar_mi.sigma_x_entries(a1, a2, a11 - a1 * a2)
+    d, s12 = (f * s1, f * s2), f * s12
+    # 0.0 + keeps I's +0.0 off the diagonal, as the array sum does
+    mean = [[1.0 + rho * d[0], 0.0 + rho * s12], [0.0 + rho * s12, 1.0 + rho * d[1]]]
+    se = [[sqrt((2.0 if i == j else 1.0) * (rho * (d[i] + d[j]) + 1.0) / (n - 1))
+           for j in (0, 1)] for i in (0, 1)]
+    return mean, se
+
+
 def sigma_r_given_parities(a1, a2, a11, n, rho):
     """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
     of column frequencies a1 and a2 and joint frequency a11.
@@ -434,11 +480,10 @@ def sigma_r_given_parities(a1, a2, a11, n, rho):
     The rows fix the sample covariance S of xt = 1 - 2v, so only w is
     random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
     (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
-    off it.  Returns (mean, se), both 2x2."""
-    s = n / (n - 1) * covar_mi.sigma_x_from_probs(a1, a2, a11 - a1 * a2)
-    d = np.diag(s)
-    var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
-    return covar_mi.sigma_r(s, rho), np.sqrt(var)
+    off it.  It runs on Python floats.  Returns (mean, se), both 2x2
+    arrays."""
+    mean, se = _given_parities(a1, a2, a11, n, rho)
+    return np.array(mean), np.array(se)
 
 
 def binomial_tails(k, n, p):
@@ -466,9 +511,11 @@ def simulation_errors(columns, rows):
         errors += [f"row {i}: emp_{name} deviates from model by >5 se"
                    for name, bad in zip(PARITY_STATS, far[i]) if bad]
         # the rule above tests the counts; given them, only the check's w is random
-        mean, se = sigma_r_given_parities(
+        mean, se = _given_parities(
             row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], row["n_eff"], row["rho"])
-        if np.any(np.abs(row["sigma_r_hat"] - mean) > 5.0 * se + 1e-9):
+        hat = row["sigma_r_hat"]
+        if any(abs(hat[a][b] - mean[a][b]) > 5.0 * se[a][b] + 1e-9
+               for a in (0, 1) for b in (0, 1)):
             errors.append(f"row {i}: empirical received covariance off model by >5 se")
         if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):
             errors.append(f"row {i}: bit error rate outside [0, 1]")

@@ -613,14 +613,14 @@ def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
 
 
 def test_simulate_binomial_check_rejects_a_planted_alpha(capsys, monkeypatch):
-    original = parity_prob.parity_frequencies
+    original = parity_prob.count_frequencies
 
-    def planted(v):
-        (a1, a2, a11), ses = original(v)
+    def planted(counts, n):
+        (a1, a2, a11), ses = original(counts, n)
         return [a1 + 0.2, a2, a11], ses
 
     # the estimator that simulate calls; the exact alpha1 at 4 dB is ~0.22
-    monkeypatch.setattr(parity_prob, "parity_frequencies", planted)
+    monkeypatch.setattr(parity_prob, "count_frequencies", planted)
     rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
                       "--quiet"], capsys)
     assert rc == 1

@@ -409,6 +409,35 @@ def test_sigma_r_given_parities_matches_the_spread_over_w(db):
     assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
 
 
+def numpy_sigma_r_given_parities(a1, a2, a11, n, rho):
+    """Oracle of `sigma_r_given_parities`: its array form, before its
+    arithmetic moved to Python floats."""
+    s = n / (n - 1) * sigma_x_from_probs(a1, a2, a11 - a1 * a2)
+    d = np.diag(s)
+    # near the top rho, rho S may pass the largest double: inf, as in floats
+    with np.errstate(over="ignore"):
+        var = (1.0 + np.eye(2)) * (rho * (d[:, None] + d) + 1.0) / (n - 1)
+        return sigma_r(s, rho), np.sqrt(var)
+
+
+# frequencies k / n of counts from none to all rows, at both ends of rho
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 100_000), counts=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       db=st.one_of(st.sampled_from([*RHO_ENDS_DB, -10.0, 0.0, 13.0, 300.0]),
+                    st.floats(-40.0, 40.0)))
+@example(n=2, counts=(0.0, 1.0, 0.0), db=0.0)
+@example(n=83, counts=(1.0, 1.0, 1.0), db=RHO_ENDS_DB[1])
+@example(n=2, counts=(0.5, 0.5, 1.0), db=RHO_ENDS_DB[1])
+def test_sigma_r_given_parities_equals_its_array_form_bit_for_bit(n, counts, db):
+    k1, k2 = (round(f * n) for f in counts[:2])
+    a1, a2, a11 = k1 / n, k2 / n, round(counts[2] * min(k1, k2)) / n
+    # a Python float, as simulate's rows hold it: float arithmetic overflows to inf silently
+    rho = channel.snr_point(float(db)).rho
+    got = sigma_r_given_parities(a1, a2, a11, n, rho)
+    want = numpy_sigma_r_given_parities(a1, a2, a11, n, rho)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 # a column rate of 0 or 1 draws an all-zero or all-one column; 300 dB puts
 # c at ~3e7, where centring c (1 - 2v) and w apart matters
 @settings(max_examples=60, deadline=None)

@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from sstkalman import channel, covar_mi, parity_prob, sstdec
 from sstkalman.cli import main
-from sstkalman.convcode import (ConvCode, encode, get_code, main_encoded_block_map, make_qli,
-                                predecoder)
+from sstkalman.convcode import (ConvCode, column_filter, encode, get_code,
+                                main_encoded_block_map, make_qli, predecoder)
 from sstkalman.gf2 import clmul
 
 
@@ -232,6 +232,26 @@ def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
     assert there != here and there.parent == here.parent
 
 
+def test_kernel_build_removes_the_builds_of_other_sources(monkeypatch, tmp_path):
+    # __pycache__ keeps one source's builds: those for other flags or CPUs
+    # (the per-width tests, a shared checkout) stay, all others go
+    source = tmp_path / "_viterbi.c"
+    source.write_bytes(sstdec._KERNEL_SOURCE.read_bytes())
+    monkeypatch.setattr(sstdec, "_KERNEL_SOURCE", source)
+    lib = sstdec._kernel_path()
+    _, source_key, build_key = lib.stem.split("-")
+    lib.parent.mkdir()
+    stale = lib.with_name(f"_viterbi-{'0' * 16}-{build_key}.so")
+    # an earlier name, keyed by the source, flags and CPU together
+    single_key = lib.with_name("_viterbi-0123456789abcdef.so")
+    other_flags = lib.with_name(f"_viterbi-{source_key}-{'f' * 16}.so")
+    for path in (stale, single_key, other_flags):
+        path.write_bytes(b"")
+    assert sstdec._build_kernel().viterbi_width(1) == 2
+    assert lib.exists() and other_flags.exists()
+    assert not stale.exists() and not single_key.exists()
+
+
 def test_viterbi_main_rejects_memory_zero():
     code = ConvCode(name="nu0", g=(1, 1), ginv=(1, 0))
     with pytest.raises(ValueError, match="1 <= nu <= 62"):
@@ -393,29 +413,48 @@ def numpy_stream_pass(z, code, mode):
 
 # nu = 1 with taps of degree 64: g = (1 + D, 1), ginv = (D^63, 1 + D^63 + D^64)
 WIDE_TAPS = ConvCode(name="wide", g=(3, 1), ginv=(1 << 63, 1 | 3 << 63))
+# g1 + g2 = D^L with L = 63 and 64, the look-in delays that end and fill a
+# 64-step word, and the generator of degree 64 that the last tap holds
+LONG_LOOK_INS = [ConvCode(name=f"look-in-{ell}", g=(1 | 1 << ell, 1), ginv=(0, 1))
+                 for ell in (63, 64)]
 STREAM_CODES = [get_code("c1"), get_code("c2"), ConvCode(name="nu1", g=(1, 3), ginv=(1, 0)),
-                WIDE_TAPS, *(make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
-                             for nu in range(2, 10))]
+                WIDE_TAPS, *LONG_LOOK_INS,
+                *(make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
+                  for nu in range(2, 10))]
 # exact zeros of either sign and the least subnormals, beside Gaussian values
 SPECIAL_Z = (0.0, -0.0, 5e-324, -5e-324)
+# the stream pass runs 64 rows at a time: one short of, at and one past one
+# and two whole words
+WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+def special_values(rng, z, share):
+    """z with about a share of its entries replaced by SPECIAL_Z values."""
+    special = rng.random(z.shape) < share
+    z[special] = rng.choice(SPECIAL_Z, size=int(special.sum()))
+    return z
 
 
 @st.composite
 def received_blocks(draw):
     code = draw(st.sampled_from(STREAM_CODES))
-    # from empty to past two truncation windows and the 64-step registers
-    n = draw(st.integers(0, max(2 * sstdec.default_truncation(code), 64) + 40))
+    delay = predecoder(code, "qli")[1]
+    # from empty to past two truncation windows and the 64-step registers,
+    # with the word edges counted in rows after either delay, and n = L + 1
+    n = draw(st.one_of(
+        st.integers(0, max(2 * sstdec.default_truncation(code), 64) + 40),
+        st.sampled_from([e + d for e in WORD_EDGES for d in (0, delay)] + [delay + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = rng.normal(draw(st.sampled_from([0.0, 1.0, 3.0])), 1.0, (n, 2))
-    special = rng.random((n, 2)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
-    z[special] = rng.choice(SPECIAL_Z, size=int(special.sum()))
-    return code, z
+    return code, special_values(rng, z, draw(st.sampled_from([0.0, 0.1, 1.0])))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(block=received_blocks(), mode=st.sampled_from(["general", "qli"]))
 @example(block=(WIDE_TAPS, np.tile([[-5e-324, 0.0]], (140, 1))), mode="general")
 @example(block=(get_code("c2"), np.tile([[-0.0, 5e-324]], (2, 1))), mode="qli")
+@example(block=(LONG_LOOK_INS[1], np.tile([[-0.0, -5e-324]], (129, 1))), mode="qli")
+@example(block=(LONG_LOOK_INS[0], np.tile([[5e-324, -1.0]], (64, 1))), mode="qli")
 def test_stream_pass_equals_the_numpy_composition(block, mode):
     code, z = block
     if mode == "qli" and len(z) <= code.L:
@@ -650,28 +689,115 @@ def test_draw_block_equals_the_numpy_draw(code, branches, rows, seed):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def numpy_stream(z, taps, delay, g):
+    """Oracle of the C stream pass for any pre-decoder taps and delay and
+    any re-encoder g, in numpy: (pre, r_hard, r), each n - delay rows."""
+    z_hard = (z < 0.0).view(np.uint8)
+    ihat = column_filter(z_hard, taps)
+    alone = np.column_stack([ihat, np.zeros_like(ihat)])
+    y = np.column_stack([column_filter(alone, (gl, 0)) for gl in g])
+    m = len(z) - delay
+    r_hard = y[delay:] ^ z_hard[:m]
+    return ihat[delay:], r_hard, np.abs(z[:m]) * (1.0 - 2.0 * r_hard)
+
+
+def assert_point_pass(x, noise, info, c, taps, delay, g, stride, oracle):
+    """simulate's form of the C stream pass, z = c x + noise formed in C,
+    against oracle(z) = (pre, r_hard, r): the pre-decoder stream, r, the
+    strided v rows with their three counts and the pre-decoder's errors."""
+    m = len(x) - delay
+    z = c * x + noise
+    want_pre, want_hard, want_r = oracle(z)
+    e = (z < 0.0).view(np.uint8) ^ (x < 0.0).view(np.uint8)
+    want_v = (want_hard ^ e[:m])[stride::stride]
+    masks = sstdec._tap_masks((*taps, *g))
+    pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
+    v, ones = np.empty_like(want_v), np.empty(3, dtype=np.int64)
+    errors = sstdec.kernel().sst_stream(x.ctypes.data, noise.ctypes.data, c, info.ctypes.data,
+                                        len(x), delay, masks.ctypes.data, stride,
+                                        pre.ctypes.data, r.ctypes.data, v.ctypes.data,
+                                        ones.ctypes.data)
+    assert errors == np.count_nonzero(want_pre != info[:m])
+    assert np.array_equal(pre, want_pre) and np.array_equal(v, want_v)
+    assert ones.tolist() == [np.count_nonzero(want_v[:, 0]), np.count_nonzero(want_v[:, 1]),
+                             np.count_nonzero(want_v[:, 0] & want_v[:, 1])]
+    assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
+
+
+def assert_stream_kernel_is_numpy(taps, delay, g, n, seed, c=1.0, stride=7, share=0.0):
+    """The C stream pass against `numpy_stream` on random x, noise and info:
+    simulate's form at c (`assert_point_pass`), and the decoder's form on
+    z itself, here c x + noise with about a share of SPECIAL_Z entries."""
+    rng = np.random.default_rng(seed)
+    info = rng.integers(0, 2, n).astype(np.uint8)
+    x = 1.0 - 2.0 * rng.integers(0, 2, (n, 2))
+    noise = rng.normal(0.0, 1.0, (n, 2))
+    assert_point_pass(x, noise, info, c, taps, delay, g, stride,
+                      lambda z: numpy_stream(z, taps, delay, g))
+    z = special_values(rng, c * x + noise, share)
+    want_pre, _, want_r = numpy_stream(z, taps, delay, g)
+    masks, m = sstdec._tap_masks((*taps, *g)), n - delay
+    pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
+    sstdec.kernel().sst_stream(z.ctypes.data, None, 1.0, None, n, delay, masks.ctypes.data, 1,
+                               pre.ctypes.data, r.ctypes.data, None, None)
+    assert np.array_equal(pre, want_pre)
+    assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
+
+
+# a tap mask of degree up to 64, which holds D^64 a third of the time
+tap_masks = st.one_of(st.integers(0, 2**65 - 1), st.integers(0, 2**64 - 1),
+                      st.integers(0, 2**6 - 1).map(lambda t: t | 1 << 64))
+stream_delays = st.one_of(st.sampled_from([0, 1, 63, 64]), st.integers(0, 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(taps=st.tuples(tap_masks, tap_masks), g=st.tuples(tap_masks, tap_masks),
+       delay=stream_delays, rows=st.one_of(st.sampled_from((1, *WORD_EDGES)),
+                                           st.integers(1, 400)),
+       stride=st.integers(1, 70), c=st.sampled_from([0.5, 1.0, 3.0, 2.0**511]),
+       share=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+@example(taps=(1 << 64, 1), g=(1 | 1 << 64, 1 << 64), delay=64, rows=129, stride=64,
+         c=1.0, share=1.0, seed=0)
+@example(taps=(2**65 - 1, 2**65 - 1), g=(2**65 - 1, 1), delay=63, rows=1, stride=1,
+         c=0.5, share=0.1, seed=1)
+def test_stream_kernel_equals_numpy_on_any_taps(taps, g, delay, rows, stride, c, share, seed):
+    # rows = 1 is n = delay + 1
+    assert_stream_kernel_is_numpy(taps, delay, g, delay + rows, seed, c, stride, share)
+
+
 @pytest.mark.parametrize("code", STREAM_CODES, ids=lambda c: c.name)
 @pytest.mark.parametrize("mode", ["general", "qli"])
 def test_stream_pass_of_a_point_equals_the_numpy_composition(code, mode):
-    # simulate's form of the pass: z = c x + noise formed in C, with the v
-    # rows and the pre-decoder's error count
-    n, stride = 300, 7
-    info, x, noise, _ = numpy_draw_block(code, n, 0, 3)
+    # simulate's form of the pass on its own draw, at a few hundred rows and
+    # at the word edges after the delay
     taps, delay = predecoder(code, mode)
-    masks, m = sstdec._tap_masks((*taps, *code.g)), n - delay
-    for c in (0.5, 1.0, 3.0, 2.0**511):
-        z = c * x + noise
-        want_pre, want_hard, want_r = numpy_stream_pass(z, code, mode)
-        e = (z < 0.0).view(np.uint8) ^ (x < 0.0).view(np.uint8)
-        want_v = (want_hard ^ e[:m])[stride::stride]
-        pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
-        v = np.empty_like(want_v)
-        errors = sstdec.kernel().sst_stream(x.ctypes.data, noise.ctypes.data, c, info.ctypes.data,
-                                            n, delay, masks.ctypes.data, stride, pre.ctypes.data,
-                                            r.ctypes.data, v.ctypes.data)
-        assert errors == np.count_nonzero(want_pre != info[:m])
-        assert np.array_equal(pre, want_pre) and np.array_equal(v, want_v)
-        assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
+    for n in (300, *(e + delay for e in WORD_EDGES)):
+        info, x, noise, _ = numpy_draw_block(code, n, 0, 3)
+        for c in (0.5, 1.0, 3.0, 2.0**511):
+            assert_point_pass(x, noise, info, c, taps, delay, code.g, 7,
+                              lambda z: numpy_stream_pass(z, code, mode))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the -march levels are x86-64's")
+@pytest.mark.parametrize("march, native, widths, needs", X86_64_LEVELS)
+def test_stream_kernel_equals_numpy_at_every_vector_width(monkeypatch, march, native, widths,
+                                                          needs):
+    missing = set(needs) - set(sstdec._host_cpu().split())
+    if missing:
+        pytest.skip(f"the host cannot run {march}: no {' '.join(sorted(missing))}")
+    monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", tuple(
+        march if flag == "-march=native" else flag for flag in sstdec._KERNEL_FLAGS))
+    monkeypatch.setattr(sstdec, "_kernel", None)
+    rng = np.random.default_rng(native)
+    for k, (delay, rows) in enumerate(itertools.product([0, 1, 63, 64], [1, *WORD_EDGES, 300])):
+        # random taps of degree 64 every other case, else below 64
+        top = 1 << 64 if k % 2 else 0
+        taps, g = [tuple(int.from_bytes(rng.bytes(8), "little") | top for _ in range(2))
+                   for _ in range(2)]
+        assert_stream_kernel_is_numpy(taps, delay, g, delay + rows, k, 1.0 + k % 3,
+                                      1 + k % 9, (0.0, 0.1, 1.0)[k % 3])
+    assert sstdec._kernel.viterbi_width(62) == native
 
 
 # the rows that simulate estimates; its exact values come from the sweep row
