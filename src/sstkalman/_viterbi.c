@@ -3,11 +3,13 @@
    Philox streams (draw_block), the receiver's stream pass (sst_stream) and
    the Sigma_r rows (sigma_r_rows).
 
-   The stream pass is bit-sliced: its GF(2) filters run on uint64 words of
+   Every GF(2) filter here is bit-sliced (filter_word): the draw's encoder
+   and the stream pass's pre-decoder and re-encoder run on uint64 words of
    64 steps, bit j for step j, so a tap costs one shift and one XOR per 64
-   branches, and it forms z, the hard decisions and the signs of r in GCC
-   vectors of NATIVE doubles (below), NATIVE / 2 branches at a time.  Its
-   counts of the strided v rows leave the caller no pass over them.
+   branches.  The stream pass forms z, the hard decisions and the signs of r
+   in GCC vectors of NATIVE doubles (below), NATIVE / 2 branches at a time,
+   and its counts of the strided v rows leave the caller no pass over them.
+   The Sigma_r rows read v and w as contiguous (n, 2) rows.
 
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
@@ -136,19 +138,12 @@ void viterbi(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
         r, n, nu, g0, g1, truncation, plane, (uint64_t *)(plane + 12 * viterbi_lanes(nu)), out);
 }
 
-/* The parity of the GF(2) filter with taps (lo, hi) at one step: lo is the
-   coefficient of D^0, bit j of hi that of D^(j+1) (so a tap mask of degree
-   up to 64 fits), cur the stream's bit now and bit j of past its bit j + 1
-   steps ago. */
-static inline uint64_t filter(uint64_t lo, uint64_t hi, uint64_t cur, uint64_t past)
-{
-    return (lo & cur) ^ (uint64_t)__builtin_parityll(hi & past);
-}
-
-/* The same filter on 64 steps at once, bit-sliced (Biham, FSE 1997): bit j
-   of a word is step j of its 64, now holds the stream's bits of these steps
-   and prev those of the 64 before.  Tap d in 1..63 reads
-   now << d | prev >> (64 - d), and tap 64 reads prev. */
+/* The GF(2) filter with taps (lo, hi) on 64 steps at once, bit-sliced
+   (Biham, FSE 1997): lo is the coefficient of D^0 and bit j of hi that of
+   D^(j+1), so a tap mask of degree up to 64 fits.  Bit j of a word is step
+   j of its 64, now holds the stream's bits of these steps and prev those of
+   the 64 before.  Tap d in 1..63 reads now << d | prev >> (64 - d), and tap
+   64 reads prev. */
 static inline uint64_t filter_word(uint64_t lo, uint64_t hi, uint64_t now, uint64_t prev)
 {
     uint64_t out = (0 - lo) & now;
@@ -406,46 +401,50 @@ static void mid_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *u)
 
 /* simulate's block from its seed, in one pass over the three Philox streams.
    The information bits come from the key (seed, 1): info[k] = 1 where word k's
-   top bit is clear, as Generator.random() < 0.5 reads it.  Their codeword
-   through g_l, (g[2l], g[2l + 1]) as t[4..7] of sst_stream, gives
+   top bit is clear, as Generator.random() < 0.5 reads it.  They are gathered
+   into words of 64 steps, which filter_word encodes through g_l,
+   (g[2l], g[2l + 1]) as t[4..7] of sst_stream, into the codeword y and
    x = 1 - 2y (n rows of 2).  u (n rows of 2) takes the mid-interval uniforms
    of the key (seed, 0) and uw (nw rows of 2) those of (seed, 2), for the
    caller's inverse normal CDF. */
 void draw_block(uint64_t seed, int64_t n, int64_t nw, const uint64_t *g, uint8_t *info,
                 double *x, double *u, double *uw)
 {
-    uint64_t w[4], past = 0;
-    int64_t k, j;
+    uint64_t w[4], now, prev = 0, y[2];
+    int64_t s, k;
 
-    for (k = 0; k < n; k += 4) {
-        philox_block(seed, 1, (uint64_t)k / 4, w);
-        for (j = 0; j < 4 && k + j < n; j++) {
-            const uint64_t i = ~w[j] >> 63;
-            info[k + j] = (uint8_t)i;
-            x[2 * (k + j)] = 1.0 - 2.0 * (double)filter(g[0], g[1], i, past);
-            x[2 * (k + j) + 1] = 1.0 - 2.0 * (double)filter(g[2], g[3], i, past);
-            past = past << 1 | i;
+    for (s = 0; s < n; s += 64, prev = now) {
+        const int64_t steps = n - s < 64 ? n - s : 64;
+        /* the bits past step n stay 0: no filter output reads a later step */
+        for (now = 0, k = 0; k < steps; k++) {
+            if (k % 4 == 0)
+                philox_block(seed, 1, (uint64_t)(s + k) / 4, w);
+            now |= (~w[k % 4] >> 63) << k;
         }
+        y[0] = filter_word(g[0], g[1], now, prev);
+        y[1] = filter_word(g[2], g[3], now, prev);
+        spread_bits(now, steps, info + s);
+        for (k = 0; k < 2 * steps; k++)
+            x[2 * s + k] = 1.0 - 2.0 * (double)(y[k & 1] >> (k >> 1) & 1);
     }
     mid_uniforms(seed, 0, 2 * n, u);
     mid_uniforms(seed, 2, 2 * nw, uw);
 }
 
-/* The centred rows of the Sigma_r sample c (1 - 2v) + w: v is n rows of 2
-   bytes, row i column l at v[i * row + l * col], and w is n contiguous rows
-   of 2 doubles.  The mean of xt = 1 - 2v is the exact count (n - 2k) / n,
-   and that of w its sum in row order divided by n, as numpy's mean over the
-   rows of a C-ordered array takes it.  Row i of out is
+/* The centred rows of the Sigma_r sample c (1 - 2v) + w: v is n contiguous
+   rows of 2 bytes, and w is n contiguous rows of 2 doubles.  The mean of xt
+   = 1 - 2v is the exact count (n - 2k) / n, and that of w its sum in row
+   order divided by n, as numpy's mean over the rows of a C-ordered array
+   takes it.  Row i of out is
    (v ? c (-1 - m) : c (1 - m)) + (w - mean of w), per column. */
-void sigma_r_rows(const uint8_t *v, int64_t n, int64_t row, int64_t col, const double *w,
-                  double c, double *out)
+void sigma_r_rows(const uint8_t *v, int64_t n, const double *w, double c, double *out)
 {
     int64_t ones[2] = {0, 0}, i, l;
     double sum[2] = {0.0, 0.0}, mean[2], one[2], zero[2];
 
     for (i = 0; i < n; i++)
         for (l = 0; l < 2; l++) {
-            ones[l] += v[i * row + l * col] != 0;
+            ones[l] += v[2 * i + l] != 0;
             sum[l] += w[2 * i + l];
         }
     for (l = 0; l < 2; l++) {
@@ -456,7 +455,7 @@ void sigma_r_rows(const uint8_t *v, int64_t n, int64_t row, int64_t col, const d
     }
     for (i = 0; i < n; i++)
         for (l = 0; l < 2; l++)
-            out[2 * i + l] = (v[i * row + l * col] ? one[l] : zero[l]) + (w[2 * i + l] - mean[l]);
+            out[2 * i + l] = (v[2 * i + l] ? one[l] : zero[l]) + (w[2 * i + l] - mean[l]);
 }
 
 #else /* the kernel at width W */

@@ -75,11 +75,13 @@ def json_text(columns, rows):
 # -------------------------------------------------------------- db list parsing
 
 def parse_db_values(text):
-    """'-10..10' (unit steps), 'a,b,c', single value, or '' for an empty grid.
+    """The `channel.SnrPoint`s of '-10..10' (unit steps), 'a,b,c', a single
+    value, or '' for an empty grid.
 
     Anything else, an empty range and a value outside channel.snr_point's
     range (which also rejects inf and nan) raise a ValueError that names
-    --ebn0-db.
+    --ebn0-db.  snr_point folds the -0.0 of '-0' and '-0.0' to 0.0, as in
+    '-0..0'.
     """
     # int and float also read '_' separators and non-ASCII digits
     if not text.isascii() or "_" in text:
@@ -97,14 +99,14 @@ def parse_db_values(text):
         raise ValueError(f"--ebn0-db: cannot read {text!r} as dB values") from None
     if not values:
         raise ValueError(f"--ebn0-db: empty range {text!r}")
-    # a range is checked at its ends, before it is expanded
-    for db in (values[0], values[-1]) if isinstance(values, range) else values:
-        try:
-            channel.snr_point(db)
-        except ValueError as exc:
-            raise ValueError(f"--ebn0-db: {exc}") from None
-    # + 0.0 turns the -0.0 of '-0' and '-0.0' into 0.0, as in '-0..0'
-    return [float(v) + 0.0 for v in values]
+    try:
+        # a range is checked at its ends, before it is expanded
+        if isinstance(values, range):
+            channel.snr_point(values[0])
+            channel.snr_point(values[-1])
+        return [channel.snr_point(db) for db in values]
+    except ValueError as exc:
+        raise ValueError(f"--ebn0-db: {exc}") from None
 
 
 # ------------------------------------------------------------------- validators
@@ -187,8 +189,8 @@ def column_names(fields, mode):
     return [QLI_NAMES.get(f, f) for f in fields] if mode == "qli" else list(fields)
 
 
-def _sweep_rows(code, db_values, mode):
-    return covar_mi.sweep(code, db_values=db_values, mode=mode)
+def _sweep_rows(code, points, mode):
+    return covar_mi.sweep(code, points, mode)
 
 
 def _select(sweep_rows, fields, columns):
@@ -226,7 +228,7 @@ def run_tables(args):
     if table in SWEEP_TABLES:
         code, mode, fields, validators = SWEEP_TABLES[table]
         columns = column_names(fields, mode)
-        rows = _select(_sweep_rows(convcode.get_code(code), channel.DB_GRID, mode),
+        rows = _select(_sweep_rows(convcode.get_code(code), channel.grid_points(), mode),
                        fields, columns)
         return columns, rows, validators
 
@@ -246,19 +248,19 @@ def run_tables(args):
 
 def run_curves(args):
     code = convcode.load_code(args.code)
-    db_values = parse_db_values(args.ebn0_db)
+    points = parse_db_values(args.ebn0_db)
     # two_I_over_rho, the binary-input curve, depends on rho alone and is
     # not a SweepRow field: only curves prints it, so only curves computes it
     rows = [{c: 2.0 * covar_mi.binary_input_mi(r.rho) / r.rho if c == "two_I_over_rho"
              else getattr(r, c) for c in CURVES}
-            for r in _sweep_rows(code, db_values, args.mode)]
+            for r in _sweep_rows(code, points, args.mode)]
     return (list(CURVES), rows,
             [validate_finite, validate_bound_chain, validate_lambda])
 
 
 def run_alpha(args):
     code = convcode.load_code(args.code)
-    db_values = parse_db_values(args.ebn0_db)
+    points = parse_db_values(args.ebn0_db)
     if args.emit == "polynomial":
         s1, s2 = covar_mi.code_supports(code, args.mode)
         p1 = parity_prob.marginal_polynomial(len(s1))
@@ -273,7 +275,7 @@ def run_alpha(args):
 
     fields = ("ebn0_db", "epsilon") + STATS
     columns = column_names(fields, args.mode)
-    rows = _select(_sweep_rows(code, db_values, args.mode), fields, columns)
+    rows = _select(_sweep_rows(code, points, args.mode), fields, columns)
 
     def probs_in_range(cols, rws):
         errors = []
@@ -288,7 +290,7 @@ def run_alpha(args):
 
 def run_simulate(args):
     code = convcode.load_code(args.code)
-    points = [channel.snr_point(db) for db in parse_db_values(args.ebn0_db)]
+    points = parse_db_values(args.ebn0_db)
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
                "emp_alpha1", "emp_alpha2", "emp_alpha11"]
     rows = sstdec.simulate(code, points, args.branches, args.seed, mode=args.mode)

@@ -95,14 +95,6 @@ def get_code(name):
         raise ValueError(f"unknown built-in code {name!r}") from None
 
 
-def code_to_json(code):
-    return {
-        "name": code.name,
-        "g": [to_string(p) for p in code.g],
-        "ginv": [to_string(p) for p in code.ginv],
-    }
-
-
 def code_from_json(obj):
     """Code from a parsed code file; ValueError on any malformed or unknown field."""
     if not isinstance(obj, dict):

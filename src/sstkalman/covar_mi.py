@@ -351,10 +351,12 @@ def _sweep_row(point, supports):
                     log1p_over_rho, lt1, lt2, rho * lt1, rho * lt2)
 
 
-def sweep(code, db_values=channel.DB_GRID, mode="general"):
-    """SweepRows of one arrangement over an Eb/N0 grid; the supports are built once."""
+def sweep(code, points=tuple(channel.grid_points()), mode="general"):
+    """The SweepRows of one arrangement at a sequence of `channel.SnrPoint`s
+    (by default the Eb/N0 grid), each the point's own `sweep_row`; the
+    supports are built once."""
     supports = code_supports(code, mode)
-    return [_sweep_row(channel.snr_point(db), supports) for db in db_values]
+    return [_sweep_row(point, supports) for point in points]
 
 
 def sweep_row(code, point, mode="general"):

@@ -11,10 +11,12 @@ final output is the pre-decoder stream corrected by the main decoder's
 estimate.  Pre-decoding, re-encoding and re-signing run as one pass of
 the C library below (`stream_pass`), bit-sliced on 64-step words, and
 only the re-signed stream reaches the main decoder.  `simulate` draws its
-block in the same library, from numpy's own Philox streams
-(`_draw_block`), and runs each point's received block c x + noise through
-that pass, which also writes the point's strided v rows, counts their
-ones and counts the pre-decoder's bit errors.  The statistics around it
+block in the same library, from numpy's own Philox streams, and encodes
+it with the same word filter (`_draw_block`); it runs each point's
+received block c x + noise through that pass, which also writes the
+point's strided v rows as contiguous rows, counts their ones and counts
+the pre-decoder's bit errors, and takes the point's exact values from
+one `covar_mi.sweep` over its own points.  The statistics around it
 (`sample_sigma_r`'s elementwise tail, `sigma_r_given_parities` and the
 frequencies) run on Python floats, rounded as their array forms round.
 
@@ -202,8 +204,8 @@ def _build_kernel():
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                ctypes.c_void_p]
     dll.sigma_r_rows.restype = None
-    dll.sigma_r_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                                 ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    dll.sigma_r_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                 ctypes.c_double, ctypes.c_void_p]
     return dll
 
 
@@ -307,7 +309,8 @@ def sample_sigma_r(v, w, point, probs):
 
     `simulate` feeds it the decoder's own stream and
     `covar_mi.monte_carlo_sigma_r` fresh error windows; the centred rows
-    come from one pass of the C library.  The four matrix products stay
+    come from one pass of the C library over v's contiguous rows (a
+    strided v is copied first).  The four matrix products stay
     numpy's (BLAS rounds them its own way), and the elementwise tail after
     them (the division by n - 1, the variance and the square root) runs on
     Python floats in numpy's order of operations, so every bit is the
@@ -315,7 +318,8 @@ def sample_sigma_r(v, w, point, probs):
     n = len(v)
     if n < 2:
         raise ValueError("need at least two trials")
-    v = np.asarray(v)
+    # simulate's rows are contiguous already, so this copies nothing for them
+    v = np.ascontiguousarray(v)
     if v.dtype != np.uint8:
         v = v.astype(bool).view(np.uint8)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -325,8 +329,7 @@ def sample_sigma_r(v, w, point, probs):
     # its mean the exact count (n - 2k) / n: at large c the spacing of
     # c*xt + w would swallow w
     centered = np.empty((n, 2))
-    kernel().sigma_r_rows(v.ctypes.data, n, *v.strides, w.ctypes.data, point.c,
-                          centered.ctypes.data)
+    kernel().sigma_r_rows(v.ctypes.data, n, w.ctypes.data, point.c, centered.ctypes.data)
     scatter = (centered.T @ centered).tolist()
     a1, a2, a11 = probs
     p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
@@ -393,9 +396,8 @@ def simulate(code, points, branches, seed, mode="general"):
     standard error under the paper's model (`sample_sigma_r`).  epsilon,
     rho, alpha*_ref and sigma_r_ref (I + rho Sigma_x) are the point's
     exact values, for `simulation_errors`: the rows of one
-    `covar_mi.sweep` over the points' dB values per call, which equal
-    each point's `covar_mi.sweep_row` for a point made by
-    `channel.snr_point`.  The sigma_r_* are 2x2 nested tuples.
+    `covar_mi.sweep` over `points` per call, each the point's own
+    `covar_mi.sweep_row`.  The sigma_r_* are 2x2 nested tuples.
 
     ValueError, before anything is drawn, under 100 branches, when
     SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES, or for a
@@ -428,7 +430,7 @@ def simulate(code, points, branches, seed, mode="general"):
     # the arrays above outlive the loop, so their addresses are read once
     x_p, noise_p, info_p, masks_p, pre_p, r_p, vs_p, ones_p = (
         a.ctypes.data for a in (x, noise, info, masks, pre, r, vs, ones))
-    refs = covar_mi.sweep(code, [point.ebn0_db for point in points], mode)
+    refs = covar_mi.sweep(code, points, mode)
     results = []
     for point, ref in zip(points, refs):
         pre_errors = kernel().sst_stream(x_p, noise_p, point.c, info_p, branches, delay, masks_p,
@@ -459,10 +461,16 @@ def simulate(code, points, branches, seed, mode="general"):
 PARITY_STATS = ("alpha1", "alpha2", "alpha11")
 
 
-def _given_parities(a1, a2, a11, n, rho):
-    """`sigma_r_given_parities` as two 2x2 nested lists of floats, each
-    entry rounded as the array form (I + rho S, with S = n / (n - 1)
-    Sigma_x) rounds it."""
+def sigma_r_given_parities(a1, a2, a11, n, rho):
+    """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
+    of column frequencies a1 and a2 and joint frequency a11.
+
+    The rows fix the sample covariance S of xt = 1 - 2v, so only w is
+    random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
+    (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
+    off it.  It runs on Python floats, each entry rounded as the array
+    form I + rho S, with S = n / (n - 1) Sigma_x, rounds it.  Returns
+    (mean, se), both 2x2 nested lists."""
     f = n / (n - 1)
     s1, s2, s12 = covar_mi.sigma_x_entries(a1, a2, a11 - a1 * a2)
     d, s12 = (f * s1, f * s2), f * s12
@@ -471,19 +479,6 @@ def _given_parities(a1, a2, a11, n, rho):
     se = [[sqrt((2.0 if i == j else 1.0) * (rho * (d[i] + d[j]) + 1.0) / (n - 1))
            for j in (0, 1)] for i in (0, 1)]
     return mean, se
-
-
-def sigma_r_given_parities(a1, a2, a11, n, rho):
-    """Mean and se of `sample_sigma_r`'s Sigma_r_hat given its n rows of v,
-    of column frequencies a1 and a2 and joint frequency a11.
-
-    The rows fix the sample covariance S of xt = 1 - 2v, so only w is
-    random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
-    (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
-    off it.  It runs on Python floats.  Returns (mean, se), both 2x2
-    arrays."""
-    mean, se = _given_parities(a1, a2, a11, n, rho)
-    return np.array(mean), np.array(se)
 
 
 def binomial_tails(k, n, p):
@@ -511,7 +506,7 @@ def simulation_errors(columns, rows):
         errors += [f"row {i}: emp_{name} deviates from model by >5 se"
                    for name, bad in zip(PARITY_STATS, far[i]) if bad]
         # the rule above tests the counts; given them, only the check's w is random
-        mean, se = _given_parities(
+        mean, se = sigma_r_given_parities(
             row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], row["n_eff"], row["rho"])
         hat = row["sigma_r_hat"]
         if any(abs(hat[a][b] - mean[a][b]) > 5.0 * se[a][b] + 1e-9

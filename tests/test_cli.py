@@ -29,9 +29,10 @@ from sstkalman.cli import (
 )
 from sstkalman import (channel, cli, convcode, covar_mi, gf2, kalman, parity_prob,
                        qli_search, sstdec)
-from sstkalman.convcode import code_to_json, make_qli
+from sstkalman.convcode import make_qli
 from sstkalman.parity_prob import code_supports
 
+from oracles import code_to_json
 from reference_tables import POLY_ALPHA1_C1, SEARCH_ROWS_NU5
 
 CURVE_HEADER = ("ebn0_db,rho,half_tr_sigma_c,gauss_bound,half_tr_sigma_x,"
@@ -188,7 +189,7 @@ def test_simulate_refuses_a_memory_the_decoder_cannot_index(capsys, tmp_path, nu
 def test_simulate_refuses_a_decoder_past_its_memory_cap(capsys, tmp_path):
     # g = (1 + D^62, 1 + D + D^62): a memory the kernel indexes, 2^61 lanes
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(convcode.code_to_json(convcode.make_qli(1 << 61))))
+    path.write_text(json.dumps(code_to_json(convcode.make_qli(1 << 61))))
     rc, out, err = run(["simulate", "--code", str(path), "--ebn0-db=4", "--branches", "1000"],
                        capsys)
     assert (rc, out) == (2, "")
@@ -874,13 +875,19 @@ def test_parse_cell_round_trip():
 
 
 def test_parse_db_values():
-    assert parse_db_values("0,1,2") == [0.0, 1.0, 2.0]
-    assert parse_db_values("-2..2") == [-2.0, -1.0, 0.0, 1.0, 2.0]
-    assert parse_db_values("") == []
-    assert parse_db_values("3") == [3.0]
+    def dbs(text):
+        points = parse_db_values(text)
+        # the points are snr_point's own
+        assert points == [channel.snr_point(p.ebn0_db) for p in points]
+        return [p.ebn0_db for p in points]
+
+    assert dbs("0,1,2") == [0.0, 1.0, 2.0]
+    assert dbs("-2..2") == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert dbs("") == []
+    assert dbs("3") == [3.0]
     # every spelling of zero reads as +0.0, which prints as 0, never -0
     for text in ("-0", "-0.0", "-0..0", "0"):
-        assert [math.copysign(1.0, v) for v in parse_db_values(text)] == [1.0]
+        assert [math.copysign(1.0, v) for v in dbs(text)] == [1.0]
     with pytest.raises(ValueError):
         parse_db_values("5..1")
     with pytest.raises(ValueError, match="--ebn0-db"):

@@ -11,7 +11,6 @@ from sstkalman import channel
 from sstkalman.convcode import (
     ConvCode,
     code_from_json,
-    code_to_json,
     encode,
     get_code,
     load_code,
@@ -24,6 +23,8 @@ from sstkalman.gf2 import from_string, polymat_mul, to_string, verify_right_inve
 from sstkalman.parity_prob import code_supports
 from sstkalman.qli_search import enumerate_qli
 from sstkalman.sstdec import predecode, sst_decode
+
+from oracles import code_to_json
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(
     lambda b: np.array(b, dtype=np.uint8))

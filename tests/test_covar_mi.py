@@ -363,10 +363,10 @@ def test_sweep_grid_shape():
 
 
 def test_sweep_at_negative_zero_db_prints_0():
-    [row] = sweep(get_code("c1"), (-0.0,))
+    [row] = sweep(get_code("c1"), [channel.snr_point(-0.0)])
     assert math.copysign(1.0, row.ebn0_db) == 1.0
     assert cli.format_cell(row.ebn0_db) == "0"
-    assert row == sweep(get_code("c1"), (0.0,))[0]
+    assert row == sweep(get_code("c1"), [channel.snr_point(0.0)])[0]
 
 
 def test_monte_carlo_sigma_r_agrees_with_analytic():
@@ -404,7 +404,8 @@ def test_sigma_r_given_parities_matches_the_spread_over_w(db):
     probs = parity_prob.branch_stats(*supports, pt.epsilon)[:3]
     hats = [sample_sigma_r(v, w[k:k + n], pt, probs)[0] for k in range(0, reps * n, n)]
     a1, a2 = v.mean(axis=0)
-    mean, se = sigma_r_given_parities(a1, a2, (v[:, 0] & v[:, 1]).mean(), n, pt.rho)
+    mean, se = map(np.array, sigma_r_given_parities(a1, a2, (v[:, 0] & v[:, 1]).mean(), n,
+                                                    pt.rho))
     assert np.all(np.abs(np.mean(hats, axis=0) - mean) < 4 * se / np.sqrt(reps))
     assert_allclose(se, np.std(hats, axis=0, ddof=1), rtol=0.05)
 
@@ -435,7 +436,7 @@ def test_sigma_r_given_parities_equals_its_array_form_bit_for_bit(n, counts, db)
     rho = channel.snr_point(float(db)).rho
     got = sigma_r_given_parities(a1, a2, a11, n, rho)
     want = numpy_sigma_r_given_parities(a1, a2, a11, n, rho)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [np.array(a).tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # a column rate of 0 or 1 draws an all-zero or all-one column; 300 dB puts
@@ -523,7 +524,8 @@ def assert_row_is_the_closed_form(code, mode, row):
 @pytest.mark.parametrize("name", ["c1", "c2"])
 def test_sweep_rows_are_the_closed_form_bit_for_bit(name, mode):
     code = get_code(name)
-    rows = sweep(code, (*channel.DB_GRID, -300.0, 300.0, -3076.5, 3076.5), mode)
+    rows = sweep(code, [channel.snr_point(db)
+                        for db in (*channel.DB_GRID, -300.0, 300.0, -3076.5, 3076.5)], mode)
     for row in rows:
         assert_row_is_the_closed_form(code, mode, row)
 
@@ -533,7 +535,8 @@ def test_sweep_rows_are_the_closed_form_bit_for_bit(name, mode):
 def test_sweep_row_is_the_sweeps_row_at_its_point(name, mode):
     code = get_code(name)
     for db in (*channel.DB_GRID, -3076.5, 3076.5):
-        assert sweep_row(code, channel.snr_point(db), mode) == sweep(code, (db,), mode)[0]
+        point = channel.snr_point(db)
+        assert sweep_row(code, point, mode) == sweep(code, [point], mode)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -541,7 +544,7 @@ def test_sweep_row_is_the_sweeps_row_at_its_point(name, mode):
        mode=st.sampled_from(["general", "qli"]))
 def test_sweep_rows_are_the_closed_form_across_the_db_range(db, name, mode):
     code = get_code(name)
-    assert_row_is_the_closed_form(code, mode, sweep(code, (db,), mode)[0])
+    assert_row_is_the_closed_form(code, mode, sweep(code, [channel.snr_point(db)], mode)[0])
 
 
 @pytest.mark.parametrize("mode", ["general", "qli"])
@@ -550,7 +553,7 @@ def test_one_kalman_step_reproduces_the_sweep_rows(name, mode):
     """The sweep's chain is one measurement update of the Kalman filter:
     prior Sigma_x, observation c xt + w.  R_0 is Sigma_r, (1/2) tr P_0 the
     half trace of Sigma_c and I(x_0; z_0) / rho the Gaussian bound."""
-    for row in sweep(get_code(name), channel.DB_GRID, mode):
+    for row in sweep(get_code(name), channel.grid_points(), mode):
         pt = channel.snr_point(row.ebn0_db)
         sx = sigma_x_from_probs(row.alpha1, row.alpha2, row.theta12)
         zero = np.zeros((2, 2))

@@ -179,7 +179,7 @@ def test_trace_compare_half_traces_are_the_sweep_values(nu):
         compared = qli_search.trace_compare(row.counts, points)
         for mode, field in (("general", "half_tr_sigma_x"),
                             ("qli", "half_tr_sigma_x_prime")):
-            assert ([r.half_tr_sigma_x for r in covar_mi.sweep(code, channel.DB_GRID, mode)]
+            assert ([r.half_tr_sigma_x for r in covar_mi.sweep(code, points, mode)]
                     == [getattr(p, field) for p in compared]), (row.c_bits, mode)
 
 

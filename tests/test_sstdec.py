@@ -1,6 +1,8 @@
 """Scarce-state-transition decoder: pre-decode, main Viterbi, recombination."""
 
+import dataclasses
 import itertools
+import math
 import platform
 import subprocess
 import threading
@@ -680,9 +682,12 @@ def test_philox_words_past_int64_equal_make_rng(s):
         assert words.tobytes() == want.tobytes(), j
 
 
+# the encoder runs on words of 64 steps: branch counts at the word edges,
+# and seeds past int64
 @pytest.mark.parametrize("code", DRAW_CODES, ids=lambda c: c.name)
-@pytest.mark.parametrize("branches, rows", [(100, 0), (1001, 37), (5003, 1250)])
-@pytest.mark.parametrize("seed", [0, 7, 2**62])
+@pytest.mark.parametrize("branches, rows", [(100, 0), (1001, 37), (5003, 1250), (1, 1), (63, 2),
+                                            (64, 0), (65, 3), (127, 31), (128, 64), (129, 5)])
+@pytest.mark.parametrize("seed", [0, 7, 2**62, 2**63, 2**64 - 1])
 def test_draw_block_equals_the_numpy_draw(code, branches, rows, seed):
     got = sstdec._draw_block(code, branches, rows, seed)
     for a, b in zip(got, numpy_draw_block(code, branches, rows, seed)):
@@ -860,6 +865,10 @@ def test_simulate_holds_the_exact_values_at_each_point(code_name, mode):
     code = get_code(code_name)
     points = [channel.snr_point(db)
               for db in (RHO_ENDS_DB[0], -10.0, 0.0, 4.0, 9.0, RHO_ENDS_DB[1])]
+    # and a point made by hand, rho 3 at 4 dB, whose snr_point has rho
+    # 2.5119: its exact values are its own, not those of its dB value
+    c = math.sqrt(3.0)
+    points.append(dataclasses.replace(points[3], rho=3.0, c=c, epsilon=channel.q_function(c)))
     supports = parity_prob.code_supports(code, mode)
     for res, pt in zip(sstdec.simulate(code, points, 1000, 2, mode=mode), points):
         a1, a2, a11, th = parity_prob.branch_stats(*supports, pt.epsilon)
