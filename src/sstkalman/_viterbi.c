@@ -32,8 +32,7 @@
    are lanes = max(2^(nu-1), 2) lanes (viterbi_lanes).  At nu = 1 the one
    lane past 2^(nu-1) carries NaN signs: its metrics are NaN, which never
    wins a compare, so every nu runs the same loop.  The best state is the
-   lowest one with the top metric, kept per lane through the ACS and then
-   reduced across the lanes.
+   lowest one with the top metric above -inf, else the last best state.
 
    work is the caller's buffer of 8 * (12 + 4 * words) * lanes bytes (words
    below) and 64 more: the kernel starts its planes on the buffer's first
@@ -55,7 +54,21 @@
    takes the top bit of word w - 1) and interleaves them into state order
    with the shuffles of the metrics.  Bit t of out is bit T of the best
    state's register T = truncation steps later; the last T bits come from
-   the final best state's register. */
+   the final best state's register.
+
+   The SST main decoder's input is mostly 00, so its survivors merge well
+   inside T: where every register holds the same bit T, that bit is the
+   output whichever state is best.  So each step ORs and ANDs the new
+   registers' last word, the one with bit T, over the vectors, reduces
+   them across the lanes once (differ) and looks for the best state only
+   where the survivors disagree, by a pass over the new metrics
+   (best_state).  From there to the next 64-step boundary the ACS keeps
+   each lane's best state as it goes and every step reduces them
+   (reduce_best), so dense input pays no branch miss per step.  The same
+   pass gives the final best state.  A step that skips the search keeps a
+   stale best state, which only the rule for a step with no metric above
+   -inf could read; with sum |r| too large to rule that out
+   (could_overflow), every step finds its best state. */
 
 #ifndef W
 
@@ -84,10 +97,43 @@
 #define pick_i JOIN(pick_i, W)
 #define pick JOIN(pick, W)
 #define pick_u JOIN(pick_u, W)
+#define keep JOIN(keep, W)
+#define reduce_best JOIN(reduce_best, W)
+#define best_state JOIN(best_state, W)
+#define differ JOIN(differ, W)
+
+typedef double vnd __attribute__((vector_size(8 * NATIVE)));
+typedef int64_t vni __attribute__((vector_size(8 * NATIVE)));
+typedef uint64_t vnu __attribute__((vector_size(8 * NATIVE)));
 
 static double sign_of(uint64_t g, uint64_t reg)
 {
     return __builtin_parityll(g & reg) ? -1.0 : 1.0;
+}
+
+/* Whether the path metrics of the block r (n rows of 2) could overflow.  A
+   metric is 0 or -1e30 plus a sum of +-r values, so with sum |r| below
+   2^1020 every metric stays finite (fewer than 2^40 roundings grow a bound
+   by less than 2^-12): then every step has a best state of its own, and no
+   step meets the rule that keeps the last one. */
+static int could_overflow(const double *r, int64_t n)
+{
+    const vnu magnitude = ~((vnu){0} + ((uint64_t)1 << 63));
+    vnd sum[4] = {{0}};
+    double total = 0.0;
+    int64_t i, l;
+
+    for (i = 0; i + 4 * NATIVE <= 2 * n; i += 4 * NATIVE)
+        for (l = 0; l < 4; l++) {
+            vnu v;
+            memcpy(&v, r + i + l * NATIVE, sizeof v);
+            sum[l] += (vnd)(v & magnitude);
+        }
+    for (l = 0; l < 4 * NATIVE; l++)
+        total += sum[l / NATIVE][l % NATIVE];
+    for (; i < 2 * n; i++)
+        total += fabs(r[i]);
+    return !(total < 0x1p1020);
 }
 
 #define W 2
@@ -181,10 +227,6 @@ static inline double received(const double *x, const double *noise, double c, in
 #else
 #define LANE_BITS {1, 1}
 #endif
-
-typedef double vnd __attribute__((vector_size(8 * NATIVE)));
-typedef int64_t vni __attribute__((vector_size(8 * NATIVE)));
-typedef uint64_t vnu __attribute__((vector_size(8 * NATIVE)));
 
 /* received() of the BRANCHES branches from value i on */
 static inline vnd received_v(const double *x, const double *noise, double c, int64_t i)
@@ -512,24 +554,83 @@ static inline vu pick_u(vi mask, vu a, vu b)
     return (vu)pick_i(mask, (vi)a, (vi)b);
 }
 
+/* Each lane of top and at keeps the first best of the states it has met:
+   v, if above top, becomes the lane's best metric and state its best state. */
+static inline void keep(vd v, vi state, vd *top, vi *at)
+{
+    const vi gt = v > *top;
+    *top = pick(gt, v, *top);
+    *at = pick_i(gt, state, *at);
+}
+
+/* The lowest state with the top metric over the lanes of top and at, or
+   best where no metric is above -inf. */
+static inline int64_t reduce_best(vd top, vi at, int64_t best)
+{
+    const vi lane = LANE;
+    vd u = top;
+    int64_t s;
+
+    /* the best metric in every lane, then the lowest state that has it */
+#pragma GCC unroll 3
+    for (s = 1; s < W; s *= 2) {
+        const vd v = __builtin_shuffle(u, lane ^ s);
+        u = pick(v > u, v, u);
+    }
+    at = pick_i(top == u, at, (vi){0} + INT64_MAX);
+#pragma GCC unroll 3
+    for (s = 1; s < W; s *= 2) {
+        const vi v = __builtin_shuffle(at, lane ^ s);
+        at = pick_i(v < at, v, at);
+    }
+    return u[0] > -INFINITY ? at[0] : best;
+}
+
+/* reduce_best over the metrics plane m, row metrics in state order */
+static inline int64_t best_state(const double *m, int64_t row, int64_t best)
+{
+    const vi lane = LANE;
+    vd top = (vd){0} - INFINITY;
+    vi at = lane;
+    int64_t j;
+
+    for (j = 0; j < row; j += W)
+        keep(load(m + j), lane + j, &top, &at);
+    return reduce_best(top, at, best);
+}
+
+/* Whether bit `bit` differs between the words of the states: any (OR) and
+   all (AND) hold, per lane, the bits that some and that every one of the
+   lane's states has set.  A lane differs from itself where they disagree,
+   and from lane 0 where its any does. */
+static inline int differ(vu any, vu all, int bit)
+{
+    const vi lane = LANE;
+    vu d = (any ^ all) | (any ^ any[0]);
+    int64_t s;
+
+#pragma GCC unroll 3
+    for (s = 1; s < W; s *= 2)
+        d |= __builtin_shuffle(d, lane ^ s);
+    return (int)(d[0] >> bit & 1);
+}
+
 static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, uint64_t g1,
                              int64_t truncation, double *work, uint64_t *reg, uint8_t *out)
 {
     const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = half > W ? half : W,
-                  row = 2 * lanes, words = truncation / 64 + 1,
-                  at = truncation / 64 * row;
-    const int shift = (int)(truncation % 64);
-    const vi lane = LANE, nobody = lane + ns;
+                  row = 2 * lanes, words = truncation / 64 + 1, at = (words - 1) * row;
+    const int shift = (int)(truncation % 64), hot = could_overflow(r, n);
+    const vi lane = LANE;
     /* lane i of the even then the odd next metrics goes to state 2i, 2i + 1 */
     const vi lo = (lane >> 1) + (lane & 1) * W, hi = lo + W / 2;
-    const vd none = (vd){0} - INFINITY;
     double *m = work, *next = work + row, *tmp;
     uint64_t *nreg = reg + words * row, *rtmp;
     /* block j / W holds the vectors 4p + q: state parity p; q = g0, g1 on the
        branch from lane j, then on the branch from j + 2^(nu-1) */
     double *const sign = work + 2 * row;
     int64_t s, j, k, t, w, best = 0;
-    int p, q;
+    int p, q, track = hot;
 
     for (j = 0; j < lanes; j++)
         for (p = 0; p < 2; p++) {
@@ -544,9 +645,14 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
     memset(reg, 0, (size_t)(words * row) * sizeof *reg);
     for (k = 0; k < n; k++) {
         const double r0 = r[2 * k], r1 = r[2 * k + 1];
-        /* per lane, the first best state among those it wrote */
-        vd topv = none, u;
-        vi topi = lane, gt;
+        /* tracking, per lane, the first best state among those it wrote;
+           else the bits of the new registers' last word (the one with bit
+           T) that some of them set and that all of them set */
+        vd topv = (vd){0} - INFINITY;
+        vi topi = lane;
+        vu any = {0}, all = ~any;
+        if (k % 64 == 0)
+            track = hot;
         for (j = 0; j < lanes; j += W) {
             const double *sg = sign + 8 * j;
             const vd a = load(m + j), b = load(m + j + half);
@@ -559,50 +665,46 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
             /* the survivors' words, word 0 taking the input bit (0 into an
                even state, 1 into an odd one), word w the top bit of w - 1 */
             vu se = pick_u(te, load_u(reg + j + half), load_u(reg + j)),
-               so = pick_u(to, load_u(reg + j + half), load_u(reg + j));
-            store_u(nreg + 2 * j, __builtin_shuffle(se << 1, so << 1 | 1, lo));
-            store_u(nreg + 2 * j + W, __builtin_shuffle(se << 1, so << 1 | 1, hi));
+               so = pick_u(to, load_u(reg + j + half), load_u(reg + j)),
+               ne = se << 1, no = so << 1 | 1;
+            store_u(nreg + 2 * j, __builtin_shuffle(ne, no, lo));
+            store_u(nreg + 2 * j + W, __builtin_shuffle(ne, no, hi));
             for (w = 1; w < words; w++) {
                 const uint64_t *ra = reg + w * row + j;
                 const vu we = pick_u(te, load_u(ra + half), load_u(ra)),
                          wo = pick_u(to, load_u(ra + half), load_u(ra));
-                store_u(nreg + w * row + 2 * j,
-                        __builtin_shuffle(we << 1 | se >> 63, wo << 1 | so >> 63, lo));
-                store_u(nreg + w * row + 2 * j + W,
-                        __builtin_shuffle(we << 1 | se >> 63, wo << 1 | so >> 63, hi));
+                ne = we << 1 | se >> 63;
+                no = wo << 1 | so >> 63;
+                store_u(nreg + w * row + 2 * j, __builtin_shuffle(ne, no, lo));
+                store_u(nreg + w * row + 2 * j + W, __builtin_shuffle(ne, no, hi));
                 se = we;
                 so = wo;
             }
-            gt = ev > topv;
-            topv = pick(gt, ev, topv);
-            topi = pick_i(gt, 2 * (lane + j), topi);
-            gt = od > topv;
-            topv = pick(gt, od, topv);
-            topi = pick_i(gt, 2 * (lane + j) + 1, topi);
+            if (track) {
+                keep(ev, 2 * (lane + j), &topv, &topi);
+                keep(od, 2 * (lane + j) + 1, &topv, &topi);
+            } else {
+                any |= ne | no;
+                all &= ne & no;
+            }
             store(next + 2 * j, __builtin_shuffle(ev, od, lo));
             store(next + 2 * j + W, __builtin_shuffle(ev, od, hi));
         }
         tmp = m, m = next, next = tmp;
         rtmp = reg, reg = nreg, nreg = rtmp;
-        /* the best metric in every lane, then the lowest state that has it */
-        u = topv;
-#pragma GCC unroll 3
-        for (s = 1; s < W; s *= 2) {
-            const vd v = __builtin_shuffle(u, lane ^ s);
-            u = pick(v > u, v, u);
+        /* where every survivor holds the same input T steps back, that is
+           the output whichever state is best; from a step where they differ
+           to the next 64-step boundary, every step tracks its best state */
+        if (track)
+            best = reduce_best(topv, topi, best);
+        else if (differ(any, all, shift)) {
+            best = best_state(m, row, best);
+            track = 1;
         }
-        topi = pick_i(topv == u, topi, nobody);
-#pragma GCC unroll 3
-        for (s = 1; s < W; s *= 2) {
-            const vi v = __builtin_shuffle(topi, lane ^ s);
-            topi = pick_i(v < topi, v, topi);
-        }
-        /* no metric above -inf keeps the last best state */
-        if (u[0] > -INFINITY)
-            best = topi[0];
         if (k >= truncation)
             out[k - truncation] = reg[at + best] >> shift & 1;
     }
+    best = best_state(m, row, best);
     for (t = n - 1; t >= 0 && t >= n - truncation; t--)
         out[t] = reg[(n - 1 - t) / 64 * row + best] >> (n - 1 - t) % 64 & 1;
 }

@@ -227,8 +227,11 @@ def viterbi_main(r, code, truncation=None):
     to start in the zero state.  The bit of step t is read from the
     survivor of the best-metric state at step t + truncation (default
     5 nu + L); the last `truncation` bits come from the final best state.
-    Ties prefer the input-0 branch and the lowest-index state.  The
-    trellis runs in the C kernel `_viterbi.c`, built on the first call.
+    Ties prefer the input-0 branch and the lowest-index state.  Where
+    every survivor holds the same bit for step t, as on most steps of the
+    SST main decoder's scarce input, the kernel reads it without finding
+    the best state; the bits are the same.  The trellis runs in the C
+    kernel `_viterbi.c`, built on the first call.
     It indexes the states and shift register in 64-bit words, so the
     code's memory must satisfy 1 <= nu <= 62.  Its buffer does not grow
     with n: with lanes = max(2^(nu-1), 2) and words = truncation // 64 + 1,

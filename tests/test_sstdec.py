@@ -1,6 +1,7 @@
 """Scarce-state-transition decoder: pre-decode, main Viterbi, recombination."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import platform
@@ -28,20 +29,19 @@ def poly_from_stream(bits):
     return mask
 
 
-def per_step_viterbi(r, code, truncation):
-    """Oracle: the decoder with a survivor walk-back after every step.
+def forward(r, code):
+    """The trellis of r: per step the decisions, 1 where a state's survivor
+    comes from (s >> 1) + 2^(nu-1), the best state, and whether some metric
+    is above -inf.
 
-    Each step emits the bit T = truncation steps behind it from the
-    best-metric state (lowest index on ties), following decisions that
-    prefer the input-0 branch on ties; the last T bits come from the
-    final best state.
+    The best state is the lowest state with the top metric above -inf; a
+    step with none keeps the last one (state 0 before the first step).
     """
     nu = code.nu
     nstates = 1 << nu
-    top = nu - 1
     ns = np.arange(nstates)
     pred0 = ns >> 1
-    pred1 = pred0 | (1 << top)
+    pred1 = pred0 | (1 << (nu - 1))
     in_bit = ns & 1
 
     def signs(pred, l):
@@ -52,12 +52,42 @@ def per_step_viterbi(r, code, truncation):
     sign0, sign1, sign0b, sign1b = (signs(pred0, 0), signs(pred0, 1),
                                     signs(pred1, 0), signs(pred1, 1))
     n = len(r)
-    out = np.zeros(n, dtype=np.uint8)
-    if n == 0:
-        return out
     metrics = np.full(nstates, -1e30)
     metrics[0] = 0.0
     choices = np.zeros((n, nstates), dtype=np.uint8)
+    bests = np.zeros(n, dtype=np.int64)
+    live = np.zeros(n, dtype=bool)
+    best = 0
+    # sums near the largest double overflow to +-inf, and an infinite r
+    # (which only the kernel itself takes) makes NaN metrics too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            cand0 = metrics[pred0] + r[k, 0] * sign0 + r[k, 1] * sign1
+            cand1 = metrics[pred1] + r[k, 0] * sign0b + r[k, 1] * sign1b
+            take1 = cand1 > cand0
+            metrics = np.where(take1, cand1, cand0)
+            choices[k] = take1
+            top = np.max(metrics, where=metrics > -np.inf, initial=-np.inf)
+            live[k] = top > -np.inf
+            if live[k]:
+                best = int(np.flatnonzero(metrics == top)[0])
+            bests[k] = best
+    return choices, bests, live
+
+
+def per_step_viterbi(r, code, truncation):
+    """Oracle: the decoder with a survivor walk-back after every step.
+
+    Each step emits the bit T = truncation steps behind it from the best
+    state (`forward`), following decisions that prefer the input-0 branch
+    on ties; the last T bits come from the final best state.
+    """
+    top = code.nu - 1
+    n = len(r)
+    out = np.zeros(n, dtype=np.uint8)
+    if n == 0:
+        return out
+    choices, bests, _ = forward(r, code)
 
     def walk_back(state, level, stop_level):
         # choices[t] maps a level-(t+1) state to its level-t predecessor
@@ -65,23 +95,31 @@ def per_step_viterbi(r, code, truncation):
             state = (state >> 1) | (int(choices[t, state]) << top)
         return state
 
-    for k in range(n):
-        cand0 = metrics[pred0] + r[k, 0] * sign0 + r[k, 1] * sign1
-        cand1 = metrics[pred1] + r[k, 0] * sign0b + r[k, 1] * sign1b
-        take1 = cand1 > cand0
-        metrics = np.where(take1, cand1, cand0)
-        choices[k] = take1
-        if k >= truncation:
-            tau = k - truncation
-            out[tau] = walk_back(int(np.argmax(metrics)), k + 1, tau + 1) & 1
-    state = int(np.argmax(metrics))
+    for k in range(truncation, n):
+        tau = k - truncation
+        out[tau] = walk_back(int(bests[k]), k + 1, tau + 1) & 1
+    state = int(bests[-1])
     for t in range(n - 1, max(n - truncation, 0) - 1, -1):
         out[t] = state & 1
         state = (state >> 1) | (int(choices[t, state]) << top)
     return out
 
 
-KINDS = ("normal", "grid", "near_grid")
+def agreeing_steps(r, code, truncation):
+    """Per step k >= T, whether every state's survivor holds the same input
+    for step k - T, so the output needs no best state."""
+    top = code.nu - 1
+    choices, _, _ = forward(r, code)
+    agree = []
+    for k in range(truncation, len(r)):
+        states = np.arange(1 << code.nu)
+        for t in range(k, k - truncation, -1):
+            states = (states >> 1) | (choices[t, states].astype(np.int64) << top)
+        agree.append(np.all(states & 1 == states[0] & 1))
+    return np.array(agree, dtype=bool)
+
+
+KINDS = ("normal", "grid", "near_grid", "scarce", "mixed")
 
 
 def soft_values(seed, n, kind):
@@ -89,11 +127,26 @@ def soft_values(seed, n, kind):
 
     near_grid moves the grid values by multiples of 2^-45: path metrics of a
     few hundred up to tens of thousands then round, so the order of the
-    additions in a path metric decides some of the near ties.
+    additions in a path metric decides some of the near ties.  scarce pairs
+    look like the main decoder's input at 6-8 dB, mostly positive with rare
+    sign flips, so the survivors agree T steps back on most steps; mixed
+    alternates scarce and normal stretches of 20-150 steps.  overflow
+    values have |r| from 1e306 to 1.7e308, so path metrics reach +-inf.
     """
     rng = np.random.default_rng(seed)
     if kind == "normal":
         return rng.normal(0.5, 1.0, size=(n, 2))
+    if kind == "scarce":
+        r = np.abs(rng.normal(1.5, 0.8, size=(n, 2)))
+        return np.where(rng.random((n, 2)) < 0.01, -r, r)
+    if kind == "mixed":
+        ends = np.cumsum(rng.integers(20, 151, size=n // 20 + 1))
+        scarce = np.searchsorted(ends, np.arange(n), side="right") % 2 == 0
+        return np.where(scarce[:, None], soft_values(seed + 1, n, "scarce"),
+                        soft_values(seed + 2, n, "normal"))
+    if kind == "overflow":
+        r = np.exp(rng.uniform(np.log(1e306), np.log(1.7e308), size=(n, 2)))
+        return np.where(rng.random((n, 2)) < 0.5, -r, r)
     r = rng.integers(-3, 4, size=(n, 2)) / 2.0
     if kind == "near_grid":
         r += rng.integers(-2, 3, size=(n, 2)) * 2.0**-45
@@ -142,7 +195,8 @@ def test_viterbi_main_matches_per_step_traceback(name, truncation, n, kind, seed
                           per_step_viterbi(r, code, t))
 
 
-@pytest.mark.parametrize("kind, seed", [("normal", 6), ("grid", 7), ("near_grid", 8)])
+@pytest.mark.parametrize("kind, seed", [("normal", 6), ("grid", 7), ("near_grid", 8),
+                                        ("scarce", 9), ("mixed", 10)])
 def test_viterbi_main_matches_per_step_traceback_on_long_blocks(kind, seed):
     code = get_code("c2")
     r = soft_values(seed, 20_000, kind)
@@ -177,12 +231,19 @@ def memory_code(nu):
     return make_qli((1 << (nu - 1)) | 0x2A & ((1 << (nu - 1)) - 2))
 
 
-def assert_kernel_matches_per_step_traceback(nu, kind, seed):
-    # three truncation windows and a partial one
+@functools.cache
+def traceback_case(nu, kind, seed, truncation=None):
+    """A block of three truncation windows and a partial one for memory_code(nu),
+    with its truncation and the oracle's bits (kept for every vector width)."""
     code = memory_code(nu)
-    t = sstdec.default_truncation(code)
+    t = sstdec.default_truncation(code) if truncation is None else truncation
     r = soft_values(seed, 3 * t + 7, kind)
-    assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
+    return code, t, r, per_step_viterbi(r, code, t)
+
+
+def assert_kernel_matches_per_step_traceback(nu, kind, seed, truncation=None):
+    code, t, r, bits = traceback_case(nu, kind, seed, truncation)
+    assert np.array_equal(sstdec.viterbi_main(r, code, t), bits)
 
 
 # the kernel runs memory nu at width min(native, max(2, 2^(nu-1))): nu = 1
@@ -218,11 +279,82 @@ def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, ma
     monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", tuple(
         march if flag == "-march=native" else flag for flag in sstdec._KERNEL_FLAGS))
     monkeypatch.setattr(sstdec, "_kernel", None)
-    for nu, kind in itertools.product([1, 2, 3, 6], KINDS):
+    for nu, kind in itertools.product([1, 2, 3, 6], KINDS + ("overflow",)):
         assert_kernel_matches_per_step_traceback(nu, kind, 40 + nu)
+    # bit T in the word after word 0 or at its top: the agreement test, the
+    # best-state search and the switch between them (SWITCHING_CASES) at
+    # W = 4 and the native width
+    for nu, kind, t in itertools.product([3, 6], ["scarce", "mixed"], LONG_TRUNCATIONS):
+        assert_kernel_matches_per_step_traceback(nu, kind, 46, t)
     # a code as wide as the kernel's states allow runs at the native width
     assert sstdec._kernel.viterbi_width(62) == native
     assert tuple(sstdec._kernel.viterbi_width(nu) for nu in (1, 2, 3, 6)) == widths
+
+
+LONG_TRUNCATIONS = (63, 64, 127, 128)
+# blocks of the tests above whose survivors both agree and differ T steps
+# back: the kernel takes some bits without a best state, searches for it on
+# others, and tracks it from there to the next 64-step boundary
+SWITCHING_CASES = ([(nu, "normal", 40 + nu, None) for nu in (1, 2, 3, 6)]
+                   + [(6, "mixed", 46, t) for t in LONG_TRUNCATIONS])
+
+
+@pytest.mark.parametrize("nu, kind, seed, truncation", SWITCHING_CASES)
+def test_kernel_cases_switch_between_agreeing_and_searching(nu, kind, seed, truncation):
+    code, t, r, _ = traceback_case(nu, kind, seed, truncation)
+    agree = agreeing_steps(r, code, t)
+    assert agree.any() and not agree.all()
+
+
+def test_scarce_blocks_let_the_survivors_agree():
+    # like the main decoder's input at 6-8 dB; mixed blocks agree between
+    # normal stretches
+    code = get_code("c2")
+    t = sstdec.default_truncation(code)
+    assert agreeing_steps(soft_values(9, 2000, "scarce"), code, t).mean() > 0.95
+    assert 0.5 < agreeing_steps(soft_values(10, 2000, "mixed"), code, t).mean() < 0.95
+    assert agreeing_steps(soft_values(6, 2000, "normal"), code, t).mean() < 0.5
+
+
+@pytest.mark.parametrize("code", [memory_code(1), ConvCode(name="d", g=(2, 3), ginv=(1, 1)),
+                                  get_code("c1"), get_code("c2"), memory_code(8)],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_viterbi_main_matches_per_step_traceback_on_overflowing_metrics(code, seed):
+    # |r| up to 1.7e308: path metrics reach +-inf, alone and after an
+    # ordinary stretch; the oracle's best state is the lowest one with the
+    # top metric above -inf, else the last one
+    t = sstdec.default_truncation(code)
+    huge = soft_values(seed, 150, "overflow")
+    late = np.concatenate([soft_values(seed, 150, "scarce"), huge])
+    for r in (huge, late):
+        assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
+
+
+def kernel_bits(r, code, t):
+    """The kernel's bits for r without viterbi_main's checks (it refuses an
+    infinite r), in a buffer sized as viterbi_main sizes it."""
+    lib = sstdec.kernel()
+    lanes = lib.viterbi_lanes(code.nu)
+    work = np.empty(8 * 12 * lanes + 8 * 4 * (t // 64 + 1) * lanes + 64, dtype=np.uint8)
+    out = np.zeros(len(r), dtype=np.uint8)
+    lib.viterbi(r.ctypes.data, len(r), code.nu, *code.g, t, work.ctypes.data, out.ctypes.data)
+    return out
+
+
+@pytest.mark.parametrize("nu", [1, 2, 6])
+def test_kernel_keeps_the_last_best_state_where_no_metric_is_above_minus_inf(nu):
+    # no finite block of the tests reaches the rule (the overflowing ones
+    # keep some metric at +inf or finite), so an infinite r does: two rows
+    # (inf, -inf) make every metric NaN, and the kept state is not the 0
+    # that a plain argmax would give
+    code = memory_code(nu)
+    t = sstdec.default_truncation(code)
+    r = soft_values(6, 4 * t + 50, "normal")
+    r[[2 * t, 2 * t + 3]] = [np.inf, -np.inf]
+    _, bests, live = forward(r, code)
+    assert live[:2 * t].all() and not live[-t:].any() and bests[-1] != 0
+    assert np.array_equal(kernel_bits(r, code, t), per_step_viterbi(r, code, t))
 
 
 def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
