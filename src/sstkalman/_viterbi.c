@@ -32,7 +32,10 @@
    are lanes = max(2^(nu-1), 2) lanes (viterbi_lanes).  At nu = 1 the one
    lane past 2^(nu-1) carries NaN signs: its metrics are NaN, which never
    wins a compare, so every nu runs the same loop.  The best state is the
-   lowest one with the top metric above -inf, else the last best state.
+   lowest one with the top metric.  The caller keeps sum |r| below 2^1020,
+   and a metric is 0 or -1e30 plus a sum of +-r values, so every metric
+   stays finite (the roundings of fewer than 2^40 steps grow that bound by
+   less than 2^-12) and every step has a top metric above -inf.
 
    work is the caller's buffer of 8 * (12 + 4 * words) * lanes bytes (words
    below) and 64 more: the kernel starts its planes on the buffer's first
@@ -66,9 +69,7 @@
    each lane's best state as it goes and every step reduces them
    (reduce_best), so dense input pays no branch miss per step.  The same
    pass gives the final best state.  A step that skips the search keeps a
-   stale best state, which only the rule for a step with no metric above
-   -inf could read; with sum |r| too large to rule that out
-   (could_overflow), every step finds its best state. */
+   stale best state, which only such steps read. */
 
 #ifndef W
 
@@ -109,31 +110,6 @@ typedef uint64_t vnu __attribute__((vector_size(8 * NATIVE)));
 static double sign_of(uint64_t g, uint64_t reg)
 {
     return __builtin_parityll(g & reg) ? -1.0 : 1.0;
-}
-
-/* Whether the path metrics of the block r (n rows of 2) could overflow.  A
-   metric is 0 or -1e30 plus a sum of +-r values, so with sum |r| below
-   2^1020 every metric stays finite (fewer than 2^40 roundings grow a bound
-   by less than 2^-12): then every step has a best state of its own, and no
-   step meets the rule that keeps the last one. */
-static int could_overflow(const double *r, int64_t n)
-{
-    const vnu magnitude = ~((vnu){0} + ((uint64_t)1 << 63));
-    vnd sum[4] = {{0}};
-    double total = 0.0;
-    int64_t i, l;
-
-    for (i = 0; i + 4 * NATIVE <= 2 * n; i += 4 * NATIVE)
-        for (l = 0; l < 4; l++) {
-            vnu v;
-            memcpy(&v, r + i + l * NATIVE, sizeof v);
-            sum[l] += (vnd)(v & magnitude);
-        }
-    for (l = 0; l < 4 * NATIVE; l++)
-        total += sum[l / NATIVE][l % NATIVE];
-    for (; i < 2 * n; i++)
-        total += fabs(r[i]);
-    return !(total < 0x1p1020);
 }
 
 #define W 2
@@ -412,19 +388,6 @@ static inline void philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t o
     out[3] = v3;
 }
 
-/* The first n words of Philox(key=(k0, k1)), as its random_raw(n) gives them. */
-void philox_words(uint64_t k0, uint64_t k1, int64_t n, uint64_t *out)
-{
-    uint64_t w[4];
-    int64_t k, j;
-
-    for (k = 0; k < n; k += 4) {
-        philox_block(k0, k1, (uint64_t)k / 4, w);
-        for (j = 0; j < 4 && k + j < n; j++)
-            out[k + j] = w[j];
-    }
-}
-
 /* The mid-interval uniforms ((k >> 11) + 0.5) / 2^53 of the first n words k
    of the stream (k0, k1), as (Generator.integers(0, 2^53) + 0.5) / 2^53
    forms them: for that range numpy's bounded draw takes one word a value
@@ -563,9 +526,8 @@ static inline void keep(vd v, vi state, vd *top, vi *at)
     *at = pick_i(gt, state, *at);
 }
 
-/* The lowest state with the top metric over the lanes of top and at, or
-   best where no metric is above -inf. */
-static inline int64_t reduce_best(vd top, vi at, int64_t best)
+/* The lowest state with the top metric over the lanes of top and at */
+static inline int64_t reduce_best(vd top, vi at)
 {
     const vi lane = LANE;
     vd u = top;
@@ -583,11 +545,11 @@ static inline int64_t reduce_best(vd top, vi at, int64_t best)
         const vi v = __builtin_shuffle(at, lane ^ s);
         at = pick_i(v < at, v, at);
     }
-    return u[0] > -INFINITY ? at[0] : best;
+    return at[0];
 }
 
 /* reduce_best over the metrics plane m, row metrics in state order */
-static inline int64_t best_state(const double *m, int64_t row, int64_t best)
+static inline int64_t best_state(const double *m, int64_t row)
 {
     const vi lane = LANE;
     vd top = (vd){0} - INFINITY;
@@ -596,7 +558,7 @@ static inline int64_t best_state(const double *m, int64_t row, int64_t best)
 
     for (j = 0; j < row; j += W)
         keep(load(m + j), lane + j, &top, &at);
-    return reduce_best(top, at, best);
+    return reduce_best(top, at);
 }
 
 /* Whether bit `bit` differs between the words of the states: any (OR) and
@@ -620,7 +582,7 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
 {
     const int64_t ns = (int64_t)1 << nu, half = ns >> 1, lanes = half > W ? half : W,
                   row = 2 * lanes, words = truncation / 64 + 1, at = (words - 1) * row;
-    const int shift = (int)(truncation % 64), hot = could_overflow(r, n);
+    const int shift = (int)(truncation % 64);
     const vi lane = LANE;
     /* lane i of the even then the odd next metrics goes to state 2i, 2i + 1 */
     const vi lo = (lane >> 1) + (lane & 1) * W, hi = lo + W / 2;
@@ -630,7 +592,7 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
        branch from lane j, then on the branch from j + 2^(nu-1) */
     double *const sign = work + 2 * row;
     int64_t s, j, k, t, w, best = 0;
-    int p, q, track = hot;
+    int p, q, track = 0;
 
     for (j = 0; j < lanes; j++)
         for (p = 0; p < 2; p++) {
@@ -652,7 +614,7 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
         vi topi = lane;
         vu any = {0}, all = ~any;
         if (k % 64 == 0)
-            track = hot;
+            track = 0;
         for (j = 0; j < lanes; j += W) {
             const double *sg = sign + 8 * j;
             const vd a = load(m + j), b = load(m + j + half);
@@ -696,15 +658,15 @@ static void JOIN(viterbi, W)(const double *r, int64_t n, int nu, uint64_t g0, ui
            the output whichever state is best; from a step where they differ
            to the next 64-step boundary, every step tracks its best state */
         if (track)
-            best = reduce_best(topv, topi, best);
+            best = reduce_best(topv, topi);
         else if (differ(any, all, shift)) {
-            best = best_state(m, row, best);
+            best = best_state(m, row);
             track = 1;
         }
         if (k >= truncation)
             out[k - truncation] = reg[at + best] >> shift & 1;
     }
-    best = best_state(m, row, best);
+    best = best_state(m, row);
     for (t = n - 1; t >= 0 && t >= n - truncation; t--)
         out[t] = reg[(n - 1 - t) / 64 * row + best] >> (n - 1 - t) % 64 & 1;
 }

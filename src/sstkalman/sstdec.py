@@ -196,9 +196,6 @@ def _build_kernel():
     dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-    dll.philox_words.restype = None
-    dll.philox_words.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
-                                 ctypes.c_void_p]
     dll.draw_block.restype = None
     dll.draw_block.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
@@ -223,8 +220,10 @@ def kernel():
 def viterbi_main(r, code, truncation=None):
     """Max-correlation Viterbi; decodes the information sequence of the code.
 
-    r is the (n, 2) array of finite soft values.  The encoder is assumed
-    to start in the zero state.  The bit of step t is read from the
+    r is the (n, 2) array of soft values, with np.abs(r).sum() below
+    2^1020 (ValueError otherwise, for NaN and +-inf too): every path metric
+    then stays finite, so every step has a best state.  The encoder is
+    assumed to start in the zero state.  The bit of step t is read from the
     survivor of the best-metric state at step t + truncation (default
     5 nu + L); the last `truncation` bits come from the final best state.
     Ties prefer the input-0 branch and the lowest-index state.  Where
@@ -242,8 +241,10 @@ def viterbi_main(r, code, truncation=None):
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[1] != 2:
         raise ValueError("r must have shape (n, 2)")
-    if not np.isfinite(r).all():
-        raise ValueError("r must be finite")
+    # NaN and +-inf fail the comparison, and an overflowing sum is inf
+    with np.errstate(over="ignore"):
+        if not np.abs(r).sum() < 2.0**1020:
+            raise ValueError("r must be finite, with sum |r| below 2^1020")
     if truncation is None:
         truncation = default_truncation(code)
     if not 1 <= code.nu <= 62:

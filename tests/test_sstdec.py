@@ -31,11 +31,8 @@ def poly_from_stream(bits):
 
 def forward(r, code):
     """The trellis of r: per step the decisions, 1 where a state's survivor
-    comes from (s >> 1) + 2^(nu-1), the best state, and whether some metric
-    is above -inf.
-
-    The best state is the lowest state with the top metric above -inf; a
-    step with none keeps the last one (state 0 before the first step).
+    comes from (s >> 1) + 2^(nu-1), and the best state, the lowest state
+    with the top metric.
     """
     nu = code.nu
     nstates = 1 << nu
@@ -56,23 +53,14 @@ def forward(r, code):
     metrics[0] = 0.0
     choices = np.zeros((n, nstates), dtype=np.uint8)
     bests = np.zeros(n, dtype=np.int64)
-    live = np.zeros(n, dtype=bool)
-    best = 0
-    # sums near the largest double overflow to +-inf, and an infinite r
-    # (which only the kernel itself takes) makes NaN metrics too
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            cand0 = metrics[pred0] + r[k, 0] * sign0 + r[k, 1] * sign1
-            cand1 = metrics[pred1] + r[k, 0] * sign0b + r[k, 1] * sign1b
-            take1 = cand1 > cand0
-            metrics = np.where(take1, cand1, cand0)
-            choices[k] = take1
-            top = np.max(metrics, where=metrics > -np.inf, initial=-np.inf)
-            live[k] = top > -np.inf
-            if live[k]:
-                best = int(np.flatnonzero(metrics == top)[0])
-            bests[k] = best
-    return choices, bests, live
+    for k in range(n):
+        cand0 = metrics[pred0] + r[k, 0] * sign0 + r[k, 1] * sign1
+        cand1 = metrics[pred1] + r[k, 0] * sign0b + r[k, 1] * sign1b
+        take1 = cand1 > cand0
+        metrics = np.where(take1, cand1, cand0)
+        choices[k] = take1
+        bests[k] = np.argmax(metrics)
+    return choices, bests
 
 
 def per_step_viterbi(r, code, truncation):
@@ -87,7 +75,7 @@ def per_step_viterbi(r, code, truncation):
     out = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return out
-    choices, bests, _ = forward(r, code)
+    choices, bests = forward(r, code)
 
     def walk_back(state, level, stop_level):
         # choices[t] maps a level-(t+1) state to its level-t predecessor
@@ -109,7 +97,7 @@ def agreeing_steps(r, code, truncation):
     """Per step k >= T, whether every state's survivor holds the same input
     for step k - T, so the output needs no best state."""
     top = code.nu - 1
-    choices, _, _ = forward(r, code)
+    choices, _ = forward(r, code)
     agree = []
     for k in range(truncation, len(r)):
         states = np.arange(1 << code.nu)
@@ -130,8 +118,9 @@ def soft_values(seed, n, kind):
     additions in a path metric decides some of the near ties.  scarce pairs
     look like the main decoder's input at 6-8 dB, mostly positive with rare
     sign flips, so the survivors agree T steps back on most steps; mixed
-    alternates scarce and normal stretches of 20-150 steps.  overflow
-    values have |r| from 1e306 to 1.7e308, so path metrics reach +-inf.
+    alternates scarce and normal stretches of 20-150 steps.  large pairs
+    are normal ones scaled to sum |r| = 2^1019, half the bound that
+    viterbi_main takes, so path metrics come near the largest double.
     """
     rng = np.random.default_rng(seed)
     if kind == "normal":
@@ -144,9 +133,9 @@ def soft_values(seed, n, kind):
         scarce = np.searchsorted(ends, np.arange(n), side="right") % 2 == 0
         return np.where(scarce[:, None], soft_values(seed + 1, n, "scarce"),
                         soft_values(seed + 2, n, "normal"))
-    if kind == "overflow":
-        r = np.exp(rng.uniform(np.log(1e306), np.log(1.7e308), size=(n, 2)))
-        return np.where(rng.random((n, 2)) < 0.5, -r, r)
+    if kind == "large":
+        r = soft_values(seed, n, "normal")
+        return r * (2.0**1019 / np.abs(r).sum())
     r = rng.integers(-3, 4, size=(n, 2)) / 2.0
     if kind == "near_grid":
         r += rng.integers(-2, 3, size=(n, 2)) * 2.0**-45
@@ -279,7 +268,7 @@ def test_kernel_matches_per_step_traceback_at_every_vector_width(monkeypatch, ma
     monkeypatch.setattr(sstdec, "_KERNEL_FLAGS", tuple(
         march if flag == "-march=native" else flag for flag in sstdec._KERNEL_FLAGS))
     monkeypatch.setattr(sstdec, "_kernel", None)
-    for nu, kind in itertools.product([1, 2, 3, 6], KINDS + ("overflow",)):
+    for nu, kind in itertools.product([1, 2, 3, 6], KINDS + ("large",)):
         assert_kernel_matches_per_step_traceback(nu, kind, 40 + nu)
     # bit T in the word after word 0 or at its top: the agreement test, the
     # best-state search and the switch between them (SWITCHING_CASES) at
@@ -314,47 +303,6 @@ def test_scarce_blocks_let_the_survivors_agree():
     assert agreeing_steps(soft_values(9, 2000, "scarce"), code, t).mean() > 0.95
     assert 0.5 < agreeing_steps(soft_values(10, 2000, "mixed"), code, t).mean() < 0.95
     assert agreeing_steps(soft_values(6, 2000, "normal"), code, t).mean() < 0.5
-
-
-@pytest.mark.parametrize("code", [memory_code(1), ConvCode(name="d", g=(2, 3), ginv=(1, 1)),
-                                  get_code("c1"), get_code("c2"), memory_code(8)],
-                         ids=lambda c: c.name)
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_viterbi_main_matches_per_step_traceback_on_overflowing_metrics(code, seed):
-    # |r| up to 1.7e308: path metrics reach +-inf, alone and after an
-    # ordinary stretch; the oracle's best state is the lowest one with the
-    # top metric above -inf, else the last one
-    t = sstdec.default_truncation(code)
-    huge = soft_values(seed, 150, "overflow")
-    late = np.concatenate([soft_values(seed, 150, "scarce"), huge])
-    for r in (huge, late):
-        assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
-
-
-def kernel_bits(r, code, t):
-    """The kernel's bits for r without viterbi_main's checks (it refuses an
-    infinite r), in a buffer sized as viterbi_main sizes it."""
-    lib = sstdec.kernel()
-    lanes = lib.viterbi_lanes(code.nu)
-    work = np.empty(8 * 12 * lanes + 8 * 4 * (t // 64 + 1) * lanes + 64, dtype=np.uint8)
-    out = np.zeros(len(r), dtype=np.uint8)
-    lib.viterbi(r.ctypes.data, len(r), code.nu, *code.g, t, work.ctypes.data, out.ctypes.data)
-    return out
-
-
-@pytest.mark.parametrize("nu", [1, 2, 6])
-def test_kernel_keeps_the_last_best_state_where_no_metric_is_above_minus_inf(nu):
-    # no finite block of the tests reaches the rule (the overflowing ones
-    # keep some metric at +inf or finite), so an infinite r does: two rows
-    # (inf, -inf) make every metric NaN, and the kept state is not the 0
-    # that a plain argmax would give
-    code = memory_code(nu)
-    t = sstdec.default_truncation(code)
-    r = soft_values(6, 4 * t + 50, "normal")
-    r[[2 * t, 2 * t + 3]] = [np.inf, -np.inf]
-    _, bests, live = forward(r, code)
-    assert live[:2 * t].all() and not live[-t:].any() and bests[-1] != 0
-    assert np.array_equal(kernel_bits(r, code, t), per_step_viterbi(r, code, t))
 
 
 def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
@@ -793,27 +741,6 @@ def numpy_draw_block(code, branches, rows, seed):
     return info, x, noise, w
 
 
-@pytest.mark.parametrize("s", [0, 1, 7, 2**62])
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 4097])
-def test_philox_words_equal_numpy_philox(s, n):
-    for j in (0, 1, 2):
-        words = np.empty(n, dtype=np.uint64)
-        sstdec.kernel().philox_words(s, j, n, words.ctypes.data)
-        want = np.random.Philox(key=(s, j)).random_raw(n)
-        assert words.tobytes() == want.tobytes(), j
-
-
-@pytest.mark.parametrize("s", [2**63, 2**63 + 1, 2**64 - 1])
-def test_philox_words_past_int64_equal_make_rng(s):
-    # make_rng keys (s, j) as uint64 words, which the C pass takes as is
-    n = 9
-    for j in (0, 1, 2):
-        words = np.empty(n, dtype=np.uint64)
-        sstdec.kernel().philox_words(s, j, n, words.ctypes.data)
-        want = channel.make_rng((s, j)).bit_generator.random_raw(n)
-        assert words.tobytes() == want.tobytes(), j
-
-
 # the encoder runs on words of 64 steps: branch counts at the word edges,
 # and seeds past int64
 @pytest.mark.parametrize("code", DRAW_CODES, ids=lambda c: c.name)
@@ -1048,11 +975,38 @@ def test_soft_input_validates_shape():
         sstdec.viterbi_main(np.zeros((4, 3)), get_code("c1"))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_soft_input_rejects_non_finite_values(bad):
+# NaN, +-inf, and a finite row whose sum |r| = 2e307 reaches 2^1020 (about
+# 1.12e307), where path metrics could overflow
+@pytest.mark.parametrize("row", [(0.0, np.nan), (0.0, np.inf), (0.0, -np.inf), (1e307, 1e307)])
+def test_soft_input_rejects_non_finite_values(row):
     r = np.zeros((4, 2))
-    r[2, 1] = bad
+    r[2] = row
     with pytest.raises(ValueError, match="finite"):
         sstdec.classical_viterbi(channel.ReceivedSequence(r), get_code("c1"))
     with pytest.raises(ValueError, match="finite"):
         sstdec.viterbi_main(r, get_code("c1"))
+    for mode in ("general", "qli"):
+        with pytest.raises(ValueError, match="finite"):
+            sstdec.sst_decode(channel.ReceivedSequence(r), get_code("c1"), mode)
+
+
+def test_soft_input_just_below_the_bound_decodes():
+    # sum |r| = 1.1e307 < 2^1020
+    code = get_code("c1")
+    r = np.zeros((4, 2))
+    r[2] = (1e307, -1e306)
+    assert np.array_equal(sstdec.viterbi_main(r, code),
+                          per_step_viterbi(r, code, sstdec.default_truncation(code)))
+
+
+def test_simulate_stays_below_the_main_decoders_bound():
+    # simulate's soft values are +-|c x + noise|: c is at most sqrt of the top
+    # of RHO_RANGE, a finite noise value comes from a mid-interval uniform
+    # ((k >> 11) + 0.5) / 2^53 no nearer 0 than that of k >> 11 = 0 and no
+    # nearer 1 than that of 2^53 - 2, and a call takes at most
+    # SIMULATE_BYTES // SIMULATE_BRANCH_BYTES branches of two values
+    from scipy.special import ndtri
+
+    extreme = ndtri((np.array([0, 2**53 - 2], dtype=np.uint64) + 0.5) / 2.0**53)
+    worst = math.sqrt(channel.RHO_RANGE[1]) + np.abs(extreme).max()
+    assert 2 * (sstdec.SIMULATE_BYTES // sstdec.SIMULATE_BRANCH_BYTES) * worst < 2.0**1020
