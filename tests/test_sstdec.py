@@ -305,6 +305,37 @@ def test_scarce_blocks_let_the_survivors_agree():
     assert agreeing_steps(soft_values(6, 2000, "normal"), code, t).mean() < 0.5
 
 
+@pytest.mark.parametrize("code", [memory_code(1), ConvCode(name="d", g=(2, 3), ginv=(1, 1)),
+                                  get_code("c1"), get_code("c2"), memory_code(8)],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_viterbi_main_matches_per_step_traceback_near_the_bound(code, seed):
+    # sum |r| = 2^1019, alone and after an ordinary stretch: path metrics
+    # come near the largest double, and the oracle's sums would warn on an
+    # overflow, which pytest turns into an error
+    t = sstdec.default_truncation(code)
+    large = soft_values(seed, 150, "large")
+    late = np.concatenate([soft_values(seed, 150, "scarce"), large])
+    for r in (large, late):
+        assert np.array_equal(sstdec.viterbi_main(r, code), per_step_viterbi(r, code, t))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 6])
+def test_kernel_decodes_blocks_at_the_top_of_the_bound(nu):
+    # sum |r| within 2^-30 of 2^1020: on an all-positive block the all-zero
+    # path gains every |r|, so its metric ends near 2^1020 and every bit is
+    # 0; a normal block brings its top metric near there too
+    code = memory_code(nu)
+    t = sstdec.default_truncation(code)
+    for r in (np.abs(soft_values(6, 4 * t + 50, "normal")), soft_values(7, 4 * t + 50, "normal")):
+        r *= 2.0**1020 * (1.0 - 2.0**-40) / np.abs(r).sum()
+        assert 2.0**1020 * (1.0 - 2.0**-30) < np.abs(r).sum() < 2.0**1020
+        bits = sstdec.viterbi_main(r, code)
+        assert np.array_equal(bits, per_step_viterbi(r, code, t))
+        if (r > 0).all():
+            assert not bits.any()
+
+
 def test_kernel_file_is_keyed_by_the_host_cpu(monkeypatch):
     # a -march=native build from another CPU could die on an illegal instruction
     here = sstdec._kernel_path()
@@ -739,6 +770,46 @@ def numpy_draw_block(code, branches, rows, seed):
     noise = channel.standard_normals(channel.make_rng(seed), x.shape)
     w = channel.standard_normals(channel.make_rng((seed, 2)), (rows, 2))
     return info, x, noise, w
+
+
+def c_draw_words(s, n):
+    """The C pass's Philox words of seed s as draw_block reads them, for n
+    branches and n rows of w: per key (s, j), at j = 0 and 2 the
+    mid-interval uniforms ((k >> 11) + 0.5) / 2^53 of its first 2n words k
+    (the noise and w before ndtri maps them), and at j = 1 the info bits,
+    1 where the top bit of one of its first n words is clear."""
+    masks, info = sstdec._tap_masks(get_code("c1").g), np.empty(n, dtype=np.uint8)
+    x, u, uw = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    sstdec.kernel().draw_block(s, n, n, masks.ctypes.data, info.ctypes.data, x.ctypes.data,
+                               u.ctypes.data, uw.ctypes.data)
+    return u.ravel(), info, uw.ravel()
+
+
+def as_drawn(words, j):
+    """numpy's words of the key (s, j) as c_draw_words reads them."""
+    if j == 1:
+        return (words >> np.uint64(63) == 0).astype(np.uint8)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+
+
+@pytest.mark.parametrize("s", [0, 1, 7, 2**62])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 4097])
+def test_philox_words_equal_numpy_philox(s, n):
+    # at odd n each stream ends inside a block of four words
+    got = c_draw_words(s, n)
+    for j in (0, 1, 2):
+        want = np.random.Philox(key=(s, j)).random_raw(n if j == 1 else 2 * n)
+        assert got[j].tobytes() == as_drawn(want, j).tobytes(), j
+
+
+@pytest.mark.parametrize("s", [2**63, 2**63 + 1, 2**64 - 1])
+def test_philox_words_past_int64_equal_make_rng(s):
+    # make_rng keys (s, j) as uint64 words, which the C pass takes as is
+    n = 9
+    got = c_draw_words(s, n)
+    for j in (0, 1, 2):
+        want = channel.make_rng((s, j)).bit_generator.random_raw(n if j == 1 else 2 * n)
+        assert got[j].tobytes() == as_drawn(want, j).tobytes(), j
 
 
 # the encoder runs on words of 64 steps: branch counts at the word edges,
