@@ -312,22 +312,24 @@ def run_search(args):
     entries = qli_search.enumerate_qli(args.nu)
     columns = ["c_bits", "m1a", "m2a", "m1b", "m2b",
                "heuristic_counterexample", "exact_counterexample_snrs"]
-    # many rows share a count tuple, and the tuple fixes the comparison
+    # many rows share a count tuple, and the tuple fixes the reversals
     points = channel.grid_points()
+    labels = [format_cell(p.ebn0_db) for p in points]
     snrs_by_counts = {}
     rows = []
     # enumerate_qli's members come in ascending c_1..c_{nu-2} order
     for i, entry in enumerate(entries):
-        if entry.counts not in snrs_by_counts:
-            snrs_by_counts[entry.counts] = ";".join(
-                format_cell(p.ebn0_db) for p in qli_search.trace_compare(entry.counts, points)
-                if p.reversed_order)
+        counts = entry.counts
+        if counts not in snrs_by_counts:
+            snrs_by_counts[counts] = ";".join(
+                label for label, flag in zip(labels, qli_search.reversal_flags(counts, points))
+                if flag)
         rows.append({"c_bits": format(i, f"0{args.nu - 2}b"),
                      "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
                      "m1b": entry.m1_beta, "m2b": entry.m2_beta,
                      "heuristic_counterexample": entry.heuristic_counterexample,
                      "indeterminate": entry.indeterminate,
-                     "exact_counterexample_snrs": snrs_by_counts[entry.counts]})
+                     "exact_counterexample_snrs": snrs_by_counts[counts]})
 
     def heuristic_vs_exact(cols, rws):
         errors = []

@@ -8,7 +8,9 @@ counts: if some pairing puts every m^alpha at or below its m^beta
 partner (one strictly), the general arrangement strictly wins at every
 finite SNR, which contradicts the usual reading that QLI pre-decoding is
 the safer choice.  Rows where neither pairing works are flagged
-indeterminate and deserve the trace comparison.
+indeterminate: their order may change with the SNR, and `reversal_flags`
+settles it at each point in exact integer arithmetic.  The family at
+nu = 3..12 has no indeterminate row.
 
 The counts are the sizes of the code's error supports.  For one code
 (`family_counts`) they are read from `parity_prob.code_supports` in both
@@ -43,23 +45,22 @@ class QliSearchRow(NamedTuple):
 
     @property
     def counts(self):
-        """(m1_alpha, m2_alpha, m1_beta, m2_beta), as trace_compare takes them."""
+        """(m1_alpha, m2_alpha, m1_beta, m2_beta), as reversal_flags takes them."""
         return self.m1_alpha, self.m2_alpha, self.m1_beta, self.m2_beta
 
 
-def _pairing_le(small, big, strict):
-    for perm in ((0, 1), (1, 0)):
-        ok = all(small[i] <= big[perm[i]] for i in (0, 1))
-        if ok and (not strict or any(small[i] < big[perm[i]] for i in (0, 1))):
-            return True
-    return False
-
-
 def classify_counts(m_alpha, m_beta):
-    """(counterexample, indeterminate) from the two term-count pairs."""
-    counterexample = _pairing_le(m_alpha, m_beta, strict=True)
-    expected = _pairing_le(m_beta, m_alpha, strict=False)
-    return counterexample, (not counterexample and not expected)
+    """(counterexample, indeterminate) from the two term-count pairs.
+
+    A counterexample pairs each m^alpha with an m^beta at or above it, one
+    strictly above; an expected class pairs each m^beta with an m^alpha at
+    or above it; a class that is neither is indeterminate.  Such a pairing
+    exists exactly when the ascending one is such, and it has a strict
+    step exactly when the two pairs differ as multisets."""
+    (a1, a2), (b1, b2) = sorted(m_alpha), sorted(m_beta)
+    counterexample = a1 <= b1 and a2 <= b2 and (a1, a2) != (b1, b2)
+    expected = b1 <= a1 and b2 <= a2
+    return counterexample, not (counterexample or expected)
 
 
 def family_counts(code):
@@ -126,27 +127,52 @@ def _half_trace(q, n1, n2):
     return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
 
 
+def reversal_flags(counts, points):
+    """Whether tr Sigma_x < tr Sigma_x' at each SnrPoint, exactly.
+
+    (1/2) tr Sigma_x = 1 - (q^(2 m1a) + q^(2 m2a))/2 with q = 1 - 2 eps, and
+    tr Sigma_x' likewise from m1b, m2b, so a reversal is a strictly greater
+    power sum on the alpha side.  q^(2m) strictly decreases in m on (0, 1),
+    so a determinate class (`classify_counts`) holds one order at every
+    finite SNR: a counterexample is reversed everywhere, an expected class
+    nowhere.  An indeterminate class compares the two sums on the exact
+    value of the float q, as integers over a common denominator; a tie is
+    not a reversal."""
+    m1a, m2a, m1b, m2b = counts
+    counterexample, indeterminate = classify_counts((m1a, m2a), (m1b, m2b))
+    if not indeterminate:
+        return [counterexample] * len(points)
+    top = 2 * max(counts)
+    flags = []
+    for point in points:
+        num, den = (1.0 - 2.0 * point.epsilon).as_integer_ratio()
+        # each side's power sum times den^top, an integer
+        alpha, beta = (sum(num ** (2 * m) * den ** (top - 2 * m) for m in pair)
+                       for pair in ((m1a, m2a), (m1b, m2b)))
+        flags.append(alpha > beta)
+    return flags
+
+
 def trace_compare(counts, points):
-    """(1/2) tr Sigma_x versus (1/2) tr Sigma_x' at each SnrPoint, in float64.
+    """(1/2) tr Sigma_x versus (1/2) tr Sigma_x' at each SnrPoint.
 
     counts (family_counts) are the four support sizes, which fix both
-    traces.  reversed_order marks points where the general arrangement is
-    strictly better (tr Sigma_x < tr Sigma_x').  Both half traces are
-    float64 values near 1 at low SNR, so the order is wrong within about
-    2^-48 of a tie (ROADMAP item 1)."""
+    traces.  The half traces are float64; reversed_order, which marks
+    points where the general arrangement is strictly better
+    (tr Sigma_x < tr Sigma_x'), is `reversal_flags`, exact.  Near a tie the
+    two floats may round to the same value or the wrong way round, so
+    reversed_order does not follow from them."""
     m1a, m2a, m1b, m2b = counts
     out = []
-    for point in points:
-        eps = point.epsilon
-        q = 1.0 - 2.0 * eps
-        tx = _half_trace(q, m1a, m2a)
-        txp = _half_trace(q, m1b, m2b)
-        out.append(TracePoint(point.ebn0_db, eps, tx, txp, bool(tx < txp)))
+    for point, flag in zip(points, reversal_flags(counts, points)):
+        q = 1.0 - 2.0 * point.epsilon
+        out.append(TracePoint(point.ebn0_db, point.epsilon, _half_trace(q, m1a, m2a),
+                              _half_trace(q, m1b, m2b), flag))
     return out
 
 
 def exact_counterexample_snrs(code):
-    """Grid points (dB) where the float64 half traces put tr Sigma_x below
-    tr Sigma_x'; wrong within about 2^-48 of a tie, as trace_compare."""
-    return [p.ebn0_db for p in trace_compare(family_counts(code), channel.grid_points())
-            if p.reversed_order]
+    """Grid points (dB) where tr Sigma_x < tr Sigma_x' exactly (`reversal_flags`)."""
+    points = channel.grid_points()
+    return [p.ebn0_db for p, flag in zip(points, reversal_flags(family_counts(code), points))
+            if flag]

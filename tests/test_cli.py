@@ -754,8 +754,8 @@ def test_search_json_rows_match_csv(capsys):
 
 def per_row_search(nu):
     """search's columns and rows with one trace_compare per row, each on
-    freshly built SNR points: the reference for search, which compares
-    each distinct count tuple once."""
+    freshly built SNR points: the reference for search, which decides
+    each distinct count tuple's reversals once."""
     columns = ["c_bits", "m1a", "m2a", "m1b", "m2b",
                "heuristic_counterexample", "exact_counterexample_snrs"]
     rows = []
@@ -784,20 +784,18 @@ def test_search_matches_one_comparison_per_row(nu, capsys):
     assert json_out == json_text(columns, rows)
 
 
-def test_search_compares_each_count_tuple_once(monkeypatch, capsys):
-    compared = []
-    trace_compare = qli_search.trace_compare
+def test_search_runs_no_float_trace_comparison(monkeypatch, capsys):
+    # search reads each count tuple's reversals from qli_search.reversal_flags
+    # alone, exactly, so every row passes its validator at every nu
+    def refuse(*args):
+        raise AssertionError("search compared float half traces")
 
-    def counting(counts, points):
-        compared.append(counts)
-        return trace_compare(counts, points)
-
-    monkeypatch.setattr(qli_search, "trace_compare", counting)
-    rc, out, _ = run(["search", "--nu", "10", "--quiet"], capsys)
-    assert rc == 0
-    assert len(out.strip().split("\n")) == 1 + 256
-    assert len(compared) == len(set(compared)) == 57
-    assert set(compared) == {row.counts for row in qli_search.enumerate_qli(10)}
+    monkeypatch.setattr(qli_search, "trace_compare", refuse)
+    monkeypatch.setattr(qli_search, "_half_trace", refuse)
+    for nu, lines in ((10, 257), (12, 1025)):
+        rc, out, err = run(["search", "--nu", str(nu)], capsys)
+        assert (rc, err) == (0, "")
+        assert len(out.strip().split("\n")) == lines
 
 
 def test_search_builds_no_code_objects(monkeypatch, capsys):

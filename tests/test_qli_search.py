@@ -1,7 +1,11 @@
 """Exhaustive quick-look-in family search and the term-count heuristic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,25 @@ def test_classify_counts():
     assert qli_search.classify_counts((6, 7), (4, 6)) == (False, False)
     # mixed orderings settle nothing either way
     assert qli_search.classify_counts((5, 10), (6, 7)) == (False, True)
+
+
+def pairing_le(small, big, strict):
+    """Some pairing puts each small count at or below its big partner
+    (one strictly below, if strict)."""
+    for perm in ((0, 1), (1, 0)):
+        pairs = [(small[i], big[perm[i]]) for i in (0, 1)]
+        if all(s <= b for s, b in pairs) and (not strict or any(s < b for s, b in pairs)):
+            return True
+    return False
+
+
+def test_classify_counts_matches_every_pairing():
+    for counts in product(range(5), repeat=4):
+        m_alpha, m_beta = counts[:2], counts[2:]
+        counterexample = pairing_le(m_alpha, m_beta, strict=True)
+        expected = pairing_le(m_beta, m_alpha, strict=False)
+        assert (qli_search.classify_counts(m_alpha, m_beta)
+                == (counterexample, not counterexample and not expected)), counts
 
 
 def test_trace_compare_orders_counterexample_code():
@@ -183,18 +206,55 @@ def test_trace_compare_half_traces_are_the_sweep_values(nu):
                     == [getattr(p, field) for p in compared]), (row.c_bits, mode)
 
 
-@pytest.mark.parametrize("nu", range(7, 13))
-def test_reversal_flags_match_exact_arithmetic_outside_float_ties(nu):
-    # 4 a (1 - a) = 1 - q^(2m) for a parity over m variables, so the exact
-    # gap (1/2) tr Sigma_x - (1/2) tr Sigma_x' is
-    # (q^(2 m1b) + q^(2 m2b) - q^(2 m1a) - q^(2 m2a)) / 2 on the rational
-    # value of the float q, and a reversal is a negative gap.  The float64
-    # comparison may miss within 2^-48 of a tie; everywhere else it holds.
-    points = channel.grid_points()
+def exact_reversals(counts, points):
+    """The reversal flags in Fraction arithmetic.  4 a (1 - a) = 1 - q^(2m)
+    for a parity over m variables, so the gap (1/2) tr Sigma_x -
+    (1/2) tr Sigma_x' is (q^(2 m1b) + q^(2 m2b) - q^(2 m1a) - q^(2 m2a)) / 2
+    on the rational value of the float q, and a reversal is a negative gap."""
+    m1a, m2a, m1b, m2b = counts
     qs = [Fraction(1.0 - 2.0 * p.epsilon) for p in points]
+    return [q ** (2 * m1b) + q ** (2 * m2b) - q ** (2 * m1a) - q ** (2 * m2a) < 0 for q in qs]
+
+
+@pytest.mark.parametrize("nu", range(3, 13))
+def test_reversal_flags_match_exact_arithmetic_at_every_grid_point(nu):
+    points = channel.grid_points()
     for counts in {row.counts for row in qli_search.enumerate_qli(nu)}:
-        m1a, m2a, m1b, m2b = counts
-        for p, q in zip(qli_search.trace_compare(counts, points), qs):
-            gap = (q ** (2 * m1b) + q ** (2 * m2b) - q ** (2 * m1a) - q ** (2 * m2a)) / 2
-            if abs(gap) >= Fraction(1, 2 ** 48):
-                assert p.reversed_order == (gap < 0), (counts, p.ebn0_db)
+        exact = exact_reversals(counts, points)
+        assert qli_search.reversal_flags(counts, points) == exact, counts
+        assert [p.reversed_order for p in qli_search.trace_compare(counts, points)] == exact
+
+
+@pytest.mark.parametrize("counts, reversed_dbs", [
+    # q^2 + q^20 against 2 q^4: the sign changes between 0 and 1 dB
+    ((1, 10, 2, 2), list(range(-10, 1))),
+    # q^2 + q^6 - 2 q^4 = q^2 (1 - q^2)^2 > 0 on (0, 1)
+    ((1, 3, 2, 2), list(range(-10, 11))),
+])
+def test_reversal_flags_of_indeterminate_counts(counts, reversed_dbs):
+    assert qli_search.classify_counts(counts[:2], counts[2:]) == (False, True)
+    points = channel.grid_points()
+    flags = qli_search.reversal_flags(counts, points)
+    assert flags == exact_reversals(counts, points)
+    assert [p.ebn0_db for p, flag in zip(points, flags) if flag] == reversed_dbs
+    assert [p.reversed_order for p in qli_search.trace_compare(counts, points)] == flags
+
+
+def test_reversal_flags_call_an_exact_tie_no_reversal():
+    # the float q is 0.0 at the bottom of the dB range and 1.0 at 20 dB and
+    # above, where both power sums of an indeterminate class are equal
+    points = [channel.snr_point(db) for db in (-3076.5, 20.0, 3076.5)]
+    assert [1.0 - 2.0 * p.epsilon for p in points] == [0.0, 1.0, 1.0]
+    for counts in ((1, 10, 2, 2), (1, 3, 2, 2)):
+        assert qli_search.reversal_flags(counts, points) == [False] * 3
+        assert exact_reversals(counts, points) == [False] * 3
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # reversal_flags compares the exact q through float.as_integer_ratio
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    script = "import sys, sstkalman.cli; print('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
