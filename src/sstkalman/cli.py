@@ -43,17 +43,42 @@ def parse_cell(text):
     return value if str(value) == text else text
 
 
-def cell_texts(columns, rows):
-    """Each row's cell texts, in column order: one format_cell per cell."""
-    return [[format_cell(row.get(c)) for c in columns] for row in rows]
+# the cell text of each value of one exact type, mapped over a column that
+# holds no other; each is format_cell on that type
+COLUMN_FORMATS = {int: str, str: str, float: "{:.6g}".format,
+                  bool: ("0", "1").__getitem__}
+
+# a value of these types formats to "", "1"/"0", str(int) or six significant
+# digits, and parse_cell reads each of those back to a value of the same text
+PLAIN_CELL_TYPES = (type(None), int, float)
 
 
-def join_csv(columns, cells):
-    return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
+def column_texts(columns, rows):
+    """(texts, loose): each column's cell texts in row order, format_cell
+    of row.get(c), and for each column whether it is loose, holding a value
+    outside PLAIN_CELL_TYPES, so that validate_roundtrip parses its texts.
+
+    Each column is read once.  A column of one exact type in
+    COLUMN_FORMATS is formatted by one map of its format; any other
+    (np.float64, None, mixed types) goes through format_cell."""
+    texts, loose = [], []
+    for c in columns:
+        values = [row.get(c) for row in rows]
+        types = set(map(type, values))
+        fmt = COLUMN_FORMATS.get(*types) if len(types) == 1 else None
+        texts.append(list(map(fmt or format_cell, values)))
+        loose.append(not all(issubclass(t, PLAIN_CELL_TYPES) for t in types))
+    return texts, loose
+
+
+def join_csv(columns, texts, count):
+    """The CSV of count rows from their per-column cell texts."""
+    lines = map(",".join, zip(*texts)) if texts else [""] * count
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def csv_text(columns, rows):
-    return join_csv(columns, cell_texts(columns, rows))
+    return join_csv(columns, column_texts(columns, rows)[0], len(rows))
 
 
 def parse_csv(text):
@@ -149,27 +174,22 @@ def validate_lambda(columns, rows):
     return errors
 
 
-# a value of these types formats to "", "1"/"0", str(int) or six significant
-# digits, and parse_cell reads each of those back to a value of the same text
-PLAIN_CELL_TYPES = (type(None), int, float)
-
-
-def validate_roundtrip(columns, rows, cells):
-    """[] when join_csv(columns, cells), the CSV of these rows, reads back
-    through parse_csv as the same names and cell texts, which csv_text
-    re-emits byte for byte; one error otherwise.
+def validate_roundtrip(columns, texts, loose):
+    """[] when join_csv(columns, texts, ...), the CSV of column_texts'
+    texts, reads back through parse_csv as the same names and cell texts,
+    which csv_text re-emits byte for byte; one error otherwise.
 
     parse_csv splits on ',' and '\\n' only, so that holds exactly when the
     column names are distinct, no name or cell text holds either character,
     and every cell text is format_cell of its own parse_cell.  A None,
-    bool, int or float cell always meets the last two, so only the other
-    cells are parsed, each distinct text once.
+    bool, int or float value's text always meets the last two, so only the
+    texts of loose columns (column_texts) are parsed, each distinct text
+    once.
     """
-    texts = {t for row, line in zip(rows, cells) for c, t in zip(columns, line)
-             if not isinstance(row.get(c), PLAIN_CELL_TYPES)}
+    parsed = set().union(*(t for t, flag in zip(texts, loose) if flag))
     if (len(set(columns)) < len(columns)
-            or any("," in t or "\n" in t for t in (*columns, *texts))
-            or any(format_cell(parse_cell(t)) != t for t in texts)):
+            or any("," in t or "\n" in t for t in (*columns, *parsed))
+            or any(format_cell(parse_cell(t)) != t for t in parsed)):
         return ["CSV does not round-trip through parse/emit"]
     return []
 
@@ -315,21 +335,23 @@ def run_search(args):
     # many rows share a count tuple, and the tuple fixes the reversals
     points = channel.grid_points()
     labels = [format_cell(p.ebn0_db) for p in points]
+    width = f"0{args.nu - 2}b"
     snrs_by_counts = {}
     rows = []
     # enumerate_qli's members come in ascending c_1..c_{nu-2} order
     for i, entry in enumerate(entries):
         counts = entry.counts
-        if counts not in snrs_by_counts:
-            snrs_by_counts[counts] = ";".join(
+        snrs = snrs_by_counts.get(counts)
+        if snrs is None:
+            snrs = snrs_by_counts[counts] = ";".join(
                 label for label, flag in zip(labels, qli_search.reversal_flags(counts, points))
                 if flag)
-        rows.append({"c_bits": format(i, f"0{args.nu - 2}b"),
+        rows.append({"c_bits": format(i, width),
                      "m1a": entry.m1_alpha, "m2a": entry.m2_alpha,
                      "m1b": entry.m1_beta, "m2b": entry.m2_beta,
                      "heuristic_counterexample": entry.heuristic_counterexample,
                      "indeterminate": entry.indeterminate,
-                     "exact_counterexample_snrs": snrs_by_counts[counts]})
+                     "exact_counterexample_snrs": snrs})
 
     def heuristic_vs_exact(cols, rws):
         errors = []
@@ -353,9 +375,9 @@ def _emit_and_validate(args, columns, rows, validators):
         text = json.dumps(rows, indent=2) + "\n"
         errors = []
     elif args.format == "csv":
-        cells = cell_texts(columns, rows)
-        text = join_csv(columns, cells)
-        errors = validate_roundtrip(columns, rows, cells)
+        texts, loose = column_texts(columns, rows)
+        text = join_csv(columns, texts, len(rows))
+        errors = validate_roundtrip(columns, texts, loose)
     else:
         text = json_text(columns, rows)
         errors = []

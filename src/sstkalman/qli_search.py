@@ -15,12 +15,14 @@ nu = 3..12 has no indeterminate row.
 The counts are the sizes of the code's error supports.  For one code
 (`family_counts`) they are read from `parity_prob.code_supports` in both
 arrangements, at any degree.  `enumerate_qli` forms the whole family at
-once: its masks are numpy uint64 arrays, the four carry-less products
-and the g ginv = 1 check run by shift-and-XOR over every member
-together, the counts are their popcounts, and `classify_counts` runs
-once per distinct count tuple.  No member builds a `ConvCode` or a
-polynomial matrix.  The rows it hands out hold plain Python ints, bools
-and tuples.
+once: its masks are numpy uint64 arrays, member i's g' built by bit
+arithmetic on `np.arange` (its c bits are the binary digits of i, c_1
+first), the four carry-less products and the g ginv = 1 check run by
+shift-and-XOR over every member together, the counts are their
+popcounts, and `classify_counts` runs once per distinct count tuple.  No
+member builds a `ConvCode` or a polynomial matrix.  The rows it hands
+out, made by `QliSearchRow._make` from per-field columns, hold plain
+Python ints, bools and tuples.
 """
 
 from __future__ import annotations
@@ -101,15 +103,19 @@ def enumerate_qli(nu):
     masks, one array element per member: the one check run is g ginv = 1."""
     if not 3 <= nu <= 12:
         raise ValueError("nu must lie in [3, 12]")
-    c_bits = list(product((0, 1), repeat=nu - 2))
+    # member i's c_1..c_{nu-2} are the binary digits of i, c_1 first, and
     # c_j is bit j of g'; the leading term D^(nu-1) is always present
-    bits = np.array(c_bits, dtype=np.uint64)
-    gp = (bits << np.arange(1, nu - 1, dtype=np.uint64)).sum(axis=1) | np.uint64(1 << (nu - 1))
-    counts = list(zip(*(c.tolist() for c in
-                         _family_term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp))))
+    index = np.arange(1 << (nu - 2), dtype=np.uint64)
+    gp = np.full_like(index, 1 << (nu - 1))
+    for j in range(1, nu - 1):
+        gp |= (index >> (nu - 2 - j) & 1) << j
+    columns = [c.tolist() for c in
+               _family_term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)]
+    counts = list(zip(*columns))
     flags = {c: classify_counts(c[:2], c[2:]) for c in dict.fromkeys(counts)}
-    return [QliSearchRow(b, *c, *flags[c], g)
-            for b, c, g in zip(c_bits, counts, gp.tolist())]
+    return list(map(QliSearchRow._make,
+                    zip(product((0, 1), repeat=nu - 2), *columns,
+                        *zip(*map(flags.__getitem__, counts)), gp.tolist())))
 
 
 class TracePoint(NamedTuple):

@@ -773,7 +773,7 @@ def per_row_search(nu):
     return columns, rows
 
 
-@pytest.mark.parametrize("nu", range(3, 11))
+@pytest.mark.parametrize("nu", range(3, 13))
 def test_search_matches_one_comparison_per_row(nu, capsys):
     columns, rows = per_row_search(nu)
     rc, csv_out, _ = run(["search", "--nu", str(nu)], capsys)
@@ -983,8 +983,8 @@ def csv_tables(draw):
 @given(table=csv_tables())
 def test_roundtrip_verdict_matches_the_whole_text_check(table):
     columns, rows = table
-    cells = cli.cell_texts(columns, rows)
-    verdict = cli.validate_roundtrip(columns, rows, cells)
+    cells, loose = cli.column_texts(columns, rows)
+    verdict = cli.validate_roundtrip(columns, cells, loose)
     reference = whole_text_roundtrip(columns, rows)
     # whatever the verdict passes, the whole text reads back
     assert verdict == reference or reference == []
@@ -996,6 +996,32 @@ def test_roundtrip_verdict_matches_the_whole_text_check(table):
         # separator, refuses even where the whole text happens to read back
         # (re-split into other rows or columns)
         assert verdict == ["CSV does not round-trip through parse/emit"]
+
+
+def per_cell_roundtrip(columns, rows, cells):
+    """The per-cell verdict: each row's cell texts, and the parse of every
+    distinct text whose own value is not None, bool, int or float."""
+    texts = {t for row, line in zip(rows, cells) for c, t in zip(columns, line)
+             if not isinstance(row.get(c), cli.PLAIN_CELL_TYPES)}
+    if (len(set(columns)) < len(columns)
+            or any("," in t or "\n" in t for t in (*columns, *texts))
+            or any(format_cell(parse_cell(t)) != t for t in texts)):
+        return ["CSV does not round-trip through parse/emit"]
+    return []
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=csv_tables())
+def test_column_texts_are_the_cells_and_roundtrip_verdict_the_per_cell_one(table):
+    columns, rows = table
+    texts, loose = cli.column_texts(columns, rows)
+    cells = [[format_cell(row.get(c)) for c in columns] for row in rows]
+    assert len(texts) == len(loose) == len(columns)
+    assert [list(line) for line in zip(*texts)] == (cells if columns else [])
+    assert cli.join_csv(columns, texts, len(rows)) == (
+        "\n".join([",".join(columns), *map(",".join, cells)]) + "\n")
+    assert (cli.validate_roundtrip(columns, texts, loose)
+            == per_cell_roundtrip(columns, rows, cells))
 
 
 @settings(max_examples=1000, deadline=None)

@@ -379,6 +379,35 @@ def test_constant_matrices_are_copied_not_frozen():
     assert model.F(0)[0, 0] == 0.9
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5, -3.0, 1e6])
+def test_symmetry_check_refuses_exactly_past_the_allclose_tolerance(a):
+    # X0 = [[d, a], [b, d]] beside np.allclose(X0, X0.T, atol=1e-10), the
+    # check as first written: b bisected to the last accepted double and the
+    # first refused one, then two more ulps either side; the large diagonal
+    # keeps X0 PSD
+    def x0(b):
+        return np.array([[1e7, a], [b, 1e7]])
+
+    def refused(b):
+        return not np.allclose(x0(b), x0(b).T, atol=1e-10)
+
+    inside, outside = a, a + 2e-5 * abs(a) + 1e-9
+    assert not refused(inside) and refused(outside)
+    while np.nextafter(inside, outside) != outside:
+        mid = inside + (outside - inside) / 2
+        inside, outside = (inside, mid) if refused(mid) else (mid, outside)
+    bs = [np.nextafter(np.nextafter(inside, -np.inf), -np.inf), inside,
+          outside, np.nextafter(np.nextafter(outside, np.inf), np.inf)]
+    assert [refused(b) for b in bs] == [False, False, True, True]
+    f, h, u, w = np.eye(2), np.ones((1, 2)), np.eye(2), np.eye(1)
+    for b in bs:
+        if refused(b):
+            with pytest.raises(ValueError, match="X0 must be symmetric"):
+                kalman.state_space_model(f, h, u, w, X0=x0(b))
+        else:
+            kalman.state_space_model(f, h, u, w, X0=x0(b))
+
+
 def two_state_model(F=None, H=None, U=None, W=None):
     return kalman.state_space_model(
         F or (lambda k: 0.9 * np.eye(2)),

@@ -38,10 +38,12 @@ def test_flagged_rows():
 
 
 def test_enumeration_size_and_gprime_form():
-    for nu in (3, 4, 7):
+    for nu in range(3, 13):
         rows = qli_search.enumerate_qli(nu)
         assert len(rows) == 2 ** (nu - 2)
-        for row in rows:
+        for i, row in enumerate(rows):
+            # member i's c bits are i's nu-2 binary digits, c_1 first
+            assert "".join(map(str, row.c_bits)) == format(i, f"0{nu - 2}b")
             assert row.gprime & 1 == 0
             assert row.gprime.bit_length() - 1 == nu - 1
             # interior bits of gprime are the enumerated c bits
