@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 
 from . import channel, convcode, covar_mi, kalman, parity_prob, qli_search, sstdec
 
@@ -52,6 +53,11 @@ COLUMN_FORMATS = {int: str, str: str, float: "{:.6g}".format,
 # digits, and parse_cell reads each of those back to a value of the same text
 PLAIN_CELL_TYPES = (type(None), int, float)
 
+# a str.isdigit() text this long or shorter reads back as itself or as the int
+# that prints it, whatever int's digit limit is set to; a longer one may pass
+# that limit, and float() then reads it as a different number
+SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+
 
 def column_texts(columns, rows):
     """(texts, loose): each column's cell texts in row order, format_cell
@@ -63,7 +69,7 @@ def column_texts(columns, rows):
     (np.float64, None, mixed types) goes through format_cell."""
     texts, loose = [], []
     for c in columns:
-        values = [row.get(c) for row in rows]
+        values = list(map(dict.get, rows, repeat(c)))
         types = set(map(type, values))
         fmt = COLUMN_FORMATS.get(*types) if len(types) == 1 else None
         texts.append(list(map(fmt or format_cell, values)))
@@ -183,13 +189,15 @@ def validate_roundtrip(columns, texts, loose):
     column names are distinct, no name or cell text holds either character,
     and every cell text is format_cell of its own parse_cell.  A None,
     bool, int or float value's text always meets the last two, so only the
-    texts of loose columns (column_texts) are parsed, each distinct text
-    once.
+    texts of loose columns (column_texts) are checked, each distinct text
+    once, and of those only the ones that are not short digit strings
+    (SHORT_DIGITS) are parsed.
     """
-    parsed = set().union(*(t for t, flag in zip(texts, loose) if flag))
+    loose_texts = set().union(*(t for t, flag in zip(texts, loose) if flag))
     if (len(set(columns)) < len(columns)
-            or any("," in t or "\n" in t for t in (*columns, *parsed))
-            or any(format_cell(parse_cell(t)) != t for t in parsed)):
+            or any("," in t or "\n" in t for t in (*columns, *loose_texts))
+            or any(format_cell(parse_cell(t)) != t for t in loose_texts
+                   if not (t.isdigit() and len(t) <= SHORT_DIGITS))):
         return ["CSV does not round-trip through parse/emit"]
     return []
 

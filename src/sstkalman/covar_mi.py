@@ -337,10 +337,11 @@ class SweepRow(NamedTuple):
     rho_lambda_max: float
 
 
-def _sweep_row(point, supports):
-    """One SweepRow from the error supports of one arrangement, in floats."""
+def _sweep_row(point, sizes):
+    """One SweepRow from the `parity_prob.support_sizes` of one arrangement,
+    in floats; the point's eps is snr_point's, in [0, 1/2]."""
     rho = point.rho
-    a1, a2, a11, th = parity_prob.branch_stats(*supports, point.epsilon)
+    a1, a2, a11, th = parity_prob.sized_branch_stats(sizes, point.epsilon)
     s1, s2, s12 = sigma_x_entries(a1, a2, th)
     bounds, sigma_c = _chain(s1, s2, s12, rho)
     half_tr_c, gauss, half_tr_x, inv_1p_rho, log1p_over_rho = bounds
@@ -354,11 +355,11 @@ def _sweep_row(point, supports):
 def sweep(code, points=tuple(channel.grid_points()), mode="general"):
     """The SweepRows of one arrangement at a sequence of `channel.SnrPoint`s
     (by default the Eb/N0 grid), each the point's own `sweep_row`; the
-    supports are built once."""
-    supports = code_supports(code, mode)
-    return [_sweep_row(point, supports) for point in points]
+    support sizes are taken once."""
+    sizes = parity_prob.support_sizes(*code_supports(code, mode))
+    return [_sweep_row(point, sizes) for point in points]
 
 
 def sweep_row(code, point, mode="general"):
     """The SweepRow of one arrangement at one `channel.SnrPoint`."""
-    return _sweep_row(point, code_supports(code, mode))
+    return _sweep_row(point, parity_prob.support_sizes(*code_supports(code, mode)))

@@ -40,30 +40,41 @@ def _as_vector(v, n, name):
     return v
 
 
-def _check_finite(mat, name):
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{name} must be finite")
-    return mat
-
-
-def _check_psd(mat, name):
-    mat = np.asarray(mat, dtype=np.float64)
-    # np.allclose(mat, mat.T, atol=1e-10) written out: the same verdict on
-    # the finite matrices checked here, without allclose's set-up per call
-    if not (np.abs(mat - mat.T) <= 1e-10 + 1e-5 * np.abs(mat.T)).all():
-        raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() < -1e-10:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return 0.5 * (mat + mat.T)
-
-
-def _check_pd(mat, name):
-    mat = _check_psd(mat, name)
+def _not_pd(stack):
+    """Per matrix, whether Cholesky refuses it: one call over the stack, and
+    one per matrix only when that call fails."""
     try:
-        np.linalg.cholesky(mat)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be positive definite") from None
-    return mat
+        return np.array([_not_pd(mat[None])[0] for mat in stack] if len(stack) > 1 else [True])
+    return np.zeros(len(stack), dtype=bool)
+
+
+# per-matrix tests over a stack, in order: finite, symmetric (np.allclose(A,
+# A^T, atol=1e-10) written out), PSD, then PD as Cholesky sees 0.5 (A + A^T)
+_RULES = ((lambda s: ~np.isfinite(s).all(axis=(-2, -1)), "finite"),
+          (lambda s: ~(np.abs(s - s.mT) <= 1e-10 + 1e-5 * np.abs(s.mT)).all(axis=(-2, -1)),
+           "symmetric"),
+          (lambda s: np.linalg.eigvalsh(s).min(axis=-1) < -1e-10, "positive semidefinite"),
+          (lambda s: _not_pd(0.5 * (s + s.mT)), "positive definite"))
+_FINITE, _PSD, _PD = 1, 3, 4
+
+
+def _check_stack(mats, labels, rows, cols, rules=_FINITE):
+    """The float64 matrices `mats` as one (count, rows, cols) stack.  Each rule
+    (the shape, then the first `rules` of _RULES) runs once, on the matrices
+    before the first failure so far, so the ValueError names the first failing
+    matrix and the first rule it breaks.  PSD and PD stacks come back as 0.5 (A + A^T)."""
+    bad = next((i for i, mat in enumerate(mats) if mat.shape != (rows, cols)), len(mats))
+    rule = f"{rows}x{cols}"
+    stack = np.array(mats[:bad]).reshape(bad, rows, cols)
+    for fails, text in _RULES[:rules]:
+        failed = fails(stack[:bad])
+        if failed.any():
+            bad, rule = int(failed.argmax()), text
+    if bad < len(mats):
+        raise ValueError(f"{labels[bad]} must be {rule}")
+    return 0.5 * (stack + stack.mT) if rules > _FINITE else stack
 
 
 def _wrap(value):
@@ -82,12 +93,12 @@ def _frozen(mat):
 class StateSpaceModel:
     """Time-varying linear-Gaussian state-space model; F/H/U/W are k -> array.
 
-    Each of F, H, U and W is read and checked once per step k, on first
-    use, and then served from a private read-only copy, so the callables
-    must be pure functions of k.  F and U must be n x n, H m x n and W
-    m x m, all finite, U PSD and W PD; F may be singular, as an encoder's
-    shift register is.  A check that fails is not cached: the next read
-    calls the callable again and raises again.
+    Each is read as read-only (count, rows, cols) stacks of steps, one step
+    being a stack of one; step k is read and checked once, on first use,
+    so the callables must be pure functions of k.  F and U must be n x n,
+    H m x n and W m x m, all finite, U PSD and W PD; F may be singular, as
+    an encoder's shift register is.  A stack that fails its check caches
+    nothing: the next read calls the callables again and raises again.
     """
 
     n: int
@@ -99,28 +110,37 @@ class StateSpaceModel:
     X0: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def _matrix(self, name, k, rows, cols, check=None):
-        """name_k, read on first use and checked: its shape, finiteness, then `check`."""
-        mat = self._cache.get((name, k))
-        if mat is None:
-            mat = np.array(getattr(self, f"{name}_k")(k), dtype=np.float64)
-            if mat.shape != (rows, cols):
-                raise ValueError(f"{name}_{k} must be {rows}x{cols}")
-            _check_finite(mat, f"{name}_{k}")
-            mat = self._cache[name, k] = _frozen(check(mat, f"{name}_{k}") if check else mat)
-        return mat
+    def _read(self, name, ks):
+        """name_k for k in the range ks, one read-only stack; the steps not
+        read before are read and checked together (`_check_stack`)."""
+        stack = self._cache.get((name, ks))
+        if stack is None:
+            new = [k for k in ks if (name, range(k, k + 1)) not in self._cache]
+            shape = {"F": (self.n, self.n, _FINITE), "H": (self.m, self.n, _FINITE),
+                     "U": (self.n, self.n, _PSD), "W": (self.m, self.m, _PD)}[name]
+            mats = [np.asarray(getattr(self, f"{name}_k")(k), dtype=np.float64) for k in new]
+            fresh = _frozen(_check_stack(mats, [f"{name}_{k}" for k in new], *shape))
+            self._cache.update(((name, range(k, k + 1)), fresh[i:i + 1]) for i, k in enumerate(new))
+            stack = self._cache[name, ks] = fresh if len(new) == len(ks) else _frozen(
+                np.concatenate([self._cache[name, range(k, k + 1)] for k in ks]))
+        return stack
+
+    def stack(self, name, count):
+        """name_0 .. name_{count-1} (name one of F, H, U, W) as one read-only
+        (count, rows, cols) stack."""
+        return self._read(name, range(count))
 
     def F(self, k):
-        return self._matrix("F", k, self.n, self.n)
+        return self._read("F", range(k, k + 1))[0]
 
     def H(self, k):
-        return self._matrix("H", k, self.m, self.n)
+        return self._read("H", range(k, k + 1))[0]
 
     def U(self, k):
-        return self._matrix("U", k, self.n, self.n, _check_psd)
+        return self._read("U", range(k, k + 1))[0]
 
     def W(self, k):
-        return self._matrix("W", k, self.m, self.m, _check_pd)
+        return self._read("W", range(k, k + 1))[0]
 
 
 def state_space_model(F, H, U, W, X0):
@@ -129,15 +149,13 @@ def state_space_model(F, H, U, W, X0):
     if h0.ndim != 2:
         raise ValueError("H must be a matrix (or a callable returning one)")
     m, n = h0.shape
-    if np.shape(X0) != (n, n):
-        raise ValueError(f"X0 must be {n}x{n}")
     model = StateSpaceModel(
         n=n, m=m,
         F_k=_wrap(F), H_k=_wrap(H), U_k=_wrap(U), W_k=_wrap(W),
-        X0=_check_psd(_check_finite(X0, "X0"), "X0"),
+        X0=_check_stack([np.asarray(X0, dtype=np.float64)], ["X0"], n, n, _PSD)[0],
     )
     # the shape probe is H_0's one read; its shape check holds by construction
-    model._cache[("H", 0)] = _frozen(_check_finite(np.array(h0), "H_0"))
+    model._cache["H", range(1)] = _frozen(_check_stack([h0], ["H_0"], m, n))
     return model
 
 
@@ -181,10 +199,8 @@ def kf_step(state, model, z_k):
 
 def run_filter(model, observations):
     states = []
-    state = None
     for z in observations:
-        state = kf_step(state, model, z)
-        states.append(state)
+        states.append(kf_step(states[-1] if states else None, model, z))
     return states
 
 
@@ -198,42 +214,52 @@ def covariance_recursion(model, steps):
 
 
 def _logdet(mat):
+    """log det of one matrix (a float) or of each of a stack (a list)."""
     sign, val = np.linalg.slogdet(mat)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise ValueError("matrix must be positive definite")
-    return float(val)
+    return val.tolist()
 
 
-def _mi_trace(model, k, trace):
-    """The covariance trace covering 0..k that both MI forms sum over."""
+def _stacks(steps, *names):
+    """The named fields of filter steps, each as one stack over the steps."""
+    return [np.array([getattr(s, name) for s in steps]) for name in names]
+
+
+def _mi_trace(model, k, trace, *names):
+    """`_stacks` of steps 0..k of the covariance trace that the MI forms sum over."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if trace is None:
         trace = covariance_recursion(model, k + 1)
     if len(trace) <= k:
         raise ValueError("trace too short")
-    return trace
+    return _stacks(trace[:k + 1], *names)
+
+
+def _half_log_ratio(num, den):
+    """(1/2) sum_j log(det num_j / det den_j), term by term over two stacks."""
+    return 0.5 * sum(a - b for a, b in zip(_logdet(num), _logdet(den)))
 
 
 def gaussian_mi(model, k, trace=None):
     """I(x^k; z^k) in nats: (1/2) sum_{j<=k} log(det R_j / det W_j)."""
-    trace = _mi_trace(model, k, trace)
-    return 0.5 * sum(_logdet(trace[j].R_k) - _logdet(model.W(j)) for j in range(k + 1))
+    return _half_log_ratio(*_mi_trace(model, k, trace, "R_k"), model.stack("W", k + 1))
 
 
 def gaussian_mi_prediction_form(model, k, trace=None):
     """Same quantity as (1/2) sum log(det M_j / det P_j); needs M_j nonsingular."""
-    trace = _mi_trace(model, k, trace)
-    return 0.5 * sum(_logdet(trace[j].M_k) - _logdet(trace[j].P_k) for j in range(k + 1))
+    return _half_log_ratio(*_mi_trace(model, k, trace, "M_k", "P_k"))
 
 
 def information_form_inverse(a, b, c):
-    """(A^-1 + C^T B^-1 C)^-1 evaluated as A - A C^T (C A C^T + B)^-1 C A."""
+    """(A^-1 + C^T B^-1 C)^-1 evaluated as A - A C^T (C A C^T + B)^-1 C A,
+    for one (A, B, C) or stacks of them."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    inner = c @ a @ c.T + b
-    return a - a @ c.T @ np.linalg.solve(inner, c @ a)
+    inner = c @ a @ c.mT + b
+    return a - a @ c.mT @ np.linalg.solve(inner, c @ a)
 
 
 # ----------------------------------------------------------------- smoothing
@@ -304,10 +330,10 @@ def _stacked_joint(model, b):
     a = np.eye((b + 1) * n)
     for i in range(1, b + 1):
         a[i * n:(i + 1) * n, :i * n] = model.F(i - 1) @ a[(i - 1) * n:i * n, :i * n]
-    x_cov = a @ _block_diag(model.X0, *(model.U(j) for j in range(b))) @ a.T
-    h = _block_diag(*(model.H(j) for j in range(b + 1)))
+    x_cov = a @ _block_diag(model.X0, *model.stack("U", b)) @ a.T
+    h = _block_diag(*model.stack("H", b + 1))
     xz = x_cov @ h.T
-    z_cov = h @ xz + _block_diag(*(model.W(j) for j in range(b + 1)))
+    z_cov = h @ xz + _block_diag(*model.stack("W", b + 1))
     return tuple(_frozen(v) for v in (x_cov, z_cov, xz))
 
 
@@ -351,47 +377,36 @@ def random_model(seed, n):
     """A well-conditioned time-varying model with n states and n observations
     per step, deterministic in (seed, k)."""
 
-    def mat(k, tag, shape):
+    def mat(k, tag):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k, tag))))
-        return g.standard_normal(shape)
+        return g.standard_normal((n, n))
 
-    def F(k):
-        q, _ = np.linalg.qr(mat(k, 1, (n, n)))
-        return 0.95 * q
+    def pd(k, tag, floor):
+        a = mat(k, tag)
+        return a @ a.T / n + floor * np.eye(n)
 
-    def H(k):
-        return mat(k, 2, (n, n))
-
-    def U(k):
-        a = mat(k, 3, (n, n))
-        return a @ a.T / n + 0.1 * np.eye(n)
-
-    def W(k):
-        a = mat(k, 4, (n, n))
-        return a @ a.T / n + 0.5 * np.eye(n)
-
-    a0 = mat(0, 5, (n, n))
-    x0 = a0 @ a0.T / n + 0.5 * np.eye(n)
-    return state_space_model(F, H, U, W, X0=x0)
+    return state_space_model(lambda k: 0.95 * np.linalg.qr(mat(k, 1))[0], lambda k: mat(k, 2),
+                             lambda k: pd(k, 3, 0.1), lambda k: pd(k, 4, 0.5), X0=pd(0, 5, 0.5))
 
 
 def simulate_observations(model, steps, seed):
-    """Draw one state/observation path from the model."""
+    """Draw one path from the model: its (steps, m) observations z_0 .. z_{steps-1}."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 999))))
-    x = np.linalg.cholesky(model.X0 + 1e-12 * np.eye(model.n)) @ gen.standard_normal(model.n)
-    zs = []
-    for k in range(steps):
-        w = np.linalg.cholesky(model.W(k)) @ gen.standard_normal(model.m)
-        zs.append(model.H(k) @ x + w)
-        if k < steps - 1:
-            u_cov = model.U(k)
-            u = np.linalg.cholesky(u_cov + 1e-12 * np.eye(model.n)) @ gen.standard_normal(model.n)
-            x = model.F(k) @ x + u
-    return zs
+    # step k's normals: x_0's at k = 0 and u_{k-1}'s after it, then w_k's
+    normals = gen.standard_normal(steps * (model.n + model.m)).reshape(steps, -1, 1)
+    x0_u = np.concatenate((model.X0[None], model.stack("U", steps - 1))) + 1e-12 * np.eye(model.n)
+    x0_u = np.linalg.cholesky(x0_u) @ normals[:, :model.n]
+    xs = [x0_u[0]]
+    for f, u in zip(model.stack("F", steps - 1), x0_u[1:]):
+        xs.append(f @ xs[-1] + u)
+    w = np.linalg.cholesky(model.stack("W", steps)) @ normals[:, model.n:]
+    return (model.stack("H", steps) @ np.array(xs) + w)[..., 0]
 
 
 def _neg_eig(mat):
-    return max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
+    return max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.mT)).min()))
 
 
 # the projection oracle stacks every step's states into square float64
@@ -425,35 +440,20 @@ def identity_report(seed, states, steps):
         checks.append({"check": name, "max_dev": float(dev), "tol": tolerance,
                        "passed": bool(dev <= tolerance)})
 
-    dev = max(np.abs(s.K_k - s.P_k @ model.H(s.k).T @ np.linalg.inv(model.W(s.k))).max()
-              for s in fs)
-    add("gain-forms-agree", dev)
-
-    dev = 0.0
-    for s_prev, s_next in zip(fs, fs[1:]):
-        f = model.F(s_prev.k)
-        combined = f @ (s_prev.M_k - s_prev.K_k @ s_prev.R_k @ s_prev.K_k.T) @ f.T + model.U(s_prev.k)
-        dev = max(dev, np.abs(s_next.M_k - combined).max())
-    add("combined-prediction-recursion", dev)
-
-    dev = max(np.abs(fs[j].M_k - trace[j].M_k).max() for j in range(steps))
-    add("data-free-covariances-match-filter", dev)
-
+    # each per-step identity is one expression over the stacks of its steps
+    f, u, h, w = (model.stack(name, count) for name, count in zip("FUHW", (b, b, steps, steps)))
+    gain, p_cov, m_cov, r_cov = _stacks(fs, "K_k", "P_k", "M_k", "R_k")
+    add("gain-forms-agree", np.abs(gain - p_cov @ h.mT @ np.linalg.inv(w)).max())
+    combined = f @ (m_cov[:-1] - gain[:-1] @ r_cov[:-1] @ gain[:-1].mT) @ f.mT + u
+    add("combined-prediction-recursion", np.abs(m_cov[1:] - combined).max())
+    add("data-free-covariances-match-filter", np.abs(m_cov - _stacks(trace, "M_k")[0]).max())
     mi_innov = gaussian_mi(model, b, trace)
     add("mi-forms-agree", abs(mi_innov - gaussian_mi_prediction_form(model, b, trace)))
-
-    z_cov = joint_observation_covariance(model, b)
-    stacked = 0.5 * (_logdet(z_cov) - sum(_logdet(model.W(j)) for j in range(steps)))
+    stacked = 0.5 * (_logdet(joint_observation_covariance(model, b)) - sum(_logdet(w)))
     add("mi-matches-stacked-determinant", abs(mi_innov - stacked))
-
-    dev = 0.0
-    for s in fs:
-        h = model.H(s.k)
-        lhs = information_form_inverse(s.M_k, model.W(s.k), h)
-        dev = max(dev, np.abs(lhs - s.P_k).max())
-    add("information-form-matches-filtering", dev)
-
-    add("filtering-below-prediction", max(_neg_eig(s.M_k - s.P_k) for s in fs))
+    add("information-form-matches-filtering",
+        np.abs(information_form_inverse(m_cov, w, h) - p_cov).max())
+    add("filtering-below-prediction", _neg_eig(m_cov - p_cov))
 
     # every smoothed (xhat_{k|b}, Cov(x_k | z^b)) from one pass; fs's
     # covariances are trace's, bit for bit
@@ -465,7 +465,7 @@ def identity_report(seed, states, steps):
         max(np.abs(smoothed[k][0] - projection_smoothed_estimate(model, zs, k, b)).max()
             for k in (0, steps // 2, b)))
     add("smoothing-never-hurts",
-        max(_neg_eig(fs[k].P_k - sigma) for k, (_, sigma) in smoothed.items()))
+        _neg_eig(p_cov - np.array([smoothed[k][1] for k in range(steps)])))
 
     # lag 2 needs k_mid + 2 <= b; at steps >= 5 this is steps // 2
     k_mid = min(steps // 2, steps - 3)

@@ -84,11 +84,9 @@ def _split_sizes(s1, s2):
 
 
 def joint_parity_prob(s1, s2, eps):
-    """P(both parities are 1) for two supports over the same error field."""
-    eps = _check_eps(eps)
-    a, b, c = _split_sizes(s1, s2)
-    q = 1.0 - 2.0 * eps
-    return 0.25 * (1.0 + q ** (a + b) - q ** (a + c) - q ** (b + c))
+    """P(both parities are 1) for two supports over the same error field:
+    (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4."""
+    return branch_stats(s1, s2, eps)[2]
 
 
 def joint_value_prob(supports, values, eps):
@@ -186,15 +184,31 @@ def theta_polynomial(s1, s2):
     return _q_expansion(((1, a + b), (-1, a + b + 2 * c)), 4)
 
 
+def support_sizes(s1, s2):
+    """(|S1|, |S2|, |S1 ^ S2|): the exponents of q = 1 - 2 eps in the
+    branch statistics of two supports, a + c, b + c and a + b."""
+    return len(s1), len(s2), len(s1 ^ s2)
+
+
+def sized_branch_stats(sizes, eps):
+    """(alpha1, alpha2, alpha11, theta) from `support_sizes` and an eps in
+    [0, 1], by the same float operations as parity_one_prob and
+    joint_parity_prob."""
+    n1, n2, n12 = sizes
+    q = 1.0 - 2.0 * eps
+    q1, q2 = q ** n1, q ** n2
+    a1 = 0.5 * (1.0 - q1)
+    a2 = 0.5 * (1.0 - q2)
+    a11 = 0.25 * (1.0 + q ** n12 - q1 - q2)
+    return a1, a2, a11, a11 - a1 * a2
+
+
 def branch_stats(s1, s2, eps):
     """(alpha1, alpha2, alpha11, theta) of one main-encoded pair.
 
     Every branch covariance of the analysis is built from these four.
     """
-    a1 = parity_one_prob(s1, eps)
-    a2 = parity_one_prob(s2, eps)
-    a11 = joint_parity_prob(s1, s2, eps)
-    return a1, a2, a11, a11 - a1 * a2
+    return sized_branch_stats(support_sizes(s1, s2), _check_eps(eps))
 
 
 def theta(s1, s2, eps):

@@ -21,13 +21,14 @@ first), the four carry-less products and the g ginv = 1 check run by
 shift-and-XOR over every member together, the counts are their
 popcounts, and `classify_counts` runs once per distinct count tuple.  No
 member builds a `ConvCode` or a polynomial matrix.  The rows it hands
-out, made by `QliSearchRow._make` from per-field columns, hold plain
-Python ints, bools and tuples.
+out, made by `tuple.__new__` on the class from per-field columns (what
+`QliSearchRow._make` does, less its length check), hold plain Python
+ints, bools and tuples.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +114,8 @@ def enumerate_qli(nu):
                _family_term_counts(1 ^ (gp << 1), 3 ^ (gp << 1), 1 ^ gp, gp)]
     counts = list(zip(*columns))
     flags = {c: classify_counts(c[:2], c[2:]) for c in dict.fromkeys(counts)}
-    return list(map(QliSearchRow._make,
+    # tuple.__new__ bound to the class: _make without its length check
+    return list(map(tuple.__new__, repeat(QliSearchRow),
                     zip(product((0, 1), repeat=nu - 2), *columns,
                         *zip(*map(flags.__getitem__, counts)), gp.tolist())))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sstkalman.cli import (
     CHAIN_SLACK,
@@ -1038,6 +1038,47 @@ def test_numeric_cells_round_trip(value):
     text = format_cell(value)
     assert "," not in text and "\n" not in text
     assert format_cell(parse_cell(text)) == text
+
+
+# every character that str.isdigit() accepts: the ASCII and other decimal
+# digits (Arabic-Indic "\u0663", ...) and digits that int() refuses
+# (superscript "\u00b2", circled "\u2460", ...)
+ISDIGIT_CHARS = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isdigit()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from("0123456789") | st.sampled_from(ISDIGIT_CHARS),
+                    min_size=1, max_size=cli.SHORT_DIGITS))
+@example(text="007")
+@example(text="\u00b2")
+@example(text="\u0663")
+@example(text="0" * cli.SHORT_DIGITS)
+@example(text="9" * cli.SHORT_DIGITS)
+def test_short_digit_texts_round_trip(text):
+    # validate_roundtrip parses no such text of a loose column, on this
+    # property: each reads back as itself (leading zeros, a digit int()
+    # refuses) or as the int that prints it
+    assert text.isdigit() and len(text) <= cli.SHORT_DIGITS
+    assert format_cell(parse_cell(text)) == text
+    assert cli.validate_roundtrip(["x"], [[text]], [True]) == []
+
+
+@pytest.mark.parametrize("digits", [640, 641, 4300, 4301])
+def test_long_digit_texts_are_parsed_at_the_smallest_int_digit_limit(digits):
+    # at int's smallest digit limit, 640, a 641-digit text reads back as a
+    # float that prints otherwise, so the check parses digit texts past
+    # SHORT_DIGITS and refuses that one as the whole-text check does
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rows = [{"x": "1" * digits}]
+        texts, loose = cli.column_texts(["x"], rows)
+        verdict = cli.validate_roundtrip(["x"], texts, loose)
+        assert verdict == whole_text_roundtrip(["x"], rows)
+        assert verdict == ([] if digits <= cli.SHORT_DIGITS else
+                           ["CSV does not round-trip through parse/emit"])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sstkalman import kalman
 from sstkalman.convcode import get_code
+
+from oracles import per_step_identity_report, per_step_observations
 
 
 def psd_min_eig(mat):
@@ -19,6 +22,32 @@ def test_identity_report_passes_across_models():
         assert all(chk["passed"] for chk in report), [
             (chk["check"], chk["max_dev"]) for chk in report if not chk["passed"]
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), states=st.integers(1, 6), steps=st.integers(4, 20))
+def test_stacked_identity_report_is_the_per_step_one_bit_for_bit(seed, states, steps):
+    # each identity over the stacks of all steps at once, against the same
+    # identity taken one step, one small numpy call, at a time
+    assert kalman.identity_report(seed, states, steps) == per_step_identity_report(
+        seed, states, steps)
+
+
+@pytest.mark.parametrize("states, steps", [(1, 1), (1, 2), (3, 8), (6, 20), (2, 64)])
+def test_simulate_observations_is_the_per_step_draw_bit_for_bit(states, steps):
+    # one standard_normal call and one Cholesky per family, against a draw
+    # and a factor per vector
+    for seed in range(3):
+        model = kalman.random_model(seed, states)
+        got = kalman.simulate_observations(model, steps, seed)
+        assert got.shape == (steps, states)
+        assert got.tobytes() == np.array(per_step_observations(model, steps, seed)).tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_simulate_observations_refuses_no_steps(steps):
+    with pytest.raises(ValueError, match="steps must be positive"):
+        kalman.simulate_observations(kalman.random_model(1, 2), steps, seed=0)
 
 
 def test_scalar_covariance_recursion_by_hand():
@@ -417,7 +446,7 @@ def two_state_model(F=None, H=None, U=None, W=None):
         X0=np.eye(2))
 
 
-@pytest.mark.parametrize("kwargs, run, match", [
+MODEL_CHECK_CASES = [
     ({"U": lambda k: np.array([[0.2]]) if k == 2 else 0.2 * np.eye(2)},
      "filter", "U_2 must be 2x2"),
     ({"U": lambda k: np.array([[0.2, 0.1], [0.0, 0.2]]) if k == 2 else 0.2 * np.eye(2)},
@@ -436,7 +465,10 @@ def two_state_model(F=None, H=None, U=None, W=None):
      "recursion", "F_1 must be finite"),
     ({"H": lambda k: np.array([[np.inf, 0.5]]) if k == 3 else np.array([[1.0, 0.5]])},
      "filter", "H_3 must be finite"),
-])
+]
+
+
+@pytest.mark.parametrize("kwargs, run, match", MODEL_CHECK_CASES)
 def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
     model = two_state_model(**kwargs)
     obs = [np.array([0.3])] * 6
@@ -446,6 +478,44 @@ def test_model_checks_fire_on_first_use_and_again(kwargs, run, match):
                 kalman.covariance_recursion(model, 6)
             else:
                 kalman.run_filter(model, obs)
+
+
+@pytest.mark.parametrize("kwargs, name, match", [
+    (kwargs, match[0], match) for kwargs, _, match in MODEL_CHECK_CASES])
+def test_stack_reads_name_the_first_failing_step(kwargs, name, match):
+    # the same rule broken at a later step too: the stack read over steps
+    # 0..5 names the first one, and a failed stack caches no step
+    k_bad = int(match.split()[0].split("_")[1])
+    fn = kwargs[name]
+    model = two_state_model(**{name: lambda k: fn(k_bad) if k == k_bad + 2 else fn(k)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            model.stack(name, 6)
+    assert not [key for key in model._cache if key[0] == name and key != ("H", range(1))]
+    if k_bad:  # the steps before it read on their own, as in the filter
+        np.testing.assert_array_equal(model.stack(name, k_bad),
+                                      two_state_model().stack(name, k_bad))
+
+
+@pytest.mark.parametrize("bad, match", [
+    # step 1 breaks the PSD rule, step 3 the earlier finite rule: step 1 is named
+    ({1: np.diag([-1.0, 0.2]), 3: np.diag([np.inf, 0.2])}, "U_1 must be positive semidefinite"),
+    # step 2 is the wrong shape, step 0 not symmetric: step 0 is named
+    ({0: np.array([[0.2, 0.1], [0.0, 0.2]]), 2: np.eye(3)}, "U_0 must be symmetric"),
+    # step 4 is the wrong shape, step 2 is PSD but not PD (W = 0)
+    ({4: np.ones((2, 3)), 2: np.zeros((2, 2))}, "U_4 must be 2x2"),
+])
+def test_stack_reads_name_the_first_step_whatever_rule_it_breaks(bad, match):
+    model = two_state_model(U=lambda k: bad.get(k, 0.2 * np.eye(2)))
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        model.stack("U", 6)
+
+
+def test_w_stack_names_the_first_step_that_is_not_pd():
+    model = two_state_model(W=lambda k: np.array([[0.0]]) if k in (3, 5) else np.array([[1.0]]))
+    with pytest.raises(ValueError, match="^W_3 must be positive definite$"):
+        model.stack("W", 6)
+    np.testing.assert_array_equal(model.stack("W", 3), np.ones((3, 1, 1)))
 
 
 @pytest.mark.parametrize("x0", [np.eye(3), np.eye(1), np.ones((2, 3))],

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from sstkalman import channel, covar_mi
 from sstkalman.convcode import get_code, main_encoded_block_map, make_qli
 from sstkalman.parity_prob import (
     ErrorSupport,
+    branch_stats,
     brute_force_joint,
     code_supports,
     joint_parity_prob,
@@ -19,12 +21,16 @@ from sstkalman.parity_prob import (
     monte_carlo_probs,
     parity_frequencies,
     parity_one_prob,
+    sized_branch_stats,
     support_of,
+    support_sizes,
     theta,
     theta_four_ways,
     theta_polynomial,
 )
 from sstkalman.qli_search import enumerate_qli
+
+from oracles import per_support_branch_stats
 
 supports = st.frozensets(
     st.tuples(st.integers(1, 2), st.integers(0, 5)), max_size=6
@@ -214,3 +220,23 @@ def test_parity_frequencies_are_the_float_means_bit_for_bit(n, rates, seed):
     est, ses = parity_frequencies(v)
     assert np.array(est).tobytes() == np.array(means).tobytes()
     assert ses == [float(np.sqrt(p * (1.0 - p) / n)) for p in means]
+
+
+def test_branch_stats_on_support_sizes_are_the_per_support_ones():
+    # every family member at nu = 3..12 and both built-in codes, in both
+    # arrangements, on the grid and at both ends of RHO_RANGE: the statistics
+    # on the support sizes, as `sweep` takes them once per call, are bit for
+    # bit those of each statistic's own set algebra
+    points = [*channel.grid_points(),
+              *(channel.snr_point(10.0 * np.log10(rho)) for rho in channel.RHO_RANGE)]
+    codes = [get_code("c1"), get_code("c2"),
+             *(make_qli(row.gprime) for nu in range(3, 13) for row in enumerate_qli(nu))]
+    assert len(codes) == 2 + 2046
+    for code in codes:
+        for mode in ("general", "qli"):
+            s1, s2 = code_supports(code, mode)
+            sizes = support_sizes(s1, s2)
+            want = [per_support_branch_stats(s1, s2, pt.epsilon) for pt in points]
+            assert [sized_branch_stats(sizes, pt.epsilon) for pt in points] == want
+            assert [branch_stats(s1, s2, pt.epsilon) for pt in points] == want
+            assert [row[3:7] for row in covar_mi.sweep(code, points, mode)] == want

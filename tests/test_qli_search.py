@@ -157,6 +157,19 @@ def test_array_enumeration_matches_a_per_member_loop(nu):
         assert type(row.indeterminate) is bool
 
 
+@pytest.mark.parametrize("nu", range(3, 13))
+def test_enumeration_rows_are_the_make_rows(nu):
+    # tuple.__new__ bound to the class skips _make's length check, so pin
+    # each row's class, its field count and its values to _make's row
+    made = list(map(qli_search.QliSearchRow._make, per_member_rows(nu)))
+    rows = qli_search.enumerate_qli(nu)
+    assert rows == made
+    for row, want in zip(rows, made):
+        assert type(row) is qli_search.QliSearchRow
+        assert len(row) == len(qli_search.QliSearchRow._fields)
+        assert row._asdict() == want._asdict()
+
+
 @given(st.integers(min_value=3, max_value=12), st.data())
 def test_array_term_counts_reject_one_false_right_inverse(nu, data):
     gp = np.array([row.gprime for row in qli_search.enumerate_qli(nu)], dtype=np.uint64)
