@@ -8,8 +8,10 @@
    64 steps, bit j for step j, so a tap costs one shift and one XOR per 64
    branches.  The stream pass forms z, the hard decisions and the signs of r
    in GCC vectors of NATIVE doubles (below), NATIVE / 2 branches at a time,
-   and its counts of the strided v rows leave the caller no pass over them.
-   The Sigma_r rows read v and w as contiguous (n, 2) rows.
+   in every 64-step window alike: one that reaches past the block's ends is
+   first copied into zeroed stack buffers (window).  Its counts of the
+   strided v rows leave the caller no pass over them.  The Sigma_r rows
+   read v and w as contiguous (n, 2) rows.
 
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
@@ -177,21 +179,6 @@ static inline uint64_t filter_word(uint64_t lo, uint64_t hi, uint64_t now, uint6
     return out;
 }
 
-/* the bits of *x with the sign bit set to s */
-static inline uint64_t signed_bits(const double *x, uint64_t s)
-{
-    uint64_t bits;
-    memcpy(&bits, x, sizeof bits);
-    return (bits & ~((uint64_t)1 << 63)) | s << 63;
-}
-
-/* Value i of the received block: x[i] itself where noise is NULL, else
-   c x[i] + noise[i], rounded after each operation as numpy evaluates it. */
-static inline double received(const double *x, const double *noise, double c, int64_t i)
-{
-    return noise ? c * x[i] + noise[i] : x[i];
-}
-
 /* The stream pass's vectors: NATIVE doubles, so BRANCHES = NATIVE / 2
    branches of two columns, lane j holding column j & 1 of branch j / 2,
    whose bit in a word of BRANCHES branches is LANE_BITS[j]. */
@@ -204,7 +191,26 @@ static inline double received(const double *x, const double *noise, double c, in
 #define LANE_BITS {1, 1}
 #endif
 
-/* received() of the BRANCHES branches from value i on */
+/* The 64 steps from step s on of a (n rows of 2, or NULL): a + 2 s where
+   they lie inside [0, n), else a copy in buf whose steps outside [0, n)
+   are 0. */
+static inline const double *window(const double *a, int64_t n, int64_t s, double buf[128])
+{
+    const int64_t lo = s < 0 ? -s : 0, hi = n - s < 64 ? n - s : 64;
+
+    if (!a)
+        return NULL;
+    if (lo == 0 && hi == 64)
+        return a + 2 * s;
+    memset(buf, 0, 128 * sizeof *buf);
+    if (lo < hi)
+        memcpy(buf + 2 * lo, a + 2 * (s + lo), (size_t)(2 * (hi - lo)) * sizeof *buf);
+    return buf;
+}
+
+/* Values i .. i + NATIVE - 1 of the received block, BRANCHES branches: x
+   itself where noise is NULL, else c x + noise, rounded after each
+   operation as numpy evaluates it. */
 static inline vnd received_v(const double *x, const double *noise, double c, int64_t i)
 {
     vnd a, b;
@@ -217,29 +223,24 @@ static inline vnd received_v(const double *x, const double *noise, double c, int
 }
 
 /* The hard decisions z < 0 (so -0.0 reads 0) of the 64 steps from step s
-   on, one word per column, bit j for step s + j; a step outside [0, n)
-   reads 0. */
+   on, one word per column, bit j for step s + j.  A step outside [0, n)
+   reads x = 0 and noise = 0 (window), so z = 0 and its decision is 0. */
 static inline void hard_words(const double *x, const double *noise, double c, int64_t n,
                               int64_t s, uint64_t h[2])
 {
+    const vnu lane_bits = LANE_BITS;
+    const vnd zero = {0};
+    double bx[128], bn[128];
+    vnu acc = {0};
     int64_t j;
 
+    x = window(x, n, s, bx);
+    noise = window(noise, n, s, bn);
+    for (j = 0; j < 64; j += BRANCHES)
+        acc |= ((vnu)(received_v(x, noise, c, 2 * j) < zero) & lane_bits) << j;
     h[0] = h[1] = 0;
-    if (s >= 0 && s + 64 <= n) {
-        const vnu lane_bits = LANE_BITS;
-        const vnd zero = {0};
-        vnu acc = {0};
-        for (j = 0; j < 64; j += BRANCHES)
-            acc |= ((vnu)(received_v(x, noise, c, 2 * (s + j)) < zero) & lane_bits) << j;
-        for (j = 0; j < NATIVE; j++)
-            h[j & 1] |= acc[j];
-        return;
-    }
-    for (j = 0; j < 64; j++)
-        if (s + j >= 0 && s + j < n) {
-            h[0] |= (uint64_t)(received(x, noise, c, 2 * (s + j)) < 0.0) << j;
-            h[1] |= (uint64_t)(received(x, noise, c, 2 * (s + j) + 1) < 0.0) << j;
-        }
+    for (j = 0; j < NATIVE; j++)
+        h[j & 1] |= acc[j];
 }
 
 /* Bytes 0 .. count - 1 of out get bits 0 .. count - 1 of b, one 0/1 byte each. */
@@ -258,63 +259,52 @@ static inline void spread_bits(uint64_t b, int64_t count, uint8_t *out)
         out[k] = (uint8_t)(b >> k & 1);
 }
 
-/* The number of the first count 0/1 bytes of a and b that differ. */
-static inline int64_t differing(const uint8_t *a, const uint8_t *b, int64_t count)
-{
-    uint64_t u, w;
-    int64_t k, d = 0;
-
-    for (k = 0; k + 8 <= count; k += 8) {
-        memcpy(&u, a + k, sizeof u);
-        memcpy(&w, b + k, sizeof w);
-        d += __builtin_popcountll(u ^ w);
-    }
-    for (; k < count; k++)
-        d += a[k] != b[k];
-    return d;
-}
-
 /* The SST receiver from the received block z (n rows of 2) to the main
    decoder's input, in one pass.  z is x itself where noise is NULL (a block
-   to decode), else c x + noise with x = 1 - 2y the BPSK symbols of the
-   codeword y of info (simulate's points).  The hard decision of z is 1
-   where z < 0.  The pre-decoder stream ihat filters the two hard streams
-   with the taps (t[0], t[1]) and (t[2], t[3]); the re-encoder filters ihat
-   with g_l, (t[4 + 2l], t[5 + 2l]); every register starts at zero.  Row
+   to decode), else c x + noise with x = 1 - 2y the BPSK symbols of a
+   codeword y (simulate's points).  The hard decision of z is 1 where
+   z < 0.  The pre-decoder stream ihat filters the two hard streams with
+   the taps (t[0], t[1]) and (t[2], t[3]); the re-encoder filters ihat with
+   g_l, (t[4 + 2l], t[5 + 2l]); every register starts at zero.  Row
    k < n - delay of the outputs lines up with step k + delay of those
    streams: pre[k] = ihat, and r[k, l] = +-|z[k, l]|, negative where
    y_l xor the hard decision of z[k, l] is 1 (the sign bit alone changes, so
-   signed zeros and subnormals pass through exactly).  With noise, v gets
-   the main-encoded stream y_l xor y[k, l] on the rows k = stride,
-   2 stride, ... below n - delay, ones[0], ones[1] and ones[2] the numbers
-   of those rows whose column 0, column 1 and both columns are 1, and the
-   pass returns the number of rows where pre differs from info (0/1 bytes);
-   without, info, v and ones are not read and it returns 0.
+   signed zeros and subnormals pass through exactly).  Where v is not NULL
+   (with noise), v gets the main-encoded stream y_l xor y[k, l] on the rows
+   k = stride, 2 stride, ... below n - delay, and ones[0], ones[1] and
+   ones[2] the numbers of those rows whose column 0, column 1 and both
+   columns are 1; else v and ones are not read.
 
    The pass runs 64 rows at a time on words of 64 steps: window a holds
    steps delay + 64 a on, the steps of rows 64 a on, so every filter is one
    shift and XOR per tap on the words of window a and a - 1.  z and the
    signs of r are formed in vectors of NATIVE doubles, and z twice: once
-   for the window's hard words, once for its rows' r. */
-int64_t sst_stream(const double *x, const double *noise, double c, const uint8_t *info,
-                   int64_t n, int64_t delay, const uint64_t *t, int64_t stride, uint8_t *pre,
-                   double *r, uint8_t *v, int64_t *ones)
+   for the window's hard words, once for its rows' r.  A window that
+   reaches past the block's ends reads a zero-padded copy (window), and a
+   last window of fewer than 64 rows writes its r into tail, whose first
+   rows are then copied out. */
+void sst_stream(const double *x, const double *noise, double c, int64_t n, int64_t delay,
+                const uint64_t *t, int64_t stride, uint8_t *pre, double *r, uint8_t *v,
+                int64_t *ones)
 {
     const int64_t m = n - delay;
     const vnu lane_bits = LANE_BITS, none = {0}, sign = none + ((uint64_t)1 << 63);
     const vnd zero = {0};
     uint64_t h[2], past[2], i, pasti, y[2];
-    int64_t row, k, errors = 0, next = stride;
-    uint8_t *vrow = v;
+    int64_t row, k, next = stride;
 
     /* the windows before window 0, whose steps below 0 read 0 */
     hard_words(x, noise, c, n, delay - 128, past);
     hard_words(x, noise, c, n, delay - 64, h);
     pasti = filter_word(t[0], t[1], h[0], past[0]) ^ filter_word(t[2], t[3], h[1], past[1]);
-    if (noise)
+    if (v)
         ones[0] = ones[1] = ones[2] = 0;
     for (row = 0; row < m; row += 64) {
         const int64_t rows = m - row < 64 ? m - row : 64;
+        double bx[128], bn[128], tail[128];
+        const double *const wx = window(x, n, row, bx), *const wn = window(noise, n, row, bn);
+        double *const out = rows == 64 ? r + 2 * row : tail;
+        vnu ys = none;
         past[0] = h[0];
         past[1] = h[1];
         hard_words(x, noise, c, n, delay + row, h);
@@ -322,43 +312,31 @@ int64_t sst_stream(const double *x, const double *noise, double c, const uint8_t
         y[0] = filter_word(t[4], t[5], i, pasti);
         y[1] = filter_word(t[6], t[7], i, pasti);
         pasti = i;
-        if (rows == 64) {
-            vnu ys = none;
-            for (k = 0; k < NATIVE; k++)
-                ys[k] = y[k & 1];
-            for (k = 0; k < 64; k += BRANCHES) {
-                const vnd z = received_v(x, noise, c, 2 * (row + k));
-                const vni neg = ((ys >> k & lane_bits) != none) ^ (z < zero);
-                vnu bits;
-                memcpy(&bits, &z, sizeof bits);
-                bits = (bits & ~sign) | ((vnu)neg & sign);
-                memcpy(r + 2 * (row + k), &bits, sizeof bits);
-            }
-        } else
-            for (k = 0; k < rows; k++) {
-                const double z0 = received(x, noise, c, 2 * (row + k)),
-                             z1 = received(x, noise, c, 2 * (row + k) + 1);
-                const uint64_t s0 = signed_bits(&z0, (y[0] >> k & 1) ^ (z0 < 0.0)),
-                               s1 = signed_bits(&z1, (y[1] >> k & 1) ^ (z1 < 0.0));
-                memcpy(r + 2 * (row + k), &s0, sizeof s0);
-                memcpy(r + 2 * (row + k) + 1, &s1, sizeof s1);
-            }
+        for (k = 0; k < NATIVE; k++)
+            ys[k] = y[k & 1];
+        for (k = 0; k < 64; k += BRANCHES) {
+            const vnd z = received_v(wx, wn, c, 2 * k);
+            const vni neg = ((ys >> k & lane_bits) != none) ^ (z < zero);
+            vnu bits;
+            memcpy(&bits, &z, sizeof bits);
+            bits = (bits & ~sign) | ((vnu)neg & sign);
+            memcpy(out + 2 * k, &bits, sizeof bits);
+        }
+        if (rows < 64)
+            memcpy(r + 2 * row, tail, (size_t)(2 * rows) * sizeof *r);
         spread_bits(i, rows, pre + row);
-        if (noise) {
-            errors += differing(pre + row, info + row, rows);
+        if (v)
             for (; next < row + rows; next += stride) {
                 const uint64_t v0 = (y[0] >> (next - row) & 1) ^ (x[2 * next] < 0.0),
                                v1 = (y[1] >> (next - row) & 1) ^ (x[2 * next + 1] < 0.0);
-                vrow[0] = (uint8_t)v0;
-                vrow[1] = (uint8_t)v1;
-                vrow += 2;
+                v[0] = (uint8_t)v0;
+                v[1] = (uint8_t)v1;
+                v += 2;
                 ones[0] += (int64_t)v0;
                 ones[1] += (int64_t)v1;
                 ones[2] += (int64_t)(v0 & v1);
             }
-        }
     }
-    return errors;
 }
 
 /* Block b of the stream Philox4x64-10 (Salmon et al., "Parallel random

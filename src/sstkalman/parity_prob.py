@@ -79,10 +79,6 @@ def parity_one_prob(n, eps):
     return 0.5 * (1.0 - (1.0 - 2.0 * eps) ** n)
 
 
-def _split_sizes(s1, s2):
-    return len(s1 - s2), len(s2 - s1), len(s1 & s2)
-
-
 def joint_parity_prob(s1, s2, eps):
     """P(both parities are 1) for two supports over the same error field:
     (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4."""
@@ -173,15 +169,17 @@ def marginal_polynomial(n):
 
 
 def joint_polynomial(s1, s2):
-    """joint_parity_prob = (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4, expanded exactly in eps."""
-    a, b, c = _split_sizes(s1, s2)
-    return _q_expansion(((1, 0), (1, a + b), (-1, a + c), (-1, b + c)), 4)
+    """joint_parity_prob = (1 + q^(a+b) - q^(a+c) - q^(b+c)) / 4, expanded
+    exactly in eps, on the `support_sizes` (n1, n2, n12) = (a+c, b+c, a+b)."""
+    n1, n2, n12 = support_sizes(s1, s2)
+    return _q_expansion(((1, 0), (1, n12), (-1, n1), (-1, n2)), 4)
 
 
 def theta_polynomial(s1, s2):
-    """theta = (q^(a+b) - q^(a+b+2c)) / 4, expanded exactly in eps; (0,) when c = 0."""
-    a, b, c = _split_sizes(s1, s2)
-    return _q_expansion(((1, a + b), (-1, a + b + 2 * c)), 4)
+    """theta = (q^(a+b) - q^(a+b+2c)) / 4, expanded exactly in eps, on the
+    `support_sizes` as in joint_polynomial; (0,) when c = 0."""
+    n1, n2, n12 = support_sizes(s1, s2)
+    return _q_expansion(((1, n12), (-1, n1 + n2)), 4)
 
 
 def support_sizes(s1, s2):

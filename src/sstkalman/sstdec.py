@@ -14,11 +14,13 @@ only the re-signed stream reaches the main decoder.  `simulate` draws its
 block in the same library, from numpy's own Philox streams, and encodes
 it with the same word filter (`_draw_block`); it runs each point's
 received block c x + noise through that pass, which also writes the
-point's strided v rows as contiguous rows, counts their ones and counts
-the pre-decoder's bit errors, and takes the point's exact values from
-one `covar_mi.sweep` over its own points.  The statistics around it
-(`sample_sigma_r`'s elementwise tail, `sigma_r_given_parities` and the
-frequencies) run on Python floats, rounded as their array forms round.
+point's strided v rows as contiguous rows and counts their ones, counts
+the pre-decoder's bit errors in numpy from the same XOR with the
+information bits that gives the decoded errors, and takes the point's
+exact values from one `covar_mi.sweep` over its own points.  The
+statistics around it (`sample_sigma_r`'s elementwise tail,
+`sigma_r_given_parities` and the frequencies) run on Python floats,
+rounded as their array forms round.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with a truncated survivor memory, compiled from
@@ -63,8 +65,12 @@ def stream_pass(z, code, mode="general"):
     re-encoder starts at zero, before ihat[0]).  z_hard is z < 0, so -0.0
     reads 0, and only r's sign bit is written, so signed zeros and
     subnormals keep their magnitude.  The kernel filters 64 steps per
-    word and re-signs in vectors of the host's native width; `simulate`
-    calls the same pass.  ValueError in qli mode when n <= L.
+    word and re-signs in vectors of the host's native width, the same
+    vector body on every 64-step window: one that reaches past the
+    block's ends reads a zero-padded copy, and a short last window writes
+    its r through a 64-row buffer.  `simulate` calls the same pass with a
+    v buffer, which also takes the strided v rows and their counts; this
+    call passes none.  ValueError in qli mode when n <= L.
     """
     taps, delay = convcode.predecoder(code, mode)
     z = np.ascontiguousarray(z, dtype=np.float64)
@@ -76,7 +82,7 @@ def stream_pass(z, code, mode="general"):
     masks = _tap_masks((*taps, *code.g))
     pre = np.empty(n - delay, dtype=np.uint8)
     r = np.empty((n - delay, 2))
-    kernel().sst_stream(z.ctypes.data, None, 1.0, None, n, delay, masks.ctypes.data, 1,
+    kernel().sst_stream(z.ctypes.data, None, 1.0, n, delay, masks.ctypes.data, 1,
                         pre.ctypes.data, r.ctypes.data, None, None)
     return pre, r
 
@@ -192,10 +198,10 @@ def _build_kernel():
     dll.viterbi.restype = None
     dll.viterbi.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_uint64,
                             ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    dll.sst_stream.restype = ctypes.c_int64
-    dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
-                               ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    dll.sst_stream.restype = None
+    dll.sst_stream.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+                               ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     dll.draw_block.restype = None
     dll.draw_block.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
@@ -390,7 +396,8 @@ def simulate(code, points, branches, seed, mode="general"):
     the row that the CLI prints.
 
     pre_ber is the pre-decoder's raw error rate, post_ber the full SST
-    error rate.  emp_alpha* are frequencies of the main-encoded stream v
+    error rate, both counted from one XOR of pre with the information
+    bits.  emp_alpha* are frequencies of the main-encoded stream v
     (recovered exactly as hard-part XOR e), subsampled at a stride wider
     than the support depth so the estimates are independent and the
     binomial standard errors honest; the C stream pass counts the strided
@@ -432,14 +439,17 @@ def simulate(code, points, branches, seed, mode="general"):
     vs, ones = np.empty((n_eff, 2), dtype=np.uint8), np.empty(3, dtype=np.int64)
     truth = info[:m]
     # the arrays above outlive the loop, so their addresses are read once
-    x_p, noise_p, info_p, masks_p, pre_p, r_p, vs_p, ones_p = (
-        a.ctypes.data for a in (x, noise, info, masks, pre, r, vs, ones))
+    x_p, noise_p, masks_p, pre_p, r_p, vs_p, ones_p = (
+        a.ctypes.data for a in (x, noise, masks, pre, r, vs, ones))
     refs = covar_mi.sweep(code, points, mode)
     results = []
     for point, ref in zip(points, refs):
-        pre_errors = kernel().sst_stream(x_p, noise_p, point.c, info_p, branches, delay, masks_p,
-                                         stride, pre_p, r_p, vs_p, ones_p)
-        post_errors = np.count_nonzero(pre ^ viterbi_main(r, code) ^ truth)
+        kernel().sst_stream(x_p, noise_p, point.c, branches, delay, masks_p, stride, pre_p, r_p,
+                            vs_p, ones_p)
+        # the pre-decoder's errors, which the main decoder's estimate corrects
+        errors = pre ^ truth
+        pre_errors = np.count_nonzero(errors)
+        post_errors = np.count_nonzero(errors ^ viterbi_main(r, code))
         (a1, a2, a11), ses = parity_prob.count_frequencies(ones.tolist(), n_eff)
         sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
         # I + rho Sigma_x, whose off-diagonal is rho 4 theta12

@@ -836,10 +836,10 @@ def numpy_stream(z, taps, delay, g):
     return ihat[delay:], r_hard, np.abs(z[:m]) * (1.0 - 2.0 * r_hard)
 
 
-def assert_point_pass(x, noise, info, c, taps, delay, g, stride, oracle):
+def assert_point_pass(x, noise, c, taps, delay, g, stride, oracle):
     """simulate's form of the C stream pass, z = c x + noise formed in C,
-    against oracle(z) = (pre, r_hard, r): the pre-decoder stream, r, the
-    strided v rows with their three counts and the pre-decoder's errors."""
+    against oracle(z) = (pre, r_hard, r): the pre-decoder stream, r and
+    the strided v rows with their three counts."""
     m = len(x) - delay
     z = c * x + noise
     want_pre, want_hard, want_r = oracle(z)
@@ -848,11 +848,9 @@ def assert_point_pass(x, noise, info, c, taps, delay, g, stride, oracle):
     masks = sstdec._tap_masks((*taps, *g))
     pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
     v, ones = np.empty_like(want_v), np.empty(3, dtype=np.int64)
-    errors = sstdec.kernel().sst_stream(x.ctypes.data, noise.ctypes.data, c, info.ctypes.data,
-                                        len(x), delay, masks.ctypes.data, stride,
-                                        pre.ctypes.data, r.ctypes.data, v.ctypes.data,
-                                        ones.ctypes.data)
-    assert errors == np.count_nonzero(want_pre != info[:m])
+    sstdec.kernel().sst_stream(x.ctypes.data, noise.ctypes.data, c, len(x), delay,
+                               masks.ctypes.data, stride, pre.ctypes.data, r.ctypes.data,
+                               v.ctypes.data, ones.ctypes.data)
     assert np.array_equal(pre, want_pre) and np.array_equal(v, want_v)
     assert ones.tolist() == [np.count_nonzero(want_v[:, 0]), np.count_nonzero(want_v[:, 1]),
                              np.count_nonzero(want_v[:, 0] & want_v[:, 1])]
@@ -860,20 +858,19 @@ def assert_point_pass(x, noise, info, c, taps, delay, g, stride, oracle):
 
 
 def assert_stream_kernel_is_numpy(taps, delay, g, n, seed, c=1.0, stride=7, share=0.0):
-    """The C stream pass against `numpy_stream` on random x, noise and info:
+    """The C stream pass against `numpy_stream` on random x and noise:
     simulate's form at c (`assert_point_pass`), and the decoder's form on
     z itself, here c x + noise with about a share of SPECIAL_Z entries."""
     rng = np.random.default_rng(seed)
-    info = rng.integers(0, 2, n).astype(np.uint8)
     x = 1.0 - 2.0 * rng.integers(0, 2, (n, 2))
     noise = rng.normal(0.0, 1.0, (n, 2))
-    assert_point_pass(x, noise, info, c, taps, delay, g, stride,
+    assert_point_pass(x, noise, c, taps, delay, g, stride,
                       lambda z: numpy_stream(z, taps, delay, g))
     z = special_values(rng, c * x + noise, share)
     want_pre, _, want_r = numpy_stream(z, taps, delay, g)
     masks, m = sstdec._tap_masks((*taps, *g)), n - delay
     pre, r = np.empty(m, dtype=np.uint8), np.empty((m, 2))
-    sstdec.kernel().sst_stream(z.ctypes.data, None, 1.0, None, n, delay, masks.ctypes.data, 1,
+    sstdec.kernel().sst_stream(z.ctypes.data, None, 1.0, n, delay, masks.ctypes.data, 1,
                                pre.ctypes.data, r.ctypes.data, None, None)
     assert np.array_equal(pre, want_pre)
     assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64))
@@ -907,9 +904,9 @@ def test_stream_pass_of_a_point_equals_the_numpy_composition(code, mode):
     # at the word edges after the delay
     taps, delay = predecoder(code, mode)
     for n in (300, *(e + delay for e in WORD_EDGES)):
-        info, x, noise, _ = numpy_draw_block(code, n, 0, 3)
+        _, x, noise, _ = numpy_draw_block(code, n, 0, 3)
         for c in (0.5, 1.0, 3.0, 2.0**511):
-            assert_point_pass(x, noise, info, c, taps, delay, code.g, 7,
+            assert_point_pass(x, noise, c, taps, delay, code.g, 7,
                               lambda z: numpy_stream_pass(z, code, mode))
 
 
@@ -925,7 +922,11 @@ def test_stream_kernel_equals_numpy_at_every_vector_width(monkeypatch, march, na
         march if flag == "-march=native" else flag for flag in sstdec._KERNEL_FLAGS))
     monkeypatch.setattr(sstdec, "_kernel", None)
     rng = np.random.default_rng(native)
-    for k, (delay, rows) in enumerate(itertools.product([0, 1, 63, 64], [1, *WORD_EDGES, 300])):
+    # the two windows before window 0 reach into the block from delay 65 on
+    # and lie inside it from delay 128 on, so both their zero-padded copy
+    # and their in-place read run here
+    delays = [0, 1, 63, 64, 65, 127, 128, 129, 200]
+    for k, (delay, rows) in enumerate(itertools.product(delays, [1, *WORD_EDGES, 300])):
         # random taps of degree 64 every other case, else below 64
         top = 1 << 64 if k % 2 else 0
         taps, g = [tuple(int.from_bytes(rng.bytes(8), "little") | top for _ in range(2))
