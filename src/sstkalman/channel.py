@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 DB_GRID = tuple(range(-10, 11))
 
 # rho and 1/rho stay normal doubles: rho in [2^-1022, 2^1022], or
@@ -60,6 +58,8 @@ def grid_points():
 
 def bpsk_map(bits):
     """Antipodal map: bit 0 -> +1.0, bit 1 -> -1.0."""
+    import numpy as np
+
     bits = np.asarray(bits)
     if bits.size and bits.max() > 1:
         raise ValueError("bits must be 0 or 1")
@@ -71,6 +71,8 @@ def make_rng(seed):
 
     A tuple is keyed as uint64 words: numpy would read (s, j) with s past
     int64 as float64, so that nearby s shared one stream."""
+    import numpy as np
+
     if isinstance(seed, tuple):
         seed = np.array(seed, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed))
@@ -79,7 +81,8 @@ def make_rng(seed):
 def standard_normals(gen, size):
     """Standard normals via the inverse CDF of mid-interval uniforms."""
     # scipy.special is the package's only scipy module; it loads here, on
-    # the first noise draw, so the other commands start on numpy alone
+    # the first noise draw, so no other command loads scipy
+    import numpy as np
     from scipy.special import ndtri
 
     u = (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) / float(1 << 53)
@@ -92,6 +95,8 @@ class ReceivedSequence:
     __slots__ = ("z", "z_hard")
 
     def __init__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != 2:
             raise ValueError("z must have shape (n, 2)")
@@ -105,6 +110,8 @@ class ReceivedSequence:
 def transmit(code_bits, point, seed):
     """Send code bits through the channel at one SNR point: the receiver's view
     z = c x + w of their BPSK symbols x under unit noise w, as a ReceivedSequence."""
+    import numpy as np
+
     code_bits = np.asarray(code_bits, dtype=np.uint8)
     if code_bits.ndim != 2 or code_bits.shape[1] != 2:
         raise ValueError("code_bits must have shape (n, 2)")

@@ -13,7 +13,10 @@ import math
 import sys
 from itertools import repeat
 
-from . import channel, convcode, covar_mi, kalman, parity_prob, qli_search, sstdec
+# the exact commands (tables 1-8, alpha) read these four in plain floats and
+# ints and load no numpy; kalman, qli_search and sstdec import numpy and
+# are imported by the commands that use them
+from . import channel, convcode, covar_mi, parity_prob
 
 CHAIN_SLACK = 1e-12
 
@@ -45,9 +48,9 @@ def parse_cell(text):
 
 
 # the cell text of each value of one exact type, mapped over a column that
-# holds no other; each is format_cell on that type
-COLUMN_FORMATS = {int: str, str: str, float: "{:.6g}".format,
-                  bool: ("0", "1").__getitem__}
+# holds no other; each is format_cell on that type (an int column is
+# column_texts' own case)
+COLUMN_FORMATS = {str: str, float: "{:.6g}".format, bool: ("0", "1").__getitem__}
 
 # a value of these types formats to "", "1"/"0", str(int) or six significant
 # digits, and parse_cell reads each of those back to a value of the same text
@@ -65,13 +68,18 @@ def column_texts(columns, rows):
     outside PLAIN_CELL_TYPES, so that validate_roundtrip parses its texts.
 
     Each column is read once.  A column of one exact type in
-    COLUMN_FORMATS is formatted by one map of its format; any other
-    (np.float64, None, mixed types) goes through format_cell."""
+    COLUMN_FORMATS is formatted by one map of its format, and an int
+    column (a count or a bit, with few distinct values) by one str per
+    distinct value; any other (np.float64, None, mixed types) goes
+    through format_cell."""
     texts, loose = [], []
     for c in columns:
         values = list(map(dict.get, rows, repeat(c)))
         types = set(map(type, values))
-        fmt = COLUMN_FORMATS.get(*types) if len(types) == 1 else None
+        if types == {int}:
+            fmt = {v: str(v) for v in set(values)}.__getitem__
+        else:
+            fmt = COLUMN_FORMATS.get(*types) if len(types) == 1 else None
         texts.append(list(map(fmt or format_cell, values)))
         loose.append(not all(issubclass(t, PLAIN_CELL_TYPES) for t in types))
     return texts, loose
@@ -260,6 +268,8 @@ def run_tables(args):
                        fields, columns)
         return columns, rows, validators
 
+    from . import qli_search
+
     nu = 5 if table == 9 else 6
     c_cols = [f"c{j}" for j in range(1, nu - 1)]
     columns = c_cols + ["m1_alpha", "m2_alpha", "m1_beta", "m2_beta"]
@@ -317,6 +327,8 @@ def run_alpha(args):
 
 
 def run_simulate(args):
+    from . import sstdec
+
     code = convcode.load_code(args.code)
     points = parse_db_values(args.ebn0_db)
     columns = ["ebn0_db", "branches", "pre_ber", "post_ber",
@@ -326,6 +338,8 @@ def run_simulate(args):
 
 
 def run_kalman_check(args):
+    from . import kalman
+
     rows = kalman.identity_report(seed=args.seed, states=args.states, steps=args.steps)
     columns = ["check", "max_dev", "tol", "passed"]
 
@@ -337,6 +351,8 @@ def run_kalman_check(args):
 
 
 def run_search(args):
+    from . import qli_search
+
     entries = qli_search.enumerate_qli(args.nu)
     columns = ["c_bits", "m1a", "m2a", "m1b", "m2b",
                "heuristic_counterexample", "exact_counterexample_snrs"]

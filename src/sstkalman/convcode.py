@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2 import MAX_DEGREE, from_string, polymat_mul, support, to_string, verify_right_inverse
 
 
@@ -119,11 +117,19 @@ def load_code(spec):
     """Resolve a --code argument: a built-in name ("c1", "c2") or a JSON file path."""
     if spec.lower() in _BUILTIN:
         return _BUILTIN[spec.lower()]
-    with open(spec) as f:
-        return code_from_json(json.load(f))
+    with open(spec, encoding="utf-8") as f:
+        # a JSONDecodeError, a UnicodeDecodeError or nesting past the
+        # decoder's recursion limit becomes an error that names the file
+        try:
+            obj = json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"cannot read code file {spec!r} as UTF-8 JSON: {exc}") from None
+    return code_from_json(obj)
 
 
 def _check_bits(bits):
+    import numpy as np
+
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
@@ -134,6 +140,8 @@ def _check_bits(bits):
 
 def _tap_xor(bits, poly):
     # y[k] = sum_j poly[j] * bits[k - j] over GF(2), truncated to the block
+    import numpy as np
+
     n = bits.shape[0]
     out = np.zeros(n, dtype=np.uint8)
     for j in support(poly):
@@ -144,6 +152,8 @@ def _tap_xor(bits, poly):
 
 def encode(code, info):
     """Encode an information bit sequence; returns an (n, 2) array of code bits."""
+    import numpy as np
+
     info = _check_bits(info)
     out = np.empty((info.shape[0], 2), dtype=np.uint8)
     for l in (0, 1):
@@ -153,6 +163,8 @@ def encode(code, info):
 
 def column_filter(z_hard, taps):
     """GF(2) stream z_hard[:, 0] taps[0] + z_hard[:, 1] taps[1] of an (n, 2) block."""
+    import numpy as np
+
     z_hard = np.asarray(z_hard, dtype=np.uint8)
     if z_hard.ndim != 2 or z_hard.shape[1] != 2:
         raise ValueError("z_hard must have shape (n, 2)")

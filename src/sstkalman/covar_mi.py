@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
-import numpy as np
-
-from . import channel, kalman, parity_prob
+from . import channel, parity_prob
 from .parity_prob import code_supports
 
 
@@ -41,6 +39,8 @@ def sigma_x_entries(alpha1, alpha2, theta12):
 
 def sigma_x_from_probs(alpha1, alpha2, theta12):
     """Covariance of xt = 1 - 2v from the two marginals and theta."""
+    import numpy as np
+
     s1, s2, s12 = sigma_x_entries(alpha1, alpha2, theta12)
     return np.array([[s1, s12], [s12, s2]])
 
@@ -56,6 +56,8 @@ def sigma_x_prime(code, eps):
 
 
 def _check_square(m):
+    import numpy as np
+
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
@@ -64,6 +66,8 @@ def _check_square(m):
 
 def sigma_r(sigma_x, rho):
     """Innovation covariance I + rho Sigma_x."""
+    import numpy as np
+
     sigma_x = _check_square(sigma_x)
     return np.eye(sigma_x.shape[0]) + rho * sigma_x
 
@@ -73,6 +77,10 @@ def sigma_c_general(sigma_x, rho):
     for any n: the Kalman filter's information-form update of prior Sigma_x
     by the observation sqrt(rho) I plus white noise, the reference form of
     `sigma_c_closed_2x2`."""
+    import numpy as np
+
+    from . import kalman
+
     sigma_x = _check_square(sigma_x)
     eye = np.eye(sigma_x.shape[0])
     out = kalman.information_form_inverse(sigma_x, eye, math.sqrt(rho) * eye)
@@ -102,6 +110,8 @@ def _checked_entries(sigma_x, rho):
     """(s1, s2, s12) of a 2x2 Sigma_x as floats, once it and rho are checked:
     Sigma_x finite and symmetric with a non-negative diagonal, rho finite
     and non-negative."""
+    import numpy as np
+
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
     if sigma_x.shape != (2, 2):
         raise ValueError("Sigma_x must be 2x2")
@@ -123,6 +133,8 @@ def sigma_c_closed_2x2(sigma_x, rho):
     delta_x = det Sigma_x and delta_r = det(I + rho Sigma_x)
             = 1 + rho (s1 + s2 + rho delta_x).
     """
+    import numpy as np
+
     c11, c22, c12, delta_x, delta_r, _ = _closed_2x2(*_checked_entries(sigma_x, rho), rho)
     return np.array([[c11, c12], [c12, c22]]), delta_x, delta_r
 
@@ -173,6 +185,8 @@ def eigen_track(provider, rho):
     form; the derivative of rho * lambda_l(rho) is a central difference
     with relative step 1e-4.
     """
+    import numpy as np
+
     if rho <= 0.0:
         raise ValueError("rho must be positive")
 
@@ -230,6 +244,8 @@ def _chain(s1, s2, s12, rho):
 
 
 def bound_chain(sigma_x, rho):
+    import numpy as np
+
     s1, s2, s12 = _checked_entries(sigma_x, rho)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -249,6 +265,8 @@ def _log_cosh(x):
     # |x| + log1p(e^-2|x|) - log 2 cancels to x^2/2 with an absolute error
     # near 1e-16, so below |x| = 1e-3 (relative error past 1e-10) use the
     # exact identity cosh x = 1 + 2 sinh^2(x/2) instead
+    import numpy as np
+
     ax = np.abs(x)
     out = ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
     small = ax < 1e-3
@@ -269,6 +287,8 @@ def binary_input_mi(rho):
     rho <= 1 takes the first and larger rho the second, which also keeps
     I <= log 2 at any rho.
     """
+    import numpy as np
+
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
     if rho == 0.0:

@@ -21,8 +21,6 @@ from functools import cache
 from itertools import combinations
 from math import comb, sqrt
 
-import numpy as np
-
 from . import channel, convcode
 from .gf2 import support
 
@@ -113,6 +111,8 @@ def joint_value_prob(supports, values, eps):
 
 def brute_force_joint(s1, s2, eps):
     """Literal enumeration oracle for joint_parity_prob; |union| <= 24."""
+    import numpy as np
+
     eps = _check_eps(eps)
     union = sorted(s1 | s2)
     nu = len(union)
@@ -242,6 +242,8 @@ class MonteCarloProbs:
 
 def error_window_parities(s1, s2, eps, trials, gen):
     """(trials, 2) uint8 parities of both supports, one fresh error window per trial."""
+    import numpy as np
+
     depth = max(s1.max_delay, s2.max_delay) + 1
     errors = (gen.random((trials, depth, 2)) < eps).astype(np.uint8)
     v = np.zeros((trials, 2), dtype=np.uint8)
@@ -263,6 +265,8 @@ def count_frequencies(counts, n):
 def parity_frequencies(v):
     """`count_frequencies` of an (n, 2) parity array: alpha1, alpha2 and
     alpha11 are the frequencies of its columns and of their AND."""
+    import numpy as np
+
     return count_frequencies([np.count_nonzero(x) for x in (v[:, 0], v[:, 1], v[:, 0] & v[:, 1])],
                              len(v))
 

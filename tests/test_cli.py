@@ -173,6 +173,21 @@ def test_malformed_code_file_exits_2(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_undecodable_code_file_exits_2_naming_the_file(capsys, tmp_path, content, reason):
+    path = tmp_path / "code.json"
+    path.write_bytes(content)
+    for argv in (["alpha", "--code", str(path)], ["curves", "--code", str(path)]):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot read code file {str(path)!r} as UTF-8 JSON: {reason}")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("nu", [63, 64])
 def test_simulate_refuses_a_memory_the_decoder_cannot_index(capsys, tmp_path, nu):
     # (1 + D^nu, 1) with right inverse (0, 1) passes every code check, but
@@ -240,8 +255,11 @@ def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
 
 
 STARTUP_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, os, sys, tempfile
 from sstkalman import cli
+
+def heavy_modules():
+    return [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")]
 
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -250,20 +268,35 @@ def late_modules():
     # sstdec imports these on the decoder kernel's first build only
     return {"hashlib", "subprocess"} & set(sys.modules)
 
-assert not scipy_modules(), scipy_modules()
-for argv in (["tables", "--table", "1"], ["curves", "--code", "c2", "--mode", "qli"],
-             ["alpha", "--code", "c1", "--emit", "polynomial"], ["search", "--nu", "6"],
-             ["kalman-check"]):
+def run(argv, code=0):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == 0, argv
+        assert cli.main(argv) == code, argv
+
+# the exact commands evaluate their closed forms in plain floats and ints
+assert not heavy_modules(), heavy_modules()
+with tempfile.TemporaryDirectory() as tmp:
+    for table in range(1, 9):
+        run(["tables", "--table", str(table), "--quiet", "--out", os.path.join(tmp, "t.csv")])
+for argv in (["alpha", "--code", "c1"], ["alpha", "--code", "c2", "--mode", "qli"],
+             ["alpha", "--code", "c1", "--format", "json"],
+             ["alpha", "--code", "c2", "--mode", "qli", "--format", "json"],
+             ["alpha", "--code", "c1", "--emit", "polynomial"],
+             ["alpha", "--code", "c2", "--mode", "qli", "--emit", "polynomial"]):
+    run(argv)
+run(["alpha", "--ebn0-db=nan"], 2)
+assert not heavy_modules(), heavy_modules()
+# curves' binary-input quadrature is the first use of numpy
+run(["curves", "--code", "c2", "--mode", "qli"])
+assert "numpy" in sys.modules
+for argv in (["tables", "--table", "9"], ["search", "--nu", "6"], ["kalman-check"]):
+    run(argv)
     if argv[0] != "kalman-check":
         assert not late_modules(), (argv, late_modules())
 assert not scipy_modules(), scipy_modules()
 # kalman-check draws its model from numpy.random, whose seeding may load
 # hashlib (through secrets and hmac); subprocess stays out
 assert "subprocess" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["simulate", "--branches", "1000"]) == 0
+run(["simulate", "--branches", "1000"])
 assert "scipy.special" in sys.modules
 print("ok")
 """
@@ -275,17 +308,6 @@ def test_only_the_noise_draw_imports_scipy():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
-
-
-def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # only curves' binary-input quadrature reads it (covar_mi._gh_nodes)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    script = ("import sys, sstkalman.cli; "
-              "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):
