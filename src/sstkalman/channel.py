@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DB_GRID = tuple(range(-10, 11))
 
@@ -31,8 +31,7 @@ def q_function(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class SnrPoint:
+class SnrPoint(NamedTuple):
     """One operating point: Eb/N0 in dB plus the derived rho, c and eps."""
 
     ebn0_db: float

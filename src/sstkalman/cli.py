@@ -70,8 +70,8 @@ def column_texts(columns, rows):
     Each column is read once.  A column of one exact type in
     COLUMN_FORMATS is formatted by one map of its format, and an int
     column (a count or a bit, with few distinct values) by one str per
-    distinct value; any other (np.float64, None, mixed types) goes
-    through format_cell."""
+    distinct value; any other (None, mixed types) goes through
+    format_cell."""
     texts, loose = [], []
     for c in columns:
         values = list(map(dict.get, rows, repeat(c)))

@@ -19,31 +19,43 @@ Encoded streams are numpy bit arrays; polynomials only describe codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import MAX_DEGREE, from_string, polymat_mul, support, to_string, verify_right_inverse
 
 
-@dataclass(frozen=True)
-class ConvCode:
-    """Rate-1/2 feedforward convolutional code: one input, two output streams."""
-
+class _CodeFields(NamedTuple):
     name: str
     g: tuple
     ginv: tuple
 
-    def __post_init__(self):
-        for key in ("g", "ginv"):
-            pair = tuple(getattr(self, key))
+
+class ConvCode(_CodeFields):
+    """Rate-1/2 feedforward convolutional code: one input, two output streams.
+
+    A NamedTuple of (name, g, ginv) whose every construction path, by
+    position or keyword, `_make` or `_replace`, checks g and ginv and
+    stores each as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, g, ginv):
+        g, ginv = tuple(g), tuple(ginv)
+        for key, pair in (("g", g), ("ginv", ginv)):
             if len(pair) != 2:
                 raise ValueError("g and ginv must each hold two polynomials")
             if not all(isinstance(p, int) and 0 <= p < 1 << (MAX_DEGREE + 1) for p in pair):
                 raise ValueError(f"{key} must hold int masks of degree at most {MAX_DEGREE}")
-            object.__setattr__(self, key, pair)
-        if not all(self.g):
+        if not all(g):
             raise ValueError("generator polynomials must be nonzero")
-        if not verify_right_inverse(self.g, self.ginv):
+        if not verify_right_inverse(g, ginv):
             raise ValueError("ginv is not a right inverse of g")
+        return tuple.__new__(cls, (name, g, ginv))
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, which _replace calls, builds the tuple directly
+        return cls(*iterable)
 
     @property
     def nu(self):

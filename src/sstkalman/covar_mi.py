@@ -22,7 +22,6 @@ the Sigma_r sample that `simulate` reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
@@ -139,8 +138,7 @@ def sigma_c_closed_2x2(sigma_x, rho):
     return np.array([[c11, c12], [c12, c22]]), delta_x, delta_r
 
 
-@dataclass(frozen=True)
-class CovPair:
+class CovPair(NamedTuple):
     rho: float
     sigma_x: np.ndarray
     sigma_r: np.ndarray
@@ -159,8 +157,7 @@ def cov_pair(sigma_x, rho):
 
 # ------------------------------------------------------------- eigen tracking
 
-@dataclass(frozen=True)
-class EigenTrack:
+class EigenTrack(NamedTuple):
     """Sigma_c eigenvalues at one rho, their trace-form approximations, and
     the derivative of rho*lambda_l along rho (central difference)."""
 
@@ -217,14 +214,14 @@ def mi_gauss_bound_per_rho(sigma_x, rho):
     return mi_gauss_bound(sigma_x, rho) / rho
 
 
-@dataclass(frozen=True)
-class BoundChain:
+class BoundChain(NamedTuple):
     """Ordered per-branch bound chain (all in nats per unit rho):
 
     half_tr_sigma_c <= gauss_per_rho <= half_tr_sigma_x, with the
     channel-side ceilings inv_one_plus_rho (on half_tr_sigma_c) and
     log1p_rho_over_rho (on gauss_per_rho).  sigma_c is the filtering
-    covariance whose half trace opens the chain.
+    covariance whose half trace opens the chain; an array, it is left out
+    of equality and hashing, which read the five bounds.
     """
 
     half_tr_sigma_c: float
@@ -232,7 +229,16 @@ class BoundChain:
     half_tr_sigma_x: float
     inv_one_plus_rho: float
     log1p_rho_over_rho: float
-    sigma_c: np.ndarray = field(compare=False)
+    sigma_c: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, BoundChain) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
 def _chain(s1, s2, s12, rho):

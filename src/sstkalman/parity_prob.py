@@ -16,10 +16,10 @@ coefficients; the polynomial forms are exposed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb, sqrt
+from typing import NamedTuple
 
 from . import channel, convcode
 from .gf2 import support
@@ -51,7 +51,7 @@ def support_of(m, col):
 def code_supports(code, mode="general"):
     """Error supports of the two main-encoded components.
 
-    Built once per (code, mode): a ConvCode is a frozen dataclass and an
+    Built once per (code, mode): a ConvCode is a hashable NamedTuple and an
     ErrorSupport is a frozenset, so every caller can share the pair."""
     m = convcode.main_encoded_block_map(code, mode)
     return support_of(m, 0), support_of(m, 1)
@@ -133,8 +133,7 @@ def brute_force_joint(s1, s2, eps):
     return float(np.sum(weight_counts * eps ** weights * (1.0 - eps) ** (nu - weights)))
 
 
-@dataclass(frozen=True)
-class EpsPolynomial:
+class EpsPolynomial(NamedTuple):
     """Polynomial in eps with integer coefficients, ascending order."""
 
     coefficients: tuple
@@ -230,8 +229,7 @@ def theta_four_ways(s1, s2, eps):
     )
 
 
-@dataclass(frozen=True)
-class MonteCarloProbs:
+class MonteCarloProbs(NamedTuple):
     alpha1: float
     alpha2: float
     alpha11: float

@@ -448,8 +448,9 @@ def simulate(code, points, branches, seed, mode="general"):
                             vs_p, ones_p)
         # the pre-decoder's errors, which the main decoder's estimate corrects
         errors = pre ^ truth
-        pre_errors = np.count_nonzero(errors)
-        post_errors = np.count_nonzero(errors ^ viterbi_main(r, code))
+        # Python ints, so both rates are plain floats
+        pre_errors = int(np.count_nonzero(errors))
+        post_errors = int(np.count_nonzero(errors ^ viterbi_main(r, code)))
         (a1, a2, a11), ses = parity_prob.count_frequencies(ones.tolist(), n_eff)
         sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
         # I + rho Sigma_x, whose off-diagonal is rho 4 theta12

@@ -259,7 +259,9 @@ import contextlib, io, os, sys, tempfile
 from sstkalman import cli
 
 def heavy_modules():
-    return [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")]
+    # numpy and scipy, and dataclasses with the inspect module it loads
+    return [m for m in sys.modules
+            if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")]
 
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -367,7 +369,8 @@ def _as_lists(value):
 ], ids=" ".join)
 def test_rows_hold_only_plain_values(capsys, monkeypatch, argv):
     # json.dumps and format_cell take the rows as they are: a numpy integer or
-    # bool in a row would raise or print differently
+    # bool in a row would raise or print differently, and a numpy float, a
+    # float subclass, would miss column_texts' one-map float path
     emitted = []
     original = cli._emit_and_validate
 
@@ -379,7 +382,7 @@ def test_rows_hold_only_plain_values(capsys, monkeypatch, argv):
     rc, out, err = run([*argv, "--format", "json", "--quiet"], capsys)
     assert rc == 0, err
     [rows] = emitted
-    bad = [v for v in _leaves(rows) if not isinstance(v, (bool, int, float, str, type(None)))]
+    bad = [v for v in _leaves(rows) if type(v) not in (bool, int, float, str, type(None))]
     assert not bad, [type(v) for v in bad]
     payload = json.loads(out)
     assert (payload if "variable" in payload else payload["rows"]) == _as_lists(rows)

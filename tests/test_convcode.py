@@ -1,6 +1,5 @@
 """Code construction, encoding, and the block maps driving the parity calculus."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +18,7 @@ from sstkalman.convcode import (
     predecoder,
     syndrome,
 )
-from sstkalman.gf2 import from_string, polymat_mul, to_string, verify_right_inverse
+from sstkalman.gf2 import MAX_DEGREE, from_string, polymat_mul, to_string, verify_right_inverse
 from sstkalman.parity_prob import code_supports
 from sstkalman.qli_search import enumerate_qli
 from sstkalman.sstdec import predecode, sst_decode
@@ -72,6 +71,35 @@ def test_constructor_rejects_a_swapped_family_inverse(c):
     # the swapped pair gives g ginv = 1 + D
     with pytest.raises(ValueError, match="^ginv is not a right inverse of g$"):
         ConvCode("swapped", code.g, code.ginv[::-1])
+
+
+C1_FIELDS = ("c1", (0b111, 0b101), (0b10, 0b11))
+
+BUILDS = {
+    "positional": lambda fields: ConvCode(*fields),
+    "keyword": lambda fields: ConvCode(**dict(zip(ConvCode._fields, fields))),
+    "_make": lambda fields: ConvCode._make(fields),
+    "_replace": lambda fields: get_code("c1")._replace(**dict(zip(ConvCode._fields, fields))),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_every_construction_path_checks_the_code(build):
+    code = build(("c1", [0b111, 0b101], iter((0b10, 0b11))))
+    assert code == get_code("c1") and hash(code) == hash(get_code("c1"))
+    assert type(code.g) is tuple and type(code.ginv) is tuple
+    assert repr(code) == "ConvCode(name='c1', g=(7, 5), ginv=(2, 3))"
+    big = 1 << (MAX_DEGREE + 1)
+    for field, value, message in (
+            ("ginv", (1, 1), "ginv is not a right inverse of g"),
+            ("g", (0, 0b101), "generator polynomials must be nonzero"),
+            ("g", (7.0, 5), f"g must hold int masks of degree at most {MAX_DEGREE}"),
+            ("ginv", (-1, 3), f"ginv must hold int masks of degree at most {MAX_DEGREE}"),
+            ("g", (big | 1, 5), f"g must hold int masks of degree at most {MAX_DEGREE}"),
+            ("ginv", (2, 3, 0), "g and ginv must each hold two polynomials")):
+        fields = dict(zip(ConvCode._fields, C1_FIELDS), **{field: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(tuple(fields.values()))
 
 
 def test_look_in_delay_rejects_non_qli():
@@ -182,7 +210,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_a_code_is_its_name_generators_and_right_inverse():
-    assert [f.name for f in dataclasses.fields(ConvCode)] == ["name", "g", "ginv"]
+    assert list(ConvCode._fields) == ["name", "g", "ginv"]
     assert set(code_to_json(get_code("c2"))) == {"name", "g", "ginv"}
     for key in ("h", "qli", "ginverse"):
         obj = dict(code_to_json(get_code("c1")), **{key: ["101", "111"]})

@@ -220,6 +220,18 @@ def test_closed_form_takes_rho_zero_and_a_rounded_singular_sigma_x():
     assert ch.half_tr_sigma_c < ch.gauss_per_rho < ch.half_tr_sigma_x
 
 
+def test_bound_chains_compare_and_hash_by_their_five_bounds():
+    sx = code_sigma_x(get_code("c1"), 0.1)
+    chain, again = bound_chain(sx, 2.0), bound_chain(sx.copy(), 2.0)
+    assert chain.sigma_c is not again.sigma_c
+    assert chain == again and not chain != again
+    assert hash(chain) == hash(again) == hash(tuple(chain)[:5])
+    other = bound_chain(sx, 3.0)
+    assert chain != other and not chain == other
+    assert chain != tuple(chain)[:5]
+    assert repr(chain).startswith("BoundChain(half_tr_sigma_c=")
+
+
 def test_bound_chain_zero_matrix():
     chain = bound_chain(np.zeros((2, 2)), 2.0)
     assert_allclose(chain.half_tr_sigma_c, 0.0)

@@ -1,6 +1,5 @@
 """Scarce-state-transition decoder: pre-decode, main Viterbi, recombination."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -999,7 +998,7 @@ def test_simulate_holds_the_exact_values_at_each_point(code_name, mode):
     # and a point made by hand, rho 3 at 4 dB, whose snr_point has rho
     # 2.5119: its exact values are its own, not those of its dB value
     c = math.sqrt(3.0)
-    points.append(dataclasses.replace(points[3], rho=3.0, c=c, epsilon=channel.q_function(c)))
+    points.append(points[3]._replace(rho=3.0, c=c, epsilon=channel.q_function(c)))
     supports = parity_prob.code_supports(code, mode)
     for res, pt in zip(sstdec.simulate(code, points, 1000, 2, mode=mode), points):
         a1, a2, a11, th = parity_prob.branch_stats(*supports, pt.epsilon)
