@@ -1,7 +1,7 @@
 /* Add-compare-select of the main Viterbi decoder with survivor registers,
    and the passes around it (after the kernel): simulate's draw from numpy's
    Philox streams (draw_block), the receiver's stream pass (sst_stream) and
-   the Sigma_r rows (sigma_r_rows).
+   the scatter of the Sigma_r sample (sigma_r_scatter).
 
    Every GF(2) filter here is bit-sliced (filter_word): the draw's encoder
    and the stream pass's pre-decoder and re-encoder run on uint64 words of
@@ -10,8 +10,8 @@
    in GCC vectors of NATIVE doubles (below), NATIVE / 2 branches at a time,
    in every 64-step window alike: one that reaches past the block's ends is
    first copied into zeroed stack buffers (window).  Its counts of the
-   strided v rows leave the caller no pass over them.  The Sigma_r rows
-   read v and w as contiguous (n, 2) rows.
+   strided v rows leave the caller no pass over them.  The Sigma_r scatter
+   reads v and w as contiguous (n, 2) rows and adds up in row order.
 
    State bit j holds the input from j+1 steps ago.  State s is entered on
    input s & 1 from s >> 1 (branch register s) and from (s >> 1) + 2^(nu-1)
@@ -366,10 +366,19 @@ static inline void philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t o
     out[3] = v3;
 }
 
-/* The mid-interval uniforms ((k >> 11) + 0.5) / 2^53 of the first n words k
-   of the stream (k0, k1), as (Generator.integers(0, 2^53) + 0.5) / 2^53
-   forms them: for that range numpy's bounded draw takes one word a value
-   and keeps its top 53 bits. */
+/* The mid-interval uniform ((k >> 11) + 0.5) / 2^53 of the word k, as
+   (Generator.integers(0, 2^53) + 0.5) / 2^53 forms it (for that range
+   numpy's bounded draw takes one word a value and keeps its top 53 bits),
+   at most 1 - 2^-53: the + 0.5 of k >> 11 = 2^53 - 1 rounds up to 2^53,
+   whose 1.0 the inverse normal CDF would map to +inf. */
+static inline double mid_uniform(uint64_t k)
+{
+    const double u = ((double)(int64_t)(k >> 11) + 0.5) / 9007199254740992.0;
+
+    return u < 1.0 ? u : 1.0 - 0x1p-53;
+}
+
+/* The mid-interval uniforms of the first n words of the stream (k0, k1). */
 static void mid_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *u)
 {
     uint64_t w[4];
@@ -378,7 +387,7 @@ static void mid_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *u)
     for (k = 0; k < n; k += 4) {
         philox_block(k0, k1, (uint64_t)k / 4, w);
         for (j = 0; j < 4 && k + j < n; j++)
-            u[k + j] = ((double)(int64_t)(w[j] >> 11) + 0.5) / 9007199254740992.0;
+            u[k + j] = mid_uniform(w[j]);
     }
 }
 
@@ -414,16 +423,16 @@ void draw_block(uint64_t seed, int64_t n, int64_t nw, const uint64_t *g, uint8_t
     mid_uniforms(seed, 2, 2 * nw, uw);
 }
 
-/* The centred rows of the Sigma_r sample c (1 - 2v) + w: v is n contiguous
-   rows of 2 bytes, and w is n contiguous rows of 2 doubles.  The mean of xt
-   = 1 - 2v is the exact count (n - 2k) / n, and that of w its sum in row
-   order divided by n, as numpy's mean over the rows of a C-ordered array
-   takes it.  Row i of out is
-   (v ? c (-1 - m) : c (1 - m)) + (w - mean of w), per column. */
-void sigma_r_rows(const uint8_t *v, int64_t n, const double *w, double c, double *out)
+/* The scatter of the centred Sigma_r sample c (1 - 2v) + w: v is n
+   contiguous rows of 2 bytes, and w is n contiguous rows of 2 doubles.  The
+   mean of xt = 1 - 2v is the exact count (n - 2k) / n, and that of w its
+   sum in row order divided by n.  s gets the sums of d0 d0, d0 d1 and d1 d1
+   over the centred rows d = (v ? c (-1 - m) : c (1 - m)) + (w - mean of w),
+   each added in row order, which -ffp-contract=off keeps at every -march. */
+void sigma_r_scatter(const uint8_t *v, int64_t n, const double *w, double c, double *s)
 {
     int64_t ones[2] = {0, 0}, i, l;
-    double sum[2] = {0.0, 0.0}, mean[2], one[2], zero[2];
+    double sum[2] = {0.0, 0.0}, mean[2], one[2], zero[2], s00 = 0.0, s01 = 0.0, s11 = 0.0;
 
     for (i = 0; i < n; i++)
         for (l = 0; l < 2; l++) {
@@ -436,9 +445,12 @@ void sigma_r_rows(const uint8_t *v, int64_t n, const double *w, double c, double
         zero[l] = c * (1.0 - m);
         mean[l] = sum[l] / (double)n;
     }
-    for (i = 0; i < n; i++)
-        for (l = 0; l < 2; l++)
-            out[2 * i + l] = (v[2 * i + l] ? one[l] : zero[l]) + (w[2 * i + l] - mean[l]);
+    for (i = 0; i < n; i++) {
+        const double d0 = (v[2 * i] ? one[0] : zero[0]) + (w[2 * i] - mean[0]),
+                     d1 = (v[2 * i + 1] ? one[1] : zero[1]) + (w[2 * i + 1] - mean[1]);
+        s00 += d0 * d0, s01 += d0 * d1, s11 += d1 * d1;
+    }
+    s[0] = s00, s[1] = s01, s[2] = s11;
 }
 
 #else /* the kernel at width W */

@@ -78,14 +78,16 @@ def make_rng(seed):
 
 
 def standard_normals(gen, size):
-    """Standard normals via the inverse CDF of mid-interval uniforms."""
+    """Standard normals via the inverse CDF of mid-interval uniforms
+    (k + 0.5) / 2^53, at most 1 - 2^-53: the + 0.5 of k = 2^53 - 1 rounds
+    up to 2^53, whose 1.0 ndtri would map to +inf."""
     # scipy.special is the package's only scipy module; it loads here, on
     # the first noise draw, so no other command loads scipy
     import numpy as np
     from scipy.special import ndtri
 
     u = (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) / float(1 << 53)
-    return ndtri(u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53))
 
 
 class ReceivedSequence:

@@ -17,10 +17,9 @@ received block c x + noise through that pass, which also writes the
 point's strided v rows as contiguous rows and counts their ones, counts
 the pre-decoder's bit errors in numpy from the same XOR with the
 information bits that gives the decoded errors, and takes the point's
-exact values from one `covar_mi.sweep` over its own points.  The
-statistics around it (`sample_sigma_r`'s elementwise tail,
-`sigma_r_given_parities` and the frequencies) run on Python floats,
-rounded as their array forms round.
+exact values from one `covar_mi.sweep` over its own points.  The Sigma_r
+sample sums its rows in one more pass of the library, and the statistics
+around it run on Python floats, so no bit of `simulate` hangs on BLAS.
 
 The main decoder is a conventional max-correlation Viterbi over the
 2^nu-state trellis with a truncated survivor memory, compiled from
@@ -206,9 +205,9 @@ def _build_kernel():
     dll.draw_block.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                ctypes.c_void_p]
-    dll.sigma_r_rows.restype = None
-    dll.sigma_r_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                                 ctypes.c_double, ctypes.c_void_p]
+    dll.sigma_r_scatter.restype = None
+    dll.sigma_r_scatter.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                    ctypes.c_double, ctypes.c_void_p]
     return dll
 
 
@@ -308,55 +307,52 @@ SIMULATE_BYTES = 1 << 30
 FIVE_SIGMA_TAIL = channel.q_function(5.0)
 
 
-# the four values of xt = 1 - 2v, in the order of sample_sigma_r's law
-_XT_POINTS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-
-
 def sample_sigma_r(v, w, point, probs):
     """Sample Sigma_r of r = c(1-2v) + w over n i.i.d. rows (v parities,
     w standard normals), and its model se sqrt(Var(r_i r_j) / n): xt = 1 - 2v
     on four points of exact alpha1, alpha2, alpha11 (probs), w white N(0, 1).
 
     `simulate` feeds it the decoder's own stream and
-    `covar_mi.monte_carlo_sigma_r` fresh error windows; the centred rows
-    come from one pass of the C library over v's contiguous rows (a
-    strided v is copied first).  The four matrix products stay
-    numpy's (BLAS rounds them its own way), and the elementwise tail after
-    them (the division by n - 1, the variance and the square root) runs on
-    Python floats in numpy's order of operations, so every bit is the
-    array form's.  Returns (Sigma_r_hat, se), both 2x2 arrays."""
+    `covar_mi.monte_carlo_sigma_r` fresh error windows.  One pass of the C
+    library sums the centred rows' products in row order, from v's bytes
+    (uint8; a strided v is copied first), and the rest runs on Python
+    floats, each symmetric entry formed once, so every bit depends on the
+    inputs alone.  Returns (Sigma_r_hat, se), both 2x2 arrays."""
     n = len(v)
     if n < 2:
         raise ValueError("need at least two trials")
     # simulate's rows are contiguous already, so this copies nothing for them
     v = np.ascontiguousarray(v)
     if v.dtype != np.uint8:
-        v = v.astype(bool).view(np.uint8)
+        raise ValueError("v must be uint8 parities")
     w = np.ascontiguousarray(w, dtype=np.float64)
     if v.shape != (n, 2) or w.shape != (n, 2):
         raise ValueError("v and w must have shape (n, 2)")
-    # c (xt - mean) and w - mean centred apart, where xt = 1 - 2v is +-1 and
-    # its mean the exact count (n - 2k) / n: at large c the spacing of
-    # c*xt + w would swallow w
-    centered = np.empty((n, 2))
-    kernel().sigma_r_rows(v.ctypes.data, n, w.ctypes.data, point.c, centered.ctypes.data)
-    scatter = (centered.T @ centered).tolist()
+    # c xt and w centred apart, xt by its exact count mean: at large c the
+    # spacing of c*xt + w would swallow w
+    scatter = (ctypes.c_double * 3)()
+    kernel().sigma_r_scatter(v.ctypes.data, n, w.ctypes.data, point.c, scatter)
+    s00, s01, s11 = (s / (n - 1) for s in scatter)
     a1, a2, a11 = probs
-    p = np.array([1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11])
-    occur = p > 0.0
-    x, p = _XT_POINTS[occur], p[occur]
-    # moments of u = c (xt - E xt) on the points that occur: no 0 * inf at huge c
-    u = point.c * (x - p @ x)
-    uu = u * u
-    cov, fourth = ((u.T * p) @ u).tolist(), ((uu.T * p) @ uu).tolist()
+    law = [(p, x0, x1) for p, x0, x1 in ((1.0 - a1 - a2 + a11, 1.0, 1.0), (a2 - a11, 1.0, -1.0),
+                                         (a1 - a11, -1.0, 1.0), (a11, -1.0, -1.0)) if p > 0.0]
+    e0 = e1 = 0.0
+    for p, x0, x1 in law:
+        e0, e1 = e0 + p * x0, e1 + p * x1
+    # entries 00, 01, 11 of the moments of u = c (xt - E xt) on the points
+    # that occur: no 0 * inf at huge c
+    cov, fourth = [0.0] * 3, [0.0] * 3
+    for p, x0, x1 in law:
+        u0, u1 = point.c * (x0 - e0), point.c * (x1 - e1)
+        for k, (a, b) in enumerate(((u0, u0), (u0, u1), (u1, u1))):
+            cov[k] += p * (a * b)
+            fourth[k] += p * ((a * a) * (b * b))
     # E[r_i^2 r_j^2] - Sigma_r[i, j]^2, with Sigma_r = I + E[u u^T]: the
     # last term, (1 + I) (m2_i + m2_j + 1) with m2 = diag(cov), is at least
     # 1, and fourth >= cov^2 up to rounding, so the root is real
-    sigma_hat = [[scatter[i][j] / (n - 1) for j in (0, 1)] for i in (0, 1)]
-    se = [[sqrt((fourth[i][j] - cov[i][j] * cov[i][j]
-                 + (2.0 if i == j else 1.0) * (cov[i][i] + cov[j][j] + 1.0)) / n)
-           for j in (0, 1)] for i in (0, 1)]
-    return np.array(sigma_hat), np.array(se)
+    se00, se01, se11 = (sqrt((fourth[k] - cov[k] * cov[k] + t * (cov[i] + cov[j] + 1.0)) / n)
+                        for k, i, j, t in ((0, 0, 0, 2.0), (1, 0, 2, 1.0), (2, 2, 2, 2.0)))
+    return np.array([[s00, s01], [s01, s11]]), np.array([[se00, se01], [se01, se11]])
 
 
 def _draw_block(code, branches, rows, seed):

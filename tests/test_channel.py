@@ -101,6 +101,29 @@ def test_standard_normals_are_ndtri_of_mid_interval_uniforms():
     assert np.array_equal(standard_normals(make_rng(123), 8), ndtri(u))
 
 
+class FixedWords:
+    """A generator stub whose integers(0, 2^53) are the given words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 1 << 53, self.words.shape, np.uint64)
+        return self.words.copy()
+
+
+def test_standard_normals_keep_the_top_word_finite():
+    from scipy.special import ndtri
+
+    # (2^53 - 1) + 0.5 rounds up to 2^53, so u would be 1.0 and ndtri +inf;
+    # it takes 1 - 2^-53, the largest double below 1, and no other word moves
+    words = [2**53 - 1, 2**53 - 2, 2**52 + 1, 0]
+    got = standard_normals(FixedWords(words), (4,))
+    assert np.isfinite(got).all()
+    assert got[0] == ndtri(1.0 - 2.0**-53) > got[1]
+    assert np.array_equal(got[1:], ndtri((np.array(words[1:], dtype=np.uint64) + 0.5) / 2.0**53))
+
+
 def test_make_rng_tuple_seeds_differ():
     a = make_rng((5, 1)).random(8)
     b = make_rng((5, 2)).random(8)

@@ -625,6 +625,38 @@ def test_simulate_sigma_r_check_passes_long_runs(capsys, code_name, mode):
     assert (rc, err) == (0, "")
 
 
+def openblas_picks_its_kernel_by_cpu():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE then sets for one process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    except (KeyError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not openblas_picks_its_kernel_by_cpu(),
+                    reason="needs numpy on an OpenBLAS built with DYNAMIC_ARCH, so that "
+                           "OPENBLAS_CORETYPE can set another kernel")
+@pytest.mark.parametrize("argv", [
+    ["--code", "c1", "--ebn0-db=-4,0,4,8"],
+    ["--code", "c2", "--mode", "qli", "--ebn0-db=-4,0,4,8", "--seed", "11"],
+])
+def test_simulate_json_is_the_same_under_every_openblas_kernel(argv):
+    outputs = set()
+    for core in (None, "Prescott", "Haswell"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-m", "sstkalman.cli", "simulate", *argv,
+                               "--branches", "5000", "--format", "json"],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), core
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
     original = sstdec.sample_sigma_r
 

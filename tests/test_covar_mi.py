@@ -451,6 +451,60 @@ def test_sigma_r_given_parities_equals_its_array_form_bit_for_bit(n, counts, db)
     assert [np.array(a).tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def row_order_sum(values):
+    """The sum of values, added one at a time from the first."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def centred_columns(v, w, c):
+    """Both columns of c (1 - 2v) + w centred as `sample_sigma_r` centres
+    them: c xt by xt's exact count mean, and w apart by its row-order mean."""
+    n = len(v)
+    m = (n - 2 * np.count_nonzero(v, axis=0)) / n
+    w_mean = [row_order_sum(column) / n for column in w.T.tolist()]
+    return [np.where(v[:, j], c * (-1.0 - m[j]), c * (1.0 - m[j])) + (w[:, j] - w_mean[j])
+            for j in range(2)]
+
+
+def row_order_sample_sigma_r(v, w, point, probs):
+    """Oracle of `sample_sigma_r`: its centred rows and their products
+    elementwise, and every sum (w's column sums, the scatter, the
+    four-point moments) added in order by an explicit loop."""
+    n, d = len(v), centred_columns(v, w, point.c)
+    hat = [[row_order_sum((d[i] * d[j]).tolist()) / (n - 1) for j in range(2)] for i in range(2)]
+    a1, a2, a11 = probs
+    law = [(p, x) for p, x in zip((1.0 - a1 - a2 + a11, a2 - a11, a1 - a11, a11),
+                                  ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))) if p > 0.0]
+    e = [row_order_sum([p * x[j] for p, x in law]) for j in range(2)]
+    u = [(p, [point.c * (x[j] - e[j]) for j in range(2)]) for p, x in law]
+    cov = [[row_order_sum([p * (uk[i] * uk[j]) for p, uk in u]) for j in range(2)]
+           for i in range(2)]
+    fourth = [[row_order_sum([p * ((uk[i] * uk[i]) * (uk[j] * uk[j])) for p, uk in u])
+               for j in range(2)] for i in range(2)]
+    se = [[math.sqrt((fourth[i][j] - cov[i][j] * cov[i][j]
+                      + (2.0 if i == j else 1.0) * (cov[i][i] + cov[j][j] + 1.0)) / n)
+           for j in range(2)] for i in range(2)]
+    return np.array(hat), np.array(se)
+
+
+def assert_close_on_the_diagonal_scale(got, want, rtol, msg=None):
+    """|got - want| within rtol sqrt(want_ii want_jj) at entry (i, j): an
+    off-diagonal entry near 0 sums terms as large as the diagonal's, and a
+    sum in another order moves it by their rounding."""
+    d = np.diag(want)
+    assert np.all(np.abs(got - want) <= rtol * np.sqrt(np.outer(d, d))), (got, want, msg)
+
+
+def scatter_rtol(n):
+    """How far two sums of the n products d_i d_j, in any two orders, may
+    lie apart, as a share of sqrt(S_ii S_jj) (at least the sum of their
+    magnitudes): n u each, with u = 2^-53, and the division by n - 1."""
+    return (n + 1) * 2.0**-52
+
+
 # a column rate of 0 or 1 draws an all-zero or all-one column; 300 dB puts
 # c at ~3e7, where centring c (1 - 2v) and w apart matters
 @settings(max_examples=60, deadline=None)
@@ -458,21 +512,27 @@ def test_sigma_r_given_parities_equals_its_array_form_bit_for_bit(n, counts, db)
        db=st.sampled_from([-10.0, 0.0, 7.0, 300.0]), seed=st.integers(0, 2**32 - 1))
 @example(n=2, rates=(0.0, 1.0), db=7.0, seed=0)
 @example(n=2, rates=(0.5, 0.5), db=300.0, seed=3)
+# a few large terms among 800 small ones: the row-order sum is 1.4e-14 off BLAS's
+@example(n=807, rates=(0.0, 0.003), db=300.0, seed=0)
 def test_sample_sigma_r_equals_the_broadcast_centring_bit_for_bit(n, rates, db, seed):
     gen = np.random.default_rng(seed)
     v = (gen.random((n, 2)) < rates).astype(np.uint8)
     w = gen.standard_normal((n, 2))
     pt = channel.snr_point(db)
-    xt = 1.0 - 2.0 * v.astype(np.float64)
-    centered = pt.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
     probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c1")), pt.epsilon)
     hat = sample_sigma_r(v, w, pt, probs[:3])[0]
-    assert hat.tobytes() == ((centered.T @ centered) / (n - 1)).tobytes()
+    assert hat.tobytes() == row_order_sample_sigma_r(v, w, pt, probs[:3])[0].tobytes()
+    # the broadcast centring gives the same rows, and numpy's (BLAS) product
+    # sums them in its own order
+    xt = 1.0 - 2.0 * v.astype(np.float64)
+    centered = pt.c * (xt - xt.mean(axis=0)) + (w - w.mean(axis=0))
+    assert_close_on_the_diagonal_scale(hat, (centered.T @ centered) / (n - 1), scatter_rtol(n))
 
 
 def numpy_sample_sigma_r(v, w, point, probs):
-    """Oracle of `sample_sigma_r`: its numpy form before the C row pass,
-    which centres one strided column at a time."""
+    """Second oracle of `sample_sigma_r`: its numpy form before the C
+    scatter, which centres one strided column at a time and leaves the
+    scatter and the four-point moments to numpy's (BLAS) products."""
     n = len(v)
     w_mean = w.mean(axis=0)
     centered = np.empty((n, 2))
@@ -509,8 +569,36 @@ def test_sample_sigma_r_equals_the_numpy_centring_bit_for_bit(stride):
         pt = channel.snr_point(db)
         probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c2")),
                                          pt.epsilon)[:3]
-        got, want = sample_sigma_r(v, w, pt, probs), numpy_sample_sigma_r(v, w, pt, probs)
+        got = sample_sigma_r(v, w, pt, probs)
+        want = row_order_sample_sigma_r(v, w, pt, probs)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, rate, db)
+        for a, b, rtol in zip(got, numpy_sample_sigma_r(v, w, pt, probs),
+                              (scatter_rtol(n), 1e-14)):
+            assert_close_on_the_diagonal_scale(a, b, rtol, (n, rate, db))
+
+
+def test_sample_sigma_r_scatter_stays_within_1e_13_of_fsum_at_a_million_rows():
+    # correlated columns, so the off-diagonal sum is far from 0
+    n, pt = 1_000_000, channel.snr_point(4.0)
+    gen = np.random.default_rng(7)
+    v = (gen.random((n, 1)) < [0.2, 0.2]).astype(np.uint8)
+    v[:, 1] ^= gen.random(n) < 0.05
+    w = gen.standard_normal((n, 2))
+    probs = parity_prob.branch_stats(*parity_prob.code_supports(get_code("c2")), pt.epsilon)
+    hat = sample_sigma_r(v, w, pt, probs[:3])[0]
+    d = centred_columns(v, w, pt.c)
+    exact = np.array([[math.fsum(d[i] * d[j]) / (n - 1) for j in range(2)] for i in range(2)])
+    assert hat[0, 1] > 0.1 * math.sqrt(hat[0, 0] * hat[1, 1])
+    assert_close_on_the_diagonal_scale(hat, exact, 1e-13)
+
+
+def test_sample_sigma_r_refuses_parities_that_are_not_bytes():
+    pt, v, w = channel.snr_point(4.0), np.zeros((10, 2), dtype=np.uint8), np.zeros((10, 2))
+    probs = (0.1, 0.1, 0.05)
+    sample_sigma_r(v, w, pt, probs)
+    for dtype in (bool, np.int64, np.float64):
+        with pytest.raises(ValueError, match="uint8"):
+            sample_sigma_r(v.astype(dtype), w, pt, probs)
 
 
 def assert_row_is_the_closed_form(code, mode, row):

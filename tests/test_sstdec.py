@@ -774,9 +774,10 @@ def numpy_draw_block(code, branches, rows, seed):
 def c_draw_words(s, n):
     """The C pass's Philox words of seed s as draw_block reads them, for n
     branches and n rows of w: per key (s, j), at j = 0 and 2 the
-    mid-interval uniforms ((k >> 11) + 0.5) / 2^53 of its first 2n words k
-    (the noise and w before ndtri maps them), and at j = 1 the info bits,
-    1 where the top bit of one of its first n words is clear."""
+    mid-interval uniforms ((k >> 11) + 0.5) / 2^53, at most 1 - 2^-53, of
+    its first 2n words k (the noise and w before ndtri maps them), and at
+    j = 1 the info bits, 1 where the top bit of one of its first n words is
+    clear."""
     masks, info = sstdec._tap_masks(get_code("c1").g), np.empty(n, dtype=np.uint8)
     x, u, uw = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
     sstdec.kernel().draw_block(s, n, n, masks.ctypes.data, info.ctypes.data, x.ctypes.data,
@@ -788,7 +789,8 @@ def as_drawn(words, j):
     """numpy's words of the key (s, j) as c_draw_words reads them."""
     if j == 1:
         return (words >> np.uint64(63) == 0).astype(np.uint8)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+    return np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53,
+                      1.0 - 2.0**-53)
 
 
 @pytest.mark.parametrize("s", [0, 1, 7, 2**62])
@@ -983,6 +985,16 @@ def test_simulate_rows_equal_the_numpy_draw_at_the_top_seed(mode):
     rows = sstdec.simulate(code, points, 1000, seed, mode=mode)
     assert [{k: row[k] for k in ESTIMATES} for row in rows] == \
         numpy_simulate(code, points, 1000, seed, mode)
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
+def test_simulate_sigma_r_hat_and_se_are_exactly_symmetric(code_name, mode):
+    # numpy's (BLAS) products once left c2 qli's 8 dB sigma_r_se one bit off symmetric
+    points = [channel.snr_point(db) for db in (-4.0, 0.0, 4.0, 8.0)]
+    for row in sstdec.simulate(get_code(code_name), points, 5000, 11, mode=mode):
+        for key in ("sigma_r_hat", "sigma_r_se"):
+            assert row[key][0][1].hex() == row[key][1][0].hex(), (row["ebn0_db"], key)
 
 
 def _bits(values):
