@@ -301,10 +301,12 @@ def binary_input_mi(rho):
         return 0.0
     t, w = _gh_nodes()
     x = rho - math.sqrt(rho) * math.sqrt(2.0) * t
+    # numpy's own sum of the weighted terms, not a BLAS dot, whose order of
+    # additions, and so the last digits, depend on the host's kernel
     if rho <= 1.0:
-        expect = float(np.dot(w, _log_cosh(x))) / math.sqrt(math.pi)
+        expect = float((w * _log_cosh(x)).sum()) / math.sqrt(math.pi)
         return max(rho - expect, 0.0)
-    loss = float(np.dot(w, np.logaddexp(0.0, -2.0 * x))) / math.sqrt(math.pi)
+    loss = float((w * np.logaddexp(0.0, -2.0 * x)).sum()) / math.sqrt(math.pi)
     return math.log(2.0) - loss
 
 

@@ -28,7 +28,7 @@ only the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,58 +89,50 @@ def _frozen(mat):
     return mat
 
 
-@dataclass(frozen=True)
+def _step_reader(name):
+    """The model method k -> name_k: row k of name's stack, grown to step k."""
+    def read(model, k):
+        if k < 0:
+            raise ValueError(f"{name}_k needs k >= 0, got {k}")
+        return model.stack(name, k + 1)[k]
+    return read
+
+
 class StateSpaceModel:
     """Time-varying linear-Gaussian state-space model; F/H/U/W are k -> array.
 
-    Each is read as read-only (count, rows, cols) stacks of steps, one step
-    being a stack of one; step k is read and checked once, on first use,
-    so the callables must be pure functions of k.  F and U must be n x n,
-    H m x n and W m x m, all finite, U PSD and W PD; F may be singular, as
-    an encoder's shift register is.  A stack that fails its check caches
-    nothing: the next read calls the callables again and raises again.
+    Each name keeps one read-only (count, rows, cols) stack of steps 0..count-1,
+    grown in step order by a read past its end: the new steps are read and
+    checked together and kept only if all pass, so a failed read raises again
+    and the callables must be pure functions of k; a step k < 0 is a ValueError.
+    F and U must be n x n, H m x n and W m x m, all finite, U PSD and W PD; F
+    may be singular, as an encoder's shift register is.
     """
 
-    n: int
-    m: int
-    F_k: object
-    H_k: object
-    U_k: object
-    W_k: object
-    X0: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("n", "m", "F_k", "H_k", "U_k", "W_k", "X0", "_stacks", "_joints")
+    _rules = {"F": _FINITE, "H": _FINITE, "U": _PSD, "W": _PD}
 
-    def _read(self, name, ks):
-        """name_k for k in the range ks, one read-only stack; the steps not
-        read before are read and checked together (`_check_stack`)."""
-        stack = self._cache.get((name, ks))
-        if stack is None:
-            new = [k for k in ks if (name, range(k, k + 1)) not in self._cache]
-            shape = {"F": (self.n, self.n, _FINITE), "H": (self.m, self.n, _FINITE),
-                     "U": (self.n, self.n, _PSD), "W": (self.m, self.m, _PD)}[name]
-            mats = [np.asarray(getattr(self, f"{name}_k")(k), dtype=np.float64) for k in new]
-            fresh = _frozen(_check_stack(mats, [f"{name}_{k}" for k in new], *shape))
-            self._cache.update(((name, range(k, k + 1)), fresh[i:i + 1]) for i, k in enumerate(new))
-            stack = self._cache[name, ks] = fresh if len(new) == len(ks) else _frozen(
-                np.concatenate([self._cache[name, range(k, k + 1)] for k in ks]))
-        return stack
+    def __init__(self, n, m, F_k, H_k, U_k, W_k, X0):
+        self.n, self.m, self.X0 = n, m, X0
+        self.F_k, self.H_k, self.U_k, self.W_k = F_k, H_k, U_k, W_k
+        self._stacks = {name: _frozen(np.empty((0, rows, cols))) for name, rows, cols
+                        in (("F", n, n), ("H", m, n), ("U", n, n), ("W", m, m))}
+        self._joints = {}  # horizon b -> _stacked_joint(self, b)
 
     def stack(self, name, count):
-        """name_0 .. name_{count-1} (name one of F, H, U, W) as one read-only
-        (count, rows, cols) stack."""
-        return self._read(name, range(count))
+        """name_0 .. name_{count-1} (name one of F, H, U, W), a read-only stack."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        stack = self._stacks[name]
+        if count > len(stack):
+            new = range(len(stack), count)
+            mats = [np.asarray(getattr(self, f"{name}_k")(k), dtype=np.float64) for k in new]
+            fresh = _check_stack(mats, [f"{name}_{k}" for k in new], *stack.shape[1:],
+                                 self._rules[name])
+            stack = self._stacks[name] = _frozen(np.concatenate((stack, fresh)))
+        return stack[:count]
 
-    def F(self, k):
-        return self._read("F", range(k, k + 1))[0]
-
-    def H(self, k):
-        return self._read("H", range(k, k + 1))[0]
-
-    def U(self, k):
-        return self._read("U", range(k, k + 1))[0]
-
-    def W(self, k):
-        return self._read("W", range(k, k + 1))[0]
+    F, H, U, W = map(_step_reader, "FHUW")
 
 
 def state_space_model(F, H, U, W, X0):
@@ -155,12 +147,11 @@ def state_space_model(F, H, U, W, X0):
         X0=_check_stack([np.asarray(X0, dtype=np.float64)], ["X0"], n, n, _PSD)[0],
     )
     # the shape probe is H_0's one read; its shape check holds by construction
-    model._cache["H", range(1)] = _frozen(_check_stack([h0], ["H_0"], m, n))
+    model._stacks["H"] = _frozen(_check_stack([h0], ["H_0"], m, n))
     return model
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     k: int
     xhat_filt: np.ndarray
     M_k: np.ndarray
@@ -342,10 +333,9 @@ def _joint_moments(model, k, b):
     which is built once per b."""
     if k < 0 or b < k:
         raise ValueError("need 0 <= k <= b")
-    joint = model._cache.get(("joint", b))
-    if joint is None:
-        joint = model._cache["joint", b] = _stacked_joint(model, b)
-    x_cov, z_cov, xz = joint
+    if b not in model._joints:
+        model._joints[b] = _stacked_joint(model, b)
+    x_cov, z_cov, xz = model._joints[b]
     rows = slice(k * model.n, (k + 1) * model.n)
     return x_cov[rows, rows], z_cov, xz[rows]
 

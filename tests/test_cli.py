@@ -295,6 +295,9 @@ for argv in (["tables", "--table", "9"], ["search", "--nu", "6"], ["kalman-check
     if argv[0] != "kalman-check":
         assert not late_modules(), (argv, late_modules())
 assert not scipy_modules(), scipy_modules()
+# the package defines no dataclass; numpy loads inspect but not dataclasses,
+# scipy.special loads both
+assert "dataclasses" not in sys.modules
 # kalman-check draws its model from numpy.random, whose seeding may load
 # hashlib (through secrets and hmac); subprocess stays out
 assert "subprocess" not in sys.modules
@@ -639,18 +642,21 @@ def openblas_picks_its_kernel_by_cpu():
                     reason="needs numpy on an OpenBLAS built with DYNAMIC_ARCH, so that "
                            "OPENBLAS_CORETYPE can set another kernel")
 @pytest.mark.parametrize("argv", [
-    ["--code", "c1", "--ebn0-db=-4,0,4,8"],
-    ["--code", "c2", "--mode", "qli", "--ebn0-db=-4,0,4,8", "--seed", "11"],
-])
-def test_simulate_json_is_the_same_under_every_openblas_kernel(argv):
+    ["simulate", "--code", "c1", "--ebn0-db=-4,0,4,8", "--branches", "5000"],
+    ["simulate", "--code", "c2", "--mode", "qli", "--ebn0-db=-4,0,4,8", "--seed", "11",
+     "--branches", "5000"],
+    # binary_input_mi's quadrature sum, over curves' default grid
+    ["curves", "--code", "c1"],
+    ["curves", "--code", "c2", "--mode", "qli"],
+], ids=["simulate-c1-general", "simulate-c2-qli", "curves-c1-general", "curves-c2-qli"])
+def test_json_is_the_same_under_every_openblas_kernel(argv):
     outputs = set()
     for core in (None, "Prescott", "Haswell"):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         env.pop("OPENBLAS_CORETYPE", None)
         if core:
             env["OPENBLAS_CORETYPE"] = core
-        proc = subprocess.run([sys.executable, "-m", "sstkalman.cli", "simulate", *argv,
-                               "--branches", "5000", "--format", "json"],
+        proc = subprocess.run([sys.executable, "-m", "sstkalman.cli", *argv, "--format", "json"],
                               capture_output=True, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b""), core
         outputs.add(proc.stdout)

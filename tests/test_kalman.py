@@ -487,14 +487,39 @@ def test_stack_reads_name_the_first_failing_step(kwargs, name, match):
     # 0..5 names the first one, and a failed stack caches no step
     k_bad = int(match.split()[0].split("_")[1])
     fn = kwargs[name]
-    model = two_state_model(**{name: lambda k: fn(k_bad) if k == k_bad + 2 else fn(k)})
-    for _ in range(2):
+    counter = Counting(lambda k: fn(k_bad) if k == k_bad + 2 else fn(k))
+    model = two_state_model(**{name: counter})
+    first = 1 if name == "H" else 0  # H_0 is read once, when the model is built
+    for attempt in (1, 2):
         with pytest.raises(ValueError, match=f"^{match}$"):
             model.stack(name, 6)
-    assert not [key for key in model._cache if key[0] == name and key != ("H", range(1))]
+        # no step of the failed read is kept: the retry reads them all again
+        assert counter.calls == {k: 1 if k < first else attempt for k in range(6)}
     if k_bad:  # the steps before it read on their own, as in the filter
         np.testing.assert_array_equal(model.stack(name, k_bad),
                                       two_state_model().stack(name, k_bad))
+
+
+def test_a_step_read_grows_the_stack_in_step_order():
+    counter = Counting(lambda k: (0.9 + 0.01 * k) * np.eye(2))
+    model = two_state_model(F=counter)
+    np.testing.assert_array_equal(model.F(3), (0.9 + 0.01 * 3) * np.eye(2))
+    assert list(counter.calls.items()) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    stack = model.stack("F", 6)
+    assert list(counter.calls.items()) == [(k, 1) for k in range(6)]
+    np.testing.assert_array_equal(stack, [(0.9 + 0.01 * k) * np.eye(2) for k in range(6)])
+    np.testing.assert_array_equal(model.stack("F", 2), stack[:2])
+    assert counter.calls == dict.fromkeys(range(6), 1)
+
+
+@pytest.mark.parametrize("name", "FHUW")
+def test_negative_steps_and_counts_are_refused(name):
+    model = two_state_model()
+    with pytest.raises(ValueError, match=f"^{name}_k needs k >= 0, got -1$"):
+        getattr(model, name)(-1)
+    with pytest.raises(ValueError, match="^count must be non-negative$"):
+        model.stack(name, -1)
+    assert model.stack(name, 0).shape == (0, *model.stack(name, 1).shape[1:])
 
 
 @pytest.mark.parametrize("bad, match", [
