@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 from typing import NamedTuple
 
 DB_GRID = tuple(range(-10, 11))
@@ -51,8 +52,10 @@ def snr_point(ebn0_db):
     return SnrPoint(ebn0_db=float(ebn0_db) + 0.0, rho=rho, c=c, epsilon=q_function(c))
 
 
+@cache
 def grid_points():
-    return [snr_point(db) for db in DB_GRID]
+    """The SnrPoints of DB_GRID, as one tuple built on the first call."""
+    return tuple(snr_point(db) for db in DB_GRID)
 
 
 def bpsk_map(bits):

@@ -473,8 +473,8 @@ def build_parser():
     return parser
 
 
-# the range of each integer option; seeds key a Philox generator through a C long
-ARG_RANGES = {"branches": (1000, None), "seed": (0, 2**62), "states": (1, None),
+# the range of each integer option; a seed keys numpy's Philox streams as a uint64
+ARG_RANGES = {"branches": (1000, None), "seed": (0, 2**64 - 1), "states": (1, None),
               "steps": (4, None)}
 
 

@@ -63,6 +63,14 @@ def _check_square(m):
     return m
 
 
+def sigma_r_entries(s1, s2, s12, rho):
+    """I + rho Sigma_x of Sigma_x = [[s1, s12], [s12, s2]] in floats, as
+    nested tuples, each entry rounded as `sigma_r`'s array sum rounds it."""
+    # 0.0 + keeps I's +0.0 off the diagonal, as the array sum does
+    off = 0.0 + rho * s12
+    return (1.0 + rho * s1, off), (off, 1.0 + rho * s2)
+
+
 def sigma_r(sigma_x, rho):
     """Innovation covariance I + rho Sigma_x."""
     import numpy as np
@@ -219,26 +227,13 @@ class BoundChain(NamedTuple):
 
     half_tr_sigma_c <= gauss_per_rho <= half_tr_sigma_x, with the
     channel-side ceilings inv_one_plus_rho (on half_tr_sigma_c) and
-    log1p_rho_over_rho (on gauss_per_rho).  sigma_c is the filtering
-    covariance whose half trace opens the chain; an array, it is left out
-    of equality and hashing, which read the five bounds.
-    """
+    log1p_rho_over_rho (on gauss_per_rho)."""
 
     half_tr_sigma_c: float
     gauss_per_rho: float
     half_tr_sigma_x: float
     inv_one_plus_rho: float
     log1p_rho_over_rho: float
-    sigma_c: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, BoundChain) and self[:5] == other[:5]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:5])
 
 
 def _chain(s1, s2, s12, rho):
@@ -250,13 +245,10 @@ def _chain(s1, s2, s12, rho):
 
 
 def bound_chain(sigma_x, rho):
-    import numpy as np
-
     s1, s2, s12 = _checked_entries(sigma_x, rho)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    bounds, (c11, c22, c12) = _chain(s1, s2, s12, rho)
-    return BoundChain(*bounds, sigma_c=np.array([[c11, c12], [c12, c22]]))
+    return BoundChain(*_chain(s1, s2, s12, rho)[0])
 
 
 @cache
@@ -380,10 +372,12 @@ def _sweep_row(point, sizes):
                     log1p_over_rho, lt1, lt2, rho * lt1, rho * lt2)
 
 
-def sweep(code, points=tuple(channel.grid_points()), mode="general"):
+def sweep(code, points=None, mode="general"):
     """The SweepRows of one arrangement at a sequence of `channel.SnrPoint`s
-    (by default the Eb/N0 grid), each the point's own `sweep_row`; the
-    support sizes are taken once."""
+    (by default `channel.grid_points()`), each the point's own `sweep_row`;
+    the support sizes are taken once."""
+    if points is None:
+        points = channel.grid_points()
     sizes = parity_prob.support_sizes(*code_supports(code, mode))
     return [_sweep_row(point, sizes) for point in points]
 

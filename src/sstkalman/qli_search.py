@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel, parity_prob
+from . import channel, covar_mi, parity_prob
 
 
 class QliSearchRow(NamedTuple):
@@ -128,13 +128,6 @@ class TracePoint(NamedTuple):
     reversed_order: bool
 
 
-def _half_trace(q, n1, n2):
-    """(1/2) tr of the 2x2 covariance of two parities over n1 and n2 variables."""
-    a1 = 0.5 * (1.0 - q ** n1)
-    a2 = 0.5 * (1.0 - q ** n2)
-    return 2.0 * (a1 * (1.0 - a1) + a2 * (1.0 - a2))
-
-
 def reversal_flags(counts, points):
     """Whether tr Sigma_x < tr Sigma_x' at each SnrPoint, exactly.
 
@@ -165,17 +158,23 @@ def trace_compare(counts, points):
     """(1/2) tr Sigma_x versus (1/2) tr Sigma_x' at each SnrPoint.
 
     counts (family_counts) are the four support sizes, which fix both
-    traces.  The half traces are float64; reversed_order, which marks
+    traces.  The half traces are float64, by the sweep's own operations
+    (`parity_prob.sized_branch_stats`, `covar_mi.sigma_x_entries`) on
+    each arrangement's pair of sizes; reversed_order, which marks
     points where the general arrangement is strictly better
     (tr Sigma_x < tr Sigma_x'), is `reversal_flags`, exact.  Near a tie the
     two floats may round to the same value or the wrong way round, so
     reversed_order does not follow from them."""
-    m1a, m2a, m1b, m2b = counts
+    # the pair's joint size enters alpha11 and theta alone, not the trace
+    sizes = (*counts[:2], 0), (*counts[2:], 0)
     out = []
     for point, flag in zip(points, reversal_flags(counts, points)):
-        q = 1.0 - 2.0 * point.epsilon
-        out.append(TracePoint(point.ebn0_db, point.epsilon, _half_trace(q, m1a, m2a),
-                              _half_trace(q, m1b, m2b), flag))
+        half_traces = []
+        for pair in sizes:
+            a1, a2, _, th = parity_prob.sized_branch_stats(pair, point.epsilon)
+            s1, s2, _ = covar_mi.sigma_x_entries(a1, a2, th)
+            half_traces.append(0.5 * (s1 + s2))
+        out.append(TracePoint(point.ebn0_db, point.epsilon, *half_traces, flag))
     return out
 
 

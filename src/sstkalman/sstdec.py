@@ -401,10 +401,11 @@ def simulate(code, points, branches, seed, mode="general"):
     the frequencies and their standard errors.  sigma_r_hat is the sample
     Sigma_r of c(1 - 2v) + w on the same rows, and sigma_r_se its
     standard error under the paper's model (`sample_sigma_r`).  epsilon,
-    rho, alpha*_ref and sigma_r_ref (I + rho Sigma_x) are the point's
-    exact values, for `simulation_errors`: the rows of one
-    `covar_mi.sweep` over `points` per call, each the point's own
-    `covar_mi.sweep_row`.  The sigma_r_* are 2x2 nested tuples.
+    rho, alpha*_ref and sigma_r_ref (I + rho Sigma_x, by
+    `covar_mi.sigma_r_entries`) are the point's exact values, for
+    `simulation_errors`: the rows of one `covar_mi.sweep` over `points`
+    per call, each the point's own `covar_mi.sweep_row`.  The sigma_r_*
+    are 2x2 nested tuples.
 
     ValueError, before anything is drawn, under 100 branches, when
     SIMULATE_BRANCH_BYTES per branch would pass SIMULATE_BYTES, or for a
@@ -449,8 +450,6 @@ def simulate(code, points, branches, seed, mode="general"):
         post_errors = int(np.count_nonzero(errors ^ viterbi_main(r, code)))
         (a1, a2, a11), ses = parity_prob.count_frequencies(ones.tolist(), n_eff)
         sig_hat, sig_se = sample_sigma_r(vs, w, point, (ref.alpha1, ref.alpha2, ref.alpha11))
-        # I + rho Sigma_x, whose off-diagonal is rho 4 theta12
-        s12 = ref.rho * (4.0 * ref.theta12)
         results.append({
             "ebn0_db": point.ebn0_db,
             "branches": branches,
@@ -463,8 +462,8 @@ def simulate(code, points, branches, seed, mode="general"):
             "sigma_r_se": tuple(map(tuple, sig_se.tolist())),
             "epsilon": ref.epsilon, "rho": ref.rho, "alpha1_ref": ref.alpha1,
             "alpha2_ref": ref.alpha2, "alpha11_ref": ref.alpha11,
-            "sigma_r_ref": ((1.0 + ref.rho * ref.sigma1_sq, s12),
-                            (s12, 1.0 + ref.rho * ref.sigma2_sq)),
+            "sigma_r_ref": covar_mi.sigma_r_entries(
+                *covar_mi.sigma_x_entries(ref.alpha1, ref.alpha2, ref.theta12), ref.rho),
         })
     return results
 
@@ -479,17 +478,15 @@ def sigma_r_given_parities(a1, a2, a11, n, rho):
     The rows fix the sample covariance S of xt = 1 - 2v, so only w is
     random: the mean is I + rho S, and the se is sqrt((4 rho S_ii + 2) /
     (n - 1)) on the diagonal and sqrt((rho (S_11 + S_22) + 1) / (n - 1))
-    off it.  It runs on Python floats, each entry rounded as the array
-    form I + rho S, with S = n / (n - 1) Sigma_x, rounds it.  Returns
-    (mean, se), both 2x2 nested lists."""
+    off it.  It runs on Python floats, the mean by
+    `covar_mi.sigma_r_entries` of S = n / (n - 1) Sigma_x.  Returns
+    (mean, se), both 2x2 nested tuples."""
     f = n / (n - 1)
     s1, s2, s12 = covar_mi.sigma_x_entries(a1, a2, a11 - a1 * a2)
-    d, s12 = (f * s1, f * s2), f * s12
-    # 0.0 + keeps I's +0.0 off the diagonal, as the array sum does
-    mean = [[1.0 + rho * d[0], 0.0 + rho * s12], [0.0 + rho * s12, 1.0 + rho * d[1]]]
-    se = [[sqrt((2.0 if i == j else 1.0) * (rho * (d[i] + d[j]) + 1.0) / (n - 1))
-           for j in (0, 1)] for i in (0, 1)]
-    return mean, se
+    d = (f * s1, f * s2)
+    se = tuple(tuple(sqrt((2.0 if i == j else 1.0) * (rho * (d[i] + d[j]) + 1.0) / (n - 1))
+                     for j in (0, 1)) for i in (0, 1))
+    return covar_mi.sigma_r_entries(*d, f * s12, rho), se
 
 
 def binomial_tails(k, n, p):
@@ -520,8 +517,10 @@ def simulation_errors(columns, rows):
         mean, se = sigma_r_given_parities(
             row["emp_alpha1"], row["emp_alpha2"], row["emp_alpha11"], row["n_eff"], row["rho"])
         hat = row["sigma_r_hat"]
+        # the sample, its mean and its se are each exactly symmetric, so
+        # each distinct entry is compared once
         if any(abs(hat[a][b] - mean[a][b]) > 5.0 * se[a][b] + 1e-9
-               for a in (0, 1) for b in (0, 1)):
+               for a, b in ((0, 0), (0, 1), (1, 1))):
             errors.append(f"row {i}: empirical received covariance off model by >5 se")
         if not (0.0 <= row["pre_ber"] <= 1.0 and 0.0 <= row["post_ber"] <= 1.0):
             errors.append(f"row {i}: bit error rate outside [0, 1]")

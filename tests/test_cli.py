@@ -242,6 +242,7 @@ def test_simulate_refuses_a_decoder_past_its_memory_cap(capsys, tmp_path):
     (["curves", "--ebn0-db=1_0"], "--ebn0-db"),
     (["curves", "--ebn0-db=1_0..1_2"], "--ebn0-db"),
     (["alpha", "--ebn0-db=\u0663"], "--ebn0-db"),
+    (["kalman-check", "--seed", str(2**64)], "--seed"),
 ])
 def test_bad_argument_values_exit_2_naming_the_flag(argv, flag):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -313,6 +314,51 @@ def test_only_the_noise_draw_imports_scipy():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+GRID_SCRIPT = """
+import os
+from sstkalman import channel
+
+built = []
+new = channel.SnrPoint.__new__
+
+
+def counted(cls, *args, **kwargs):
+    built.append(args or kwargs)
+    return new(cls, *args, **kwargs)
+
+
+channel.SnrPoint.__new__ = counted
+import sstkalman.cli
+assert not built, len(built)
+# the grid is built on its first use, once per process
+sstkalman.cli.main(["tables", "--table", "1", "--quiet", "--out", os.devnull])
+sstkalman.cli.covar_mi.sweep(sstkalman.cli.convcode.get_code("c2"))
+sstkalman.cli.main(["search", "--nu", "4", "--quiet", "--out", os.devnull])
+assert len(built) == len(channel.DB_GRID), len(built)
+print("ok")
+"""
+
+
+def test_importing_the_cli_builds_no_snr_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", GRID_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--ebn0-db=0,4,8", "--branches", "1000"],
+    ["kalman-check"],
+], ids=["simulate", "kalman-check"])
+def test_the_top_seed_runs(argv, capsys):
+    # a seed keys numpy's Philox streams as a uint64: the CLI takes all of [0, 2^64)
+    top = str(2**64 - 1)
+    rc, out, err = run([*argv, "--seed", top, "--quiet"], capsys)
+    assert (rc, err) == (0, "")
+    assert run([*argv, "--seed", top, "--quiet"], capsys)[1] == out
+    assert run([*argv, "--seed", str(2**64 - 2), "--quiet"], capsys)[1] != out
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):
@@ -676,6 +722,22 @@ def test_simulate_sigma_r_check_rejects_a_scaled_w(capsys, monkeypatch):
     assert "empirical received covariance off model by >5 se" in err
 
 
+def test_simulate_sigma_r_check_rejects_a_planted_off_diagonal(capsys, monkeypatch):
+    original = sstdec.sample_sigma_r
+
+    def planted(v, w, point, probs):
+        hat, se = original(v, w, point, probs)
+        # the sample stays symmetric; only its off-diagonal moves, by ~10 se
+        hat[0, 1] = hat[1, 0] = hat[0, 1] + 10.0 * se[0, 1]
+        return hat, se
+
+    monkeypatch.setattr(sstdec, "sample_sigma_r", planted)
+    rc, _, err = run(["simulate", "--code", "c1", "--ebn0-db=4", "--branches", "20000",
+                      "--quiet"], capsys)
+    assert rc == 1
+    assert err == "validation: row 0: empirical received covariance off model by >5 se\n"
+
+
 def test_simulate_binomial_check_rejects_a_planted_alpha(capsys, monkeypatch):
     original = parity_prob.count_frequencies
 
@@ -854,7 +916,9 @@ def test_search_runs_no_float_trace_comparison(monkeypatch, capsys):
         raise AssertionError("search compared float half traces")
 
     monkeypatch.setattr(qli_search, "trace_compare", refuse)
-    monkeypatch.setattr(qli_search, "_half_trace", refuse)
+    # the float operations that trace_compare's half traces are made of
+    monkeypatch.setattr(parity_prob, "sized_branch_stats", refuse)
+    monkeypatch.setattr(covar_mi, "sigma_x_entries", refuse)
     for nu, lines in ((10, 257), (12, 1025)):
         rc, out, err = run(["search", "--nu", str(nu)], capsys)
         assert (rc, err) == (0, "")

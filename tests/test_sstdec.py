@@ -1029,6 +1029,19 @@ def test_simulate_holds_the_exact_values_at_each_point(code_name, mode):
 
 @pytest.mark.parametrize("code_name", ["c1", "c2"])
 @pytest.mark.parametrize("mode", ["general", "qli"])
+def test_simulate_sigma_r_ref_is_the_array_sigma_r_on_the_grid(code_name, mode):
+    code, points = get_code(code_name), channel.grid_points()
+    for res, pt in zip(sstdec.simulate(code, points, 1000, 3, mode=mode), points):
+        want = covar_mi.sigma_r(covar_mi.code_sigma_x(code, pt.epsilon, mode), pt.rho).tolist()
+        row = covar_mi.sweep_row(code, pt, mode)
+        entries = covar_mi.sigma_r_entries(row.sigma1_sq, row.sigma2_sq, 4.0 * row.theta12,
+                                           pt.rho)
+        for got in (res["sigma_r_ref"], entries):
+            assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in r] for r in want]
+
+
+@pytest.mark.parametrize("code_name", ["c1", "c2"])
+@pytest.mark.parametrize("mode", ["general", "qli"])
 @pytest.mark.parametrize("branches", [1000, 3000, 20_000])
 def test_simulate_peak_memory_is_within_its_estimate(code_name, mode, branches):
     code, points = get_code(code_name), [channel.snr_point(db) for db in (-2.0, 8.0)]
